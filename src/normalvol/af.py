@@ -11,16 +11,24 @@ matroids.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import chow, normalcx
 from .errors import ArityMismatch, MismatchError, NotCubical
-from .fan import Cone, star_connected_minus_origin
+from .fan import Cone, MarkedFan, star_connected_minus_origin
 from .linalg import Signature, ONE, ZERO, signature
 from .matroid import Matroid, alpha_beta_z, bergman_fan, char_poly, e0_inner_product
-from .normalcx import Context, ZValues, classify_z, find_cubical, mvol_recursive, vol_polynomial
+from .normalcx import (
+    Context,
+    TruncationTables,
+    ZValues,
+    classify_z,
+    find_cubical,
+    mixed_volumes,
+    vol_polynomial,
+)
 
 PASS = "pass"
 FAIL = "fail"
@@ -93,14 +101,15 @@ def af_check(ctx: Context, zs: Sequence[Mapping[str, Fraction]]) -> Fraction:
     if ctx.fan.d < 2:
         raise ArityMismatch("the AF inequality needs a fan of dimension >= 2")
     if len(zs) != ctx.fan.d:
-        raise NotCubical(f"need {ctx.fan.d} cubical arguments, got {len(zs)}")
+        raise ArityMismatch(f"need {ctx.fan.d} cubical arguments, got {len(zs)}")
+    tables = TruncationTables(ctx)
     for z in zs:
-        if not classify_z(ctx, z).is_cubical:
+        if not tables.classify(z).is_cubical:
             raise NotCubical("every AF argument must be strictly cubical")
     z1, z2, rest = zs[0], zs[1], list(zs[2:])
-    m12 = mvol_recursive(ctx, [z1, z2] + rest)
-    m11 = mvol_recursive(ctx, [z1, z1] + rest)
-    m22 = mvol_recursive(ctx, [z2, z2] + rest)
+    m12 = tables.mvol([z1, z2] + rest)
+    m11 = tables.mvol([z1, z1] + rest)
+    m22 = tables.mvol([z2, z2] + rest)
     return m12 * m12 - m11 * m22
 
 
@@ -225,6 +234,7 @@ class HRWReport:
     unimodal: bool
     mu_log_concave: bool
     mu_unimodal: bool
+    fan: MarkedFan = field(repr=False, compare=False)  # the Bergman fan the check ran on
 
     @property
     def verdict(self) -> str:
@@ -254,12 +264,11 @@ def hrw_verify(m: Matroid, e0: str | None = None) -> HRWReport:
     ctx = Context(fan, e0_inner_product(m, e0))
     z_alpha, z_beta = alpha_beta_z(m, e0)
     d = fan.d
+    tuples = [[z_alpha] * (d - a) + [z_beta] * a for a in range(d + 1)]
     mubar_deg = []
     mubar_mvol = []
-    for a in range(d + 1):
-        zs = [z_alpha] * (d - a) + [z_beta] * a
+    for zs, mv in zip(tuples, mixed_volumes(ctx, tuples)):
         deg = chow.deg_product(fan, zs)
-        mv = mvol_recursive(ctx, zs)
         if deg.denominator != 1 or mv.denominator != 1:
             raise MismatchError("matroid degrees must be integers")
         mubar_deg.append(int(deg))
@@ -281,6 +290,7 @@ def hrw_verify(m: Matroid, e0: str | None = None) -> HRWReport:
         unimodal=_unimodal(mubar_char),
         mu_log_concave=_log_concave(cp.mu),
         mu_unimodal=_unimodal(cp.mu),
+        fan=fan,
     )
 
 
@@ -302,10 +312,17 @@ def boundary_limit_margins(
     """
     d = ctx.fan.d
     rays = ctx.fan.ray_ids()
-    corner: dict[int, Fraction] = {}
-    for mask in range(1 << d):
-        zs = [witness if mask >> i & 1 else bases[i] for i in range(d)]
-        corner[mask] = mvol_recursive(ctx, zs)
+    masks = range(1 << d)
+    corners = [[witness if mask >> i & 1 else bases[i] for i in range(d)] for mask in masks]
+    zts = {}
+    for t in ts:
+        t = Fraction(t)
+        zts[t] = [
+            {rid: (ONE - t) * Fraction(b[rid]) + t * Fraction(witness[rid]) for rid in rays}
+            for b in bases
+        ]
+    values = mixed_volumes(ctx, corners + list(zts.values()))
+    corner = dict(zip(masks, values))
 
     def p(t: Fraction) -> Fraction:
         total = ZERO
@@ -314,12 +331,5 @@ def boundary_limit_margins(
             total += (ONE - t) ** (d - k) * t**k * value
         return total
 
-    margins: dict[Fraction, Fraction] = {}
-    for t in ts:
-        t = Fraction(t)
-        zt = [
-            {rid: (ONE - t) * Fraction(b[rid]) + t * Fraction(witness[rid]) for rid in rays}
-            for b in bases
-        ]
-        margins[t] = mvol_recursive(ctx, zt) - p(t)
-    return margins
+    direct = values[len(corners) :]
+    return {t: value - p(t) for t, value in zip(zts, direct)}

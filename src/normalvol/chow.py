@@ -55,7 +55,7 @@ def covector(fan: MarkedFan, sigma: Cone, rho: str, strategy: str = LEX) -> Vec:
     strategy fixes which solution is taken (free coordinates are zero), and
     degrees must not depend on it.
     """
-    cache = fan.__dict__.setdefault("_covector_cache", {})
+    cache = fan.covector_cache
     key = (sigma, rho, strategy)
     if key in cache:
         return cache[key]

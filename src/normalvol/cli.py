@@ -20,7 +20,7 @@ from . import af, chow, normalcx
 from .errors import DimTooLarge, NormalVolError
 from .fan import MarkedFan, build_fan, fan_to_json, is_tropical
 from .linalg import Mat, qmat
-from .matroid import bergman_fan, e0_inner_product, matroid_from_json
+from .matroid import matroid_from_json
 from .normalcx import Context, ZValues
 from .serialize import format_rat, parse_rat
 
@@ -247,7 +247,7 @@ def cmd_hrw(args, caps: Caps) -> int:
         "unimodal": report.unimodal,
         "mu_log_concave": report.mu_log_concave,
         "mu_unimodal": report.mu_unimodal,
-        "bergman_fan": fan_to_json(bergman_fan(m, e0)),
+        "bergman_fan": fan_to_json(report.fan),
     }
     if args.out:
         with open(args.out, "w") as handle:

@@ -77,6 +77,8 @@ class MarkedFan:
         self.cones: frozenset[Cone] = frozenset(
             frozenset(sub) for cone in self.max_cones for sub in _subsets(sorted(cone))
         )
+        self._tropical: TropicalReport | None = None  # filled by is_tropical
+        self.covector_cache: dict[tuple[Cone, str, str], Vec] = {}  # filled by chow.covector
         if validate_geometry and self.d <= 3:
             self._check_meet_along_faces()
 
@@ -186,7 +188,16 @@ class TropicalReport:
 
 
 def is_tropical(fan: MarkedFan) -> TropicalReport:
-    """Check the weighted balancing condition at every codimension-1 cone."""
+    """Check the weighted balancing condition at every codimension-1 cone.
+
+    The report is computed once per fan and kept on it.
+    """
+    if fan._tropical is None:
+        fan._tropical = _balancing_report(fan)
+    return fan._tropical
+
+
+def _balancing_report(fan: MarkedFan) -> TropicalReport:
     failing = []
     for tau in fan.cones_of_dim(fan.d - 1):
         total = zeros(fan.ambient_dim)

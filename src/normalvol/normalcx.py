@@ -2,8 +2,22 @@
 
 Everything an inner product touches happens here: w-vectors, the cubical /
 pseudocubical classification and search, polytope vertices, exact volumes
-and mixed volumes by three independent algorithms, the symbolic volume
-polynomial, and restriction of truncation values to star fans.
+and mixed volumes, the symbolic volume polynomial, and restriction of
+truncation values to star fans.
+
+Volumes, mixed volumes and the volume polynomial come from one dynamic
+program over the cones of the fan, grouped by dimension:
+
+    F_0(0) = 1,  F_k(sigma) = sum_{rho in sigma} F_{k-1}(sigma - rho) * (z_k)^{sigma - rho}_rho,
+    MVol(z_1, ..., z_d) = sum_sigma w_sigma F_d(sigma).
+
+Its factors come from the barycentric coefficients c_sigma(z) = G_sigma^-1 z_sigma
+of the w-vectors, the same numbers the classification reads: restriction is
+transitive, so z^{sigma - rho}_rho = c_sigma(z)_rho / (G_sigma^-1)_{rho rho}.  One
+table of these coefficients is built per distinct truncation.  No star fan
+is built.  Star contexts, ``restrict_z`` and ``face_complex`` remain for the
+face identities; the geometric oracle below and the Chow degrees in
+``chow`` stay independent of the dynamic program.
 """
 
 from __future__ import annotations
@@ -12,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 from . import lp
 from .errors import (
@@ -32,12 +46,10 @@ from .linalg import (
     ONE,
     det,
     dot,
-    inverse,
     mat_vec,
     qvec,
     vec_add,
     vec_scale,
-    vec_sub,
     zeros,
 )
 from .poly import MultiPoly
@@ -72,24 +84,56 @@ class Context:
             check_gram(gram, fan.ambient_dim)
         self.fan = fan
         self.gram = gram
+        self._ray_pairs: dict[tuple[str, str], Fraction] = {}
         self._gram_inv: dict[Cone, Mat] = {}
+        self._sorted_cones: list[tuple[Cone, tuple[str, ...]]] | None = None
         self._stars: dict[Cone, "Context"] = {}
         self._star_fans: dict[Cone, StarFan] = {}
-        self._ray_restrictions: dict[str, dict[str, Fraction]] = {}
         self._vol_poly: MultiPoly | None = None
         self._cubical: tuple[ZValues, Fraction] | None | bool = False  # False = not yet computed
 
     def pair(self, u: Vec, v: Vec) -> Fraction:
         return dot(u, mat_vec(self.gram, v))
 
+    def ray_pair(self, a: str, b: str) -> Fraction:
+        """<u_a, u_b> for two ray ids, cached per unordered pair."""
+        key = (a, b) if a <= b else (b, a)
+        value = self._ray_pairs.get(key)
+        if value is None:
+            value = self.pair(self.fan.rays[a], self.fan.rays[b])
+            self._ray_pairs[key] = value
+        return value
+
     def cone_gram_inverse(self, cone: Cone) -> Mat:
+        """Inverse of the cone's Gram block, rows and columns in sorted ray order.
+
+        Bordered onto the inverse A of the face without the last ray r: with
+        b = <u_face, u_r>, a = A b and s = <u_r, u_r> - b.a > 0, the inverse is
+        [[A + a a^T / s, -a / s], [-a^T / s, 1 / s]].
+        """
         inv = self._gram_inv.get(cone)
         if inv is None:
-            gens = [self.fan.rays[rid] for rid in sorted(cone)]
-            block = tuple(tuple(self.pair(a, b) for b in gens) for a in gens)
-            inv = inverse(block)
+            *head, last = sorted(cone)
+            face = self.cone_gram_inverse(frozenset(head)) if head else ()
+            b = [self.ray_pair(rid, last) for rid in head]
+            a = [sum((x * y for x, y in zip(row, b)), ZERO) for row in face]
+            s = self.ray_pair(last, last) - sum((x * y for x, y in zip(a, b)), ZERO)
+            a_s = [x / s for x in a]
+            rows = [
+                tuple(face_row[j] + a_s[i] * a[j] for j in range(len(a))) + (-a_s[i],)
+                for i, face_row in enumerate(face)
+            ]
+            rows.append(tuple(-x for x in a_s) + (ONE / s,))
+            inv = tuple(rows)
             self._gram_inv[cone] = inv
         return inv
+
+    def sorted_cones(self) -> list[tuple[Cone, tuple[str, ...]]]:
+        """Every nonzero cone with its sorted ray ids, in lexicographic order."""
+        if self._sorted_cones is None:
+            rows = sorted((tuple(sorted(c)), c) for c in self.fan.cones if c)
+            self._sorted_cones = [(cone, rids) for rids, cone in rows]
+        return self._sorted_cones
 
     def star_fan(self, tau: Cone) -> StarFan:
         sf = self._star_fans.get(tau)
@@ -107,19 +151,6 @@ class Context:
                 ctx = Context(self.star_fan(tau).fan, self.gram, _validate_gram=False)
             self._stars[tau] = ctx
         return ctx
-
-    def ray_restriction(self, rho: str) -> dict[str, Fraction]:
-        """Coefficients c with z^rho_eta = z_eta - c[eta] * z_rho."""
-        coeffs = self._ray_restrictions.get(rho)
-        if coeffs is None:
-            u_rho = self.fan.rays[rho]
-            norm = self.pair(u_rho, u_rho)
-            star_ids = self.star_context(frozenset({rho})).fan.ray_ids()
-            coeffs = {
-                eta: self.pair(u_rho, self.fan.rays[eta]) / norm for eta in star_ids
-            }
-            self._ray_restrictions[rho] = coeffs
-        return coeffs
 
 
 def zvalues_from_json(raw: Mapping, fan: MarkedFan) -> ZValues:
@@ -181,14 +212,25 @@ class CubReport:
         return self.classification in (CUBICAL, PSEUDOCUBICAL_BOUNDARY)
 
 
-def classify_z(ctx: Context, z: Mapping[str, Fraction]) -> CubReport:
-    """Exact classification by the barycentric coefficients of every w-vector."""
-    _check_keys(ctx.fan, z)
+def _coefficient_rows(
+    ctx: Context, z: Mapping[str, Fraction]
+) -> Iterator[tuple[Cone, tuple[str, ...], Vec]]:
+    """(cone, its sorted ray ids, c_cone(z)) for every nonzero cone, lazily.
+
+    c_cone(z) = G_cone^-1 z_cone holds the barycentric coefficients of
+    w_cone(z); the rows come in ``Context.sorted_cones`` order.
+    """
+    for cone, rids in ctx.sorted_cones():
+        inv = ctx.cone_gram_inverse(cone)
+        support = [(j, z[rid]) for j, rid in enumerate(rids) if z[rid]]
+        yield cone, rids, tuple(sum((row[j] * v for j, v in support), ZERO) for row in inv)
+
+
+def _scan(rows) -> CubReport:
+    """The classification read off coefficient rows: first negative, else first zero."""
     boundary: tuple[Cone, str] | None = None
-    for cone in sorted(ctx.fan.cones, key=sorted):
-        if not cone:
-            continue
-        for rid, coeff in w_vector(ctx, cone, z).coefficients:
+    for cone, rids, coeffs in rows:
+        for rid, coeff in zip(rids, coeffs):
             if coeff < 0:
                 return CubReport(OUTSIDE, cone, rid)
             if coeff == 0 and boundary is None:
@@ -196,6 +238,17 @@ def classify_z(ctx: Context, z: Mapping[str, Fraction]) -> CubReport:
     if boundary is not None:
         return CubReport(PSEUDOCUBICAL_BOUNDARY, *boundary)
     return CubReport(CUBICAL)
+
+
+def classify_z(ctx: Context, z: Mapping[str, Fraction]) -> CubReport:
+    """Exact classification by the barycentric coefficients of every w-vector."""
+    _check_keys(ctx.fan, z)
+    return _scan(_coefficient_rows(ctx, z))
+
+
+def _require_pseudocubical(report: CubReport) -> None:
+    if not report.is_pseudocubical:
+        raise NotPseudocubical("z is outside the pseudocubical cone")
 
 
 def find_cubical(ctx: Context) -> tuple[ZValues, Fraction] | None:
@@ -274,8 +327,7 @@ def polytope_vertices(
     ctx: Context, sigma: Cone, z: Mapping[str, Fraction]
 ) -> dict[Cone, Vec]:
     """Vertex w_tau(z) for each face tau of sigma (duplicates kept on the boundary)."""
-    if not classify_z(ctx, z).is_pseudocubical:
-        raise NotPseudocubical("z is outside the pseudocubical cone")
+    _require_pseudocubical(classify_z(ctx, z))
     rids = sorted(sigma)
     out: dict[Cone, Vec] = {}
     for k in range(len(rids) + 1):
@@ -285,55 +337,112 @@ def polytope_vertices(
     return out
 
 
-# -- volumes ----------------------------------------------------------------
+# -- volumes: one dynamic program over the cones ------------------------------
+
+T = TypeVar("T", Fraction, MultiPoly)
 
 
-def _require_pseudocubical(ctx: Context, z: Mapping[str, Fraction]) -> None:
-    if not classify_z(ctx, z).is_pseudocubical:
-        raise NotPseudocubical("z is outside the pseudocubical cone")
+def _face_dp(
+    ctx: Context, levels: Sequence[Callable[[Cone], Sequence[T]]], one: T, zero: T
+) -> T:
+    """sum_sigma w_sigma F_d(sigma), with F_0(0) = one and
+    F_k(sigma) = sum_{rho in sigma} F_{k-1}(sigma - rho) * levels[k-1](sigma)[rho].
+
+    ``levels[k-1](sigma)`` gives the factor (z_k)^{sigma - rho}_rho of each ray
+    rho of a k-dimensional cone sigma, in sorted ray order.  Zero values of F
+    are not stored, so sparse truncations keep the layers small.
+    """
+    layer = {ZERO_CONE: one}
+    for k, factors in enumerate(levels, 1):
+        nxt: dict[Cone, T] = {}
+        for cone, rids in ctx.sorted_cones():
+            if len(rids) != k:
+                continue
+            row = None
+            total = zero
+            for i, rid in enumerate(rids):
+                prev = layer.get(cone - {rid})
+                if prev is None:
+                    continue
+                if row is None:
+                    row = factors(cone)
+                if row[i]:
+                    total = total + prev * row[i]
+            if total:
+                nxt[cone] = total
+        layer = nxt
+    weights = ctx.fan.weights
+    return sum((weights[s] * layer[s] for s in ctx.fan.max_cones if s in layer), zero)
 
 
-def _vol(ctx: Context, z: Mapping[str, Fraction]) -> Fraction:
-    fan = ctx.fan
-    if fan.d == 1:
-        return sum((fan.weights[c] * z[next(iter(c))] for c in fan.max_cones), ZERO)
-    total = ZERO
-    for rho in fan.ray_ids():
-        if z[rho] == 0:
-            continue
-        tau = frozenset({rho})
-        total += z[rho] * _vol(ctx.star_context(tau), restrict_z(ctx, tau, z))
-    return total
+class TruncationTables:
+    """The barycentric table of each distinct truncation, built once per instance.
+
+    A table maps every nonzero cone sigma to c_sigma(z).  Its signs give the
+    classification and its entries give the factors of the dynamic program,
+    z^{sigma - rho}_rho = c_sigma(z)_rho / (G_sigma^-1)_{rho rho}.  Truncations are
+    told apart by value.  Nothing is stored on the context.
+    """
+
+    def __init__(self, ctx: Context):
+        self.ctx = ctx
+        self._rays = ctx.fan.ray_ids()
+        self._tables: dict[tuple[Fraction, ...], tuple[CubReport, dict[Cone, Vec]]] = {}
+
+    def _entry(self, z: Mapping[str, Fraction]) -> tuple[CubReport, dict[Cone, Vec]]:
+        _check_keys(self.ctx.fan, z)
+        key = tuple(z[rid] for rid in self._rays)
+        entry = self._tables.get(key)
+        if entry is None:
+            rows = list(_coefficient_rows(self.ctx, z))
+            entry = (_scan(rows), {cone: coeffs for cone, _, coeffs in rows})
+            self._tables[key] = entry
+        return entry
+
+    def classify(self, z: Mapping[str, Fraction]) -> CubReport:
+        """Same report as ``classify_z``."""
+        return self._entry(z)[0]
+
+    def table(self, z: Mapping[str, Fraction]) -> dict[Cone, Vec]:
+        return self._entry(z)[1]
+
+    def _factors(self, table: dict[Cone, Vec]) -> Callable[[Cone], Vec]:
+        gram_inverse = self.ctx.cone_gram_inverse
+
+        def row(cone: Cone) -> Vec:
+            inv = gram_inverse(cone)
+            return tuple(c / inv[i][i] if c else ZERO for i, c in enumerate(table[cone]))
+
+        return row
+
+    def mvol(self, zs: Sequence[Mapping[str, Fraction]]) -> Fraction:
+        d = self.ctx.fan.d
+        if len(zs) != d:
+            raise ArityMismatch(f"need exactly {d} arguments, got {len(zs)}")
+        levels = []
+        for z in zs:
+            report, table = self._entry(z)
+            _require_pseudocubical(report)
+            levels.append(self._factors(table))
+        return _face_dp(self.ctx, levels, ONE, ZERO)
+
+
+def mixed_volumes(
+    ctx: Context, tuples: Sequence[Sequence[Mapping[str, Fraction]]]
+) -> list[Fraction]:
+    """MVol of each tuple by the dynamic program; shared truncations share a table."""
+    tables = TruncationTables(ctx)
+    return [tables.mvol(zs) for zs in tuples]
 
 
 def vol_recursive(ctx: Context, z: Mapping[str, Fraction]) -> Fraction:
-    """Weighted volume of the normal complex by the facet-pyramid recursion."""
-    _require_pseudocubical(ctx, z)
-    return _vol(ctx, z)
-
-
-def _mvol(ctx: Context, zs: Sequence[Mapping[str, Fraction]]) -> Fraction:
-    fan = ctx.fan
-    z1 = zs[0]
-    if fan.d == 1:
-        return sum((fan.weights[c] * z1[next(iter(c))] for c in fan.max_cones), ZERO)
-    total = ZERO
-    for rho in fan.ray_ids():
-        if z1[rho] == 0:
-            continue
-        tau = frozenset({rho})
-        rest = [restrict_z(ctx, tau, zi) for zi in zs[1:]]
-        total += z1[rho] * _mvol(ctx.star_context(tau), rest)
-    return total
+    """Weighted volume of the normal complex: MVol(z, ..., z), one table for all d slots."""
+    return mixed_volumes(ctx, [[z] * ctx.fan.d])[0]
 
 
 def mvol_recursive(ctx: Context, zs: Sequence[Mapping[str, Fraction]]) -> Fraction:
-    """Mixed volume by the facet recursion; symmetric and multilinear."""
-    if len(zs) != ctx.fan.d:
-        raise ArityMismatch(f"need exactly {ctx.fan.d} arguments, got {len(zs)}")
-    for z in zs:
-        _require_pseudocubical(ctx, z)
-    return _mvol(ctx, zs)
+    """Mixed volume by the dynamic program; symmetric and multilinear."""
+    return mixed_volumes(ctx, [zs])[0]
 
 
 def mvol_polarization_oracle(
@@ -341,43 +450,43 @@ def mvol_polarization_oracle(
 ) -> Fraction:
     """Mixed volume by inclusion-exclusion polarization of plain volumes.
 
-    Independent of the recursion above; the primary cross-check oracle.
+    The plain volumes come from the dynamic program, so this checks its
+    multilinearity and symmetry, not its factors.
     """
     d = ctx.fan.d
     if len(zs) != d:
         raise ArityMismatch(f"need exactly {d} arguments, got {len(zs)}")
+    tables = TruncationTables(ctx)
     for z in zs:
-        _require_pseudocubical(ctx, z)
+        _require_pseudocubical(tables.classify(z))
     rays = ctx.fan.ray_ids()
     total = ZERO
     for r in range(1, d + 1):
         for subset in combinations(range(d), r):
             zsum = {rid: sum((zs[i][rid] for i in subset), ZERO) for rid in rays}
-            total += Fraction((-1) ** (d - r)) * _vol(ctx, zsum)
+            total += Fraction((-1) ** (d - r)) * tables.mvol([zsum] * d)
     return total / factorial(d)
 
 
-def _vol_poly(ctx: Context, sym: Mapping[str, MultiPoly]) -> MultiPoly:
-    fan = ctx.fan
-    if fan.d == 1:
-        out = MultiPoly.zero()
-        for cone in fan.max_cones:
-            out = out + fan.weights[cone] * sym[next(iter(cone))]
-        return out
-    out = MultiPoly.zero()
-    for rho in fan.ray_ids():
-        tau = frozenset({rho})
-        coeffs = ctx.ray_restriction(rho)
-        inner = {eta: sym[eta] - coeffs[eta] * sym[rho] for eta in coeffs}
-        out = out + sym[rho] * _vol_poly(ctx.star_context(tau), inner)
-    return out
-
-
 def vol_polynomial(ctx: Context) -> MultiPoly:
-    """The volume polynomial: homogeneous of degree d in the ray variables."""
+    """The volume polynomial: homogeneous of degree d in the ray variables.
+
+    The dynamic program over ``MultiPoly``; the factor of (sigma, rho) is the
+    linear form sum_theta (G_sigma^-1)_{rho theta} / (G_sigma^-1)_{rho rho} x_theta.
+    """
     if ctx._vol_poly is None:
-        sym = {rid: MultiPoly.variable(rid) for rid in ctx.fan.ray_ids()}
-        ctx._vol_poly = _vol_poly(ctx, sym)
+
+        def forms(cone: Cone) -> tuple[MultiPoly, ...]:
+            inv = ctx.cone_gram_inverse(cone)
+            rids = sorted(cone)
+            return tuple(
+                MultiPoly.linear({t: inv[i][j] / inv[i][i] for j, t in enumerate(rids)})
+                for i in range(len(rids))
+            )
+
+        ctx._vol_poly = _face_dp(
+            ctx, [forms] * ctx.fan.d, MultiPoly.constant(ONE), MultiPoly.zero()
+        )
     return ctx._vol_poly
 
 
@@ -397,7 +506,7 @@ def geometric_volume_oracle(
     k = len(sigma)
     if k > 3:
         raise DimTooLarge("geometric oracle supports dimension <= 3 only")
-    _require_pseudocubical(ctx, z)
+    _require_pseudocubical(classify_z(ctx, z))
     rids = sorted(sigma)
     if k == 0:
         return ONE

@@ -97,7 +97,7 @@ def test_af_requires_cubical(quadrant_ctx):
     boundary = zmap(r1=0, r2=0, r3=0, r4=0)
     with pytest.raises(NotCubical):
         nv.af_check(quadrant_ctx, [z, boundary])
-    with pytest.raises(NotCubical):
+    with pytest.raises(ArityMismatch):
         nv.af_check(quadrant_ctx, [z])
 
 

@@ -1,0 +1,111 @@
+"""Property tests of the face-poset engine against the independent oracles.
+
+Fans are small products of the +-1 and quadrant fans, Grams are random
+positive-definite rationals L D L^T close to diagonal, and truncations are
+random cubical points near the all-ones vector.  Every comparison is exact.
+"""
+
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import normalvol as nv
+from normalvol import af, chow
+from normalvol.fan import product_fan
+from normalvol.normalcx import (
+    Context,
+    TruncationTables,
+    classify_z,
+    mvol_polarization_oracle,
+    mvol_recursive,
+    restrict_z,
+    vol_polynomial,
+    vol_recursive,
+)
+
+from conftest import make_pm1_fan, make_quadrant_fan
+
+FANS = {
+    "pm1 x pm1": product_fan(make_pm1_fan(), make_pm1_fan((2, 2))),
+    "pm1 x quadrant": product_fan(make_pm1_fan((3, 3)), make_quadrant_fan()),
+    "quadrant x pm1": product_fan(make_quadrant_fan(), make_pm1_fan()),
+    "pm1^3": product_fan(
+        product_fan(make_pm1_fan(), make_pm1_fan()), make_pm1_fan((2, 2)), ("A.", "B.")
+    ),
+}
+
+PROPERTY = settings(max_examples=15, deadline=None)
+
+
+@st.composite
+def gram(draw, n):
+    """L D L^T with L unit lower triangular: positive definite by construction."""
+    off = st.fractions(min_value=Fraction(-1, 8), max_value=Fraction(1, 8), max_denominator=8)
+    diag = st.fractions(min_value=1, max_value=2, max_denominator=4)
+    lower = [[Fraction(int(i == j)) if j >= i else draw(off) for j in range(n)] for i in range(n)]
+    d = [draw(diag) for _ in range(n)]
+    return tuple(
+        tuple(sum(lower[i][k] * d[k] * lower[j][k] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+@st.composite
+def context_and_truncations(draw):
+    fan = FANS[draw(st.sampled_from(sorted(FANS)))]
+    ctx = Context(fan, draw(gram(fan.ambient_dim)))
+    step = st.fractions(min_value=Fraction(-1, 4), max_value=Fraction(1, 4), max_denominator=8)
+    zs = []
+    for _ in range(fan.d):
+        z = {rid: 1 + draw(step) for rid in fan.ray_ids()}
+        assume(classify_z(ctx, z).is_cubical)
+        zs.append(z)
+    return ctx, zs
+
+
+@PROPERTY
+@given(context_and_truncations())
+def test_dp_matches_chow_and_polarization(case):
+    ctx, zs = case
+    value = mvol_recursive(ctx, zs)
+    assert value == chow.deg_product(ctx.fan, zs)
+    assert value == mvol_polarization_oracle(ctx, zs)
+
+
+@PROPERTY
+@given(context_and_truncations())
+def test_vol_polynomial_matches_dp(case):
+    ctx, zs = case
+    f = vol_polynomial(ctx)
+    for z in zs:
+        assert f.eval_at(z) == vol_recursive(ctx, z)
+
+
+@PROPERTY
+@given(context_and_truncations())
+def test_table_factors_are_restrictions(case):
+    # z^{sigma - rho}_rho = c_sigma(z)_rho / (G_sigma^-1)_{rho rho}
+    ctx, zs = case
+    z = zs[0]
+    table = TruncationTables(ctx).table(z)
+    for sigma, coeffs in table.items():
+        inv = ctx.cone_gram_inverse(sigma)
+        for i, rho in enumerate(sorted(sigma)):
+            restricted = restrict_z(ctx, sigma - {rho}, z)
+            assert coeffs[i] / inv[i][i] == restricted[rho]
+
+
+def test_hrw_builds_no_star_context(monkeypatch):
+    built = []
+
+    class Recording(Context):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(af, "Context", Recording)
+    report = nv.hrw_verify(nv.uniform(4, 5))
+    assert report.mubar_mvol == (1, 4, 6, 4)
+    assert len(built) == 1
+    assert built[0]._stars == {} and built[0]._star_fans == {}
