@@ -61,21 +61,20 @@ def check_reduce_conditions(ctx: Context) -> ReduceReport:
     included), the star minus the origin is connected.  Condition (ii): the
     volume quadratic of every 2-dimensional star has exactly one positive
     eigenvalue.  The cubical cone must also be nonempty for AF to be about
-    anything.
+    anything.  Both conditions are read off the link of each cone in the face
+    poset; no star fan is built.
     """
     fan = ctx.fan
     failing: list[Cone] = []
     for k in range(0, fan.d - 2):
         for tau in fan.cones_of_dim(k):
-            if not star_connected_minus_origin(ctx.star_context(tau).fan):
+            if not star_connected_minus_origin(fan, tau):
                 failing.append(tau)
     signatures: list[tuple[Cone, Signature]] = []
     ii_pass = True
     if fan.d >= 2:
         for tau in fan.cones_of_dim(fan.d - 2):
-            star_ctx = ctx.star_context(tau)
-            quad = vol_polynomial(star_ctx)
-            sig = signature(quad.hessian(star_ctx.fan.ray_ids()))
+            sig = signature(vol_polynomial(ctx, tau).hessian(fan.link(tau)))
             signatures.append((tau, sig))
             if sig.n_plus != 1:
                 ii_pass = False
@@ -140,11 +139,6 @@ def sample_cubical(ctx: Context, count: int, seed: int) -> list[ZValues]:
                 break
             eps /= 2
     return samples
-
-
-def sample_pseudocubical(ctx: Context, count: int, seed: int) -> list[ZValues]:
-    """Seeded pseudocubical samples: cubical interior points qualify."""
-    return sample_cubical(ctx, count, seed)
 
 
 # -- Lorentzian spot checks -----------------------------------------------------

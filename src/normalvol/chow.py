@@ -84,24 +84,21 @@ def multiply_divisor(
         raise GradeOverflow(f"cannot raise grade {cls.grade} on a {fan.d}-dimensional fan")
     out: dict[Cone, Fraction] = {}
     for sigma, c in cls.weights:
-        for rho in fan.ray_ids():
+        link = fan.link(sigma)
+        for rho in link:
+            factor = c * Fraction(z[rho])
+            if factor:
+                bigger = sigma | {rho}
+                out[bigger] = out.get(bigger, ZERO) + factor
+        for rho in sorted(sigma):
             factor = c * Fraction(z[rho])
             if factor == 0:
                 continue
-            if rho not in sigma:
-                bigger = sigma | {rho}
-                if bigger in fan.cones:
-                    out[bigger] = out.get(bigger, ZERO) + factor
-                continue
             v = covector(fan, sigma, rho, strategy)
-            for eta in fan.ray_ids():
-                if eta in sigma:
-                    continue
-                bigger = sigma | {eta}
-                if bigger not in fan.cones:
-                    continue
+            for eta in link:
                 coeff = dot(v, fan.rays[eta])
                 if coeff:
+                    bigger = sigma | {eta}
                     out[bigger] = out.get(bigger, ZERO) - factor * coeff
     return ChowClass.build(cls.grade + 1, out)
 

@@ -336,9 +336,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if method:
             p.add_argument("--method", choices=method, default=method[0])
             p.add_argument("--all", action="store_true")
-        p.add_argument("--samples", type=int, default=25)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)  # accepted for interface stability
         p.set_defaults(func=func)
         return p
 
@@ -353,7 +350,9 @@ def _build_parser() -> argparse.ArgumentParser:
         method=("recursive", "polarization", "chow"),
     )
     add("cubical-find", cmd_cubical_find, fan=True, gram=True)
-    add("af-check", cmd_af_check, fan=True, gram=True, z=1)
+    af_check = add("af-check", cmd_af_check, fan=True, gram=True, z=1)
+    af_check.add_argument("--samples", type=int, default=25)
+    af_check.add_argument("--seed", type=int, default=0)
     add("reduce-check", cmd_reduce_check, fan=True, gram=True)
     add("hrw", cmd_hrw, matroid=True, out=True)
     add("export-mesh", cmd_export_mesh, fan=True, gram=True, z=2, out=2)

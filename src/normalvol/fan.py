@@ -8,6 +8,7 @@ and a cone is a frozenset of ray ids (the empty set is the zero cone).
 
 from __future__ import annotations
 
+from collections.abc import KeysView
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -74,9 +75,14 @@ class MarkedFan:
         unused = self.rays.keys() - used
         if unused:
             raise NotPure(f"rays {sorted(unused)} lie in no maximal cone")
-        self.cones: frozenset[Cone] = frozenset(
-            frozenset(sub) for cone in self.max_cones for sub in _subsets(sorted(cone))
-        )
+        links: dict[Cone, list[str]] = {
+            frozenset(sub): [] for cone in self.max_cones for sub in _subsets(sorted(cone))
+        }
+        for cone in links:
+            for rid in cone:
+                links[cone - {rid}].append(rid)
+        self._links: dict[Cone, tuple[str, ...]] = {c: tuple(sorted(s)) for c, s in links.items()}
+        self.cones: KeysView[Cone] = self._links.keys()
         self._tropical: TropicalReport | None = None  # filled by is_tropical
         self.covector_cache: dict[tuple[Cone, str, str], Vec] = {}  # filled by chow.covector
         if validate_geometry and self.d <= 3:
@@ -100,6 +106,13 @@ class MarkedFan:
 
     def maximal_cones_containing(self, cone: Cone) -> list[Cone]:
         return [c for c in self.max_cones if cone <= c]
+
+    def link(self, tau: Cone) -> tuple[str, ...]:
+        """Sorted ids of the rays eta not in tau for which tau | {eta} is a cone."""
+        try:
+            return self._links[tau]
+        except KeyError:
+            raise DimensionMismatch(f"{sorted(tau)} is not a cone of the fan") from None
 
     # -- validation ----------------------------------------------------
 
@@ -201,13 +214,9 @@ def _balancing_report(fan: MarkedFan) -> TropicalReport:
     failing = []
     for tau in fan.cones_of_dim(fan.d - 1):
         total = zeros(fan.ambient_dim)
-        for sigma in fan.maximal_cones_containing(tau):
-            if len(sigma) != fan.d:
-                continue
-            (extra,) = sigma - tau
-            total = tuple(
-                t + fan.weights[sigma] * u for t, u in zip(total, fan.rays[extra])
-            )
+        for eta in fan.link(tau):
+            weight = fan.weights[tau | {eta}]
+            total = tuple(t + weight * u for t, u in zip(total, fan.rays[eta]))
         if not _in_span(fan, tau, total):
             failing.append(tau)
     return TropicalReport(not failing, tuple(failing))
@@ -225,23 +234,6 @@ def _in_span(fan: MarkedFan, cone: Cone, v: Vec) -> bool:
 
 
 # -- star fans ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StarFan:
-    """The star of a fan at a cone, realized in the orthogonal complement.
-
-    Star ray ids equal the originating neighborhood ray ids, so restricting
-    a z-vector to the star is index-stable.  ``cone_lift`` maps a star cone
-    back to the corresponding neighborhood cone (its rays plus tau's).
-    """
-
-    fan: MarkedFan
-    tau: Cone
-    origin: MarkedFan
-
-    def cone_lift(self, star_cone: Cone) -> Cone:
-        return star_cone | self.tau
 
 
 def orthogonal_projector(fan: MarkedFan, tau: Cone, gram: Mat):
@@ -263,23 +255,24 @@ def orthogonal_projector(fan: MarkedFan, tau: Cone, gram: Mat):
     return project
 
 
-def star(fan: MarkedFan, tau: Cone, gram: Mat) -> StarFan:
-    """Star fan at tau: projections of the cones neighboring tau."""
+def star(fan: MarkedFan, tau: Cone, gram: Mat) -> MarkedFan:
+    """Star fan at tau, realized in the orthogonal complement of span(tau).
+
+    Its rays are the rays of ``fan.link(tau)``, projected and keeping their
+    ids, so restricting a z-vector to the star is index-stable; a star cone
+    pi stands for the cone pi | tau of the fan.
+    """
     if tau not in fan.cones:
         raise DimensionMismatch(f"{sorted(tau)} is not a cone of the fan")
     if not tau:
-        return StarFan(fan, tau, fan)
+        return fan
     project = orthogonal_projector(fan, tau, gram)
-    neighborhood = fan.maximal_cones_containing(tau)
-    star_rays: dict[str, Vec] = {}
-    for sigma in neighborhood:
-        for rid in sorted(sigma - tau):
-            if rid not in star_rays:
-                star_rays[rid] = project(fan.rays[rid])
+    star_rays = {rid: project(fan.rays[rid]) for rid in fan.link(tau)}
     _check_no_collision(star_rays)
-    star_cones = [(sorted(sigma - tau), fan.weights[sigma]) for sigma in neighborhood]
-    projected = MarkedFan(fan.ambient_dim, star_rays, star_cones, validate_geometry=False)
-    return StarFan(projected, tau, fan)
+    star_cones = [
+        (sorted(sigma - tau), fan.weights[sigma]) for sigma in fan.maximal_cones_containing(tau)
+    ]
+    return MarkedFan(fan.ambient_dim, star_rays, star_cones, validate_geometry=False)
 
 
 def _check_no_collision(star_rays: Mapping[str, Vec]) -> None:
@@ -304,24 +297,20 @@ def _positively_parallel(u: Vec, v: Vec) -> bool:
     return all(c * x == y for x, y in zip(u, v))
 
 
-def star_connected_minus_origin(fan: MarkedFan) -> bool:
-    """Connectivity of the ray graph whose edges are the 2-cones.
+def star_connected_minus_origin(fan: MarkedFan, tau: Cone = ZERO_CONE) -> bool:
+    """Connectivity of the star at tau minus the origin.
 
-    For a pure fan of dimension >= 2 this is equivalent to connectivity of
-    the fan minus the origin.
+    The graph's vertices are ``fan.link(tau)`` and a, b are adjacent when
+    tau | {a, b} is a cone.  For a pure star of dimension >= 2 this is
+    equivalent to connectivity of the star minus the origin.
     """
-    rays = fan.ray_ids()
+    rays = fan.link(tau)
     if len(rays) <= 1:
         return True
-    adjacency: dict[str, set[str]] = {rid: set() for rid in rays}
-    for cone in fan.cones_of_dim(2):
-        a, b = sorted(cone)
-        adjacency[a].add(b)
-        adjacency[b].add(a)
     seen = {rays[0]}
     stack = [rays[0]]
     while stack:
-        for nxt in adjacency[stack.pop()]:
+        for nxt in fan.link(tau | {stack.pop()}):
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)

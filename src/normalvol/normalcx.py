@@ -14,10 +14,12 @@ program over the cones of the fan, grouped by dimension:
 Its factors come from the barycentric coefficients c_sigma(z) = G_sigma^-1 z_sigma
 of the w-vectors, the same numbers the classification reads: restriction is
 transitive, so z^{sigma - rho}_rho = c_sigma(z)_rho / (G_sigma^-1)_{rho rho}.  One
-table of these coefficients is built per distinct truncation.  No star fan
-is built.  Star contexts, ``restrict_z`` and ``face_complex`` remain for the
-face identities; the geometric oracle below and the Chow degrees in
-``chow`` stay independent of the dynamic program.
+table of these coefficients is built per distinct truncation.  Started at a
+cone tau instead of the zero cone, the same program gives the volume
+polynomial of the star at tau, so no star fan is built for it either.  Star
+contexts, ``restrict_z`` and ``face_complex`` serve only the face
+identities; the geometric oracle below and the Chow degrees in ``chow`` stay
+independent of the dynamic program.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
     NotSymmetric,
     NormalVolError,
 )
-from .fan import Cone, MarkedFan, StarFan, ZERO_CONE, star
+from .fan import Cone, MarkedFan, ZERO_CONE, star
 from .linalg import (
     Mat,
     Vec,
@@ -79,17 +81,15 @@ class Context:
     restricted inner product is literally the same Gram matrix.
     """
 
-    def __init__(self, fan: MarkedFan, gram: Mat, _validate_gram: bool = True):
-        if _validate_gram:
-            check_gram(gram, fan.ambient_dim)
+    def __init__(self, fan: MarkedFan, gram: Mat):
+        check_gram(gram, fan.ambient_dim)
         self.fan = fan
         self.gram = gram
         self._ray_pairs: dict[tuple[str, str], Fraction] = {}
         self._gram_inv: dict[Cone, Mat] = {}
         self._sorted_cones: list[tuple[Cone, tuple[str, ...]]] | None = None
         self._stars: dict[Cone, "Context"] = {}
-        self._star_fans: dict[Cone, StarFan] = {}
-        self._vol_poly: MultiPoly | None = None
+        self._vol_polys: dict[Cone, MultiPoly] = {}
         self._cubical: tuple[ZValues, Fraction] | None | bool = False  # False = not yet computed
 
     def pair(self, u: Vec, v: Vec) -> Fraction:
@@ -135,20 +135,13 @@ class Context:
             self._sorted_cones = [(cone, rids) for rids, cone in rows]
         return self._sorted_cones
 
-    def star_fan(self, tau: Cone) -> StarFan:
-        sf = self._star_fans.get(tau)
-        if sf is None:
-            sf = star(self.fan, tau, self.gram)
-            self._star_fans[tau] = sf
-        return sf
-
     def star_context(self, tau: Cone) -> "Context":
         ctx = self._stars.get(tau)
         if ctx is None:
             if not tau:
                 ctx = self
             else:
-                ctx = Context(self.star_fan(tau).fan, self.gram, _validate_gram=False)
+                ctx = Context(star(self.fan, tau, self.gram), self.gram)
             self._stars[tau] = ctx
         return ctx
 
@@ -343,30 +336,31 @@ T = TypeVar("T", Fraction, MultiPoly)
 
 
 def _face_dp(
-    ctx: Context, levels: Sequence[Callable[[Cone], Sequence[T]]], one: T, zero: T
+    ctx: Context,
+    levels: Sequence[Callable[[Cone], Sequence[T]]],
+    one: T,
+    zero: T,
+    base: Cone = ZERO_CONE,
 ) -> T:
-    """sum_sigma w_sigma F_d(sigma), with F_0(0) = one and
-    F_k(sigma) = sum_{rho in sigma} F_{k-1}(sigma - rho) * levels[k-1](sigma)[rho].
+    """sum_sigma w_sigma F(sigma) over the maximal cones sigma containing base, where
+    F(base) = one and, for a cone sigma with k rays more than base,
+    F(sigma) = sum_{rho in sigma - base} F(sigma - rho) * levels[k-1](sigma)[rho].
 
     ``levels[k-1](sigma)`` gives the factor (z_k)^{sigma - rho}_rho of each ray
-    rho of a k-dimensional cone sigma, in sorted ray order.  Zero values of F
-    are not stored, so sparse truncations keep the layers small.
+    rho of sigma, in sorted ray order; the entries of the rays of base are not
+    read.  Each layer is climbed from the one below through ``fan.link``, and
+    zero values of F are not stored, so sparse truncations keep the layers small.
     """
-    layer = {ZERO_CONE: one}
-    for k, factors in enumerate(levels, 1):
+    link = ctx.fan.link
+    layer = {base: one}
+    for factors in levels:
         nxt: dict[Cone, T] = {}
-        for cone, rids in ctx.sorted_cones():
-            if len(rids) != k:
-                continue
-            row = None
+        for cone in {face | {eta} for face in layer for eta in link(face)}:
+            row = factors(cone)
             total = zero
-            for i, rid in enumerate(rids):
+            for i, rid in enumerate(sorted(cone)):
                 prev = layer.get(cone - {rid})
-                if prev is None:
-                    continue
-                if row is None:
-                    row = factors(cone)
-                if row[i]:
+                if prev is not None and row[i]:
                     total = total + prev * row[i]
             if total:
                 nxt[cone] = total
@@ -468,26 +462,33 @@ def mvol_polarization_oracle(
     return total / factorial(d)
 
 
-def vol_polynomial(ctx: Context) -> MultiPoly:
-    """The volume polynomial: homogeneous of degree d in the ray variables.
+def vol_polynomial(ctx: Context, tau: Cone = ZERO_CONE) -> MultiPoly:
+    """The volume polynomial of the star at tau, in the variables of ``fan.link(tau)``.
 
-    The dynamic program over ``MultiPoly``; the factor of (sigma, rho) is the
-    linear form sum_theta (G_sigma^-1)_{rho theta} / (G_sigma^-1)_{rho rho} x_theta.
+    Homogeneous of degree d - dim(tau); tau = 0 gives the volume polynomial of
+    the fan.  The dynamic program over ``MultiPoly``, started at tau; the factor
+    of (sigma, rho) is the linear form
+    sum_{theta in sigma - tau} (G_sigma^-1)_{rho theta} / (G_sigma^-1)_{rho rho} x_theta.
+    This is the star's own factor: the star's Gram on sigma - tau is the Schur
+    complement of G_tau in G_sigma, whose inverse is the (sigma - tau)-block of
+    G_sigma^-1.  Cached on the context per tau.
     """
-    if ctx._vol_poly is None:
+    poly = ctx._vol_polys.get(tau)
+    if poly is None:
 
         def forms(cone: Cone) -> tuple[MultiPoly, ...]:
             inv = ctx.cone_gram_inverse(cone)
             rids = sorted(cone)
+            cols = [(j, t) for j, t in enumerate(rids) if t not in tau]
             return tuple(
-                MultiPoly.linear({t: inv[i][j] / inv[i][i] for j, t in enumerate(rids)})
+                MultiPoly.linear({t: inv[i][j] / inv[i][i] for j, t in cols})
                 for i in range(len(rids))
             )
 
-        ctx._vol_poly = _face_dp(
-            ctx, [forms] * ctx.fan.d, MultiPoly.constant(ONE), MultiPoly.zero()
-        )
-    return ctx._vol_poly
+        levels = [forms] * (ctx.fan.d - len(tau))
+        poly = _face_dp(ctx, levels, MultiPoly.constant(ONE), MultiPoly.zero(), tau)
+        ctx._vol_polys[tau] = poly
+    return poly
 
 
 # -- the low-dimensional geometric oracle -----------------------------------

@@ -43,6 +43,13 @@ class MultiPoly:
         self.terms: dict[Mono, Fraction] = cleaned
 
     @classmethod
+    def _normalized(cls, terms: dict[Mono, Fraction]) -> "MultiPoly":
+        """A polynomial from sorted monomials and Fraction coefficients; drops zeros only."""
+        poly = object.__new__(cls)
+        poly.terms = {m: c for m, c in terms.items() if c}
+        return poly
+
+    @classmethod
     def zero(cls) -> "MultiPoly":
         return cls()
 
@@ -83,27 +90,27 @@ class MultiPoly:
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
             terms[mono] = terms.get(mono, ZERO) + coeff
-        return MultiPoly(terms)
+        return MultiPoly._normalized(terms)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
             terms[mono] = terms.get(mono, ZERO) - coeff
-        return MultiPoly(terms)
+        return MultiPoly._normalized(terms)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly({m: -c for m, c in self.terms.items()})
+        return MultiPoly._normalized({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
             c = Fraction(other)
-            return MultiPoly({m: c * v for m, v in self.terms.items()})
+            return MultiPoly._normalized({m: c * v for m, v in self.terms.items()})
         terms: dict[Mono, Fraction] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = _mono_mul(ma, mb)
                 terms[m] = terms.get(m, ZERO) + ca * cb
-        return MultiPoly(terms)
+        return MultiPoly._normalized(terms)
 
     __rmul__ = __mul__
 
@@ -134,7 +141,7 @@ class MultiPoly:
                 exps[var] = e - 1
             m = tuple(sorted(exps.items()))
             terms[m] = terms.get(m, ZERO) + e * coeff
-        return MultiPoly(terms)
+        return MultiPoly._normalized(terms)
 
     def directional(self, direction: Mapping[str, Fraction]) -> "MultiPoly":
         """Derivative along the vector with the given per-variable components."""

@@ -45,7 +45,7 @@ def _fixtures():
 
 
 def _samples(ctx, count, seed):
-    return af.sample_pseudocubical(ctx, count, seed)
+    return af.sample_cubical(ctx, count, seed)
 
 
 def test_acceptance_1_vol_equals_deg():

@@ -9,7 +9,6 @@ from normalvol.af import (
     UNDEFINED,
     boundary_limit_margins,
     sample_cubical,
-    sample_pseudocubical,
 )
 from normalvol.errors import ArityMismatch, NotCubical
 from normalvol.fan import product_fan
@@ -123,7 +122,6 @@ def test_sampling_is_deterministic(quadrant_ctx):
     a = sample_cubical(quadrant_ctx, 5, seed=9)
     b = sample_cubical(quadrant_ctx, 5, seed=9)
     assert a == b
-    assert sample_pseudocubical(quadrant_ctx, 5, seed=9) == a
     c = sample_cubical(quadrant_ctx, 5, seed=10)
     assert c != a
 

@@ -7,12 +7,14 @@ random cubical points near the all-ones vector.  Every comparison is exact.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import normalvol as nv
 from normalvol import af, chow
-from normalvol.fan import product_fan
+from normalvol.fan import product_fan, star_connected_minus_origin
+from normalvol.linalg import identity, signature
 from normalvol.normalcx import (
     Context,
     TruncationTables,
@@ -34,6 +36,13 @@ FANS = {
         product_fan(make_pm1_fan(), make_pm1_fan()), make_pm1_fan((2, 2)), ("A.", "B.")
     ),
 }
+
+# The d = 3 fans of the star tests.  "quadrant x ray" is not complete: on it, a
+# star factor that kept the variables of tau would change the star polynomial.
+STAR_FANS = {name: fan for name, fan in FANS.items() if fan.d == 3}
+STAR_FANS["quadrant x ray"] = product_fan(
+    make_quadrant_fan(), nv.MarkedFan(1, {"p": (Fraction(1),)}, [(("p",), 1)])
+)
 
 PROPERTY = settings(max_examples=15, deadline=None)
 
@@ -96,6 +105,46 @@ def test_table_factors_are_restrictions(case):
             assert coeffs[i] / inv[i][i] == restricted[rho]
 
 
+@st.composite
+def context_of_dim_3(draw):
+    fan = STAR_FANS[draw(st.sampled_from(sorted(STAR_FANS)))]
+    return Context(fan, draw(gram(fan.ambient_dim)))
+
+
+def _cones_up_to(fan, dim):
+    return [tau for k in range(dim + 1) for tau in fan.cones_of_dim(k)]
+
+
+@PROPERTY
+@given(context_of_dim_3())
+def test_star_volume_polynomial_is_the_dp_above_tau(ctx):
+    for tau in _cones_up_to(ctx.fan, ctx.fan.d - 2):
+        assert vol_polynomial(ctx, tau) == vol_polynomial(ctx.star_context(tau))
+
+
+@PROPERTY
+@given(context_of_dim_3())
+def test_star_connectivity_is_read_off_the_link(ctx):
+    # up to d - 1, where the 1-dimensional stars of the +-1 factors are disconnected
+    for tau in _cones_up_to(ctx.fan, ctx.fan.d - 1):
+        expected = star_connected_minus_origin(ctx.star_context(tau).fan)
+        assert star_connected_minus_origin(ctx.fan, tau) == expected
+
+
+@pytest.mark.parametrize("name", ["quadrant x pm1", "pm1^3"])
+def test_reduce_conditions_build_no_star_context(name):
+    fan = FANS[name]
+    ctx = Context(fan, identity(fan.ambient_dim))
+    report = af.check_reduce_conditions(ctx)
+    assert report.verdict == af.PASS
+    assert len(report.condition_ii_signatures) == 6
+    assert ctx._stars == {}
+    reference = Context(fan, identity(fan.ambient_dim))
+    for tau, sig in report.condition_ii_signatures:
+        star_ctx = reference.star_context(tau)
+        assert sig == signature(vol_polynomial(star_ctx).hessian(star_ctx.fan.ray_ids()))
+
+
 def test_hrw_builds_no_star_context(monkeypatch):
     built = []
 
@@ -108,4 +157,4 @@ def test_hrw_builds_no_star_context(monkeypatch):
     report = nv.hrw_verify(nv.uniform(4, 5))
     assert report.mubar_mvol == (1, 4, 6, 4)
     assert len(built) == 1
-    assert built[0]._stars == {} and built[0]._star_fans == {}
+    assert built[0]._stars == {}

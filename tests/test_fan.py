@@ -102,16 +102,14 @@ def test_tropical_quadrant():
 def test_star_of_quadrant_at_ray():
     fan = make_quadrant_fan()
     sf = star(fan, frozenset({"r1"}), identity(2))
-    assert sorted(sf.fan.rays) == ["r2", "r4"]
-    assert sf.fan.rays["r2"] == qvec([0, 1])
-    assert sf.fan.rays["r4"] == qvec([0, -1])
-    assert sf.cone_lift(frozenset({"r2"})) == frozenset({"r1", "r2"})
+    assert sorted(sf.rays) == ["r2", "r4"]
+    assert sf.rays["r2"] == qvec([0, 1])
+    assert sf.rays["r4"] == qvec([0, -1])
 
 
 def test_star_at_zero_cone_is_identity():
     fan = make_quadrant_fan()
-    sf = star(fan, ZERO_CONE, identity(2))
-    assert sf.fan is fan
+    assert star(fan, ZERO_CONE, identity(2)) is fan
 
 
 def test_star_ray_collision_detected():
@@ -120,6 +118,15 @@ def test_star_ray_collision_detected():
     fan = nv.MarkedFan(2, rays, [(("a", "b"), 1), (("a", "c"), 1)], validate_geometry=False)
     with pytest.raises(RayProjectionCollision):
         star(fan, frozenset({"a"}), identity(2))
+
+
+def test_link_of_quadrant():
+    fan = make_quadrant_fan()
+    assert fan.link(ZERO_CONE) == ("r1", "r2", "r3", "r4")
+    assert fan.link(frozenset({"r1"})) == ("r2", "r4")
+    assert fan.link(frozenset({"r1", "r2"})) == ()
+    with pytest.raises(DimensionMismatch):
+        fan.link(frozenset({"r1", "r3"}))
 
 
 def test_star_connected_minus_origin():
