@@ -14,10 +14,9 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from . import af, chow, normalcx
-from .errors import DimTooLarge, NormalVolError
+from .errors import DimTooLarge, InputError, NormalVolError
 from .fan import MarkedFan, build_fan, fan_to_json, is_tropical
 from .linalg import Mat, qmat
 from .matroid import matroid_from_json
@@ -44,15 +43,18 @@ def _caps_from_env() -> Caps:
             continue
         key, _, value = part.partition("=")
         key = key.strip()
-        if key not in ("max_ground", "max_rays", "max_dim"):
-            raise NormalVolError(f"unknown cap {key!r} in NORMALVOL_CAPS")
+        if key not in ("max_ground", "max_rays", "max_dim") or not value.strip().isdecimal():
+            raise InputError(f"unknown cap or non-integer value {part!r} in NORMALVOL_CAPS")
         setattr(caps, key, int(value))
     return caps
 
 
 def _load_json(path: str) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as exc:  # unreadable file or malformed JSON
+        raise InputError(f"cannot read {path}: {exc}") from None
 
 
 def _load_fan(path: str, caps: Caps) -> MarkedFan:
@@ -66,7 +68,10 @@ def _load_fan(path: str, caps: Caps) -> MarkedFan:
 
 def _load_gram(path: str) -> Mat:
     raw = _load_json(path)
-    return qmat([[parse_rat(v) for v in row] for row in raw["gram"]])
+    try:
+        return qmat([[parse_rat(v) for v in row] for row in raw["gram"]])
+    except (KeyError, TypeError):
+        raise InputError('a Gram file must hold {"gram": [[value, ...], ...]}') from None
 
 
 def _load_z(path: str, fan: MarkedFan) -> ZValues:

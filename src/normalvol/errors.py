@@ -5,6 +5,10 @@ class NormalVolError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InputError(NormalVolError):
+    """An input file or setting cannot be read."""
+
+
 class DimensionMismatch(NormalVolError):
     pass
 
@@ -22,7 +26,7 @@ class Infeasible(NormalVolError):
 
 
 class Unbounded(NormalVolError):
-    """Linear program objective is unbounded (bad normalizer)."""
+    """Linear program objective is unbounded."""
 
 
 class FanError(NormalVolError):

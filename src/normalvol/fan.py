@@ -121,14 +121,14 @@ class MarkedFan:
 
         For simplicial cones, a point of cone(S1) lies in the common face iff
         its (unique) barycentric coefficients vanish outside the common ray
-        set, so a violation is a feasible point of an exact LP.
+        set, so a violation is a feasible point of an exact LP.  One LP per
+        pair suffices: if no point of c1 & c2 has c1-coefficients off the
+        common rays, c1 & c2 = cone(common), so the swapped LP is infeasible.
         """
         for i, c1 in enumerate(self.max_cones):
             for c2 in self.max_cones[i + 1 :]:
                 common = c1 & c2
-                if self._meets_outside_face(c1, c2, common) or self._meets_outside_face(
-                    c2, c1, common
-                ):
+                if self._meets_outside_face(c1, c2, common):
                     raise FacesDontMeet(
                         f"cones {sorted(c1)} and {sorted(c2)} do not meet along {sorted(common)}"
                     )

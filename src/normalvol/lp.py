@@ -1,17 +1,17 @@
-"""Exact linear programming by the textbook two-phase simplex method.
+"""Exact linear programming by the simplex method.
 
 Bland's rule is used throughout, so the solver never cycles.  Everything is
-rational and desk-scale: constraint counts in the hundreds at most.
+rational and desk-scale.  ``simplex_max`` runs the textbook two phases; the
+cubical search, ``max_min_slack``, solves a dual that needs no phase 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import Infeasible, Unbounded
-from .linalg import Vec, ZERO, ONE, qvec
+from .linalg import Vec, ZERO, ONE
 
 
 def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
@@ -107,48 +107,27 @@ def feasible_nonneg(a: Sequence[Vec], b: Vec) -> Vec | None:
     return x
 
 
-@dataclass(frozen=True)
-class SlackSolution:
-    z: Vec
-    slack: Fraction
+def max_min_slack(rows: Sequence[Vec]) -> tuple[Vec, Fraction] | None:
+    """Maximize t subject to row.z >= t for every row, sum(z) = 1 and z >= 0.
 
-
-def max_min_slack(
-    rows: Sequence[tuple[Vec, Fraction]], normalizer: Vec
-) -> SlackSolution:
-    """Maximize t subject to row.z + const >= t for every row and normalizer.z = 1.
-
-    The normalizer equality makes the feasible section bounded for well-posed
-    inputs; an unbounded objective signals a bad normalizer and raises
-    :class:`Unbounded`.  A nonpositive optimal slack is returned as-is (the
-    caller decides what an empty interior means); :class:`Infeasible` is
-    raised only when the normalizer equality itself cannot be met.
+    Returns (z, t) with t > 0, or None when no z >= 0 has every row.z > 0.
+    By homogeneity 1/t = min sum(z) subject to row.z >= 1 and z >= 0.  Its
+    dual, max sum(y) subject to sum_k y_k row_k <= 1 and y >= 0, is solved
+    from the feasible slack basis, one tableau row per coordinate of z.  An
+    unbounded dual means an infeasible primal.  At the optimum v, the
+    reduced cost of slack column j is -v z_j, and t = 1/v.
     """
-    nz = len(normalizer)
-    m = len(rows)
-    # Columns: p (nz), q (nz), t+ , t-, slacks (m).
-    ncols = 2 * nz + 2 + m
-    a: list[Vec] = []
-    b: list[Fraction] = []
-    for k, (coeffs, const) in enumerate(rows):
-        row = [ZERO] * ncols
-        for i, v in enumerate(coeffs):
-            row[i] = v
-            row[nz + i] = -v
-        row[2 * nz] = -ONE
-        row[2 * nz + 1] = ONE
-        row[2 * nz + 2 + k] = -ONE
-        a.append(tuple(row))
-        b.append(-const)
-    norm_row = [ZERO] * ncols
-    for i, v in enumerate(normalizer):
-        norm_row[i] = v
-        norm_row[nz + i] = -v
-    a.append(tuple(norm_row))
-    b.append(ONE)
-    c = [ZERO] * ncols
-    c[2 * nz] = ONE
-    c[2 * nz + 1] = -ONE
-    x, value = simplex_max(a, qvec(b), qvec(c))
-    z = tuple(x[i] - x[nz + i] for i in range(nz))
-    return SlackSolution(z, value)
+    m, n = len(rows), len(rows[0])
+    tableau = [
+        [row[j] for row in rows] + [ONE if i == j else ZERO for i in range(n)] + [ONE]
+        for j in range(n)
+    ]
+    tableau.append([ONE] * m + [ZERO] * (n + 1))
+    basis = list(range(m, m + n))
+    try:
+        _run_simplex(tableau, basis, m + n)
+    except Unbounded:
+        return None
+    obj = tableau[-1]
+    value = -obj[m + n]
+    return tuple(-obj[m + j] / value for j in range(n)), ONE / value

@@ -35,6 +35,7 @@ from .errors import (
     ArityMismatch,
     DimensionMismatch,
     DimTooLarge,
+    InputError,
     MismatchError,
     NotPseudocubical,
     NotSymmetric,
@@ -90,7 +91,6 @@ class Context:
         self._sorted_cones: list[tuple[Cone, tuple[str, ...]]] | None = None
         self._stars: dict[Cone, "Context"] = {}
         self._vol_polys: dict[Cone, MultiPoly] = {}
-        self._cubical: tuple[ZValues, Fraction] | None | bool = False  # False = not yet computed
 
     def pair(self, u: Vec, v: Vec) -> Fraction:
         return dot(u, mat_vec(self.gram, v))
@@ -147,7 +147,10 @@ class Context:
 
 
 def zvalues_from_json(raw: Mapping, fan: MarkedFan) -> ZValues:
-    z = {rid: parse_rat(v) for rid, v in raw["z"].items()}
+    try:
+        z = {rid: parse_rat(v) for rid, v in raw["z"].items()}
+    except (KeyError, TypeError, AttributeError):
+        raise InputError('a truncation file must hold {"z": {ray id: value}}') from None
     _check_keys(fan, z)
     return z
 
@@ -248,36 +251,28 @@ def find_cubical(ctx: Context) -> tuple[ZValues, Fraction] | None:
     """Search the cubical cone by an exact LP; None means Cub is empty.
 
     Maximizes the minimum barycentric coefficient over all (cone, ray) pairs
-    subject to the normalization sum(z) = 1; a positive optimal slack is an
-    interior certificate.  The result is cached on the context.
+    subject to sum(z) = 1 and z >= 0, which loses nothing: the coefficient
+    of the 1-cone {rho} is z_rho / <u_rho, u_rho>.  ``lp.max_min_slack``
+    solves the dual; the witness it recovers is re-classified exactly before
+    it is returned with its positive slack.
     """
-    if ctx._cubical is not False:
-        return ctx._cubical
     ray_order = ctx.fan.ray_ids()
     index = {rid: i for i, rid in enumerate(ray_order)}
-    seen: set[Vec] = set()
-    rows: list[tuple[Vec, Fraction]] = []
-    for cone in sorted(ctx.fan.cones, key=sorted):
-        if not cone:
-            continue
-        rids = sorted(cone)
-        inv = ctx.cone_gram_inverse(cone)
-        for i, _ in enumerate(rids):
+    rows: dict[Vec, None] = {}  # coefficient rows repeat across shared faces
+    for cone, rids in ctx.sorted_cones():
+        for inv_row in ctx.cone_gram_inverse(cone):
             row = [ZERO] * len(ray_order)
-            for j, rid in enumerate(rids):
-                row[index[rid]] = inv[i][j]
-            key = tuple(row)
-            if key not in seen:  # coefficient rows repeat across shared faces
-                seen.add(key)
-                rows.append((key, ZERO))
-    normalizer = (ONE,) * len(ray_order)
-    sol = lp.max_min_slack(rows, normalizer)
-    if sol.slack <= 0:
-        ctx._cubical = None
+            for rid, v in zip(rids, inv_row):
+                row[index[rid]] = v
+            rows.setdefault(tuple(row))
+    found = lp.max_min_slack(list(rows))
+    if found is None:
         return None
-    z = {rid: sol.z[index[rid]] for rid in ray_order}
-    ctx._cubical = (z, sol.slack)
-    return ctx._cubical
+    zvec, slack = found
+    z = dict(zip(ray_order, zvec))
+    if not classify_z(ctx, z).is_cubical:
+        raise MismatchError("the LP witness is not cubical")
+    return z, slack
 
 
 # -- restriction to star fans ---------------------------------------------
@@ -502,18 +497,21 @@ def geometric_volume_oracle(
     Vertices are expressed in the *-dual basis of the cone's marked
     generators, where the unit-volume fundamental simplex is the standard
     simplex, so the normalized volume is dim! times the Lebesgue measure.
-    Limited to cones of dimension <= 3.
+    Limited to cones of dimension <= 3.  Only the w-vectors of the faces of
+    sigma are checked for a negative coefficient (NotPseudocubical).
     """
     k = len(sigma)
     if k > 3:
         raise DimTooLarge("geometric oracle supports dimension <= 3 only")
-    _require_pseudocubical(classify_z(ctx, z))
+    _check_keys(ctx.fan, z)
     rids = sorted(sigma)
     if k == 0:
         return ONE
 
     def coords(face: tuple[str, ...]) -> Vec:
         w = w_vector(ctx, frozenset(face), z)
+        if any(c < 0 for _, c in w.coefficients):
+            raise NotPseudocubical(f"z is outside the pseudocubical cone at {list(face)}")
         return tuple(ctx.pair(w.coords, ctx.fan.rays[rid]) for rid in rids)
 
     if k == 1:

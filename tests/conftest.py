@@ -1,7 +1,7 @@
 """Shared fixtures: small fans, matroid fixtures, and seeded samples.
 
-Heavy artifacts (Bergman contexts, cubical witnesses) are session-scoped so
-the LP searches run once per test session.
+Bergman contexts are built once per test session; their cubical witnesses
+come from the LP search, ``find_cubical``.
 """
 
 from fractions import Fraction
@@ -10,7 +10,6 @@ import pytest
 
 import normalvol as nv
 from normalvol.linalg import identity, qmat
-from normalvol.matroid import flat_ray_id
 from normalvol.normalcx import Context
 
 
@@ -71,21 +70,6 @@ def make_matroid(name):
 
 MATROID_NAMES = ("U23", "U34", "U35", "U45", "K4", "K4e")
 
-# Fixtures whose cubical witness comes from the LP search at session start.
-# U45's full LP is beyond desk scale; its witness below was found by solving
-# the symmetry-reduced LP (values depend only on (|F|, e0 in F)) and is
-# re-verified exactly by classify_z before use.
-LP_WITNESS_NAMES = ("U23", "U34", "U35", "K4", "K4e")
-
-U45_WITNESS_CLASSES = {
-    (1, False): Fraction(3, 37),
-    (1, True): Fraction(9, 37),
-    (2, False): Fraction(5, 37),
-    (2, True): Fraction(8, 37),
-    (3, False): Fraction(6, 37),
-    (3, True): Fraction(6, 37),
-}
-
 
 class BergmanFixture:
     def __init__(self, name):
@@ -98,17 +82,6 @@ class BergmanFixture:
         self.z_alpha, self.z_beta = nv.alpha_beta_z(self.matroid, self.e0)
 
     def cubical_witness(self):
-        if self.name == "U45":
-            m = self.matroid
-            e0_bit = 1 << m.index[self.e0]
-            z = {
-                flat_ray_id(m, f): U45_WITNESS_CLASSES[
-                    (bin(f).count("1"), bool(f & e0_bit))
-                ]
-                for f in m.proper_flats()
-            }
-            assert nv.classify_z(self.ctx, z).is_cubical
-            return z
         found = nv.find_cubical(self.ctx)
         assert found is not None
         return found[0]

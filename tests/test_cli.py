@@ -309,3 +309,28 @@ def test_error_reported_on_stderr(quadrant_files, capsys, tmp_path):
     )
     assert code == 2 and out == ""
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize(
+    "case", ["missing file", "malformed JSON", "truncation without z", "Gram without gram key", "bad cap"]
+)
+def test_unreadable_input_is_a_json_error(case, quadrant_files, capsys, monkeypatch, tmp_path):
+    files = dict(quadrant_files)
+    bad = tmp_path / "bad.json"
+    if case == "missing file":
+        files["fan"] = str(tmp_path / "missing.json")
+    elif case == "malformed JSON":
+        bad.write_text('{"ambient_dim": 2,')
+        files["fan"] = str(bad)
+    elif case == "truncation without z":
+        bad.write_text(json.dumps({"r1": "1"}))
+        files["z"] = str(bad)
+    elif case == "Gram without gram key":
+        bad.write_text(json.dumps([["1", "0"], ["0", "1"]]))
+        files["gram"] = str(bad)
+    else:
+        monkeypatch.setenv("NORMALVOL_CAPS", "max_rays=abc")
+    argv = ["volume", "--fan", files["fan"], "--gram", files["gram"], "--z", files["z"]]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert isinstance(json.loads(err)["error"], str)

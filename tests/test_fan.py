@@ -65,10 +65,13 @@ def test_duplicate_cone_rejected():
 
 
 def test_overlapping_cones_rejected():
-    # cone(a, c) contains cone(a, b)'s interior direction b = a + c
+    # cone(a, c) contains cone(a, b)'s interior direction b = a + c; validation
+    # runs one LP per pair, so both listing orders must be rejected
     rays = {"a": qvec([1, 0]), "b": qvec([1, 1]), "c": qvec([0, 1])}
-    with pytest.raises(FacesDontMeet):
-        nv.MarkedFan(2, rays, [(("a", "b"), 1), (("a", "c"), 1)])
+    cones = [(("a", "b"), 1), (("a", "c"), 1)]
+    for listed in (cones, cones[::-1]):
+        with pytest.raises(FacesDontMeet):
+            nv.MarkedFan(2, rays, listed)
 
 
 def test_json_round_trip():

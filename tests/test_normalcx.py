@@ -15,6 +15,7 @@ from normalvol.fan import ZERO_CONE
 from normalvol.linalg import identity, qmat, qvec
 from normalvol.normalcx import (
     Context,
+    TruncationTables,
     face_complex,
     geometric_volume_oracle,
     mvol_polarization_oracle,
@@ -27,7 +28,7 @@ from normalvol.normalcx import (
 )
 from normalvol.poly import MultiPoly
 
-from conftest import make_pm1_fan, make_quadrant_fan
+from conftest import bergman, make_pm1_fan, make_quadrant_fan
 
 
 def F(x, y=1):
@@ -116,6 +117,20 @@ def test_find_cubical_pm1(pm1_ctx):
     z, slack = nv.find_cubical(pm1_ctx)
     assert z == {"p": F(1, 2), "m": F(1, 2)}
     assert slack == F(1, 2)
+
+
+@pytest.mark.parametrize(
+    "name, slack", [("U34", F(1, 32)), ("K4", F(5, 271)), ("U35", F(1, 57)), ("U45", F(1, 143))]
+)
+def test_find_cubical_slack_anchors(name, slack):
+    # Bergman fans with the identity Gram; the LP optimum is the smallest coefficient.
+    fan = bergman(name).fan
+    ctx = Context(fan, identity(fan.ambient_dim))
+    z, found = nv.find_cubical(ctx)
+    assert found == slack
+    assert nv.classify_z(ctx, z).is_cubical
+    table = TruncationTables(ctx).table(z)
+    assert min(c for coeffs in table.values() for c in coeffs) == slack
 
 
 # -- restriction ---------------------------------------------------------------------
@@ -229,6 +244,17 @@ def test_geometric_oracle_rectangle(quadrant_ctx):
     z = zmap(r1=3, r2=5, r3=1, r4=1)
     # normalized volume of the a x b rectangle is 2ab
     assert geometric_volume_oracle(quadrant_ctx, frozenset({"r1", "r2"}), z) == 30
+
+
+def test_geometric_oracle_rejects_negative_face():
+    # Obtuse Gram: z is positive on sigma's own w-vector but negative on the face {a}.
+    rays = {"a": qvec([1, 0]), "b": qvec([0, 1])}
+    ctx = Context(nv.MarkedFan(2, rays, [(("a", "b"), 1)]), qmat([[1, F(-1, 2)], [F(-1, 2), 1]]))
+    z = {"a": F(-1), "b": F(4)}
+    sigma = frozenset(rays)
+    assert all(c > 0 for _, c in w_vector(ctx, sigma, z).coefficients)
+    with pytest.raises(NotPseudocubical):
+        geometric_volume_oracle(ctx, sigma, z)
 
 
 def test_geometric_oracle_dim_cap():

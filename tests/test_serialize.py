@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from normalvol.errors import NormalVolError
-from normalvol.serialize import format_rat, parse_rat
+from normalvol.serialize import MAX_DIGITS, format_rat, parse_rat
 
 
 def test_parse_int_and_string():
@@ -31,3 +31,18 @@ def test_rejects_garbage():
         parse_rat("1/0")
     with pytest.raises(NormalVolError):
         parse_rat(None)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e3", "0.5", " 3", "1" * (MAX_DIGITS + 1), "1/" + "1" * (MAX_DIGITS + 1)],
+    ids=["exponent", "decimal", "space", "long numerator", "long denominator"],
+)
+def test_rejects_decimals_exponents_and_long_strings(text):
+    with pytest.raises(NormalVolError):
+        parse_rat(text)
+
+
+def test_accepts_the_longest_integers():
+    big = "9" * MAX_DIGITS
+    assert parse_rat(f"-{big}/{big}") == -1
