@@ -223,7 +223,6 @@ class HRWReport:
     mubar_deg: tuple[int, ...]
     mubar_mvol: tuple[int, ...]
     mu: tuple[int, ...]
-    equal: bool
     log_concave: bool
     unimodal: bool
     mu_log_concave: bool
@@ -232,13 +231,7 @@ class HRWReport:
 
     @property
     def verdict(self) -> str:
-        ok = (
-            self.equal
-            and self.log_concave
-            and self.unimodal
-            and self.mu_log_concave
-            and self.mu_unimodal
-        )
+        ok = self.log_concave and self.unimodal and self.mu_log_concave and self.mu_unimodal
         return PASS if ok else FAIL
 
 
@@ -247,8 +240,8 @@ def hrw_verify(m: Matroid, e0: str | None = None) -> HRWReport:
 
     The subset-expansion coefficients must equal the Chow degrees of
     alpha^(d-a) beta^a and the mixed volumes of the corresponding
-    (z_alpha, z_beta) tuples, and the resulting sequence must be
-    log-concave and unimodal (as must the unreduced one).
+    (z_alpha, z_beta) tuples, or MismatchError is raised, and the resulting
+    sequence must be log-concave and unimodal (as must the unreduced one).
     """
     if e0 is None:
         e0 = m.ground[0]
@@ -269,8 +262,7 @@ def hrw_verify(m: Matroid, e0: str | None = None) -> HRWReport:
         mubar_mvol.append(int(mv))
     mubar_deg = tuple(mubar_deg)
     mubar_mvol = tuple(mubar_mvol)
-    equal = mubar_char == mubar_deg == mubar_mvol
-    if not equal:
+    if not mubar_char == mubar_deg == mubar_mvol:
         raise MismatchError(
             f"mubar paths disagree: {mubar_char} vs {mubar_deg} vs {mubar_mvol}"
         )
@@ -279,7 +271,6 @@ def hrw_verify(m: Matroid, e0: str | None = None) -> HRWReport:
         mubar_deg=mubar_deg,
         mubar_mvol=mubar_mvol,
         mu=cp.mu,
-        equal=equal,
         log_concave=_log_concave(mubar_char),
         unimodal=_unimodal(mubar_char),
         mu_log_concave=_log_concave(cp.mu),

@@ -14,12 +14,13 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import af, chow, normalcx
 from .errors import DimTooLarge, InputError, NormalVolError
 from .fan import MarkedFan, build_fan, fan_to_json, is_tropical
 from .linalg import Mat, qmat
-from .matroid import matroid_from_json
+from .matroid import GROUND_SET_CAP, matroid_from_json
 from .normalcx import Context, ZValues
 from .serialize import format_rat, parse_rat
 
@@ -30,7 +31,7 @@ EXIT_UNDEFINED = 3
 
 @dataclass
 class Caps:
-    max_ground: int = 20
+    max_ground: int = GROUND_SET_CAP
     max_rays: int = 200
     max_dim: int = 6
 
@@ -101,6 +102,7 @@ def cmd_fan_validate(args, caps: Caps) -> int:
             "valid": True,
             "simplicial": True,
             "pure": True,
+            "faces_meet_checked": fan.faces_meet_checked,
             "tropical": report.is_tropical,
             "failing_cones": [sorted(c) for c in report.failing],
         }
@@ -115,6 +117,26 @@ def _geom_volume(ctx: Context, z: ZValues) -> Fraction:
     return total
 
 
+def _run_methods(args, fan: MarkedFan, methods: dict[str, Callable[[], Fraction]]) -> int:
+    """Print the value of ``--method``, or with ``--all`` every value and whether they agree.
+
+    ``--all`` skips "geom" when d > 3 and "chow" on a fan that is not tropical.
+    """
+    if not args.all:
+        print(format_rat(methods[args.method]()))
+        return EXIT_PASS
+    values = {}
+    for name, compute in methods.items():
+        if name == "geom" and fan.d > 3:
+            continue
+        if name == "chow" and not is_tropical(fan).is_tropical:
+            continue
+        values[name] = compute()
+    agree = len(set(values.values())) == 1
+    _emit({"values": {k: format_rat(v) for k, v in values.items()}, "agree": agree})
+    return EXIT_PASS if agree else EXIT_FAIL
+
+
 def cmd_volume(args, caps: Caps) -> int:
     fan = _load_fan(args.fan, caps)
     ctx = Context(fan, _load_gram(args.gram))
@@ -125,19 +147,7 @@ def cmd_volume(args, caps: Caps) -> int:
         "geom": lambda: _geom_volume(ctx, z),
         "chow": lambda: chow.deg_product(fan, [z] * fan.d),
     }
-    if args.all:
-        values = {}
-        for name, compute in methods.items():
-            if name == "geom" and fan.d > 3:
-                continue
-            if name == "chow" and not is_tropical(fan).is_tropical:
-                continue
-            values[name] = compute()
-        agree = len(set(values.values())) == 1
-        _emit({"values": {k: format_rat(v) for k, v in values.items()}, "agree": agree})
-        return EXIT_PASS if agree else EXIT_FAIL
-    print(format_rat(methods[args.method]()))
-    return EXIT_PASS
+    return _run_methods(args, fan, methods)
 
 
 def cmd_mixed_volume(args, caps: Caps) -> int:
@@ -149,17 +159,7 @@ def cmd_mixed_volume(args, caps: Caps) -> int:
         "polarization": lambda: normalcx.mvol_polarization_oracle(ctx, zs),
         "chow": lambda: chow.deg_product(fan, zs),
     }
-    if args.all:
-        values = {}
-        for name, compute in methods.items():
-            if name == "chow" and not is_tropical(fan).is_tropical:
-                continue
-            values[name] = compute()
-        agree = len(set(values.values())) == 1
-        _emit({"values": {k: format_rat(v) for k, v in values.items()}, "agree": agree})
-        return EXIT_PASS if agree else EXIT_FAIL
-    print(format_rat(methods[args.method]()))
-    return EXIT_PASS
+    return _run_methods(args, fan, methods)
 
 
 def cmd_cubical_find(args, caps: Caps) -> int:

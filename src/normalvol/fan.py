@@ -23,7 +23,7 @@ from .errors import (
     NoSolution,
     RayProjectionCollision,
 )
-from .linalg import Mat, Vec, ZERO, ONE, dot, mat_vec, qvec, rank, solve, solve_unique, transpose, vec_scale, vec_sub, zeros
+from .linalg import Mat, Vec, ZERO, ONE, dot, mat_vec, qvec, rank, solve, solve_unique, vec_scale, vec_sub, zeros
 from .serialize import format_rat, parse_rat
 
 Cone = frozenset[str]
@@ -69,7 +69,7 @@ class MarkedFan:
             raise NotPure("maximal cones have different numbers of rays")
         self.max_cones: tuple[Cone, ...] = tuple(cones)
         for cone in self.max_cones:
-            if rank(self.generator_matrix(cone)) != len(cone):
+            if rank(tuple(self.rays[rid] for rid in cone)) != len(cone):
                 raise NotSimplicial(f"cone {sorted(cone)} has dependent generators")
         used = set().union(*self.max_cones)
         unused = self.rays.keys() - used
@@ -85,7 +85,9 @@ class MarkedFan:
         self.cones: KeysView[Cone] = self._links.keys()
         self._tropical: TropicalReport | None = None  # filled by is_tropical
         self.covector_cache: dict[tuple[Cone, str, str], Vec] = {}  # filled by chow.covector
-        if validate_geometry and self.d <= 3:
+        # Whether cones were checked to meet face to face: the check runs for d <= 3 only.
+        self.faces_meet_checked = validate_geometry and self.d <= 3
+        if self.faces_meet_checked:
             self._check_meet_along_faces()
 
     # -- basic queries -------------------------------------------------
@@ -98,11 +100,6 @@ class MarkedFan:
 
     def weight(self, cone: Cone) -> Fraction:
         return self.weights[cone]
-
-    def generator_matrix(self, cone: Cone) -> Mat:
-        """Columns are the marked generators of the cone's rays, sorted by id."""
-        cols = [self.rays[rid] for rid in sorted(cone)]
-        return transpose(qmat_from_cols(cols, self.ambient_dim))
 
     def maximal_cones_containing(self, cone: Cone) -> list[Cone]:
         return [c for c in self.max_cones if cone <= c]
@@ -150,12 +147,6 @@ class MarkedFan:
         )
         b = qvec([ZERO] * n + [ONE])
         return lp.feasible_nonneg(rows, b) is not None
-
-
-def qmat_from_cols(cols: list[Vec], nrows: int) -> Mat:
-    if not cols:
-        return ((),) * 0
-    return tuple(tuple(col[i] for i in range(nrows)) for col in cols)
 
 
 def _subsets(items: list[str]):

@@ -269,10 +269,10 @@ class CharPoly:
         return tuple(abs(self.chibar[d - a]) for a in range(d + 1))
 
 
-def char_poly(m: Matroid, cap: int = GROUND_SET_CAP) -> CharPoly:
+def char_poly(m: Matroid) -> CharPoly:
     """Characteristic polynomial by subset expansion, cross-checked by Moebius counts."""
-    if m.n > cap:
-        raise GroundSetTooLarge(f"|E| = {m.n} exceeds the cap {cap}")
+    if m.n > GROUND_SET_CAP:
+        raise GroundSetTooLarge(f"|E| = {m.n} exceeds the cap {GROUND_SET_CAP}")
     r = m.rank
     rank_cache = {f: m.rank_of_flat(f) for f in m.flats}
     chi = [0] * (r + 1)

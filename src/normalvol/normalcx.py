@@ -20,6 +20,11 @@ polynomial of the star at tau, so no star fan is built for it either.  Star
 contexts, ``restrict_z`` and ``face_complex`` serve only the face
 identities; the geometric oracle below and the Chow degrees in ``chow`` stay
 independent of the dynamic program.
+
+The truncation polytope P_sigma(z) of a cone, the convex hull of the w_tau(z)
+over the faces tau of sigma, is built and checked in one place,
+``polytope_vertices``; the mesh export draws it and the geometric oracle
+tiles it by chain simplices.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 from . import lp
@@ -38,7 +43,6 @@ from .errors import (
     InputError,
     MismatchError,
     NotPseudocubical,
-    NotSymmetric,
     NormalVolError,
 )
 from .fan import Cone, MarkedFan, ZERO_CONE, star
@@ -51,6 +55,7 @@ from .linalg import (
     dot,
     mat_vec,
     qvec,
+    signature,
     vec_add,
     vec_scale,
     zeros,
@@ -62,17 +67,15 @@ ZValues = dict[str, Fraction]
 
 
 def check_gram(gram: Mat, n: int) -> None:
-    """Validate a symmetric positive-definite Gram matrix, exactly."""
+    """Validate a symmetric positive-definite Gram matrix, exactly.
+
+    ``signature`` raises NotSymmetric; positive definite means n positive
+    eigenvalues.
+    """
     if len(gram) != n or any(len(row) != n for row in gram):
         raise DimensionMismatch(f"Gram matrix must be {n}x{n}")
-    for i in range(n):
-        for j in range(i):
-            if gram[i][j] != gram[j][i]:
-                raise NotSymmetric("Gram matrix is not symmetric")
-    for k in range(1, n + 1):
-        minor = tuple(tuple(gram[i][j] for j in range(k)) for i in range(k))
-        if det(minor) <= 0:
-            raise NormalVolError(f"Gram matrix is not positive definite (minor {k})")
+    if signature(gram).n_plus != n:
+        raise NormalVolError("Gram matrix is not positive definite")
 
 
 class Context:
@@ -314,14 +317,21 @@ def face_complex(
 def polytope_vertices(
     ctx: Context, sigma: Cone, z: Mapping[str, Fraction]
 ) -> dict[Cone, Vec]:
-    """Vertex w_tau(z) for each face tau of sigma (duplicates kept on the boundary)."""
-    _require_pseudocubical(classify_z(ctx, z))
+    """The vertices w_tau(z) of the truncation polytope P_sigma(z), one per face tau of sigma.
+
+    Duplicates are kept on the boundary.  Raises NotPseudocubical when the
+    w-vector of a face of sigma has a negative barycentric coefficient; no
+    other cone is read.
+    """
+    _check_keys(ctx.fan, z)
     rids = sorted(sigma)
     out: dict[Cone, Vec] = {}
     for k in range(len(rids) + 1):
         for sub in combinations(rids, k):
-            face = frozenset(sub)
-            out[face] = w_vector(ctx, face, z).coords
+            w = w_vector(ctx, frozenset(sub), z)
+            if any(c < 0 for _, c in w.coefficients):
+                raise NotPseudocubical(f"z is outside the pseudocubical cone at {list(sub)}")
+            out[w.cone] = w.coords
     return out
 
 
@@ -492,58 +502,28 @@ def vol_polynomial(ctx: Context, tau: Cone = ZERO_CONE) -> MultiPoly:
 def geometric_volume_oracle(
     ctx: Context, sigma: Cone, z: Mapping[str, Fraction]
 ) -> Fraction:
-    """Normalized volume of one truncation polytope, computed geometrically.
+    """Normalized volume of one truncation polytope P_sigma(z), computed geometrically.
 
-    Vertices are expressed in the *-dual basis of the cone's marked
-    generators, where the unit-volume fundamental simplex is the standard
-    simplex, so the normalized volume is dim! times the Lebesgue measure.
-    Limited to cones of dimension <= 3.  Only the w-vectors of the faces of
-    sigma are checked for a negative coefficient (NotPseudocubical).
+    w_0 = 0 is a vertex, so coning from 0, and then from w_rho within each
+    facet <w, u_rho> = z_rho, tiles P_sigma(z) by the chain simplices
+    conv(0, w_{rho_1}, w_{rho_1 rho_2}, ..., w_sigma), one per ordering of the
+    rays of sigma.  In the coordinates <w, u_rho>, rho in sigma (the *-dual
+    basis of the marked generators, where the fundamental simplex is the
+    standard simplex), a simplex's normalized volume is the |det| of its
+    chain vertices.  The vertices come from ``polytope_vertices``, so only
+    the faces of sigma are checked (NotPseudocubical).  Limited to cones of
+    dimension <= 3.
     """
-    k = len(sigma)
-    if k > 3:
+    if len(sigma) > 3:
         raise DimTooLarge("geometric oracle supports dimension <= 3 only")
-    _check_keys(ctx.fan, z)
     rids = sorted(sigma)
-    if k == 0:
-        return ONE
-
-    def coords(face: tuple[str, ...]) -> Vec:
-        w = w_vector(ctx, frozenset(face), z)
-        if any(c < 0 for _, c in w.coefficients):
-            raise NotPseudocubical(f"z is outside the pseudocubical cone at {list(face)}")
-        return tuple(ctx.pair(w.coords, ctx.fan.rays[rid]) for rid in rids)
-
-    if k == 1:
-        return coords((rids[0],))[0]
-    if k == 2:
-        cycle = [(), (rids[0],), (rids[0], rids[1]), (rids[1],)]
-        pts = [coords(f) for f in cycle]
-        area2 = ZERO
-        for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
-            area2 += x1 * y2 - x2 * y1
-        return abs(area2)  # shoelace gives area*2; normalized volume is 2*area
-
-    vertex: dict[frozenset, Vec] = {}
-    for m in range(4):
-        for sub in combinations(rids, m):
-            vertex[frozenset(sub)] = coords(sub)
-    pts = list(vertex.values())
-    centroid = tuple(sum(p[i] for p in pts) / len(pts) for i in range(3))
+    rays = [ctx.fan.rays[rid] for rid in rids]
+    vertex = {
+        face: tuple(ctx.pair(w, u) for u in rays)
+        for face, w in polytope_vertices(ctx, sigma, z).items()
+    }
     total = ZERO
-    for i, axis in enumerate(rids):
-        others = [r for r in rids if r != axis]
-        for present in (False, True):
-            base = frozenset({axis}) if present else frozenset()
-            quad = [
-                vertex[base],
-                vertex[base | {others[0]}],
-                vertex[base | {others[0], others[1]}],
-                vertex[base | {others[1]}],
-            ]
-            for a, b, c in ((quad[0], quad[1], quad[2]), (quad[0], quad[2], quad[3])):
-                m = tuple(
-                    tuple(p[i] - centroid[i] for i in range(3)) for p in (a, b, c)
-                )
-                total += abs(det(m))
-    return total  # sum of |det|/6 over tetrahedra, times 3! normalization
+    for order in permutations(rids):
+        chain = tuple(vertex[frozenset(order[:i])] for i in range(1, len(order) + 1))
+        total += abs(det(chain))
+    return total

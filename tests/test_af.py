@@ -168,7 +168,8 @@ def test_hrw_values(name):
     report = nv.hrw_verify(fx.matroid, fx.e0)
     assert report.verdict == PASS
     assert report.mubar_char == HRW_MUBAR[name]
-    assert report.equal and report.log_concave and report.unimodal
+    assert report.mubar_char == report.mubar_deg == report.mubar_mvol
+    assert report.log_concave and report.unimodal
 
 
 def test_hrw_e0_independent():

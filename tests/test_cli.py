@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -51,6 +52,32 @@ def test_fan_validate_nontropical(tmp_path, capsys):
     report = json.loads(out)
     assert report["valid"] and not report["tropical"]
     assert report["failing_cones"] == [[]]
+
+
+def _cross_polytope_fan_json(d):
+    """Rays +-e_i and one orthant cone per sign pattern: complete and tropical."""
+    unit = {"p": "1", "m": "-1"}
+    rays = [
+        {"id": f"{s}{i}", "u": [unit[s] if j == i else "0" for j in range(d)]}
+        for i in range(d)
+        for s in "pm"
+    ]
+    cones = [
+        {"rays": [f"{s}{i}" for i, s in enumerate(signs)], "weight": "1"}
+        for signs in itertools.product("pm", repeat=d)
+    ]
+    return {"ambient_dim": d, "rays": rays, "max_cones": cones}
+
+
+@pytest.mark.parametrize("d, checked", [(3, True), (4, False)])
+def test_fan_validate_reports_whether_faces_meet_was_checked(tmp_path, capsys, d, checked):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(_cross_polytope_fan_json(d)))
+    code, out, _ = run(capsys, ["fan-validate", "--fan", str(path)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["valid"] and report["tropical"]
+    assert report["faces_meet_checked"] is checked
 
 
 def test_fan_validate_invalid_json_fan(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """Property tests of the face-poset engine against the independent oracles.
 
-Fans are small products of the +-1 and quadrant fans, Grams are random
-positive-definite rationals L D L^T close to diagonal, and truncations are
-random cubical points near the all-ones vector.  Every comparison is exact.
+Fans are small products of the +-1 and quadrant fans (d <= 3), Grams are
+random positive-definite rationals L D L^T close to diagonal, and truncations
+are random cubical points near the all-ones vector.  Every comparison is exact.
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,6 +21,7 @@ from normalvol.normalcx import (
     Context,
     TruncationTables,
     classify_z,
+    geometric_volume_oracle,
     mvol_polarization_oracle,
     mvol_recursive,
     restrict_z,
@@ -73,6 +76,25 @@ def context_and_truncations(draw):
     return ctx, zs
 
 
+def _geometric_mvol(ctx, zs):
+    """MVol by polarizing the geometric volume, summed over the maximal cones.
+
+    No dynamic program is involved: each volume triangulates the truncation
+    polytopes.  Every fan here has d <= 3, the oracle's limit.
+    """
+    d = ctx.fan.d
+    total = Fraction(0)
+    for r in range(1, d + 1):
+        for subset in combinations(range(d), r):
+            z = {rid: sum(zs[i][rid] for i in subset) for rid in zs[0]}
+            volume = sum(
+                ctx.fan.weights[sigma] * geometric_volume_oracle(ctx, sigma, z)
+                for sigma in ctx.fan.max_cones
+            )
+            total += (-1) ** (d - r) * volume
+    return total / factorial(d)
+
+
 @PROPERTY
 @given(context_and_truncations())
 def test_dp_matches_chow_and_polarization(case):
@@ -80,6 +102,7 @@ def test_dp_matches_chow_and_polarization(case):
     value = mvol_recursive(ctx, zs)
     assert value == chow.deg_product(ctx.fan, zs)
     assert value == mvol_polarization_oracle(ctx, zs)
+    assert value == _geometric_mvol(ctx, zs)
 
 
 @PROPERTY

@@ -13,9 +13,12 @@ from normalvol.errors import (
 )
 from normalvol.fan import ZERO_CONE
 from normalvol.linalg import identity, qmat, qvec
+from normalvol import normalcx
 from normalvol.normalcx import (
+    OUTSIDE,
     Context,
     TruncationTables,
+    classify_z,
     face_complex,
     geometric_volume_oracle,
     mvol_polarization_oracle,
@@ -48,8 +51,9 @@ def test_gram_must_be_symmetric():
 
 
 def test_gram_must_be_positive_definite():
-    with pytest.raises(NormalVolError):
-        Context(make_quadrant_fan(), qmat([[1, 2], [2, 1]]))
+    for gram in ([[1, 2], [2, 1]], [[1, 1], [1, 1]]):  # indefinite, singular
+        with pytest.raises(NormalVolError):
+            Context(make_quadrant_fan(), qmat(gram))
 
 
 # -- w-vectors ----------------------------------------------------------------
@@ -174,6 +178,25 @@ def test_vertices_rectangle(quadrant_ctx):
 def test_vertices_require_pseudocubical(quadrant_ctx):
     with pytest.raises(NotPseudocubical):
         polytope_vertices(quadrant_ctx, frozenset({"r1", "r2"}), zmap(r1=-1, r2=1, r3=1, r4=1))
+
+
+def test_vertices_read_only_the_faces_of_their_cone(monkeypatch):
+    # Obtuse Gram: z is negative on the face {a} of {a, b}, and on no face of {b, c}.
+    rays = {"a": qvec([1, 0]), "b": qvec([0, 1]), "c": qvec([-1, 0])}
+    fan = nv.MarkedFan(2, rays, [(("a", "b"), 1), (("b", "c"), 1)])
+    ctx = Context(fan, qmat([[1, F(-1, 2)], [F(-1, 2), 1]]))
+    z = zmap(a=-1, b=4, c=4)
+    assert classify_z(ctx, z).classification == OUTSIDE
+
+    def no_classification(*args):
+        raise AssertionError("polytope_vertices must not classify the whole fan")
+
+    monkeypatch.setattr(normalcx, "classify_z", no_classification)
+    verts = polytope_vertices(ctx, frozenset({"b", "c"}), z)
+    assert set(verts) == {ZERO_CONE, frozenset("b"), frozenset("c"), frozenset("bc")}
+    assert verts[frozenset("bc")] == qvec([F(-8, 3), F(8, 3)])
+    with pytest.raises(NotPseudocubical, match=r"\['a'\]"):
+        polytope_vertices(ctx, frozenset({"a", "b"}), z)
 
 
 def test_vertex_linearity(quadrant_ctx):
