@@ -235,12 +235,7 @@ def cmd_reduce_check(args, caps: Caps) -> int:
 
 
 def cmd_hrw(args, caps: Caps) -> int:
-    raw = _load_json(args.matroid)
-    if len(raw["ground_set"]) > caps.max_ground:
-        raise NormalVolError(
-            f"ground set size {len(raw['ground_set'])} exceeds the cap {caps.max_ground}"
-        )
-    m = matroid_from_json(raw)
+    m = matroid_from_json(_load_json(args.matroid), caps.max_ground)
     e0 = args.e0 or m.ground[0]
     report = af.hrw_verify(m, e0)
     payload = {

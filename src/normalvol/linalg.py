@@ -2,13 +2,17 @@
 
 Vectors are tuples of Fraction, matrices are tuples of row tuples.  Every
 routine here is exact: there is no floating point anywhere, so results can
-be compared with ``==``.
+be compared with ``==``.  Elimination is fraction-free: ``solve``, ``rank``
+and ``inverse`` scale each row to integers and run integer Gauss-Jordan,
+dividing by the pivots only at the end, and ``det`` is Bareiss's
+elimination; their results equal those of rational elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NoSolution, NotSymmetric
@@ -91,25 +95,46 @@ class Solution:
         return not self.nullspace
 
 
-def _eliminate(rows: list[list[Fraction]], ncols: int, col_order: Sequence[int]):
-    """Forward elimination in the given column order; returns pivot list.
+def _scaled_row(row: Sequence) -> tuple[int, list[int]]:
+    """(s, s * row) with s the lcm of the row's denominators."""
+    s = lcm(*(x.denominator for x in row))
+    return s, [x.numerator * (s // x.denominator) for x in row]
 
-    Each pivot is a (row index, column index) pair; after the call ``rows``
-    is in reduced echelon form with respect to ``col_order``.
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def _integer_rows(rows: Iterable[Sequence]) -> list[list[int]]:
+    return [_primitive(_scaled_row(row)[1]) for row in rows]
+
+
+def _eliminate(rows: list[list[int]], col_order: Sequence[int]) -> list[tuple[int, int]]:
+    """Fraction-free Gauss-Jordan elimination in the given column order; returns pivots.
+
+    Each pivot is a (row index, column index) pair.  Pivots are chosen as in
+    rational elimination, the first nonzero entry of the column at or below
+    the current row, and a row is cleared by p * row - row[c] * pivot_row and
+    divided by its gcd.  Every integer row stays a nonzero multiple of the
+    rational row, so after the call a pivot row divided by its pivot entry is
+    the row of the reduced echelon form with respect to ``col_order``, and
+    every other entry of a pivot column is zero.
     """
     pivots: list[tuple[int, int]] = []
     r = 0
     for c in col_order:
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [inv * v for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                rows[i] = _primitive([p * v - f * w for v, w in zip(row, prow)])
         pivots.append((r, c))
         r += 1
         if r == len(rows):
@@ -132,25 +157,24 @@ def solve(a: Mat, b: Vec, col_order: Sequence[int] | None = None) -> Solution:
         raise DimensionMismatch(f"matrix has {m} rows, rhs has {len(b)}")
     if col_order is None:
         col_order = range(n)
-    rows = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    if not rows:
+    if not a:
         return Solution(zeros(n), tuple(identity(n)))
-    pivots = _eliminate(rows, n, col_order)
-    pivot_rows = len(pivots)
-    for i in range(pivot_rows, m):
-        if rows[i][n] != 0:
-            raise NoSolution("inconsistent linear system")
-    pivot_cols = {c: r for r, c in pivots}
-    x = list(zeros(n))
+    rows = _integer_rows((*row, rhs) for row, rhs in zip(a, b))
+    pivots = _eliminate(rows, col_order)
+    if any(rows[i][n] for i in range(len(pivots), m)):
+        raise NoSolution("inconsistent linear system")
+    x = [ZERO] * n
     for r, c in pivots:
-        x[c] = rows[r][n]
-    free_cols = [c for c in range(n) if c not in pivot_cols]
+        x[c] = Fraction(rows[r][n], rows[r][c])
+    pivot_cols = {c for _, c in pivots}
     basis = []
-    for fc in free_cols:
-        v = list(zeros(n))
+    for fc in range(n):
+        if fc in pivot_cols:
+            continue
+        v = [ZERO] * n
         v[fc] = ONE
         for r, c in pivots:
-            v[c] = -rows[r][fc]
+            v[c] = Fraction(-rows[r][fc], rows[r][c])
         basis.append(tuple(v))
     return Solution(tuple(x), tuple(basis))
 
@@ -165,39 +189,52 @@ def solve_unique(a: Mat, b: Vec) -> Vec:
 def rank(a: Mat) -> int:
     if not a:
         return 0
-    rows = [list(row) for row in a]
-    return len(_eliminate(rows, len(a[0]), range(len(a[0]))))
+    return len(_eliminate(_integer_rows(a), range(len(a[0]))))
 
 
 def inverse(a: Mat) -> Mat:
     n = len(a)
     if any(len(row) != n for row in a):
         raise DimensionMismatch("inverse needs a square matrix")
-    rows = [list(row) + list(ident_row) for row, ident_row in zip(a, identity(n))]
-    pivots = _eliminate(rows, n, range(n))
+    rows = _integer_rows((*row, *ident_row) for row, ident_row in zip(a, identity(n)))
+    pivots = _eliminate(rows, range(n))
     if len(pivots) < n:
         raise NoSolution("matrix is singular")
-    return tuple(tuple(rows[r][n:]) for r in range(n))
+    return tuple(tuple(Fraction(v, rows[r][c]) for v in rows[r][n:]) for r, c in pivots)
 
 
 def det(a: Mat) -> Fraction:
+    """Determinant by Bareiss's fraction-free elimination.
+
+    Each row is scaled to integers by the lcm s_i of its denominators; step k
+    replaces every entry below and right of the pivot by
+    (m_ij m_kk - m_ik m_kj) / m_{k-1,k-1}, an exact division by Sylvester's
+    identity, so the last pivot is the integer determinant.  det(A) is that
+    over the product of the s_i.
+    """
     n = len(a)
-    rows = [list(row) for row in a]
-    result = ONE
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
+    rows = []
+    scale = 1
+    for row in a:
+        s, ints = _scaled_row(row)
+        rows.append(ints)
+        scale *= s
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
         if pivot is None:
             return ZERO
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            result = -result
-        result *= rows[c][c]
-        inv = ONE / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[c])]
-    return result
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        prow = rows[k]
+        p = prow[k]
+        for i in range(k + 1, n):
+            row = rows[i]
+            f = row[k]
+            rows[i] = [(v * p - f * w) // prev for v, w in zip(row, prow)]
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 from .errors import (
     AxiomViolation,
     GroundSetTooLarge,
+    InputError,
     LoopDetected,
     MismatchError,
     RankTooSmall,
@@ -230,19 +231,31 @@ def linear(columns: Mapping[str, Sequence] | Sequence[Sequence], labels: Sequenc
     return Matroid(labels, _flats_from_rank_oracle(labels, rank_of), "linear")
 
 
-def matroid_from_json(raw: Mapping) -> Matroid:
-    ground = [str(e) for e in raw["ground_set"]]
-    if len(ground) > GROUND_SET_CAP:
-        raise GroundSetTooLarge(f"|E| = {len(ground)} exceeds the cap {GROUND_SET_CAP}")
-    kind = raw["kind"]
+def matroid_from_json(raw: Mapping, cap: int = GROUND_SET_CAP) -> Matroid:
+    """A matroid from its file: a ``kind`` with the keys it needs, and a ``ground_set``.
+
+    A missing key raises InputError naming it; a ground set larger than
+    ``cap`` raises GroundSetTooLarge before anything is built.
+    """
+
+    def field(key: str):
+        try:
+            return raw[key]
+        except (KeyError, TypeError):
+            raise InputError(f"the matroid file has no {key!r}") from None
+
+    ground = [str(e) for e in field("ground_set")]
+    if len(ground) > cap:
+        raise GroundSetTooLarge(f"|E| = {len(ground)} exceeds the cap {cap}")
+    kind = field("kind")
     if kind == "flats":
-        return from_flats(ground, raw["flats"])
+        return from_flats(ground, field("flats"))
     if kind == "uniform":
-        return uniform(int(raw["rank"]), ground)
+        return uniform(int(field("rank")), ground)
     if kind == "graphic":
-        return graphic(raw["edges"], ground)
+        return graphic(field("edges"), ground)
     if kind == "linear":
-        cols = [[parse_rat(v) for v in col] for col in raw["matrix"]]
+        cols = [[parse_rat(v) for v in col] for col in field("matrix")]
         return linear(cols, ground)
     raise UnknownElement(f"unknown matroid kind {kind!r}")
 

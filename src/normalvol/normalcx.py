@@ -14,7 +14,20 @@ program over the cones of the fan, grouped by dimension:
 Its factors come from the barycentric coefficients c_sigma(z) = G_sigma^-1 z_sigma
 of the w-vectors, the same numbers the classification reads: restriction is
 transitive, so z^{sigma - rho}_rho = c_sigma(z)_rho / (G_sigma^-1)_{rho rho}.  One
-table of these coefficients is built per distinct truncation.  Started at a
+table of these coefficients is built per distinct truncation.
+
+The exact core is fraction-free.  A context scales its Gram by the lcm g of
+the Gram's denominators and its rays by the lcm M of theirs, so every ray
+pairing is an integer, <u_a, u_b> / pair_scale with pair_scale = 1 / (g M^2).
+Each cone keeps the integer determinant D > 0 and adjugate of its Gram block
+in these pairings, so G_sigma^-1 = adj / (D pair_scale), bordered from the face
+without its last ray; the one division in a bordering step is exact by
+Sylvester's identity (the step of Bareiss's elimination).  A table scales z
+by the lcm Z of its denominators and holds the integers adj (Z z), which have
+the signs of c_sigma(z); a factor is then num_rho / (Z adj_{rho rho}), the only
+Fraction the program builds per entry.  Every public value stays a Fraction.
+
+Started at a
 cone tau instead of the zero cone, the same program gives the volume
 polynomial of the star at tau, so no star fan is built for it either.  Star
 contexts, ``restrict_z`` and ``face_complex`` serve only the face
@@ -31,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from itertools import combinations, permutations
 from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
@@ -54,7 +67,6 @@ from .linalg import (
     det,
     dot,
     mat_vec,
-    qvec,
     signature,
     vec_add,
     vec_scale,
@@ -83,14 +95,30 @@ class Context:
 
     Star contexts are realized inside the same ambient coordinates, so the
     restricted inner product is literally the same Gram matrix.
+
+    The caches hold integers.  With g the lcm of the Gram's denominators and
+    M the lcm of the rays' coordinate denominators, G~ = g G and u~ = M u
+    are integral, and ``ray_pair`` is the integer <u~_a, G~ u~_b> =
+    <u_a, u_b> / pair_scale, where pair_scale = 1 / (g M^2).  A cone's Gram
+    block in these pairings has an integer determinant D > 0 and adjugate,
+    and G_sigma^-1 = adj / (D pair_scale).
     """
 
     def __init__(self, fan: MarkedFan, gram: Mat):
         check_gram(gram, fan.ambient_dim)
         self.fan = fan
         self.gram = gram
-        self._ray_pairs: dict[tuple[str, str], Fraction] = {}
-        self._gram_inv: dict[Cone, Mat] = {}
+        g = lcm(*(x.denominator for row in gram for x in row))
+        m = lcm(*(x.denominator for u in fan.rays.values() for x in u))
+        self.pair_scale = Fraction(1, g * m * m)
+        gram_int = [[int(x * g) for x in row] for row in gram]
+        self._int_rays = {rid: tuple(int(x * m) for x in u) for rid, u in fan.rays.items()}
+        self._gram_rays = {
+            rid: tuple(sum(x * y for x, y in zip(row, u)) for row in gram_int)
+            for rid, u in self._int_rays.items()
+        }
+        self._ray_pairs: dict[tuple[str, str], int] = {}
+        self._gram_inv: dict[Cone, tuple[int, tuple[tuple[int, ...], ...]]] = {}
         self._sorted_cones: list[tuple[Cone, tuple[str, ...]]] | None = None
         self._stars: dict[Cone, "Context"] = {}
         self._vol_polys: dict[Cone, MultiPoly] = {}
@@ -98,38 +126,41 @@ class Context:
     def pair(self, u: Vec, v: Vec) -> Fraction:
         return dot(u, mat_vec(self.gram, v))
 
-    def ray_pair(self, a: str, b: str) -> Fraction:
-        """<u_a, u_b> for two ray ids, cached per unordered pair."""
+    def ray_pair(self, a: str, b: str) -> int:
+        """The integer <u~_a, G~ u~_b> = <u_a, u_b> / pair_scale, cached per unordered pair."""
         key = (a, b) if a <= b else (b, a)
         value = self._ray_pairs.get(key)
         if value is None:
-            value = self.pair(self.fan.rays[a], self.fan.rays[b])
+            value = sum(x * y for x, y in zip(self._int_rays[a], self._gram_rays[b]))
             self._ray_pairs[key] = value
         return value
 
-    def cone_gram_inverse(self, cone: Cone) -> Mat:
-        """Inverse of the cone's Gram block, rows and columns in sorted ray order.
+    def cone_gram_inverse(self, cone: Cone) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(D, adj): the determinant and adjugate of the cone's integer Gram block.
 
-        Bordered onto the inverse A of the face without the last ray r: with
-        b = <u_face, u_r>, a = A b and s = <u_r, u_r> - b.a > 0, the inverse is
-        [[A + a a^T / s, -a / s], [-a^T / s, 1 / s]].
+        Rows and columns are in sorted ray order, and G_cone^-1 = adj / (D pair_scale).
+        Bordered onto (D, A) of the face without the last ray r: with
+        b = ray_pair(face, r) and a = A b,
+        D' = ray_pair(r, r) D - b.a and adj' = [[(D' A + a a^T) / D, -a], [-a^T, D]].
+        The division by D is exact: its quotient is the block of adj', and the
+        adjugate of an integer matrix is integral (Sylvester's identity, the
+        step of Bareiss's elimination).
         """
-        inv = self._gram_inv.get(cone)
-        if inv is None:
+        entry = self._gram_inv.get(cone)
+        if entry is None:
             *head, last = sorted(cone)
-            face = self.cone_gram_inverse(frozenset(head)) if head else ()
+            d, adj = self.cone_gram_inverse(frozenset(head)) if head else (1, ())
             b = [self.ray_pair(rid, last) for rid in head]
-            a = [sum((x * y for x, y in zip(row, b)), ZERO) for row in face]
-            s = self.ray_pair(last, last) - sum((x * y for x, y in zip(a, b)), ZERO)
-            a_s = [x / s for x in a]
+            a = [sum(x * y for x, y in zip(row, b)) for row in adj]
+            d_new = self.ray_pair(last, last) * d - sum(x * y for x, y in zip(a, b))
             rows = [
-                tuple(face_row[j] + a_s[i] * a[j] for j in range(len(a))) + (-a_s[i],)
-                for i, face_row in enumerate(face)
+                tuple((d_new * v + ai * aj) // d for v, aj in zip(row, a)) + (-ai,)
+                for row, ai in zip(adj, a)
             ]
-            rows.append(tuple(-x for x in a_s) + (ONE / s,))
-            inv = tuple(rows)
-            self._gram_inv[cone] = inv
-        return inv
+            rows.append(tuple(-x for x in a) + (d,))
+            entry = (d_new, tuple(rows))
+            self._gram_inv[cone] = entry
+        return entry
 
     def sorted_cones(self) -> list[tuple[Cone, tuple[str, ...]]]:
         """Every nonzero cone with its sorted ray ids, in lexicographic order."""
@@ -183,8 +214,9 @@ def w_vector(ctx: Context, cone: Cone, z: Mapping[str, Fraction]) -> WVector:
     if not cone:
         return WVector(cone, zeros(ctx.fan.ambient_dim), ())
     rids = sorted(cone)
-    rhs = qvec([z[rid] for rid in rids])
-    coeffs = mat_vec(ctx.cone_gram_inverse(cone), rhs)
+    d, adj = ctx.cone_gram_inverse(cone)
+    scale = ONE / (d * ctx.pair_scale)
+    coeffs = tuple(scale * sum((a * z[rid] for a, rid in zip(row, rids)), ZERO) for row in adj)
     coords = zeros(ctx.fan.ambient_dim)
     for c, rid in zip(coeffs, rids):
         coords = vec_add(coords, vec_scale(c, ctx.fan.rays[rid]))
@@ -211,18 +243,25 @@ class CubReport:
         return self.classification in (CUBICAL, PSEUDOCUBICAL_BOUNDARY)
 
 
-def _coefficient_rows(
-    ctx: Context, z: Mapping[str, Fraction]
-) -> Iterator[tuple[Cone, tuple[str, ...], Vec]]:
-    """(cone, its sorted ray ids, c_cone(z)) for every nonzero cone, lazily.
+def _scaled_z(z: Mapping[str, Fraction]) -> tuple[int, dict[str, int]]:
+    """(Z, Z z) with Z the lcm of the denominators of z."""
+    scale = lcm(*(v.denominator for v in z.values()))
+    return scale, {rid: v.numerator * (scale // v.denominator) for rid, v in z.items()}
 
-    c_cone(z) = G_cone^-1 z_cone holds the barycentric coefficients of
-    w_cone(z); the rows come in ``Context.sorted_cones`` order.
+
+def _coefficient_rows(
+    ctx: Context, zz: Mapping[str, int]
+) -> Iterator[tuple[Cone, tuple[str, ...], tuple[int, ...]]]:
+    """(cone, its sorted ray ids, adj_cone zz_cone) for every nonzero cone, lazily.
+
+    For zz = Z z these integers are Z D pair_scale times the barycentric
+    coefficients c_cone(z) = G_cone^-1 z_cone of w_cone(z), so they have the
+    coefficients' signs; the rows come in ``Context.sorted_cones`` order.
     """
     for cone, rids in ctx.sorted_cones():
-        inv = ctx.cone_gram_inverse(cone)
-        support = [(j, z[rid]) for j, rid in enumerate(rids) if z[rid]]
-        yield cone, rids, tuple(sum((row[j] * v for j, v in support), ZERO) for row in inv)
+        adj = ctx.cone_gram_inverse(cone)[1]
+        support = [(j, zz[rid]) for j, rid in enumerate(rids) if zz[rid]]
+        yield cone, rids, tuple(sum(row[j] * v for j, v in support) for row in adj)
 
 
 def _scan(rows) -> CubReport:
@@ -242,7 +281,7 @@ def _scan(rows) -> CubReport:
 def classify_z(ctx: Context, z: Mapping[str, Fraction]) -> CubReport:
     """Exact classification by the barycentric coefficients of every w-vector."""
     _check_keys(ctx.fan, z)
-    return _scan(_coefficient_rows(ctx, z))
+    return _scan(_coefficient_rows(ctx, _scaled_z(z)[1]))
 
 
 def _require_pseudocubical(report: CubReport) -> None:
@@ -263,10 +302,12 @@ def find_cubical(ctx: Context) -> tuple[ZValues, Fraction] | None:
     index = {rid: i for i, rid in enumerate(ray_order)}
     rows: dict[Vec, None] = {}  # coefficient rows repeat across shared faces
     for cone, rids in ctx.sorted_cones():
-        for inv_row in ctx.cone_gram_inverse(cone):
+        d, adj = ctx.cone_gram_inverse(cone)
+        scale = ONE / (d * ctx.pair_scale)
+        for adj_row in adj:
             row = [ZERO] * len(ray_order)
-            for rid, v in zip(rids, inv_row):
-                row[index[rid]] = v
+            for rid, v in zip(rids, adj_row):
+                row[index[rid]] = scale * v
             rows.setdefault(tuple(row))
     found = lp.max_min_slack(list(rows))
     if found is None:
@@ -288,11 +329,9 @@ def restrict_z(
     star_ctx = ctx.star_context(tau)
     if not tau:
         return dict(z)
-    w = w_vector(ctx, tau, z)
-    out = {
-        eta: z[eta] - ctx.pair(w.coords, ctx.fan.rays[eta])
-        for eta in star_ctx.fan.ray_ids()
-    }
+    rids = star_ctx.fan.ray_ids()
+    pairings = _ray_pairings(ctx, w_vector(ctx, tau, z), rids)
+    out = {eta: z[eta] - p for eta, p in zip(rids, pairings)}
     if check:
         before = classify_z(ctx, z).classification
         after = classify_z(star_ctx, out).classification
@@ -311,7 +350,30 @@ def face_complex(
     return ctx.star_context(tau), restrict_z(ctx, tau, z, check=True)
 
 
+def _ray_pairings(ctx: Context, w: WVector, rids: Sequence[str]) -> tuple[Fraction, ...]:
+    """<w, u_rho> for each ray id rho, as sum_theta c_theta <u_theta, u_rho> over the
+    barycentric coefficients of w and the cached integer ray pairings."""
+    return tuple(
+        ctx.pair_scale * sum((c * ctx.ray_pair(theta, rho) for theta, c in w.coefficients), ZERO)
+        for rho in rids
+    )
+
+
 # -- polytopes --------------------------------------------------------------
+
+
+def _face_w_vectors(ctx: Context, sigma: Cone, z: Mapping[str, Fraction]) -> list[WVector]:
+    """w_tau(z) for every face tau of sigma, checked for negative coefficients."""
+    _check_keys(ctx.fan, z)
+    rids = sorted(sigma)
+    out = []
+    for k in range(len(rids) + 1):
+        for sub in combinations(rids, k):
+            w = w_vector(ctx, frozenset(sub), z)
+            if any(c < 0 for _, c in w.coefficients):
+                raise NotPseudocubical(f"z is outside the pseudocubical cone at {list(sub)}")
+            out.append(w)
+    return out
 
 
 def polytope_vertices(
@@ -323,16 +385,7 @@ def polytope_vertices(
     w-vector of a face of sigma has a negative barycentric coefficient; no
     other cone is read.
     """
-    _check_keys(ctx.fan, z)
-    rids = sorted(sigma)
-    out: dict[Cone, Vec] = {}
-    for k in range(len(rids) + 1):
-        for sub in combinations(rids, k):
-            w = w_vector(ctx, frozenset(sub), z)
-            if any(c < 0 for _, c in w.coefficients):
-                raise NotPseudocubical(f"z is outside the pseudocubical cone at {list(sub)}")
-            out[w.cone] = w.coords
-    return out
+    return {w.cone: w.coords for w in _face_w_vectors(ctx, sigma, z)}
 
 
 # -- volumes: one dynamic program over the cones ------------------------------
@@ -374,27 +427,35 @@ def _face_dp(
     return sum((weights[s] * layer[s] for s in ctx.fan.max_cones if s in layer), zero)
 
 
+# (classification, Z, {cone: adj_cone (Z z)_cone})
+_Table = tuple[CubReport, int, dict[Cone, tuple[int, ...]]]
+
+
 class TruncationTables:
     """The barycentric table of each distinct truncation, built once per instance.
 
-    A table maps every nonzero cone sigma to c_sigma(z).  Its signs give the
-    classification and its entries give the factors of the dynamic program,
-    z^{sigma - rho}_rho = c_sigma(z)_rho / (G_sigma^-1)_{rho rho}.  Truncations are
-    told apart by value.  Nothing is stored on the context.
+    A table holds Z z scaled to integers, Z the lcm of the denominators of z,
+    and maps every nonzero cone sigma to the integers adj_sigma (Z z)_sigma,
+    which are Z D_sigma pair_scale c_sigma(z).  Their signs give the
+    classification, and the factors of the dynamic program are
+    z^{sigma - rho}_rho = c_sigma(z)_rho / (G_sigma^-1)_{rho rho}
+    = num_rho / (Z adj_{rho rho}), where adj_{rho rho} = D_{sigma - rho} > 0.
+    Truncations are told apart by value.  Nothing is stored on the context.
     """
 
     def __init__(self, ctx: Context):
         self.ctx = ctx
         self._rays = ctx.fan.ray_ids()
-        self._tables: dict[tuple[Fraction, ...], tuple[CubReport, dict[Cone, Vec]]] = {}
+        self._tables: dict[tuple[Fraction, ...], _Table] = {}
 
-    def _entry(self, z: Mapping[str, Fraction]) -> tuple[CubReport, dict[Cone, Vec]]:
+    def _entry(self, z: Mapping[str, Fraction]) -> _Table:
         _check_keys(self.ctx.fan, z)
         key = tuple(z[rid] for rid in self._rays)
         entry = self._tables.get(key)
         if entry is None:
-            rows = list(_coefficient_rows(self.ctx, z))
-            entry = (_scan(rows), {cone: coeffs for cone, _, coeffs in rows})
+            scale, zz = _scaled_z(z)
+            rows = list(_coefficient_rows(self.ctx, zz))
+            entry = (_scan(rows), scale, {cone: nums for cone, _, nums in rows})
             self._tables[key] = entry
         return entry
 
@@ -403,14 +464,22 @@ class TruncationTables:
         return self._entry(z)[0]
 
     def table(self, z: Mapping[str, Fraction]) -> dict[Cone, Vec]:
-        return self._entry(z)[1]
+        """c_sigma(z) for every nonzero cone sigma, as Fractions."""
+        _, scale, nums = self._entry(z)
+        out = {}
+        for cone, row in nums.items():
+            unit = ONE / (scale * self.ctx.cone_gram_inverse(cone)[0] * self.ctx.pair_scale)
+            out[cone] = tuple(unit * v for v in row)
+        return out
 
-    def _factors(self, table: dict[Cone, Vec]) -> Callable[[Cone], Vec]:
+    def _factors(self, scale: int, nums: dict[Cone, tuple[int, ...]]) -> Callable[[Cone], Vec]:
         gram_inverse = self.ctx.cone_gram_inverse
 
         def row(cone: Cone) -> Vec:
-            inv = gram_inverse(cone)
-            return tuple(c / inv[i][i] if c else ZERO for i, c in enumerate(table[cone]))
+            adj = gram_inverse(cone)[1]
+            return tuple(
+                Fraction(v, scale * adj[i][i]) if v else ZERO for i, v in enumerate(nums[cone])
+            )
 
         return row
 
@@ -420,9 +489,9 @@ class TruncationTables:
             raise ArityMismatch(f"need exactly {d} arguments, got {len(zs)}")
         levels = []
         for z in zs:
-            report, table = self._entry(z)
+            report, scale, nums = self._entry(z)
             _require_pseudocubical(report)
-            levels.append(self._factors(table))
+            levels.append(self._factors(scale, nums))
         return _face_dp(self.ctx, levels, ONE, ZERO)
 
 
@@ -476,18 +545,18 @@ def vol_polynomial(ctx: Context, tau: Cone = ZERO_CONE) -> MultiPoly:
     sum_{theta in sigma - tau} (G_sigma^-1)_{rho theta} / (G_sigma^-1)_{rho rho} x_theta.
     This is the star's own factor: the star's Gram on sigma - tau is the Schur
     complement of G_tau in G_sigma, whose inverse is the (sigma - tau)-block of
-    G_sigma^-1.  Cached on the context per tau.
+    G_sigma^-1.  The ratios are read off the adjugate, adj_{rho theta} / adj_{rho rho}.
+    Cached on the context per tau.
     """
     poly = ctx._vol_polys.get(tau)
     if poly is None:
 
         def forms(cone: Cone) -> tuple[MultiPoly, ...]:
-            inv = ctx.cone_gram_inverse(cone)
-            rids = sorted(cone)
-            cols = [(j, t) for j, t in enumerate(rids) if t not in tau]
+            adj = ctx.cone_gram_inverse(cone)[1]
+            cols = [(j, t) for j, t in enumerate(sorted(cone)) if t not in tau]
             return tuple(
-                MultiPoly.linear({t: inv[i][j] / inv[i][i] for j, t in cols})
-                for i in range(len(rids))
+                MultiPoly.linear({t: Fraction(row[j], row[i]) for j, t in cols})
+                for i, row in enumerate(adj)
             )
 
         levels = [forms] * (ctx.fan.d - len(tau))
@@ -510,18 +579,16 @@ def geometric_volume_oracle(
     rays of sigma.  In the coordinates <w, u_rho>, rho in sigma (the *-dual
     basis of the marked generators, where the fundamental simplex is the
     standard simplex), a simplex's normalized volume is the |det| of its
-    chain vertices.  The vertices come from ``polytope_vertices``, so only
-    the faces of sigma are checked (NotPseudocubical).  Limited to cones of
-    dimension <= 3.
+    chain vertices.  Each coordinate is computed from the barycentric
+    coefficients of the face's w-vector, sum_theta c_theta <u_theta, u_rho>,
+    even where it must equal z_rho, so the w-vectors are checked too; as in
+    ``polytope_vertices`` only the faces of sigma are checked for negative
+    coefficients (NotPseudocubical).  Limited to cones of dimension <= 3.
     """
     if len(sigma) > 3:
         raise DimTooLarge("geometric oracle supports dimension <= 3 only")
     rids = sorted(sigma)
-    rays = [ctx.fan.rays[rid] for rid in rids]
-    vertex = {
-        face: tuple(ctx.pair(w, u) for u in rays)
-        for face, w in polytope_vertices(ctx, sigma, z).items()
-    }
+    vertex = {w.cone: _ray_pairings(ctx, w, rids) for w in _face_w_vectors(ctx, sigma, z)}
     total = ZERO
     for order in permutations(rids):
         chain = tuple(vertex[frozenset(order[:i])] for i in range(1, len(order) + 1))

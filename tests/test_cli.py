@@ -338,12 +338,26 @@ def test_error_reported_on_stderr(quadrant_files, capsys, tmp_path):
     assert "error" in json.loads(err)
 
 
+# Matroid files each lacking one key that their kind needs; "hrw" must name it.
+BAD_MATROIDS = {
+    "matroid without kind": ({"ground_set": ["a", "b", "c"], "rank": 2}, "kind"),
+    "matroid without ground_set": ({"kind": "uniform", "rank": 2}, "ground_set"),
+    "uniform matroid without rank": ({"kind": "uniform", "ground_set": ["a", "b"]}, "rank"),
+    "graphic matroid without edges": ({"kind": "graphic", "ground_set": ["a"]}, "edges"),
+    "matroid from flats without flats": ({"kind": "flats", "ground_set": ["a"]}, "flats"),
+    "linear matroid without matrix": ({"kind": "linear", "ground_set": ["a"]}, "matrix"),
+}
+
+
 @pytest.mark.parametrize(
-    "case", ["missing file", "malformed JSON", "truncation without z", "Gram without gram key", "bad cap"]
+    "case",
+    ["missing file", "malformed JSON", "truncation without z", "Gram without gram key", "bad cap"]
+    + list(BAD_MATROIDS),
 )
 def test_unreadable_input_is_a_json_error(case, quadrant_files, capsys, monkeypatch, tmp_path):
     files = dict(quadrant_files)
     bad = tmp_path / "bad.json"
+    argv = None
     if case == "missing file":
         files["fan"] = str(tmp_path / "missing.json")
     elif case == "malformed JSON":
@@ -355,9 +369,16 @@ def test_unreadable_input_is_a_json_error(case, quadrant_files, capsys, monkeypa
     elif case == "Gram without gram key":
         bad.write_text(json.dumps([["1", "0"], ["0", "1"]]))
         files["gram"] = str(bad)
-    else:
+    elif case == "bad cap":
         monkeypatch.setenv("NORMALVOL_CAPS", "max_rays=abc")
-    argv = ["volume", "--fan", files["fan"], "--gram", files["gram"], "--z", files["z"]]
+    else:
+        raw, key = BAD_MATROIDS[case]
+        bad.write_text(json.dumps(raw))
+        argv = ["hrw", "--matroid", str(bad)]
+    if argv is None:
+        argv = ["volume", "--fan", files["fan"], "--gram", files["gram"], "--z", files["z"]]
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert isinstance(json.loads(err)["error"], str)
+    if case in BAD_MATROIDS:
+        assert repr(BAD_MATROIDS[case][1]) in json.loads(err)["error"]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import normalvol as nv
 from normalvol import af, chow
 from normalvol.fan import product_fan, star_connected_minus_origin
-from normalvol.linalg import identity, signature
+from normalvol.linalg import identity, inverse, mat_mul, signature
 from normalvol.normalcx import (
     Context,
     TruncationTables,
@@ -122,10 +122,40 @@ def test_table_factors_are_restrictions(case):
     z = zs[0]
     table = TruncationTables(ctx).table(z)
     for sigma, coeffs in table.items():
-        inv = ctx.cone_gram_inverse(sigma)
+        d, adj = ctx.cone_gram_inverse(sigma)
         for i, rho in enumerate(sorted(sigma)):
+            inv_rho_rho = adj[i][i] / (d * ctx.pair_scale)
             restricted = restrict_z(ctx, sigma - {rho}, z)
-            assert coeffs[i] / inv[i][i] == restricted[rho]
+            assert coeffs[i] / inv_rho_rho == restricted[rho]
+
+
+@st.composite
+def context_with_rational_rays(draw):
+    """A fan of FANS with every ray scaled by a random positive rational, and a random Gram."""
+    fan = FANS[draw(st.sampled_from(sorted(FANS)))]
+    scale = st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=6)
+    rays = {rid: tuple(draw(scale) * x for x in u) for rid, u in fan.rays.items()}
+    cones = [(tuple(sorted(c)), fan.weights[c]) for c in fan.max_cones]
+    return Context(nv.MarkedFan(fan.ambient_dim, rays, cones), draw(gram(fan.ambient_dim)))
+
+
+@PROPERTY
+@given(context_with_rational_rays())
+def test_cone_adjugates_invert_the_gram_blocks(ctx):
+    # G_sigma^-1 = adj / (D pair_scale), with adj G~_sigma = D I in the integer pairings
+    for sigma in ctx.fan.cones:
+        if not sigma:
+            continue
+        rids = sorted(sigma)
+        d, adj = ctx.cone_gram_inverse(sigma)
+        pairs = [[ctx.ray_pair(a, b) for b in rids] for a in rids]
+        assert d > 0
+        assert mat_mul(adj, pairs) == tuple(
+            tuple(d if i == j else 0 for j in range(len(rids))) for i in range(len(rids))
+        )
+        rays = [ctx.fan.rays[rid] for rid in rids]
+        block = tuple(tuple(ctx.pair(u, v) for v in rays) for u in rays)
+        assert tuple(tuple(v / (d * ctx.pair_scale) for v in row) for row in adj) == inverse(block)
 
 
 @st.composite

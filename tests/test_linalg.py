@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normalvol.errors import DimensionMismatch, NoSolution, NotSymmetric
 from normalvol.linalg import (
@@ -98,3 +100,112 @@ def test_signature_congruence_invariance():
 def test_vector_length_mismatch():
     with pytest.raises(DimensionMismatch):
         dot(qvec([1, 2]), qvec([1, 2, 3]))
+
+
+# -- the fraction-free routines against plain rational elimination -----------
+
+
+def _reference_eliminate(rows, col_order):
+    """Gauss-Jordan over Fraction: normalize each pivot row, clear its column."""
+    pivots = []
+    r = 0
+    for c in col_order:
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [inv * v for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def _reference_solve(a, b, col_order):
+    """(x, nullspace basis), or None when A x = b is inconsistent."""
+    n = len(a[0])
+    rows = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    pivots = _reference_eliminate(rows, col_order)
+    if any(rows[i][n] != 0 for i in range(len(pivots), len(a))):
+        return None
+    x = [Fraction(0)] * n
+    for r, c in pivots:
+        x[c] = rows[r][n]
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for fc in (c for c in range(n) if c not in pivot_cols):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for r, c in pivots:
+            v[c] = -rows[r][fc]
+        basis.append(tuple(v))
+    return tuple(x), tuple(basis)
+
+
+def _reference_det(a):
+    rows = [list(row) for row in a]
+    n, result = len(rows), Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            result = -result
+        result *= rows[c][c]
+        for i in range(c + 1, n):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [v - f * w for v, w in zip(rows[i], rows[c])]
+    return result
+
+
+RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+@st.composite
+def rational_systems(draw):
+    """(A, b) with A of rank at most ``rank``; the other rows are rational
+    combinations of the first ones, so A is often rank-deficient and A x = b
+    often inconsistent.  Zero entries are likely."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(Fraction(0)), RATIONALS)
+    base = [[draw(entry) for _ in range(n)] for _ in range(draw(st.integers(1, m)))]
+    rows = list(base)
+    while len(rows) < m:
+        coeffs = [draw(st.one_of(st.just(Fraction(0)), RATIONALS)) for _ in base]
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, base)) for j in range(n)])
+    order = draw(st.permutations(range(m)))
+    a = qmat([rows[i] for i in order])
+    b = qvec(draw(entry) for _ in range(m))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_systems())
+def test_integer_elimination_matches_rational_elimination(system):
+    a, b = system
+    n = len(a[0])
+    for order in (list(range(n)), list(range(n - 1, -1, -1))):
+        expected = _reference_solve(a, b, order)
+        if expected is None:
+            with pytest.raises(NoSolution):
+                solve(a, b, col_order=order)
+        else:
+            sol = solve(a, b, col_order=order)
+            assert (sol.x, sol.nullspace) == expected
+    assert rank(a) == len(_reference_eliminate([list(row) for row in a], range(n)))
+    if len(a) == n:
+        assert det(a) == _reference_det(a)
+        if _reference_det(a) == 0:
+            with pytest.raises(NoSolution):
+                inverse(a)
+        else:
+            columns = tuple(_reference_solve(a, e, range(n))[0] for e in identity(n))
+            assert inverse(a) == transpose(columns)
