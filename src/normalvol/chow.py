@@ -1,11 +1,14 @@
 """Chow ring degree computations for tropical fans.
 
 Classes of grade k are rational combinations of the squarefree cone
-monomials X_sigma with dim(sigma) = k.  Multiplying by a divisor
-D(z) = sum z_rho x_rho uses the linear relations of the ray variables to
-rewrite x_rho * X_sigma when rho already lies in sigma, so products stay in
-the X_sigma basis at every step.  This path never touches volumes, which
-makes it an independent check of the volume algorithms.
+monomials X_sigma with dim(sigma) = k.  Multiplying X_sigma by a divisor
+D(z) = sum z_rho x_rho first subtracts (sum_eta <v, u_eta> x_eta) X_sigma = 0,
+for one covector v per cone with <v, u_rho> = z_rho on the rays of sigma.
+The terms of sigma's own rays then cancel, and x_eta X_sigma = 0
+unless sigma | {eta} is a cone, so D(z) X_sigma is the sum over eta in
+link(sigma) of (z_eta - <v, u_eta>) X_{sigma | eta}: products stay in the
+X_sigma basis at one linear solve per (cone, divisor).  This path never
+touches volumes, which makes it an independent check of the volume algorithms.
 """
 
 from __future__ import annotations
@@ -48,29 +51,22 @@ class ChowClass:
         return dict(self.weights)
 
 
-def covector(fan: MarkedFan, sigma: Cone, rho: str, strategy: str = LEX) -> Vec:
-    """A linear functional with <v, u_rho> = 1 and <v, u_eta> = 0 for eta in sigma - rho.
+def covector(fan: MarkedFan, sigma: Cone, z: Mapping[str, Fraction], strategy: str = LEX) -> Vec:
+    """A linear functional v with <v, u_rho> = z_rho for every ray rho of sigma.
 
     The system is underdetermined when dim(sigma) < ambient_dim; the pivot
     strategy fixes which solution is taken (free coordinates are zero), and
     degrees must not depend on it.
     """
-    cache = fan.covector_cache
-    key = (sigma, rho, strategy)
-    if key in cache:
-        return cache[key]
-    rids = sorted(sigma)
-    a = tuple(fan.rays[rid] for rid in rids)
-    b = qvec([ONE if rid == rho else ZERO for rid in rids])
     if strategy == LEX:
-        order = list(range(fan.ambient_dim))
+        order = range(fan.ambient_dim)
     elif strategy == REVLEX:
-        order = list(range(fan.ambient_dim - 1, -1, -1))
+        order = range(fan.ambient_dim - 1, -1, -1)
     else:
         raise ValueError(f"unknown pivot strategy {strategy!r}")
-    v = solve(a, b, col_order=order).x
-    cache[key] = v
-    return v
+    rids = sorted(sigma)
+    a = tuple(fan.rays[rid] for rid in rids)
+    return solve(a, qvec([z[rid] for rid in rids]), col_order=order).x
 
 
 def multiply_divisor(
@@ -84,22 +80,14 @@ def multiply_divisor(
         raise GradeOverflow(f"cannot raise grade {cls.grade} on a {fan.d}-dimensional fan")
     out: dict[Cone, Fraction] = {}
     for sigma, c in cls.weights:
-        link = fan.link(sigma)
-        for rho in link:
-            factor = c * Fraction(z[rho])
-            if factor:
-                bigger = sigma | {rho}
-                out[bigger] = out.get(bigger, ZERO) + factor
-        for rho in sorted(sigma):
-            factor = c * Fraction(z[rho])
-            if factor == 0:
-                continue
-            v = covector(fan, sigma, rho, strategy)
-            for eta in link:
-                coeff = dot(v, fan.rays[eta])
-                if coeff:
-                    bigger = sigma | {eta}
-                    out[bigger] = out.get(bigger, ZERO) - factor * coeff
+        v = covector(fan, sigma, z, strategy) if any(z[rho] for rho in sigma) else None
+        for eta in fan.link(sigma):
+            coeff = Fraction(z[eta])
+            if v is not None:
+                coeff -= dot(v, fan.rays[eta])
+            if coeff:
+                bigger = sigma | {eta}
+                out[bigger] = out.get(bigger, ZERO) + c * coeff
     return ChowClass.build(cls.grade + 1, out)
 
 

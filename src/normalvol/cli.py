@@ -18,7 +18,7 @@ from typing import Callable
 
 from . import af, chow, normalcx
 from .errors import DimTooLarge, InputError, NormalVolError
-from .fan import MarkedFan, build_fan, fan_to_json, is_tropical
+from .fan import MarkedFan, fan_to_json, is_tropical, parse_fan
 from .linalg import Mat, qmat
 from .matroid import GROUND_SET_CAP, matroid_from_json
 from .normalcx import Context, ZValues
@@ -59,12 +59,14 @@ def _load_json(path: str) -> dict:
 
 
 def _load_fan(path: str, caps: Caps) -> MarkedFan:
-    fan = build_fan(_load_json(path))
-    if len(fan.rays) > caps.max_rays:
-        raise NormalVolError(f"fan has {len(fan.rays)} rays, cap is {caps.max_rays}")
-    if fan.d > caps.max_dim:
-        raise DimTooLarge(f"fan dimension {fan.d} exceeds the cap {caps.max_dim}")
-    return fan
+    """The fan of a file, its caps checked before ``MarkedFan`` validates anything."""
+    ambient_dim, rays, max_cones = parse_fan(_load_json(path))
+    if len(rays) > caps.max_rays:
+        raise NormalVolError(f"fan has {len(rays)} rays, cap is {caps.max_rays}")
+    d = max((len(set(ray_ids)) for ray_ids, _ in max_cones), default=0)
+    if d > caps.max_dim:
+        raise DimTooLarge(f"fan dimension {d} exceeds the cap {caps.max_dim}")
+    return MarkedFan(ambient_dim, rays, max_cones)
 
 
 def _load_gram(path: str) -> Mat:
@@ -175,6 +177,8 @@ def cmd_cubical_find(args, caps: Caps) -> int:
 
 
 def cmd_af_check(args, caps: Caps) -> int:
+    if args.samples < 1:
+        raise InputError(f"--samples must be at least 1, got {args.samples}")
     fan = _load_fan(args.fan, caps)
     ctx = Context(fan, _load_gram(args.gram))
     if args.z:

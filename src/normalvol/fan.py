@@ -20,10 +20,9 @@ from .errors import (
     NonpositiveWeight,
     NotPure,
     NotSimplicial,
-    NoSolution,
     RayProjectionCollision,
 )
-from .linalg import Mat, Vec, ZERO, ONE, dot, mat_vec, qvec, rank, solve, solve_unique, vec_scale, vec_sub, zeros
+from .linalg import Mat, Vec, ZERO, ONE, dot, mat_vec, qvec, rank, solve_unique, vec_scale, vec_sub, zeros
 from .serialize import format_rat, parse_rat
 
 Cone = frozenset[str]
@@ -84,7 +83,6 @@ class MarkedFan:
         self._links: dict[Cone, tuple[str, ...]] = {c: tuple(sorted(s)) for c, s in links.items()}
         self.cones: KeysView[Cone] = self._links.keys()
         self._tropical: TropicalReport | None = None  # filled by is_tropical
-        self.covector_cache: dict[tuple[Cone, str, str], Vec] = {}  # filled by chow.covector
         # Whether cones were checked to meet face to face: the check runs for d <= 3 only.
         self.faces_meet_checked = validate_geometry and self.d <= 3
         if self.faces_meet_checked:
@@ -158,17 +156,25 @@ def _subsets(items: list[str]):
 # -- construction from JSON ---------------------------------------------
 
 
-def build_fan(raw: Mapping) -> MarkedFan:
-    """Build and validate a fan from its JSON description."""
+def parse_fan(raw: Mapping) -> tuple[int, dict[str, Vec], list[tuple[tuple[str, ...], Fraction]]]:
+    """The ambient dimension, rays and weighted maximal cones of a JSON fan description.
+
+    Only the shape is checked here; ``MarkedFan`` validates the geometry.
+    """
     try:
         ambient_dim = int(raw["ambient_dim"])
         rays = {entry["id"]: qvec([parse_rat(v) for v in entry["u"]]) for entry in raw["rays"]}
-        max_cones = [(entry["rays"], parse_rat(entry["weight"])) for entry in raw["max_cones"]]
-    except (KeyError, TypeError) as exc:
+        max_cones = [(tuple(e["rays"]), parse_rat(e["weight"])) for e in raw["max_cones"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"malformed fan description: {exc}") from exc
     if len(rays) != len(raw["rays"]):
         raise FacesDontMeet("duplicate ray ids")
-    return MarkedFan(ambient_dim, rays, max_cones)
+    return ambient_dim, rays, max_cones
+
+
+def build_fan(raw: Mapping) -> MarkedFan:
+    """Build and validate a fan from its JSON description."""
+    return MarkedFan(*parse_fan(raw))
 
 
 def fan_to_json(fan: MarkedFan) -> dict:
@@ -202,26 +208,16 @@ def is_tropical(fan: MarkedFan) -> TropicalReport:
 
 
 def _balancing_report(fan: MarkedFan) -> TropicalReport:
+    """Cones tau whose weighted link sum leaves span(tau); tau's rays are independent."""
     failing = []
     for tau in fan.cones_of_dim(fan.d - 1):
         total = zeros(fan.ambient_dim)
         for eta in fan.link(tau):
             weight = fan.weights[tau | {eta}]
             total = tuple(t + weight * u for t, u in zip(total, fan.rays[eta]))
-        if not _in_span(fan, tau, total):
+        if rank(tuple(fan.rays[rid] for rid in tau) + (total,)) != len(tau):
             failing.append(tau)
     return TropicalReport(not failing, tuple(failing))
-
-
-def _in_span(fan: MarkedFan, cone: Cone, v: Vec) -> bool:
-    if not cone:
-        return all(x == 0 for x in v)
-    cols = tuple(tuple(fan.rays[rid][i] for rid in sorted(cone)) for i in range(fan.ambient_dim))
-    try:
-        solve(cols, v)
-    except NoSolution:
-        return False
-    return True
 
 
 # -- star fans ------------------------------------------------------------

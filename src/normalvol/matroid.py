@@ -234,8 +234,9 @@ def linear(columns: Mapping[str, Sequence] | Sequence[Sequence], labels: Sequenc
 def matroid_from_json(raw: Mapping, cap: int = GROUND_SET_CAP) -> Matroid:
     """A matroid from its file: a ``kind`` with the keys it needs, and a ``ground_set``.
 
-    A missing key raises InputError naming it; a ground set larger than
-    ``cap`` raises GroundSetTooLarge before anything is built.
+    A missing key, or one whose value has the wrong shape, raises InputError
+    naming it; a ground set larger than ``cap`` raises GroundSetTooLarge
+    before anything is built.
     """
 
     def field(key: str):
@@ -244,19 +245,24 @@ def matroid_from_json(raw: Mapping, cap: int = GROUND_SET_CAP) -> Matroid:
         except (KeyError, TypeError):
             raise InputError(f"the matroid file has no {key!r}") from None
 
-    ground = [str(e) for e in field("ground_set")]
+    def parsed(key: str, convert):
+        try:
+            return convert(field(key))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"the matroid file's {key!r} is malformed: {exc}") from None
+
+    ground = parsed("ground_set", lambda g: [str(e) for e in g])
     if len(ground) > cap:
         raise GroundSetTooLarge(f"|E| = {len(ground)} exceeds the cap {cap}")
     kind = field("kind")
     if kind == "flats":
-        return from_flats(ground, field("flats"))
+        return from_flats(ground, parsed("flats", lambda fs: [list(f) for f in fs]))
     if kind == "uniform":
-        return uniform(int(field("rank")), ground)
+        return uniform(parsed("rank", int), ground)
     if kind == "graphic":
-        return graphic(field("edges"), ground)
+        return graphic(parsed("edges", lambda es: [(u, v) for u, v in es]), ground)
     if kind == "linear":
-        cols = [[parse_rat(v) for v in col] for col in field("matrix")]
-        return linear(cols, ground)
+        return linear(parsed("matrix", lambda cs: [[parse_rat(v) for v in c] for c in cs]), ground)
     raise UnknownElement(f"unknown matroid kind {kind!r}")
 
 

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import normalvol as nv
 from normalvol.chow import LEX, REVLEX, ChowClass, class_to_json, covector
 from normalvol.errors import GradeOverflow, NotTropical, WrongGrade
-from normalvol.fan import ZERO_CONE
+from normalvol.fan import ZERO_CONE, product_fan
+from normalvol.linalg import dot, qvec, solve
 from normalvol.normalcx import vol_recursive
 
 from conftest import bergman, make_pm1_fan, make_quadrant_fan
@@ -48,10 +51,85 @@ def test_degree_requires_tropical():
 
 
 def test_covector_defining_equations():
-    fan = make_quadrant_fan()
+    fan = bergman("U34").fan  # cones of dimension <= 2 in a 3-dimensional space
+    assert fan.ambient_dim == 3
+    sigma = fan.cones_of_dim(2)[0]
+    rids = fan.ray_ids()
+    z1 = {r: Fraction(i + 2, 3) for i, r in enumerate(rids)}
+    z2 = {r: Fraction(5 - 2 * i, 7) for i, r in enumerate(rids)}
+    lam = Fraction(-3, 2)
+    combo = {r: z1[r] + lam * z2[r] for r in rids}
+    chosen = {}
     for strategy in (LEX, REVLEX):
-        v = covector(fan, frozenset({"r1", "r2"}), "r1", strategy)
-        assert v == (Fraction(1), Fraction(0))
+        v1, v2, vc = (covector(fan, sigma, z, strategy) for z in (z1, z2, combo))
+        for v, z in ((v1, z1), (v2, z2), (vc, combo)):
+            assert all(dot(v, fan.rays[rho]) == z[rho] for rho in sigma)
+        assert vc == tuple(a + lam * b for a, b in zip(v1, v2))
+        chosen[strategy] = v1
+    assert chosen[LEX] != chosen[REVLEX]
+
+
+def _reference_multiply(fan, cls, z, strategy):
+    """cls * D(z) by the per-ray expansion: one solve per ray rho of each sigma.
+
+    x_rho X_sigma for rho in sigma is rewritten with the covector v_rho dual
+    to rho on sigma (<v_rho, u_eta> = [eta == rho] for eta in sigma).
+    """
+    n = fan.ambient_dim
+    order = range(n) if strategy == LEX else range(n - 1, -1, -1)
+    out = {}
+    for sigma, c in cls.weights:
+        rids = sorted(sigma)
+        for eta in fan.link(sigma):
+            out[sigma | {eta}] = out.get(sigma | {eta}, Fraction(0)) + c * z[eta]
+        for rho in rids:
+            if not z[rho]:
+                continue
+            rhs = qvec([1 if rid == rho else 0 for rid in rids])
+            v = solve(tuple(fan.rays[rid] for rid in rids), rhs, col_order=order).x
+            for eta in fan.link(sigma):
+                out[sigma | {eta}] -= c * z[rho] * dot(v, fan.rays[eta])
+    return ChowClass.build(cls.grade + 1, out)
+
+
+# Every covector term vanishes on products of coordinate fans, so the product
+# here has a Bergman factor; U(4,5) adds 2-cones of one Bergman fan, on which
+# z can vanish on one ray and not the other.
+REFERENCE_FANS = {
+    "U34": bergman("U34").fan,
+    "K4": bergman("K4").fan,
+    "U45": bergman("U45").fan,
+    "U34 x pm1": product_fan(bergman("U34").fan, make_pm1_fan((2, 2))),
+}
+
+entries = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    name=st.sampled_from(sorted(REFERENCE_FANS)),
+    strategy=st.sampled_from((LEX, REVLEX)),
+    data=st.data(),
+)
+def test_multiply_divisor_matches_per_ray_expansion(name, strategy, data):
+    fan = REFERENCE_FANS[name]
+    cls = ChowClass.unit()
+    for _ in range(fan.d):
+        z = {r: data.draw(entries) for r in fan.ray_ids()}
+        product = nv.multiply_divisor(fan, cls, z, strategy)
+        assert product == _reference_multiply(fan, cls, z, strategy)
+        cls = product
+
+
+def test_deg_product_adds_no_attribute_to_the_fan():
+    fan = make_quadrant_fan()
+    before = set(vars(fan))
+    z = zmap(r1=1, r2=2, r3=3, r4=4)
+    assert nv.deg_product(fan, [z, z], REVLEX) == 48
+    assert set(vars(fan)) == before
 
 
 def test_deg_matches_volume_on_quadrant(quadrant_ctx):

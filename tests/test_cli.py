@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from normalvol import cli, normalcx
+from normalvol import cli, lp, normalcx
 
 from conftest import QUADRANT_JSON
 
@@ -252,6 +252,14 @@ def test_af_check_undefined_exits_3(quadrant_files, capsys, monkeypatch):
     assert json.loads(out)["verdict"] == "undefined"
 
 
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_af_check_rejects_fewer_than_one_sample(samples, quadrant_files, capsys):
+    argv = ["af-check", "--fan", quadrant_files["fan"], "--gram", quadrant_files["gram"]]
+    code, out, err = run(capsys, argv + ["--samples", samples])
+    assert code == 2 and out == ""
+    assert "--samples" in json.loads(err)["error"]
+
+
 def test_reduce_check(quadrant_files, capsys):
     code, out, _ = run(
         capsys,
@@ -319,6 +327,25 @@ def test_caps_env(quadrant_files, capsys, monkeypatch):
     assert "unknown cap" in json.loads(err)["error"]
 
 
+class ValidationRan(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cap", ["max_rays=3", "max_dim=1"])
+def test_caps_checked_before_validation(cap, quadrant_files, capsys, monkeypatch):
+    def refuse(*args):
+        raise ValidationRan
+
+    monkeypatch.setattr(lp, "feasible_nonneg", refuse)
+    argv = ["fan-validate", "--fan", quadrant_files["fan"]]
+    with pytest.raises(ValidationRan):  # without a cap, the quadrant is validated by LP
+        run(capsys, argv)
+    monkeypatch.setenv("NORMALVOL_CAPS", cap)
+    code, out, _ = run(capsys, argv)
+    assert code == 2
+    assert "cap" in json.loads(out)["error"]
+
+
 def test_error_reported_on_stderr(quadrant_files, capsys, tmp_path):
     bad_gram = tmp_path / "bad.json"
     bad_gram.write_text(json.dumps({"gram": [["1", "2"], ["0", "1"]]}))
@@ -338,7 +365,8 @@ def test_error_reported_on_stderr(quadrant_files, capsys, tmp_path):
     assert "error" in json.loads(err)
 
 
-# Matroid files each lacking one key that their kind needs; "hrw" must name it.
+# Matroid files each lacking one key that their kind needs, or giving it a
+# value of the wrong shape; "hrw" must name the key.
 BAD_MATROIDS = {
     "matroid without kind": ({"ground_set": ["a", "b", "c"], "rank": 2}, "kind"),
     "matroid without ground_set": ({"kind": "uniform", "rank": 2}, "ground_set"),
@@ -346,12 +374,28 @@ BAD_MATROIDS = {
     "graphic matroid without edges": ({"kind": "graphic", "ground_set": ["a"]}, "edges"),
     "matroid from flats without flats": ({"kind": "flats", "ground_set": ["a"]}, "flats"),
     "linear matroid without matrix": ({"kind": "linear", "ground_set": ["a"]}, "matrix"),
+    "uniform matroid with rank x": ({"kind": "uniform", "ground_set": ["a"], "rank": "x"}, "rank"),
+    "graphic matroid with a one-vertex edge": (
+        {"kind": "graphic", "ground_set": ["a"], "edges": [["1"]]},
+        "edges",
+    ),
+    "matroid from flats with flats 5": (
+        {"kind": "flats", "ground_set": ["a"], "flats": 5},
+        "flats",
+    ),
 }
 
 
 @pytest.mark.parametrize(
     "case",
-    ["missing file", "malformed JSON", "truncation without z", "Gram without gram key", "bad cap"]
+    [
+        "missing file",
+        "malformed JSON",
+        "fan with ambient_dim x",
+        "truncation without z",
+        "Gram without gram key",
+        "bad cap",
+    ]
     + list(BAD_MATROIDS),
 )
 def test_unreadable_input_is_a_json_error(case, quadrant_files, capsys, monkeypatch, tmp_path):
@@ -362,6 +406,9 @@ def test_unreadable_input_is_a_json_error(case, quadrant_files, capsys, monkeypa
         files["fan"] = str(tmp_path / "missing.json")
     elif case == "malformed JSON":
         bad.write_text('{"ambient_dim": 2,')
+        files["fan"] = str(bad)
+    elif case == "fan with ambient_dim x":
+        bad.write_text(json.dumps({**QUADRANT_JSON, "ambient_dim": "x"}))
         files["fan"] = str(bad)
     elif case == "truncation without z":
         bad.write_text(json.dumps({"r1": "1"}))
