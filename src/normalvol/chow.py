@@ -66,7 +66,7 @@ def covector(fan: MarkedFan, sigma: Cone, z: Mapping[str, Fraction], strategy: s
         raise ValueError(f"unknown pivot strategy {strategy!r}")
     rids = sorted(sigma)
     a = tuple(fan.rays[rid] for rid in rids)
-    return solve(a, qvec([z[rid] for rid in rids]), col_order=order).x
+    return solve(a, qvec([z[rid] for rid in rids]), col_order=order)
 
 
 def multiply_divisor(

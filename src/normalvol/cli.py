@@ -58,6 +58,14 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:  # missing directory, no permission
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
 def _load_fan(path: str, caps: Caps) -> MarkedFan:
     """The fan of a file, its caps checked before ``MarkedFan`` validates anything."""
     ambient_dim, rays, max_cones = parse_fan(_load_json(path))
@@ -254,8 +262,7 @@ def cmd_hrw(args, caps: Caps) -> int:
         "bergman_fan": fan_to_json(report.fan),
     }
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+        _write(args.out, json.dumps(payload, indent=2, sort_keys=True))
     _emit(payload)
     return EXIT_PASS if report.verdict == "pass" else EXIT_FAIL
 
@@ -287,8 +294,7 @@ def cmd_export_mesh(args, caps: Caps) -> int:
             lines.append("v {:.12g} {:.12g} {:.12g}".format(*padded))
         lines.append(f"g cone_{'_'.join(rids)}")
         lines.extend(_obj_faces(rids, local))
-    with open(args.out, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write(args.out, "\n".join(lines) + "\n")
     _emit({"out": args.out, "vertices": vertex_count, "cones": len(fan.max_cones)})
     return EXIT_PASS
 

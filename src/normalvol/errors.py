@@ -6,7 +6,7 @@ class NormalVolError(Exception):
 
 
 class InputError(NormalVolError):
-    """An input file or setting cannot be read."""
+    """An input file or setting cannot be read, or an output file cannot be written."""
 
 
 class DimensionMismatch(NormalVolError):

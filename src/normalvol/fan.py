@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import KeysView
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Mapping
 
 from . import lp
@@ -22,8 +23,10 @@ from .errors import (
     NotSimplicial,
     RayProjectionCollision,
 )
-from .linalg import Mat, Vec, ZERO, ONE, dot, mat_vec, qvec, rank, solve_unique, vec_scale, vec_sub, zeros
-from .serialize import format_rat, parse_rat
+from .linalg import (
+    Mat, Vec, ZERO, ONE, dot, inverse, mat_vec, qvec, rank, vec_scale, vec_sub, zeros
+)
+from .serialize import format_rat, parse_int, parse_rat, read_field
 
 Cone = frozenset[str]
 
@@ -99,9 +102,6 @@ class MarkedFan:
     def weight(self, cone: Cone) -> Fraction:
         return self.weights[cone]
 
-    def maximal_cones_containing(self, cone: Cone) -> list[Cone]:
-        return [c for c in self.max_cones if cone <= c]
-
     def link(self, tau: Cone) -> tuple[str, ...]:
         """Sorted ids of the rays eta not in tau for which tau | {eta} is a cone."""
         try:
@@ -159,17 +159,26 @@ def _subsets(items: list[str]):
 def parse_fan(raw: Mapping) -> tuple[int, dict[str, Vec], list[tuple[tuple[str, ...], Fraction]]]:
     """The ambient dimension, rays and weighted maximal cones of a JSON fan description.
 
-    Only the shape is checked here; ``MarkedFan`` validates the geometry.
+    Only the shape is checked here, and a malformed key raises InputError
+    naming it; ``MarkedFan`` validates the geometry.
     """
-    try:
-        ambient_dim = int(raw["ambient_dim"])
-        rays = {entry["id"]: qvec([parse_rat(v) for v in entry["u"]]) for entry in raw["rays"]}
-        max_cones = [(tuple(e["rays"]), parse_rat(e["weight"])) for e in raw["max_cones"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DimensionMismatch(f"malformed fan description: {exc}") from exc
-    if len(rays) != len(raw["rays"]):
+    field = partial(read_field, raw, "the fan")
+    ambient_dim = field("ambient_dim", parse_int)
+    rays = field("rays", lambda es: [(_ray_id(e["id"]), qvec(map(parse_rat, e["u"]))) for e in es])
+    max_cones = field(
+        "max_cones",
+        lambda es: [(tuple(map(_ray_id, e["rays"])), parse_rat(e["weight"])) for e in es],
+    )
+    ray_map = dict(rays)
+    if len(ray_map) != len(rays):
         raise FacesDontMeet("duplicate ray ids")
-    return ambient_dim, rays, max_cones
+    return ambient_dim, ray_map, max_cones
+
+
+def _ray_id(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"a ray id must be a string, got {value!r}")
+    return value
 
 
 def build_fan(raw: Mapping) -> MarkedFan:
@@ -223,41 +232,33 @@ def _balancing_report(fan: MarkedFan) -> TropicalReport:
 # -- star fans ------------------------------------------------------------
 
 
-def orthogonal_projector(fan: MarkedFan, tau: Cone, gram: Mat):
-    """Return a function projecting onto the *-orthogonal complement of span(tau)."""
-    if not tau:
-        return lambda v: v
-    basis = [fan.rays[rid] for rid in sorted(tau)]
-    gbasis = [mat_vec(gram, u) for u in basis]
-    gm = tuple(tuple(dot(u, gb) for gb in gbasis) for u in basis)
-
-    def project(v: Vec) -> Vec:
-        rhs = qvec([dot(v, gb) for gb in gbasis])
-        coeffs = solve_unique(gm, rhs)
-        out = v
-        for c, u in zip(coeffs, basis):
-            out = vec_sub(out, vec_scale(c, u))
-        return out
-
-    return project
-
-
 def star(fan: MarkedFan, tau: Cone, gram: Mat) -> MarkedFan:
     """Star fan at tau, realized in the orthogonal complement of span(tau).
 
     Its rays are the rays of ``fan.link(tau)``, projected and keeping their
     ids, so restricting a z-vector to the star is index-stable; a star cone
-    pi stands for the cone pi | tau of the fan.
+    pi stands for the cone pi | tau of the fan.  A ray u projects to
+    u - sum_i c_i u_i over the rays u_i of tau, with c = G_tau^-1 (<u_i, u>)_i
+    and G_tau inverted once per star.  A projection is never zero: tau | {eta}
+    lies in a maximal cone, whose rays were checked independent.
     """
     if tau not in fan.cones:
         raise DimensionMismatch(f"{sorted(tau)} is not a cone of the fan")
     if not tau:
         return fan
-    project = orthogonal_projector(fan, tau, gram)
-    star_rays = {rid: project(fan.rays[rid]) for rid in fan.link(tau)}
+    basis = [fan.rays[rid] for rid in sorted(tau)]
+    gbasis = [mat_vec(gram, u) for u in basis]
+    gm_inv = inverse(tuple(tuple(dot(u, gb) for gb in gbasis) for u in basis))
+    star_rays = {}
+    for rid in fan.link(tau):
+        v = fan.rays[rid]
+        coeffs = mat_vec(gm_inv, tuple(dot(v, gb) for gb in gbasis))
+        for c, u in zip(coeffs, basis):
+            v = vec_sub(v, vec_scale(c, u))
+        star_rays[rid] = v
     _check_no_collision(star_rays)
     star_cones = [
-        (sorted(sigma - tau), fan.weights[sigma]) for sigma in fan.maximal_cones_containing(tau)
+        (sorted(sigma - tau), fan.weights[sigma]) for sigma in fan.max_cones if tau <= sigma
     ]
     return MarkedFan(fan.ambient_dim, star_rays, star_cones, validate_geometry=False)
 
@@ -265,8 +266,6 @@ def star(fan: MarkedFan, tau: Cone, gram: Mat) -> MarkedFan:
 def _check_no_collision(star_rays: Mapping[str, Vec]) -> None:
     items = sorted(star_rays.items())
     for i, (rid1, u1) in enumerate(items):
-        if all(x == 0 for x in u1):
-            raise RayProjectionCollision(f"ray {rid1!r} projects to zero")
         for rid2, u2 in items[i + 1 :]:
             if _positively_parallel(u1, u2):
                 raise RayProjectionCollision(

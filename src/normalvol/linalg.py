@@ -5,7 +5,10 @@ routine here is exact: there is no floating point anywhere, so results can
 be compared with ``==``.  Elimination is fraction-free: ``solve``, ``rank``
 and ``inverse`` scale each row to integers and run integer Gauss-Jordan,
 dividing by the pivots only at the end, and ``det`` is Bareiss's
-elimination; their results equal those of rational elimination.
+elimination; their results equal those of rational elimination.  ``solve``
+returns one solution vector, its free coordinates zero; the Chow covectors
+use it, star fans use ``inverse``, fan and balancing checks use ``rank`` and
+the geometric oracle uses ``det``.
 """
 
 from __future__ import annotations
@@ -80,21 +83,6 @@ def identity(n: int) -> Mat:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
-@dataclass(frozen=True)
-class Solution:
-    """Particular solution of A x = b plus a basis of the nullspace of A.
-
-    ``nullspace`` is empty exactly when the solution is unique.
-    """
-
-    x: Vec
-    nullspace: tuple[Vec, ...]
-
-    @property
-    def unique(self) -> bool:
-        return not self.nullspace
-
-
 def _scaled_row(row: Sequence) -> tuple[int, list[int]]:
     """(s, s * row) with s the lcm of the row's denominators."""
     s = lcm(*(x.denominator for x in row))
@@ -142,48 +130,25 @@ def _eliminate(rows: list[list[int]], col_order: Sequence[int]) -> list[tuple[in
     return pivots
 
 
-def solve(a: Mat, b: Vec, col_order: Sequence[int] | None = None) -> Solution:
-    """Solve A x = b exactly.
+def solve(a: Mat, b: Vec, col_order: Sequence[int] | None = None) -> Vec:
+    """One solution x of A x = b, exactly; raises :class:`NoSolution` when inconsistent.
 
-    Returns a particular solution together with a nullspace basis when the
-    system is underdetermined.  Raises :class:`NoSolution` when inconsistent.
     ``col_order`` controls which columns are preferred as pivots, which pins
-    down the particular solution deterministically (free coordinates in
-    non-pivot columns are set to zero).
+    down the solution deterministically: coordinates in non-pivot columns
+    are zero.
     """
     m = len(a)
     n = len(a[0]) if a else 0
     if len(b) != m:
         raise DimensionMismatch(f"matrix has {m} rows, rhs has {len(b)}")
-    if col_order is None:
-        col_order = range(n)
-    if not a:
-        return Solution(zeros(n), tuple(identity(n)))
     rows = _integer_rows((*row, rhs) for row, rhs in zip(a, b))
-    pivots = _eliminate(rows, col_order)
+    pivots = _eliminate(rows, range(n) if col_order is None else col_order)
     if any(rows[i][n] for i in range(len(pivots), m)):
         raise NoSolution("inconsistent linear system")
     x = [ZERO] * n
     for r, c in pivots:
         x[c] = Fraction(rows[r][n], rows[r][c])
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for fc in range(n):
-        if fc in pivot_cols:
-            continue
-        v = [ZERO] * n
-        v[fc] = ONE
-        for r, c in pivots:
-            v[c] = Fraction(-rows[r][fc], rows[r][c])
-        basis.append(tuple(v))
-    return Solution(tuple(x), tuple(basis))
-
-
-def solve_unique(a: Mat, b: Vec) -> Vec:
-    sol = solve(a, b)
-    if not sol.unique:
-        raise NoSolution("system is underdetermined")
-    return sol.x
+    return tuple(x)
 
 
 def rank(a: Mat) -> int:

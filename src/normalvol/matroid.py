@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -22,9 +23,9 @@ from .errors import (
     UnknownElement,
 )
 from .fan import MarkedFan
-from .linalg import Mat, Vec, ONE, ZERO, identity, qvec
+from .linalg import Mat, Vec, ONE, ZERO, identity, qmat
 from .linalg import rank as matrix_rank
-from .serialize import parse_rat
+from .serialize import parse_int, parse_rat, read_field
 
 GROUND_SET_CAP = 20
 
@@ -214,11 +215,13 @@ def linear(columns: Mapping[str, Sequence] | Sequence[Sequence], labels: Sequenc
     """The matroid of a list of rational column vectors."""
     if isinstance(columns, Mapping):
         labels = list(columns)
-        vecs = [qvec(columns[e]) for e in labels]
+        vecs = qmat(columns[e] for e in labels)
     else:
-        vecs = [qvec(col) for col in columns]
+        vecs = qmat(columns)
         if labels is None:
             labels = [str(i) for i in range(len(vecs))]
+    if len(labels) != len(vecs):
+        raise AxiomViolation("F1", "one label per column is required")
     labels = [str(e) for e in labels]
     for e, v in zip(labels, vecs):
         if all(x == 0 for x in v):
@@ -235,34 +238,24 @@ def matroid_from_json(raw: Mapping, cap: int = GROUND_SET_CAP) -> Matroid:
     """A matroid from its file: a ``kind`` with the keys it needs, and a ``ground_set``.
 
     A missing key, or one whose value has the wrong shape, raises InputError
-    naming it; a ground set larger than ``cap`` raises GroundSetTooLarge
-    before anything is built.
+    naming it, and so does an empty ground set; a ground set larger than
+    ``cap`` raises GroundSetTooLarge before anything is built.
     """
-
-    def field(key: str):
-        try:
-            return raw[key]
-        except (KeyError, TypeError):
-            raise InputError(f"the matroid file has no {key!r}") from None
-
-    def parsed(key: str, convert):
-        try:
-            return convert(field(key))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"the matroid file's {key!r} is malformed: {exc}") from None
-
-    ground = parsed("ground_set", lambda g: [str(e) for e in g])
+    field = partial(read_field, raw, "the matroid file")
+    ground = field("ground_set", lambda g: [str(e) for e in g])
+    if not ground:
+        raise InputError("the matroid file's 'ground_set' is empty")
     if len(ground) > cap:
         raise GroundSetTooLarge(f"|E| = {len(ground)} exceeds the cap {cap}")
     kind = field("kind")
     if kind == "flats":
-        return from_flats(ground, parsed("flats", lambda fs: [list(f) for f in fs]))
+        return from_flats(ground, field("flats", lambda fs: [list(f) for f in fs]))
     if kind == "uniform":
-        return uniform(parsed("rank", int), ground)
+        return uniform(field("rank", parse_int), ground)
     if kind == "graphic":
-        return graphic(parsed("edges", lambda es: [(u, v) for u, v in es]), ground)
+        return graphic(field("edges", lambda es: [(u, v) for u, v in es]), ground)
     if kind == "linear":
-        return linear(parsed("matrix", lambda cs: [[parse_rat(v) for v in c] for c in cs]), ground)
+        return linear(field("matrix", lambda cs: [[parse_rat(v) for v in c] for c in cs]), ground)
     raise UnknownElement(f"unknown matroid kind {kind!r}")
 
 

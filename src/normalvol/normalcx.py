@@ -29,10 +29,13 @@ Fraction the program builds per entry.  Every public value stays a Fraction.
 
 Started at a
 cone tau instead of the zero cone, the same program gives the volume
-polynomial of the star at tau, so no star fan is built for it either.  Star
-contexts, ``restrict_z`` and ``face_complex`` serve only the face
-identities; the geometric oracle below and the Chow degrees in ``chow`` stay
-independent of the dynamic program.
+polynomial of the star at tau, so no star fan is built for it either.
+``restrict_z`` reads its rays off ``fan.link(tau)`` and builds no star
+either; only ``face_complex`` builds star contexts, for the face identity
+w_pi(z) - w_tau(z) = w^star_{pi - tau}(z^tau), and the star's geometry comes
+from its own elimination, not from this context's adjugates.  The geometric
+oracle below and the Chow degrees in ``chow`` stay independent of the
+dynamic program.
 
 The truncation polytope P_sigma(z) of a cone, the convex hull of the w_tau(z)
 over the faces tau of sigma, is built and checked in one place,
@@ -322,32 +325,31 @@ def find_cubical(ctx: Context) -> tuple[ZValues, Fraction] | None:
 # -- restriction to star fans ---------------------------------------------
 
 
-def restrict_z(
-    ctx: Context, tau: Cone, z: Mapping[str, Fraction], check: bool = False
-) -> ZValues:
-    """Truncation values z^tau on the star fan's rays."""
-    star_ctx = ctx.star_context(tau)
-    if not tau:
-        return dict(z)
-    rids = star_ctx.fan.ray_ids()
+def restrict_z(ctx: Context, tau: Cone, z: Mapping[str, Fraction]) -> ZValues:
+    """Truncation values z^tau on the rays of ``fan.link(tau)``, the star's rays:
+    z^tau_eta = z_eta - <w_tau(z), u_eta>."""
+    rids = ctx.fan.link(tau)
     pairings = _ray_pairings(ctx, w_vector(ctx, tau, z), rids)
-    out = {eta: z[eta] - p for eta, p in zip(rids, pairings)}
-    if check:
-        before = classify_z(ctx, z).classification
-        after = classify_z(star_ctx, out).classification
-        order = {CUBICAL: 2, PSEUDOCUBICAL_BOUNDARY: 1, OUTSIDE: 0}
-        if order[after] < order[before]:
-            raise MismatchError(
-                f"restriction to {sorted(tau)} weakened classification {before} -> {after}"
-            )
-    return out
+    return {eta: z[eta] - p for eta, p in zip(rids, pairings)}
 
 
 def face_complex(
     ctx: Context, tau: Cone, z: Mapping[str, Fraction]
 ) -> tuple[Context, ZValues]:
-    """The face of the normal complex at tau, as a normal complex of the star."""
-    return ctx.star_context(tau), restrict_z(ctx, tau, z, check=True)
+    """The face of the normal complex at tau, as a normal complex of the star.
+
+    Raises MismatchError when the restriction weakens the classification of z.
+    """
+    star_ctx = ctx.star_context(tau)
+    z_tau = restrict_z(ctx, tau, z)
+    before = classify_z(ctx, z).classification
+    after = classify_z(star_ctx, z_tau).classification
+    order = {CUBICAL: 2, PSEUDOCUBICAL_BOUNDARY: 1, OUTSIDE: 0}
+    if order[after] < order[before]:
+        raise MismatchError(
+            f"restriction to {sorted(tau)} weakened classification {before} -> {after}"
+        )
+    return star_ctx, z_tau
 
 
 def _ray_pairings(ctx: Context, w: WVector, rids: Sequence[str]) -> tuple[Fraction, ...]:

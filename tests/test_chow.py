@@ -86,7 +86,7 @@ def _reference_multiply(fan, cls, z, strategy):
             if not z[rho]:
                 continue
             rhs = qvec([1 if rid == rho else 0 for rid in rids])
-            v = solve(tuple(fan.rays[rid] for rid in rids), rhs, col_order=order).x
+            v = solve(tuple(fan.rays[rid] for rid in rids), rhs, col_order=order)
             for eta in fan.link(sigma):
                 out[sigma | {eta}] -= c * z[rho] * dot(v, fan.rays[eta])
     return ChowClass.build(cls.grade + 1, out)

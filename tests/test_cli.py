@@ -1,7 +1,11 @@
+import contextlib
+import io
 import itertools
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from normalvol import cli, lp, normalcx
 
@@ -366,7 +370,7 @@ def test_error_reported_on_stderr(quadrant_files, capsys, tmp_path):
 
 
 # Matroid files each lacking one key that their kind needs, or giving it a
-# value of the wrong shape; "hrw" must name the key.
+# value of the wrong shape; "hrw" must name the key, where one is given.
 BAD_MATROIDS = {
     "matroid without kind": ({"ground_set": ["a", "b", "c"], "rank": 2}, "kind"),
     "matroid without ground_set": ({"kind": "uniform", "rank": 2}, "ground_set"),
@@ -383,6 +387,37 @@ BAD_MATROIDS = {
         {"kind": "flats", "ground_set": ["a"], "flats": 5},
         "flats",
     ),
+    "uniform matroid with rank 2.9": (
+        {"kind": "uniform", "ground_set": ["a", "b", "c"], "rank": 2.9},
+        "rank",
+    ),
+    "uniform matroid with rank true": (
+        {"kind": "uniform", "ground_set": ["a", "b", "c"], "rank": True},
+        "rank",
+    ),
+    "linear matroid with an empty ground set": (
+        {"kind": "linear", "ground_set": "", "matrix": [[1, 0], [0, 1], [1, 1]]},
+        "ground_set",
+    ),
+    "linear matroid with ragged columns": (
+        {"kind": "linear", "ground_set": ["a", "b", "c"], "matrix": [[1, 0], [0, 1], [1]]},
+        None,
+    ),
+    "linear matroid with 2 labels for 3 columns": (
+        {"kind": "linear", "ground_set": ["a", "b"], "matrix": [[1, 0], [0, 1], [1, 1]]},
+        None,
+    ),
+}
+
+# Fan files with one malformed key, which the error must name.
+BAD_FANS = {
+    "fan with ambient_dim x": ({**QUADRANT_JSON, "ambient_dim": "x"}, "ambient_dim"),
+    "fan with ambient_dim 2.7": ({**QUADRANT_JSON, "ambient_dim": 2.7}, "ambient_dim"),
+    "fan with ambient_dim true": ({**QUADRANT_JSON, "ambient_dim": True}, "ambient_dim"),
+    "fan with a list as a cone's ray id": (
+        {**QUADRANT_JSON, "max_cones": [{"rays": [[1]], "weight": "1"}]},
+        "max_cones",
+    ),
 }
 
 
@@ -391,24 +426,24 @@ BAD_MATROIDS = {
     [
         "missing file",
         "malformed JSON",
-        "fan with ambient_dim x",
         "truncation without z",
         "Gram without gram key",
         "bad cap",
+        "hrw --out in a missing directory",
+        "export-mesh --out in a missing directory",
     ]
+    + list(BAD_FANS)
     + list(BAD_MATROIDS),
 )
 def test_unreadable_input_is_a_json_error(case, quadrant_files, capsys, monkeypatch, tmp_path):
     files = dict(quadrant_files)
     bad = tmp_path / "bad.json"
     argv = None
+    key = None
     if case == "missing file":
         files["fan"] = str(tmp_path / "missing.json")
     elif case == "malformed JSON":
         bad.write_text('{"ambient_dim": 2,')
-        files["fan"] = str(bad)
-    elif case == "fan with ambient_dim x":
-        bad.write_text(json.dumps({**QUADRANT_JSON, "ambient_dim": "x"}))
         files["fan"] = str(bad)
     elif case == "truncation without z":
         bad.write_text(json.dumps({"r1": "1"}))
@@ -418,6 +453,16 @@ def test_unreadable_input_is_a_json_error(case, quadrant_files, capsys, monkeypa
         files["gram"] = str(bad)
     elif case == "bad cap":
         monkeypatch.setenv("NORMALVOL_CAPS", "max_rays=abc")
+    elif case == "hrw --out in a missing directory":
+        bad.write_text(json.dumps(GOOD_FILES["uniform"]))
+        argv = ["hrw", "--matroid", str(bad), "--out", str(tmp_path / "missing" / "report.json")]
+    elif case == "export-mesh --out in a missing directory":
+        argv = ["export-mesh", "--fan", files["fan"], "--gram", files["gram"], "--z", files["z"]]
+        argv += ["--out", str(tmp_path / "missing" / "mesh.obj")]
+    elif case in BAD_FANS:
+        raw, key = BAD_FANS[case]
+        bad.write_text(json.dumps(raw))
+        files["fan"] = str(bad)
     else:
         raw, key = BAD_MATROIDS[case]
         bad.write_text(json.dumps(raw))
@@ -427,5 +472,74 @@ def test_unreadable_input_is_a_json_error(case, quadrant_files, capsys, monkeypa
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert isinstance(json.loads(err)["error"], str)
-    if case in BAD_MATROIDS:
-        assert repr(BAD_MATROIDS[case][1]) in json.loads(err)["error"]
+    if key is not None:
+        assert repr(key) in json.loads(err)["error"]
+
+
+# -- fuzzing the file boundary ----------------------------------------------------
+
+GOOD_FILES = {
+    "fan": QUADRANT_JSON,
+    "gram": GRAM2,
+    "z": {"z": {"r1": "1", "r2": "2", "r3": "3", "r4": "4"}},
+    "uniform": {"kind": "uniform", "ground_set": ["a", "b", "c"], "rank": 2},
+    "graphic": {
+        "kind": "graphic",
+        "ground_set": ["a", "b", "c"],
+        "edges": [[1, 2], [2, 3], [3, 1]],
+    },
+    "linear": {"kind": "linear", "ground_set": ["a", "b", "c"], "matrix": [[1, 0], [0, 1], [1, 1]]},
+    "flats": {"kind": "flats", "ground_set": ["a", "b"], "flats": [[], ["a"], ["b"], ["a", "b"]]},
+}
+WRONG_VALUES = [None, True, 2.5, "", "x", [], {}, [1], [[None]]]
+
+
+def _paths(node, prefix=()):
+    """The path of every value inside a JSON document, the root excluded."""
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+FIELDS = [(name, path) for name, doc in GOOD_FILES.items() for path in _paths(doc)]
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# Each example runs the CLI in process (about 4 ms); the whole space has about 940 points.
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.sampled_from(FIELDS), st.sampled_from(WRONG_VALUES))
+@example(("fan", ("max_cones", 0, "rays")), [[None]])
+@example(("linear", ("matrix", 2)), [1])
+@example(("linear", ("ground_set",)), "")
+@example(("linear", ("ground_set",)), [1])
+def test_wrong_typed_field_is_never_a_traceback(tmp_path, field, value):
+    name, path = field
+    files = {}
+    for key, doc in GOOD_FILES.items():
+        files[key] = tmp_path / f"{key}.json"
+        files[key].write_text(json.dumps(_replaced(doc, path, value) if key == name else doc))
+    if name in ("fan", "gram", "z"):
+        argv = ["volume", "--fan", str(files["fan"]), "--gram", str(files["gram"])]
+        argv += ["--z", str(files["z"])]
+    else:
+        argv = ["hrw", "--matroid", str(files[name])]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if code != 0:
+        assert code in (2, 3)
+        assert isinstance(json.loads(err.getvalue())["error"], str)

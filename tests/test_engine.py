@@ -21,6 +21,7 @@ from normalvol.normalcx import (
     Context,
     TruncationTables,
     classify_z,
+    face_complex,
     geometric_volume_oracle,
     mvol_polarization_oracle,
     mvol_recursive,
@@ -127,6 +128,21 @@ def test_table_factors_are_restrictions(case):
             inv_rho_rho = adj[i][i] / (d * ctx.pair_scale)
             restricted = restrict_z(ctx, sigma - {rho}, z)
             assert coeffs[i] / inv_rho_rho == restricted[rho]
+
+
+@PROPERTY
+@given(st.sampled_from(["quadrant", "quadrant x pm1"]), st.data())
+def test_restriction_reads_the_link_and_builds_no_star(name, data):
+    fan = make_quadrant_fan() if name == "quadrant" else FANS[name]
+    g = data.draw(gram(fan.ambient_dim))
+    step = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+    z = {rid: data.draw(step) for rid in fan.ray_ids()}
+    ctx = Context(fan, g)
+    restricted = {tau: restrict_z(ctx, tau, z) for tau in fan.cones if tau}
+    assert ctx._stars == {}
+    reference = Context(fan, g)
+    for tau, z_tau in restricted.items():
+        assert face_complex(reference, tau, z)[1] == z_tau
 
 
 @st.composite
