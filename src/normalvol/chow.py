@@ -20,11 +20,9 @@ from typing import Mapping, Sequence
 from .errors import GradeOverflow, NotTropical, WrongGrade
 from .fan import Cone, MarkedFan, ZERO_CONE, is_tropical
 from .linalg import Vec, ZERO, ONE, dot, qvec, solve
-from .serialize import format_rat
 
 LEX = "lex"  # covector supported on the earliest independent coordinates
 REVLEX = "revlex"  # covector preferring the last coordinates
-PIVOT_STRATEGIES = (LEX, REVLEX)
 
 
 @dataclass(frozen=True)
@@ -46,9 +44,6 @@ class ChowClass:
     @classmethod
     def unit(cls) -> "ChowClass":
         return cls.build(0, {ZERO_CONE: ONE})
-
-    def as_dict(self) -> dict[Cone, Fraction]:
-        return dict(self.weights)
 
 
 def covector(fan: MarkedFan, sigma: Cone, z: Mapping[str, Fraction], strategy: str = LEX) -> Vec:
@@ -111,12 +106,3 @@ def deg_product(
     for z in zs:
         cls = multiply_divisor(fan, cls, z, strategy)
     return degree(fan, cls)
-
-
-def class_to_json(cls: ChowClass) -> dict:
-    return {
-        "grade": cls.grade,
-        "weights": [
-            {"cone": sorted(cone), "coefficient": format_rat(c)} for cone, c in cls.weights
-        ],
-    }

@@ -14,6 +14,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from . import af, chow, normalcx
@@ -66,14 +67,18 @@ def _write(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
+def _check_fan_caps(rays: int, d: int, caps: Caps) -> None:
+    if rays > caps.max_rays:
+        raise NormalVolError(f"fan has {rays} rays, cap is {caps.max_rays}")
+    if d > caps.max_dim:
+        raise DimTooLarge(f"fan dimension {d} exceeds the cap {caps.max_dim}")
+
+
 def _load_fan(path: str, caps: Caps) -> MarkedFan:
     """The fan of a file, its caps checked before ``MarkedFan`` validates anything."""
     ambient_dim, rays, max_cones = parse_fan(_load_json(path))
-    if len(rays) > caps.max_rays:
-        raise NormalVolError(f"fan has {len(rays)} rays, cap is {caps.max_rays}")
     d = max((len(set(ray_ids)) for ray_ids, _ in max_cones), default=0)
-    if d > caps.max_dim:
-        raise DimTooLarge(f"fan dimension {d} exceeds the cap {caps.max_dim}")
+    _check_fan_caps(len(rays), d, caps)
     return MarkedFan(ambient_dim, rays, max_cones)
 
 
@@ -87,6 +92,20 @@ def _load_gram(path: str) -> Mat:
 
 def _load_z(path: str, fan: MarkedFan) -> ZValues:
     return normalcx.zvalues_from_json(_load_json(path), fan)
+
+
+def _one_z_path(args) -> str:
+    if len(args.z) != 1:
+        raise InputError(f"{args.command} takes one --z, got {len(args.z)}")
+    return args.z[0]
+
+
+def _load_pseudocubical(paths: list[str], ctx: Context) -> list[ZValues]:
+    """The z of each path, classified once, so that every method refuses the same z."""
+    zs = [_load_z(path, ctx.fan) for path in paths]
+    for z in zs:
+        normalcx.require_pseudocubical(normalcx.classify_z(ctx, z))
+    return zs
 
 
 def _emit(report: dict) -> None:
@@ -148,9 +167,10 @@ def _run_methods(args, fan: MarkedFan, methods: dict[str, Callable[[], Fraction]
 
 
 def cmd_volume(args, caps: Caps) -> int:
+    path = _one_z_path(args)
     fan = _load_fan(args.fan, caps)
     ctx = Context(fan, _load_gram(args.gram))
-    z = _load_z(args.z[0], fan)
+    (z,) = _load_pseudocubical([path], ctx)
     methods = {
         "recursive": lambda: normalcx.vol_recursive(ctx, z),
         "poly": lambda: normalcx.vol_polynomial(ctx).eval_at(z),
@@ -163,7 +183,7 @@ def cmd_volume(args, caps: Caps) -> int:
 def cmd_mixed_volume(args, caps: Caps) -> int:
     fan = _load_fan(args.fan, caps)
     ctx = Context(fan, _load_gram(args.gram))
-    zs = [_load_z(path, fan) for path in args.z]
+    zs = _load_pseudocubical(args.z, ctx)
     methods = {
         "recursive": lambda: normalcx.mvol_recursive(ctx, zs),
         "polarization": lambda: normalcx.mvol_polarization_oracle(ctx, zs),
@@ -247,7 +267,9 @@ def cmd_reduce_check(args, caps: Caps) -> int:
 
 
 def cmd_hrw(args, caps: Caps) -> int:
-    m = matroid_from_json(_load_json(args.matroid), caps.max_ground)
+    m = matroid_from_json(
+        _load_json(args.matroid), caps.max_ground, partial(_check_fan_caps, caps=caps)
+    )
     e0 = args.e0 or m.ground[0]
     report = af.hrw_verify(m, e0)
     payload = {
@@ -275,11 +297,12 @@ def cmd_deg(args, caps: Caps) -> int:
 
 
 def cmd_export_mesh(args, caps: Caps) -> int:
+    path = _one_z_path(args)
     fan = _load_fan(args.fan, caps)
     if fan.d > 3 or fan.ambient_dim > 3:
         raise DimTooLarge("mesh export needs fan and ambient dimension <= 3")
     ctx = Context(fan, _load_gram(args.gram))
-    z = _load_z(args.z[0], fan)
+    z = _load_z(path, fan)
     lines = ["# normal complex mesh"]
     vertex_count = 0
     for sigma in sorted(fan.max_cones, key=sorted):

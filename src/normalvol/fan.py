@@ -99,9 +99,6 @@ class MarkedFan:
     def cones_of_dim(self, k: int) -> list[Cone]:
         return sorted((c for c in self.cones if len(c) == k), key=sorted)
 
-    def weight(self, cone: Cone) -> Fraction:
-        return self.weights[cone]
-
     def link(self, tau: Cone) -> tuple[str, ...]:
         """Sorted ids of the rays eta not in tau for which tau | {eta} is a cone."""
         try:
@@ -306,12 +303,12 @@ def star_connected_minus_origin(fan: MarkedFan, tau: Cone = ZERO_CONE) -> bool:
 # -- products --------------------------------------------------------------
 
 
-def product_fan(a: MarkedFan, b: MarkedFan, prefix: tuple[str, str] = ("L.", "R.")) -> MarkedFan:
+def product_fan(a: MarkedFan, b: MarkedFan) -> MarkedFan:
     """Product of two fans in the direct sum of their ambient spaces.
 
-    Ray ids are prefixed to keep the factors disjoint; weights multiply.
+    Ray ids are prefixed "L." and "R." to keep the factors disjoint; weights multiply.
     """
-    pa, pb = prefix
+    pa, pb = "L.", "R."
     rays: dict[str, Vec] = {}
     for rid, u in a.rays.items():
         rays[pa + rid] = tuple(u) + zeros(b.ambient_dim)

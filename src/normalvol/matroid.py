@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Mapping, Sequence
+from math import comb
+from typing import Callable, Mapping, Sequence
 
 from .errors import (
     AxiomViolation,
@@ -37,14 +38,13 @@ def _popcount(mask: int) -> int:
 class Matroid:
     """A loopless matroid presented by its flats."""
 
-    def __init__(self, ground: Sequence[str], flat_masks: set[int], provenance: str):
+    def __init__(self, ground: Sequence[str], flat_masks: set[int]):
         self.ground: tuple[str, ...] = tuple(str(e) for e in ground)
         if len(set(self.ground)) != len(self.ground):
             raise AxiomViolation("F1", "ground set labels are not distinct")
         self.n = len(self.ground)
         self.index: dict[str, int] = {e: i for i, e in enumerate(self.ground)}
         self.full_mask = (1 << self.n) - 1
-        self.provenance = provenance
         self.flats: tuple[int, ...] = tuple(sorted(flat_masks, key=lambda m: (_popcount(m), m)))
         self._validate_axioms()
         self._rank_of_flat: dict[int, int] = {}
@@ -87,14 +87,6 @@ class Matroid:
 
     # -- basic queries ---------------------------------------------------
 
-    def mask(self, labels) -> int:
-        m = 0
-        for e in labels:
-            if e not in self.index:
-                raise UnknownElement(f"{e!r} is not a ground set element")
-            m |= 1 << self.index[e]
-        return m
-
     def labels(self, mask: int) -> tuple[str, ...]:
         return tuple(e for i, e in enumerate(self.ground) if mask >> i & 1)
 
@@ -107,9 +99,6 @@ class Matroid:
 
     def rank_of_flat(self, flat: int) -> int:
         return self._rank_of_flat[flat]
-
-    def rank_of_set(self, mask: int) -> int:
-        return self._rank_of_flat[self.closure(mask)]
 
     def proper_flats(self) -> tuple[int, ...]:
         return tuple(f for f in self.flats if f != 0 and f != self.full_mask)
@@ -132,7 +121,7 @@ def from_flats(ground: Sequence[str], flats: Sequence[Sequence[str]]) -> Matroid
                 raise UnknownElement(f"{e!r} is not a ground set element")
             m |= 1 << index[str(e)]
         masks.add(m)
-    return Matroid(labels, masks, "flats")
+    return Matroid(labels, masks)
 
 
 def _flats_from_rank_oracle(ground: Sequence[str], rank_of) -> set[int]:
@@ -172,10 +161,7 @@ def uniform(r: int, ground: int | Sequence[str]) -> Matroid:
     n = len(labels)
     if not 0 < r <= n:
         raise RankTooSmall(f"uniform matroid needs 0 < r <= {n}, got {r}")
-    masks = {m for m in range(1 << n) if _popcount(m) < r}
-    masks.add((1 << n) - 1)
-    m = Matroid(labels, masks, "uniform")
-    return m
+    return Matroid(labels, _flats_from_rank_oracle(labels, lambda m: min(_popcount(m), r)))
 
 
 def graphic(edges: Sequence[Sequence[str]], labels: Sequence[str] | None = None) -> Matroid:
@@ -208,18 +194,14 @@ def graphic(edges: Sequence[Sequence[str]], labels: Sequence[str] | None = None)
                     r += 1
         return r
 
-    return Matroid(labels, _flats_from_rank_oracle(labels, rank_of), "graphic")
+    return Matroid(labels, _flats_from_rank_oracle(labels, rank_of))
 
 
-def linear(columns: Mapping[str, Sequence] | Sequence[Sequence], labels: Sequence[str] | None = None) -> Matroid:
+def linear(columns: Sequence[Sequence], labels: Sequence[str] | None = None) -> Matroid:
     """The matroid of a list of rational column vectors."""
-    if isinstance(columns, Mapping):
-        labels = list(columns)
-        vecs = qmat(columns[e] for e in labels)
-    else:
-        vecs = qmat(columns)
-        if labels is None:
-            labels = [str(i) for i in range(len(vecs))]
+    vecs = qmat(columns)
+    if labels is None:
+        labels = [str(i) for i in range(len(vecs))]
     if len(labels) != len(vecs):
         raise AxiomViolation("F1", "one label per column is required")
     labels = [str(e) for e in labels]
@@ -231,15 +213,21 @@ def linear(columns: Mapping[str, Sequence] | Sequence[Sequence], labels: Sequenc
         rows = tuple(v for i, v in enumerate(vecs) if mask >> i & 1)
         return matrix_rank(rows)
 
-    return Matroid(labels, _flats_from_rank_oracle(labels, rank_of), "linear")
+    return Matroid(labels, _flats_from_rank_oracle(labels, rank_of))
 
 
-def matroid_from_json(raw: Mapping, cap: int = GROUND_SET_CAP) -> Matroid:
+def matroid_from_json(
+    raw: Mapping, cap: int = GROUND_SET_CAP, check_fan: Callable[[int, int], None] | None = None
+) -> Matroid:
     """A matroid from its file: a ``kind`` with the keys it needs, and a ``ground_set``.
 
     A missing key, or one whose value has the wrong shape, raises InputError
     naming it, and so does an empty ground set; a ground set larger than
-    ``cap`` raises GroundSetTooLarge before anything is built.
+    ``cap`` raises GroundSetTooLarge before anything is built.  ``check_fan``
+    is called with the ray count and dimension of the Bergman fan, the number
+    of proper flats and rank - 1: for a uniform matroid from the closed form
+    C(n,1) + ... + C(n,r-1) before any flat is built, for the other kinds
+    once the flats are known.
     """
     field = partial(read_field, raw, "the matroid file")
     ground = field("ground_set", lambda g: [str(e) for e in g])
@@ -248,15 +236,22 @@ def matroid_from_json(raw: Mapping, cap: int = GROUND_SET_CAP) -> Matroid:
     if len(ground) > cap:
         raise GroundSetTooLarge(f"|E| = {len(ground)} exceeds the cap {cap}")
     kind = field("kind")
-    if kind == "flats":
-        return from_flats(ground, field("flats", lambda fs: [list(f) for f in fs]))
     if kind == "uniform":
-        return uniform(field("rank", parse_int), ground)
-    if kind == "graphic":
-        return graphic(field("edges", lambda es: [(u, v) for u, v in es]), ground)
-    if kind == "linear":
-        return linear(field("matrix", lambda cs: [[parse_rat(v) for v in c] for c in cs]), ground)
-    raise UnknownElement(f"unknown matroid kind {kind!r}")
+        r, n = field("rank", parse_int), len(ground)
+        if check_fan and 0 < r <= n:
+            check_fan(sum(comb(n, k) for k in range(1, r)), r - 1)
+        return uniform(r, ground)
+    if kind == "flats":
+        m = from_flats(ground, field("flats", lambda fs: [list(f) for f in fs]))
+    elif kind == "graphic":
+        m = graphic(field("edges", lambda es: [(u, v) for u, v in es]), ground)
+    elif kind == "linear":
+        m = linear(field("matrix", lambda cs: [[parse_rat(v) for v in c] for c in cs]), ground)
+    else:
+        raise UnknownElement(f"unknown matroid kind {kind!r}")
+    if check_fan:
+        check_fan(len(m.proper_flats()), m.rank - 1)
+    return m
 
 
 # -- characteristic polynomials ---------------------------------------------
@@ -286,21 +281,16 @@ def char_poly(m: Matroid) -> CharPoly:
     if m.n > GROUND_SET_CAP:
         raise GroundSetTooLarge(f"|E| = {m.n} exceeds the cap {GROUND_SET_CAP}")
     r = m.rank
-    rank_cache = {f: m.rank_of_flat(f) for f in m.flats}
     chi = [0] * (r + 1)
     for s in range(1 << m.n):
-        cl = m.full_mask
-        for f in m.flats:
-            if f & s == s:
-                cl &= f
-        chi[r - rank_cache[cl]] += -1 if _popcount(s) & 1 else 1
+        chi[r - m.rank_of_flat(m.closure(s))] += -1 if _popcount(s) & 1 else 1
 
     mobius: dict[int, int] = {}
     for f in m.flats:
         mobius[f] = -sum(mobius[g] for g in m.flats if g & f == g and g != f) if f else 1
     chi2 = [0] * (r + 1)
     for f in m.flats:
-        chi2[r - rank_cache[f]] += mobius[f]
+        chi2[r - m.rank_of_flat(f)] += mobius[f]
     if chi != chi2:
         raise MismatchError("subset expansion and Moebius paths disagree")
 
@@ -322,7 +312,7 @@ def flat_ray_id(m: Matroid, flat: int) -> str:
     return ",".join(m.labels(flat))
 
 
-def bergman_fan(m: Matroid, e0: str | None = None) -> MarkedFan:
+def bergman_fan(m: Matroid, e0: str) -> MarkedFan:
     """Bergman fan on flags of proper flats, realized in R^(E minus e0).
 
     The quotient by the all-ones vector is realized by deleting the e0
@@ -331,8 +321,6 @@ def bergman_fan(m: Matroid, e0: str | None = None) -> MarkedFan:
     """
     if m.rank < 2:
         raise RankTooSmall(f"Bergman fan needs rank >= 2, got {m.rank}")
-    if e0 is None:
-        e0 = m.ground[0]
     if e0 not in m.index:
         raise UnknownElement(f"{e0!r} is not a ground set element")
     coords = [e for e in m.ground if e != e0]

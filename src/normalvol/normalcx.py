@@ -206,9 +206,6 @@ class WVector:
     coords: Vec
     coefficients: tuple[tuple[str, Fraction], ...]  # barycentric, in the ray basis
 
-    def coefficient(self, rid: str) -> Fraction:
-        return dict(self.coefficients)[rid]
-
 
 def w_vector(ctx: Context, cone: Cone, z: Mapping[str, Fraction]) -> WVector:
     """The unique vector of span(cone) pairing to z_rho against every marked ray."""
@@ -287,7 +284,7 @@ def classify_z(ctx: Context, z: Mapping[str, Fraction]) -> CubReport:
     return _scan(_coefficient_rows(ctx, _scaled_z(z)[1]))
 
 
-def _require_pseudocubical(report: CubReport) -> None:
+def require_pseudocubical(report: CubReport) -> None:
     if not report.is_pseudocubical:
         raise NotPseudocubical("z is outside the pseudocubical cone")
 
@@ -492,7 +489,7 @@ class TruncationTables:
         levels = []
         for z in zs:
             report, scale, nums = self._entry(z)
-            _require_pseudocubical(report)
+            require_pseudocubical(report)
             levels.append(self._factors(scale, nums))
         return _face_dp(self.ctx, levels, ONE, ZERO)
 
@@ -528,7 +525,7 @@ def mvol_polarization_oracle(
         raise ArityMismatch(f"need exactly {d} arguments, got {len(zs)}")
     tables = TruncationTables(ctx)
     for z in zs:
-        _require_pseudocubical(tables.classify(z))
+        require_pseudocubical(tables.classify(z))
     rays = ctx.fan.ray_ids()
     total = ZERO
     for r in range(1, d + 1):

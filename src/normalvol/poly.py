@@ -34,20 +34,8 @@ class MultiPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Mono, Fraction] | None = None):
-        cleaned = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff != 0:
-                    cleaned[tuple(sorted(mono))] = coeff
-        self.terms: dict[Mono, Fraction] = cleaned
-
-    @classmethod
-    def _normalized(cls, terms: dict[Mono, Fraction]) -> "MultiPoly":
-        """A polynomial from sorted monomials and Fraction coefficients; drops zeros only."""
-        poly = object.__new__(cls)
-        poly.terms = {m: c for m, c in terms.items() if c}
-        return poly
+        """Keeps the nonzero terms as given: monomials sorted, coefficients Fractions."""
+        self.terms: dict[Mono, Fraction] = {m: c for m, c in terms.items() if c} if terms else {}
 
     @classmethod
     def zero(cls) -> "MultiPoly":
@@ -74,9 +62,6 @@ class MultiPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, MultiPoly) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __repr__(self) -> str:
         if not self.terms:
             return "MultiPoly(0)"
@@ -90,27 +75,27 @@ class MultiPoly:
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
             terms[mono] = terms.get(mono, ZERO) + coeff
-        return MultiPoly._normalized(terms)
+        return MultiPoly(terms)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
             terms[mono] = terms.get(mono, ZERO) - coeff
-        return MultiPoly._normalized(terms)
+        return MultiPoly(terms)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._normalized({m: -c for m, c in self.terms.items()})
+        return MultiPoly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
             c = Fraction(other)
-            return MultiPoly._normalized({m: c * v for m, v in self.terms.items()})
+            return MultiPoly({m: c * v for m, v in self.terms.items()})
         terms: dict[Mono, Fraction] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = _mono_mul(ma, mb)
                 terms[m] = terms.get(m, ZERO) + ca * cb
-        return MultiPoly._normalized(terms)
+        return MultiPoly(terms)
 
     __rmul__ = __mul__
 
@@ -125,9 +110,6 @@ class MultiPoly:
             return False
         return degree is None or degs == {degree}
 
-    def variables(self) -> set[str]:
-        return {v for mono in self.terms for v, _ in mono}
-
     def partial(self, var: str) -> "MultiPoly":
         terms: dict[Mono, Fraction] = {}
         for mono, coeff in self.terms.items():
@@ -141,7 +123,7 @@ class MultiPoly:
                 exps[var] = e - 1
             m = tuple(sorted(exps.items()))
             terms[m] = terms.get(m, ZERO) + e * coeff
-        return MultiPoly._normalized(terms)
+        return MultiPoly(terms)
 
     def directional(self, direction: Mapping[str, Fraction]) -> "MultiPoly":
         """Derivative along the vector with the given per-variable components."""

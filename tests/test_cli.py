@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from normalvol import cli, lp, normalcx
+from normalvol import af, cli, lp, matroid, normalcx
 
 from conftest import QUADRANT_JSON
 
@@ -348,6 +348,75 @@ def test_caps_checked_before_validation(cap, quadrant_files, capsys, monkeypatch
     code, out, _ = run(capsys, argv)
     assert code == 2
     assert "cap" in json.loads(out)["error"]
+
+
+class WorkStarted(Exception):
+    pass
+
+
+def _refuse(*args, **kwargs):
+    raise WorkStarted
+
+
+@pytest.mark.parametrize(
+    "r, n, caps",
+    [(8, 9, ""), (8, 12, ""), (10, 20, ""), (4, 5, "max_dim=2"), (4, 5, "max_rays=20")],
+)
+def test_hrw_caps_a_uniform_bergman_fan_before_any_flat(r, n, caps, tmp_path, capsys, monkeypatch):
+    # U(8,9) has 501 proper flats and d = 7; U(10,20) has 431909 proper flats.
+    monkeypatch.setattr(matroid, "_flats_from_rank_oracle", _refuse)
+    monkeypatch.setattr(matroid, "Matroid", _refuse)
+    monkeypatch.setenv("NORMALVOL_CAPS", caps)
+    path = tmp_path / "matroid.json"
+    path.write_text(
+        json.dumps({"kind": "uniform", "ground_set": [f"e{i}" for i in range(n)], "rank": r})
+    )
+    code, out, err = run(capsys, ["hrw", "--matroid", str(path)])
+    assert code == 2 and out == ""
+    assert "cap" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("caps", ["max_dim=2", "max_rays=20"])
+def test_hrw_caps_a_graphic_bergman_fan_before_building_it(caps, tmp_path, capsys, monkeypatch):
+    # K5: rank 4, so d = 3, and 50 proper flats.
+    edges = [[str(a), str(b)] for a, b in itertools.combinations(range(1, 6), 2)]
+    path = tmp_path / "k5.json"
+    path.write_text(
+        json.dumps({"kind": "graphic", "ground_set": [str(i) for i in range(10)], "edges": edges})
+    )
+    monkeypatch.setattr(af, "bergman_fan", _refuse)
+    monkeypatch.setenv("NORMALVOL_CAPS", caps)
+    code, out, err = run(capsys, ["hrw", "--matroid", str(path)])
+    assert code == 2 and out == ""
+    assert "cap" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "command, method", [("volume", "poly"), ("volume", "chow"), ("mixed-volume", "chow")]
+)
+def test_every_method_refuses_a_z_outside_the_pseudocubical_cone(
+    command, method, quadrant_files, capsys, tmp_path
+):
+    zneg = tmp_path / "zneg.json"
+    zneg.write_text(json.dumps({"z": {"r1": "-1", "r2": "2", "r3": "3", "r4": "4"}}))
+    argv = [command, "--fan", quadrant_files["fan"], "--gram", quadrant_files["gram"]]
+    argv += ["--z", str(zneg)] + (["--z", quadrant_files["z"]] if command == "mixed-volume" else [])
+    expected = run(capsys, argv + ["--method", "recursive"])
+    assert expected[0] == 2 and expected[1] == ""
+    assert run(capsys, argv + ["--method", method]) == expected
+    assert json.loads(expected[2]) == {"error": "z is outside the pseudocubical cone"}
+
+
+@pytest.mark.parametrize("command", ["volume", "export-mesh"])
+def test_a_second_z_is_refused(command, quadrant_files, capsys, tmp_path):
+    argv = [command, "--fan", quadrant_files["fan"], "--gram", quadrant_files["gram"]]
+    argv += ["--z", quadrant_files["z"], "--z", quadrant_files["z2"]]
+    if command == "export-mesh":
+        argv += ["--out", str(tmp_path / "mesh.obj")]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "one --z" in json.loads(err)["error"]
+    assert not (tmp_path / "mesh.obj").exists()
 
 
 def test_error_reported_on_stderr(quadrant_files, capsys, tmp_path):

@@ -36,9 +36,7 @@ FANS = {
     "pm1 x pm1": product_fan(make_pm1_fan(), make_pm1_fan((2, 2))),
     "pm1 x quadrant": product_fan(make_pm1_fan((3, 3)), make_quadrant_fan()),
     "quadrant x pm1": product_fan(make_quadrant_fan(), make_pm1_fan()),
-    "pm1^3": product_fan(
-        product_fan(make_pm1_fan(), make_pm1_fan()), make_pm1_fan((2, 2)), ("A.", "B.")
-    ),
+    "pm1^3": product_fan(product_fan(make_pm1_fan(), make_pm1_fan()), make_pm1_fan((2, 2))),
 }
 
 # The d = 3 fans of the star tests.  "quadrant x ray" is not complete: on it, a

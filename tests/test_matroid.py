@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import normalvol as nv
 from normalvol.errors import (
@@ -48,7 +50,7 @@ def test_graphic_loop_rejected():
 
 def test_linear_zero_column_rejected():
     with pytest.raises(LoopDetected):
-        nv.linear({"a": [1, 0], "b": [0, 0]})
+        nv.linear([[1, 0], [0, 0]], ["a", "b"])
 
 
 def test_unknown_element_in_flats():
@@ -80,17 +82,27 @@ def test_k4_shape():
 
 def test_closure_and_rank_queries():
     m = make_matroid("K4")
-    triangle = m.mask(["0", "1", "3"])  # edges 12, 13, 23 span a triangle
-    assert m.rank_of_set(triangle) == 2
-    assert m.closure(m.mask(["0", "1"])) == triangle
+    bit = {e: 1 << m.index[e] for e in m.ground}
+    triangle = bit["0"] | bit["1"] | bit["3"]  # edges 12, 13, 23 span a triangle
+    assert m.rank_of_flat(m.closure(triangle)) == 2
+    assert m.closure(bit["0"] | bit["1"]) == triangle
 
 
 def test_linear_matches_uniform():
     # four generic columns in rank 3 give U(3, 4)
-    cols = {"a": [1, 0, 0], "b": [0, 1, 0], "c": [0, 0, 1], "d": [1, 1, 1]}
-    m = nv.linear(cols)
+    m = nv.linear([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], ["a", "b", "c", "d"])
     u = make_matroid("U34")
     assert {m.labels(f) for f in m.flats} == {u.labels(f) for f in u.flats}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.integers(1, n), st.just(n))))
+def test_uniform_flats_are_the_small_subsets_and_the_ground_set(rn):
+    # the direct enumeration: the subsets of size < r, then E, in Matroid.flats order
+    r, n = rn
+    size = lambda mask: bin(mask).count("1")
+    direct = {mask for mask in range(1 << n) if size(mask) < r} | {(1 << n) - 1}
+    assert nv.uniform(r, n).flats == tuple(sorted(direct, key=lambda mask: (size(mask), mask)))
 
 
 def test_matroid_from_json_kinds():
@@ -163,7 +175,7 @@ def test_mu_property():
 
 def test_bergman_rank_too_small():
     with pytest.raises(RankTooSmall):
-        nv.bergman_fan(nv.uniform(1, 2))
+        nv.bergman_fan(nv.uniform(1, 2), "a")
 
 
 def test_bergman_unknown_e0():

@@ -69,7 +69,7 @@ def test_w_vector_orthonormal_cone(quadrant_ctx):
     z = zmap(r1=3, r2=5, r3=0, r4=0)
     w = w_vector(quadrant_ctx, frozenset({"r1", "r2"}), z)
     assert w.coords == qvec([3, 5])
-    assert w.coefficient("r1") == 3 and w.coefficient("r2") == 5
+    assert dict(w.coefficients)["r1"] == 3 and dict(w.coefficients)["r2"] == 5
 
 
 def test_w_vector_single_ray_formula():
@@ -78,7 +78,7 @@ def test_w_vector_single_ray_formula():
     ctx = Context(fan, identity(2))
     w = w_vector(ctx, frozenset({"a"}), {"a": F(10), "b": F(0)})
     assert w.coords == qvec([4, 2])  # (10/5) * (2,1)
-    assert w.coefficient("a") == 2
+    assert dict(w.coefficients)["a"] == 2
 
 
 def test_w_vector_defining_equations(quadrant_ctx):

@@ -71,8 +71,3 @@ def test_hessian_of_contraction():
     h = p.hessian_of_contraction([{"z": Fraction(1)}], ["x", "y", "z"])
     assert h[0][1] == 1 and h[1][0] == 1
     assert all(h[i][i] == 0 for i in range(3))
-
-
-def test_variables():
-    p = lin(a=1) * lin(b=1) + lin(c=1)
-    assert p.variables() == {"a", "b", "c"}
