@@ -30,7 +30,7 @@ from .matroid import (
     linear,
     uniform,
 )
-from .af import af_check, check_reduce_conditions, hrw_verify, lorentzian_spot_check
+from .af import af_check, check_reduce_conditions, hrw_verify
 
 __all__ = [
     "NormalVolError",
@@ -62,7 +62,6 @@ __all__ = [
     "alpha_beta_z",
     "af_check",
     "check_reduce_conditions",
-    "lorentzian_spot_check",
     "hrw_verify",
 ]
 

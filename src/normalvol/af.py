@@ -3,9 +3,8 @@
 This module checks the sufficient conditions for the AF inequality on a
 normal complex (connectivity of small stars and the signature of the
 2-dimensional star volume quadratics), evaluates sampled AF margins
-exactly, spot-checks the Lorentzian property of the volume polynomial, and
-runs the full characteristic-polynomial log-concavity pipeline for
-matroids.
+exactly, and runs the full characteristic-polynomial log-concavity
+pipeline for matroids.
 """
 
 from __future__ import annotations
@@ -141,70 +140,6 @@ def sample_cubical(ctx: Context, count: int, seed: int) -> list[ZValues]:
     return samples
 
 
-# -- Lorentzian spot checks -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LorentzianReport:
-    irreducible: bool
-    positivity_pass: bool
-    hessian_pass: bool
-    offdiagonal_pattern_pass: bool
-    samples: int
-
-    @property
-    def verdict(self) -> str:
-        ok = (
-            self.irreducible
-            and self.positivity_pass
-            and self.hessian_pass
-            and self.offdiagonal_pattern_pass
-        )
-        return PASS if ok else FAIL
-
-
-def lorentzian_spot_check(ctx: Context, samples: int, seed: int) -> LorentzianReport:
-    """Spot-check the Lorentzian conditions of the volume polynomial.
-
-    For sampled cubical directions v_1..v_d: the full contraction must be
-    positive, and the Hessian contracted along v_1..v_{d-2} must have
-    exactly one positive eigenvalue.  The nonzero off-diagonal pattern of
-    each contracted Hessian must match the fan's 2-cone adjacency, and the
-    adjacency graph must be connected (irreducibility).
-    """
-    fan = ctx.fan
-    d = fan.d
-    rays = fan.ray_ids()
-    f = vol_polynomial(ctx)
-    # irreducibility constrains the quadratic contractions, which only exist
-    # for d >= 2; below that it holds vacuously
-    irreducible = d < 2 or star_connected_minus_origin(fan)
-    two_cones = {frozenset(c) for c in fan.cones_of_dim(2)}
-    cubicals = sample_cubical(ctx, samples * max(d, 1), seed)
-    positivity = hess = pattern = True
-    n_done = 0
-    for s in range(samples):
-        tuple_dirs = cubicals[s * d : (s + 1) * d]
-        if len(tuple_dirs) < d:
-            break
-        n_done += 1
-        full = f
-        for v in tuple_dirs:
-            full = full.directional(v)
-        if full.eval_at({rid: ZERO for rid in rays}) <= 0:
-            positivity = False
-        if d < 2:
-            continue
-        h = f.hessian_of_contraction(tuple_dirs[: d - 2], rays)
-        if signature(h).n_plus != 1:
-            hess = False
-        for i, r1 in enumerate(rays):
-            for j in range(i + 1, len(rays)):
-                if h[i][j] != 0 and frozenset({r1, rays[j]}) not in two_cones:
-                    pattern = False
-    return LorentzianReport(irreducible, positivity, hess, pattern, n_done)
-
-
 # -- the Heron-Rota-Welsh pipeline ------------------------------------------------
 
 
@@ -235,7 +170,7 @@ class HRWReport:
         return PASS if ok else FAIL
 
 
-def hrw_verify(m: Matroid, e0: str | None = None) -> HRWReport:
+def hrw_verify(m: Matroid, e0: str) -> HRWReport:
     """Coefficients of the reduced characteristic polynomial, three ways.
 
     The subset-expansion coefficients must equal the Chow degrees of
@@ -243,8 +178,6 @@ def hrw_verify(m: Matroid, e0: str | None = None) -> HRWReport:
     (z_alpha, z_beta) tuples, or MismatchError is raised, and the resulting
     sequence must be log-concave and unimodal (as must the unreduced one).
     """
-    if e0 is None:
-        e0 = m.ground[0]
     cp = char_poly(m)
     mubar_char = cp.mubar
     fan = bergman_fan(m, e0)

@@ -270,7 +270,7 @@ def cmd_hrw(args, caps: Caps) -> int:
     m = matroid_from_json(
         _load_json(args.matroid), caps.max_ground, partial(_check_fan_caps, caps=caps)
     )
-    e0 = args.e0 or m.ground[0]
+    e0 = m.ground[0] if args.e0 is None else args.e0
     report = af.hrw_verify(m, e0)
     payload = {
         "verdict": report.verdict,

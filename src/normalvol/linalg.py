@@ -68,17 +68,6 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
     return tuple(dot(row, v) for row in m)
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    if a and b and len(a[0]) != len(b):
-        raise DimensionMismatch("incompatible shapes")
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def transpose(m: Mat) -> Mat:
-    return tuple(zip(*m)) if m else ()
-
-
 def identity(n: int) -> Mat:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 

@@ -68,8 +68,6 @@ from .linalg import (
     ZERO,
     ONE,
     det,
-    dot,
-    mat_vec,
     signature,
     vec_add,
     vec_scale,
@@ -125,9 +123,6 @@ class Context:
         self._sorted_cones: list[tuple[Cone, tuple[str, ...]]] | None = None
         self._stars: dict[Cone, "Context"] = {}
         self._vol_polys: dict[Cone, MultiPoly] = {}
-
-    def pair(self, u: Vec, v: Vec) -> Fraction:
-        return dot(u, mat_vec(self.gram, v))
 
     def ray_pair(self, a: str, b: str) -> int:
         """The integer <u~_a, G~ u~_b> = <u_a, u_b> / pair_scale, cached per unordered pair."""
@@ -461,15 +456,6 @@ class TruncationTables:
     def classify(self, z: Mapping[str, Fraction]) -> CubReport:
         """Same report as ``classify_z``."""
         return self._entry(z)[0]
-
-    def table(self, z: Mapping[str, Fraction]) -> dict[Cone, Vec]:
-        """c_sigma(z) for every nonzero cone sigma, as Fractions."""
-        _, scale, nums = self._entry(z)
-        out = {}
-        for cone, row in nums.items():
-            unit = ONE / (scale * self.ctx.cone_gram_inverse(cone)[0] * self.ctx.pair_scale)
-            out[cone] = tuple(unit * v for v in row)
-        return out
 
     def _factors(self, scale: int, nums: dict[Cone, tuple[int, ...]]) -> Callable[[Cone], Vec]:
         gram_inverse = self.ctx.cone_gram_inverse

@@ -46,15 +46,8 @@ class MultiPoly:
         return cls({(): Fraction(c)})
 
     @classmethod
-    def variable(cls, var: str) -> "MultiPoly":
-        return cls({((var, 1),): Fraction(1)})
-
-    @classmethod
-    def linear(cls, coeffs: Mapping[str, Fraction], const: Fraction = ZERO) -> "MultiPoly":
-        terms: dict[Mono, Fraction] = {((v, 1),): Fraction(c) for v, c in coeffs.items()}
-        if const:
-            terms[()] = Fraction(const)
-        return cls(terms)
+    def linear(cls, coeffs: Mapping[str, Fraction]) -> "MultiPoly":
+        return cls({((v, 1),): Fraction(c) for v, c in coeffs.items()})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -77,15 +70,6 @@ class MultiPoly:
             terms[mono] = terms.get(mono, ZERO) + coeff
         return MultiPoly(terms)
 
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, ZERO) - coeff
-        return MultiPoly(terms)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly({m: -c for m, c in self.terms.items()})
-
     def __mul__(self, other) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
             c = Fraction(other)
@@ -101,37 +85,6 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         return max((_mono_deg(m) for m in self.terms), default=0)
-
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        degs = {_mono_deg(m) for m in self.terms}
-        if not degs:
-            return True
-        if len(degs) > 1:
-            return False
-        return degree is None or degs == {degree}
-
-    def partial(self, var: str) -> "MultiPoly":
-        terms: dict[Mono, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            exps = dict(mono)
-            e = exps.get(var, 0)
-            if e == 0:
-                continue
-            if e == 1:
-                del exps[var]
-            else:
-                exps[var] = e - 1
-            m = tuple(sorted(exps.items()))
-            terms[m] = terms.get(m, ZERO) + e * coeff
-        return MultiPoly(terms)
-
-    def directional(self, direction: Mapping[str, Fraction]) -> "MultiPoly":
-        """Derivative along the vector with the given per-variable components."""
-        out = MultiPoly.zero()
-        for var, comp in direction.items():
-            if comp:
-                out = out + Fraction(comp) * self.partial(var)
-        return out
 
     def eval_at(self, values: Mapping[str, Fraction]) -> Fraction:
         total = ZERO
@@ -165,12 +118,3 @@ class MultiPoly:
                 h[i][j] += coeff
                 h[j][i] += coeff
         return tuple(tuple(row) for row in h)
-
-    def hessian_of_contraction(
-        self, directions: Iterable[Mapping[str, Fraction]], variables: Iterable[str]
-    ) -> Mat:
-        """Hessian of the quadratic obtained by contracting along each direction."""
-        g = self
-        for direction in directions:
-            g = g.directional(direction)
-        return g.hessian(variables)

@@ -13,6 +13,15 @@ from normalvol.linalg import identity, qmat
 from normalvol.normalcx import Context
 
 
+def mat_mul(a, b):
+    """Reference matrix product; the library has none."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def transpose(m):
+    return tuple(zip(*m))
+
+
 def make_quadrant_fan():
     """Rays +-e1, +-e2 in the plane, four orthant cones, weights 1."""
     rays = {

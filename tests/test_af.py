@@ -131,26 +131,6 @@ def test_samples_are_cubical(quadrant_ctx):
         assert nv.classify_z(quadrant_ctx, z).is_cubical
 
 
-# -- Lorentzian spot checks ---------------------------------------------------------
-
-
-def test_lorentzian_quadrant(quadrant_ctx):
-    report = nv.lorentzian_spot_check(quadrant_ctx, samples=5, seed=0)
-    assert report.verdict == PASS
-    assert report.samples == 5
-
-
-def test_lorentzian_k4():
-    report = nv.lorentzian_spot_check(bergman("K4").ctx, samples=3, seed=0)
-    assert report.verdict == PASS
-    assert report.irreducible
-
-
-def test_lorentzian_segment(pm1_ctx):
-    report = nv.lorentzian_spot_check(pm1_ctx, samples=3, seed=0)
-    assert report.verdict == PASS
-
-
 # -- the HRW pipeline ------------------------------------------------------------------
 
 

@@ -296,6 +296,15 @@ def test_hrw(tmp_path, capsys):
     assert json.loads(out_path.read_text()) == report
 
 
+@pytest.mark.parametrize("e0", ["zz", ""])
+def test_hrw_refuses_an_e0_outside_the_ground_set(e0, tmp_path, capsys):
+    matroid = tmp_path / "m.json"
+    matroid.write_text(json.dumps({"kind": "uniform", "ground_set": ["a", "b", "c"], "rank": 2}))
+    code, out, err = run(capsys, ["hrw", "--matroid", str(matroid), "--e0", e0])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": f"{e0!r} is not a ground set element"}
+
+
 def test_export_mesh(quadrant_files, tmp_path, capsys):
     out_path = tmp_path / "mesh.obj"
     code, out, _ = run(

@@ -12,12 +12,11 @@ from normalvol.errors import (
     NotSymmetric,
 )
 from normalvol.fan import ZERO_CONE
-from normalvol.linalg import identity, qmat, qvec
+from normalvol.linalg import dot, identity, mat_vec, qmat, qvec
 from normalvol import normalcx
 from normalvol.normalcx import (
     OUTSIDE,
     Context,
-    TruncationTables,
     classify_z,
     face_complex,
     geometric_volume_oracle,
@@ -86,7 +85,7 @@ def test_w_vector_defining_equations(quadrant_ctx):
     for cone in quadrant_ctx.fan.cones:
         w = w_vector(quadrant_ctx, cone, z)
         for rid in cone:
-            assert quadrant_ctx.pair(w.coords, quadrant_ctx.fan.rays[rid]) == z[rid]
+            assert dot(w.coords, mat_vec(quadrant_ctx.gram, quadrant_ctx.fan.rays[rid])) == z[rid]
 
 
 # -- classification --------------------------------------------------------------
@@ -133,8 +132,9 @@ def test_find_cubical_slack_anchors(name, slack):
     z, found = nv.find_cubical(ctx)
     assert found == slack
     assert nv.classify_z(ctx, z).is_cubical
-    table = TruncationTables(ctx).table(z)
-    assert min(c for coeffs in table.values() for c in coeffs) == slack
+    # c_sigma(z) for every nonzero cone sigma
+    cones = [cone for cone in ctx.fan.cones if cone]
+    assert min(c for cone in cones for _, c in w_vector(ctx, cone, z).coefficients) == slack
 
 
 # -- restriction ---------------------------------------------------------------------
@@ -246,17 +246,21 @@ def test_vol_polynomial_quadrant(quadrant_ctx):
 
 
 def test_vol_polynomial_euler_identity(quadrant_ctx):
+    # f(t z) = t^d f(z), whose derivative at t = 1 is Euler's identity
     f = vol_polynomial(quadrant_ctx)
     d = quadrant_ctx.fan.d
-    total = MultiPoly.zero()
-    for rid in quadrant_ctx.fan.ray_ids():
-        total = total + MultiPoly.variable(rid) * f.partial(rid)
-    assert total == Fraction(d) * f
+    z = zmap(r1=1, r2=2, r3=3, r4=4)
+    t = F(5, 3)
+    assert f.eval_at({rid: t * c for rid, c in z.items()}) == t**d * f.eval_at(z)
+    assert all(sum(e for _, e in mono) == d for mono in f.terms)
 
 
 def test_vol_polynomial_homogeneous(quadrant_ctx):
-    f = vol_polynomial(quadrant_ctx)
-    assert f.is_homogeneous(quadrant_ctx.fan.d)
+    # every monomial has degree d, and the variables of each form a cone
+    for ctx in (quadrant_ctx, bergman("K4").ctx):
+        f = vol_polynomial(ctx)
+        assert all(sum(e for _, e in mono) == ctx.fan.d for mono in f.terms)
+        assert all(frozenset(v for v, _ in mono) in ctx.fan.cones for mono in f.terms)
 
 
 def test_geometric_oracle_segment(pm1_ctx):
@@ -356,16 +360,19 @@ def test_polarization_oracle_d1(pm1_ctx):
 
 
 def test_partials_identity(quadrant_ctx):
-    # directional derivatives of the volume polynomial give d!/(d-k)! MVol
+    # along the line z + t v: f(z+v) - f(z-v) = 4 MVol(v, z) and
+    # f(z+v) - f(z) - f(v) + f(0) = 2 MVol(v, z), the first and mixed second derivatives
     rng = random.Random(7)
     rays = quadrant_ctx.fan.ray_ids()
     f = vol_polynomial(quadrant_ctx)
     z = {r: Fraction(rng.randint(1, 9)) for r in rays}
     v = {r: Fraction(rng.randint(1, 9)) for r in rays}
-    df = f.directional(v)
-    assert df.eval_at(z) == 2 * mvol_recursive(quadrant_ctx, [v, z])
-    ddf = df.directional(z)
-    assert ddf.eval_at({r: Fraction(0) for r in rays}) == 2 * mvol_recursive(quadrant_ctx, [v, z])
+    plus = f.eval_at({r: z[r] + v[r] for r in rays})
+    minus = f.eval_at({r: z[r] - v[r] for r in rays})
+    mixed = mvol_recursive(quadrant_ctx, [v, z])
+    assert (plus - minus) / 4 == mixed
+    zero = {r: Fraction(0) for r in rays}
+    assert plus - f.eval_at(z) - f.eval_at(v) + f.eval_at(zero) == 2 * mixed
 
 
 # -- faces ------------------------------------------------------------------------------------------
