@@ -54,14 +54,14 @@ def covector(fan: MarkedFan, sigma: Cone, z: Mapping[str, Fraction], strategy: s
     degrees must not depend on it.
     """
     if strategy == LEX:
-        order = range(fan.ambient_dim)
+        step = 1
     elif strategy == REVLEX:
-        order = range(fan.ambient_dim - 1, -1, -1)
+        step = -1  # pivot on the reversed coordinates, then reverse the answer back
     else:
         raise ValueError(f"unknown pivot strategy {strategy!r}")
     rids = sorted(sigma)
-    a = tuple(fan.rays[rid] for rid in rids)
-    return solve(a, qvec([z[rid] for rid in rids]), col_order=order)
+    a = tuple(fan.rays[rid][::step] for rid in rids)
+    return solve(a, qvec([z[rid] for rid in rids]))[::step]
 
 
 def multiply_divisor(

@@ -48,6 +48,10 @@ def _caps_from_env() -> Caps:
         if key not in ("max_ground", "max_rays", "max_dim") or not value.strip().isdecimal():
             raise InputError(f"unknown cap or non-integer value {part!r} in NORMALVOL_CAPS")
         setattr(caps, key, int(value))
+    if caps.max_ground > GROUND_SET_CAP:
+        raise InputError(
+            f"max_ground={caps.max_ground} in NORMALVOL_CAPS exceeds the hard cap {GROUND_SET_CAP}"
+        )
     return caps
 
 
@@ -68,8 +72,9 @@ def _write(path: str, text: str) -> None:
 
 
 def _check_fan_caps(rays: int, d: int, caps: Caps) -> None:
+    """Refuse a fan over the caps; ``rays`` and ``d`` may be lower bounds."""
     if rays > caps.max_rays:
-        raise NormalVolError(f"fan has {rays} rays, cap is {caps.max_rays}")
+        raise NormalVolError(f"fan has at least {rays} rays, cap is {caps.max_rays}")
     if d > caps.max_dim:
         raise DimTooLarge(f"fan dimension {d} exceeds the cap {caps.max_dim}")
 
@@ -77,7 +82,7 @@ def _check_fan_caps(rays: int, d: int, caps: Caps) -> None:
 def _load_fan(path: str, caps: Caps) -> MarkedFan:
     """The fan of a file, its caps checked before ``MarkedFan`` validates anything."""
     ambient_dim, rays, max_cones = parse_fan(_load_json(path))
-    d = max((len(set(ray_ids)) for ray_ids, _ in max_cones), default=0)
+    d = max((len(ray_ids) for ray_ids, _ in max_cones), default=0)
     _check_fan_caps(len(rays), d, caps)
     return MarkedFan(ambient_dim, rays, max_cones)
 

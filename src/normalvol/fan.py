@@ -18,6 +18,7 @@ from . import lp
 from .errors import (
     DimensionMismatch,
     FacesDontMeet,
+    InputError,
     NonpositiveWeight,
     NotPure,
     NotSimplicial,
@@ -156,8 +157,9 @@ def _subsets(items: list[str]):
 def parse_fan(raw: Mapping) -> tuple[int, dict[str, Vec], list[tuple[tuple[str, ...], Fraction]]]:
     """The ambient dimension, rays and weighted maximal cones of a JSON fan description.
 
-    Only the shape is checked here, and a malformed key raises InputError
-    naming it; ``MarkedFan`` validates the geometry.
+    Only the shape is checked here: a malformed key, an ``ambient_dim``
+    below 1, a file with no rays and a cone that repeats a ray raise
+    InputError.  ``MarkedFan`` validates the geometry.
     """
     field = partial(read_field, raw, "the fan")
     ambient_dim = field("ambient_dim", parse_int)
@@ -166,6 +168,13 @@ def parse_fan(raw: Mapping) -> tuple[int, dict[str, Vec], list[tuple[tuple[str, 
         "max_cones",
         lambda es: [(tuple(map(_ray_id, e["rays"])), parse_rat(e["weight"])) for e in es],
     )
+    if ambient_dim < 1:
+        raise InputError(f"the fan's 'ambient_dim' must be at least 1, got {ambient_dim}")
+    if not rays:
+        raise InputError("the fan has no rays")
+    for ray_ids, _ in max_cones:
+        if len(set(ray_ids)) != len(ray_ids):
+            raise InputError(f"the fan's cone {list(ray_ids)} repeats a ray")
     ray_map = dict(rays)
     if len(ray_map) != len(rays):
         raise FacesDontMeet("duplicate ray ids")

@@ -2,11 +2,11 @@
 
 Vectors are tuples of Fraction, matrices are tuples of row tuples.  Every
 routine here is exact: there is no floating point anywhere, so results can
-be compared with ``==``.  Elimination is fraction-free: ``solve``, ``rank``
-and ``inverse`` scale each row to integers and run integer Gauss-Jordan,
-dividing by the pivots only at the end, and ``det`` is Bareiss's
-elimination; their results equal those of rational elimination.  ``solve``
-returns one solution vector, its free coordinates zero; the Chow covectors
+be compared with ``==``.  Elimination is fraction-free: ``solve``, ``rank``,
+``inverse`` and ``det`` scale each row to integers and read one Bareiss
+Gauss-Jordan elimination, dividing by the pivots only at the end; their
+results equal those of rational elimination.  ``solve`` returns one
+solution vector, its free coordinates zero; the Chow covectors
 use it, star fans use ``inverse``, fan and balancing checks use ``rank`` and
 the geometric oracle uses ``det``.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NoSolution, NotSymmetric
@@ -78,60 +78,65 @@ def _scaled_row(row: Sequence) -> tuple[int, list[int]]:
     return s, [x.numerator * (s // x.denominator) for x in row]
 
 
-def _primitive(row: list[int]) -> list[int]:
-    """The row divided by the gcd of its entries."""
-    g = gcd(*row)
-    return [v // g for v in row] if g > 1 else row
-
-
 def _integer_rows(rows: Iterable[Sequence]) -> list[list[int]]:
-    return [_primitive(_scaled_row(row)[1]) for row in rows]
+    return [_scaled_row(row)[1] for row in rows]
 
 
-def _eliminate(rows: list[list[int]], col_order: Sequence[int]) -> list[tuple[int, int]]:
-    """Fraction-free Gauss-Jordan elimination in the given column order; returns pivots.
+def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[tuple[int, int]], int]:
+    """Bareiss's fraction-free Gauss-Jordan elimination; returns (pivots, signed last pivot).
 
-    Each pivot is a (row index, column index) pair.  Pivots are chosen as in
-    rational elimination, the first nonzero entry of the column at or below
-    the current row, and a row is cleared by p * row - row[c] * pivot_row and
-    divided by its gcd.  Every integer row stays a nonzero multiple of the
-    rational row, so after the call a pivot row divided by its pivot entry is
-    the row of the reduced echelon form with respect to ``col_order``, and
-    every other entry of a pivot column is zero.
+    Each pivot is a (row index, column index) pair.  The first ``ncols``
+    columns are taken in order, and the pivot is the first nonzero entry of
+    the column at or below the current row.  With p that pivot and prev the
+    one before it (1 at first), every other row becomes
+    (p * row - row[c] * pivot_row) // prev, an exact division by Sylvester's
+    identity; a row with row[c] == 0 is only rescaled by p / prev.  After
+    the call every pivot entry is the last pivot, every other entry of a
+    pivot column is zero, and a pivot row divided by its pivot entry is a
+    row of the reduced echelon form.  The signed last pivot carries one sign
+    flip per row swap; for a square matrix of full rank it is the
+    determinant.
     """
     pivots: list[tuple[int, int]] = []
+    sign, prev = 1, 1
     r = 0
-    for c in col_order:
+    for c in range(ncols):
         pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            sign = -sign
         prow = rows[r]
         p = prow[c]
         for i, row in enumerate(rows):
+            if i == r:
+                continue
             f = row[c]
-            if i != r and f:
-                rows[i] = _primitive([p * v - f * w for v, w in zip(row, prow)])
+            if f:
+                rows[i] = [(p * v - f * w) // prev for v, w in zip(row, prow)]
+            elif p != prev:
+                rows[i] = [p * v // prev for v in row]
         pivots.append((r, c))
+        prev = p
         r += 1
         if r == len(rows):
             break
-    return pivots
+    return pivots, sign * prev
 
 
-def solve(a: Mat, b: Vec, col_order: Sequence[int] | None = None) -> Vec:
+def solve(a: Mat, b: Vec) -> Vec:
     """One solution x of A x = b, exactly; raises :class:`NoSolution` when inconsistent.
 
-    ``col_order`` controls which columns are preferred as pivots, which pins
-    down the solution deterministically: coordinates in non-pivot columns
-    are zero.
+    Pivots are taken in column order, and coordinates in non-pivot columns
+    are zero, so the solution is deterministic.
     """
     m = len(a)
     n = len(a[0]) if a else 0
     if len(b) != m:
         raise DimensionMismatch(f"matrix has {m} rows, rhs has {len(b)}")
     rows = _integer_rows((*row, rhs) for row, rhs in zip(a, b))
-    pivots = _eliminate(rows, range(n) if col_order is None else col_order)
+    pivots, _ = _eliminate(rows, n)
     if any(rows[i][n] for i in range(len(pivots), m)):
         raise NoSolution("inconsistent linear system")
     x = [ZERO] * n
@@ -143,7 +148,7 @@ def solve(a: Mat, b: Vec, col_order: Sequence[int] | None = None) -> Vec:
 def rank(a: Mat) -> int:
     if not a:
         return 0
-    return len(_eliminate(_integer_rows(a), range(len(a[0]))))
+    return len(_eliminate(_integer_rows(a), len(a[0]))[0])
 
 
 def inverse(a: Mat) -> Mat:
@@ -151,44 +156,24 @@ def inverse(a: Mat) -> Mat:
     if any(len(row) != n for row in a):
         raise DimensionMismatch("inverse needs a square matrix")
     rows = _integer_rows((*row, *ident_row) for row, ident_row in zip(a, identity(n)))
-    pivots = _eliminate(rows, range(n))
+    pivots, _ = _eliminate(rows, n)
     if len(pivots) < n:
         raise NoSolution("matrix is singular")
     return tuple(tuple(Fraction(v, rows[r][c]) for v in rows[r][n:]) for r, c in pivots)
 
 
 def det(a: Mat) -> Fraction:
-    """Determinant by Bareiss's fraction-free elimination.
-
-    Each row is scaled to integers by the lcm s_i of its denominators; step k
-    replaces every entry below and right of the pivot by
-    (m_ij m_kk - m_ik m_kj) / m_{k-1,k-1}, an exact division by Sylvester's
-    identity, so the last pivot is the integer determinant.  det(A) is that
-    over the product of the s_i.
-    """
-    n = len(a)
-    rows = []
+    """Determinant: each row is scaled to integers by the lcm s_i of its
+    denominators, and det(A) is the signed last pivot of the elimination
+    over the product of the s_i, or zero when a pivot is missing."""
     scale = 1
+    rows = []
     for row in a:
         s, ints = _scaled_row(row)
         rows.append(ints)
         scale *= s
-    sign, prev = 1, 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if rows[i][k]), None)
-        if pivot is None:
-            return ZERO
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            sign = -sign
-        prow = rows[k]
-        p = prow[k]
-        for i in range(k + 1, n):
-            row = rows[i]
-            f = row[k]
-            rows[i] = [(v * p - f * w) // prev for v, w in zip(row, prow)]
-        prev = p
-    return Fraction(sign * prev, scale)
+    pivots, last = _eliminate(rows, len(rows))
+    return Fraction(last, scale) if len(pivots) == len(a) else ZERO
 
 
 @dataclass(frozen=True)

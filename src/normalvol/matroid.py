@@ -8,6 +8,7 @@ a rank oracle and then run the same axiom validation.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -29,6 +30,10 @@ from .linalg import rank as matrix_rank
 from .serialize import parse_int, parse_rat, read_field
 
 GROUND_SET_CAP = 20
+
+# check_fan(rays, d) raises when the Bergman fan's ray count or dimension
+# exceeds a cap; it may be given lower bounds before the exact values.
+CheckFan = Callable[[int, int], None]
 
 
 def _popcount(mask: int) -> int:
@@ -110,7 +115,9 @@ class Matroid:
 # -- constructors ----------------------------------------------------------
 
 
-def from_flats(ground: Sequence[str], flats: Sequence[Sequence[str]]) -> Matroid:
+def from_flats(
+    ground: Sequence[str], flats: Sequence[Sequence[str]], check_fan: CheckFan | None = None
+) -> Matroid:
     labels = [str(e) for e in ground]
     index = {e: i for i, e in enumerate(labels)}
     masks = set()
@@ -121,13 +128,24 @@ def from_flats(ground: Sequence[str], flats: Sequence[Sequence[str]]) -> Matroid
                 raise UnknownElement(f"{e!r} is not a ground set element")
             m |= 1 << index[str(e)]
         masks.add(m)
+    if check_fan:  # the rank, and so the dimension, is known only after the axiom check
+        check_fan(len(masks - {0, (1 << len(labels)) - 1}), 0)
     return Matroid(labels, masks)
 
 
-def _flats_from_rank_oracle(ground: Sequence[str], rank_of) -> set[int]:
-    """Closure search: the flats are the closed sets of the rank function."""
+def _flats_from_rank_oracle(
+    ground: Sequence[str], rank_of, check_fan: CheckFan | None = None
+) -> set[int]:
+    """Closure search: the flats are the closed sets of the rank function.
+
+    ``check_fan`` sees rank(E) - 1 before the search and a lower bound on
+    the number of proper flats at each new flat, so a cap stops the search.
+    """
     n = len(ground)
     full = (1 << n) - 1
+    d = rank_of(full) - 1
+    if check_fan:
+        check_fan(0, d)
 
     def closure(mask: int) -> int:
         r = rank_of(mask)
@@ -139,9 +157,9 @@ def _flats_from_rank_oracle(ground: Sequence[str], rank_of) -> set[int]:
         return out
 
     flats = {closure(0)}
-    frontier = [closure(0)]
+    frontier = deque(flats)  # breadth first, so a cap on the flats stops it early
     while frontier:
-        f = frontier.pop()
+        f = frontier.popleft()
         for i in range(n):
             bit = 1 << i
             if f & bit:
@@ -150,6 +168,8 @@ def _flats_from_rank_oracle(ground: Sequence[str], rank_of) -> set[int]:
             if g not in flats:
                 flats.add(g)
                 frontier.append(g)
+                if check_fan:
+                    check_fan(len(flats) - 2, d)
     flats.add(full)
     return flats
 
@@ -164,7 +184,11 @@ def uniform(r: int, ground: int | Sequence[str]) -> Matroid:
     return Matroid(labels, _flats_from_rank_oracle(labels, lambda m: min(_popcount(m), r)))
 
 
-def graphic(edges: Sequence[Sequence[str]], labels: Sequence[str] | None = None) -> Matroid:
+def graphic(
+    edges: Sequence[Sequence[str]],
+    labels: Sequence[str] | None = None,
+    check_fan: CheckFan | None = None,
+) -> Matroid:
     """The cycle matroid of a multigraph given as a list of edges (u, v)."""
     if labels is None:
         labels = [str(i) for i in range(len(edges))]
@@ -194,10 +218,14 @@ def graphic(edges: Sequence[Sequence[str]], labels: Sequence[str] | None = None)
                     r += 1
         return r
 
-    return Matroid(labels, _flats_from_rank_oracle(labels, rank_of))
+    return Matroid(labels, _flats_from_rank_oracle(labels, rank_of, check_fan))
 
 
-def linear(columns: Sequence[Sequence], labels: Sequence[str] | None = None) -> Matroid:
+def linear(
+    columns: Sequence[Sequence],
+    labels: Sequence[str] | None = None,
+    check_fan: CheckFan | None = None,
+) -> Matroid:
     """The matroid of a list of rational column vectors."""
     vecs = qmat(columns)
     if labels is None:
@@ -213,11 +241,11 @@ def linear(columns: Sequence[Sequence], labels: Sequence[str] | None = None) -> 
         rows = tuple(v for i, v in enumerate(vecs) if mask >> i & 1)
         return matrix_rank(rows)
 
-    return Matroid(labels, _flats_from_rank_oracle(labels, rank_of))
+    return Matroid(labels, _flats_from_rank_oracle(labels, rank_of, check_fan))
 
 
 def matroid_from_json(
-    raw: Mapping, cap: int = GROUND_SET_CAP, check_fan: Callable[[int, int], None] | None = None
+    raw: Mapping, cap: int = GROUND_SET_CAP, check_fan: CheckFan | None = None
 ) -> Matroid:
     """A matroid from its file: a ``kind`` with the keys it needs, and a ``ground_set``.
 
@@ -227,7 +255,9 @@ def matroid_from_json(
     is called with the ray count and dimension of the Bergman fan, the number
     of proper flats and rank - 1: for a uniform matroid from the closed form
     C(n,1) + ... + C(n,r-1) before any flat is built, for the other kinds
-    once the flats are known.
+    once the flats are known, and before that with lower bounds: during the
+    closure search of a graphic or linear matroid, and before the axiom
+    check of a matroid given by its flats.
     """
     field = partial(read_field, raw, "the matroid file")
     ground = field("ground_set", lambda g: [str(e) for e in g])
@@ -242,11 +272,12 @@ def matroid_from_json(
             check_fan(sum(comb(n, k) for k in range(1, r)), r - 1)
         return uniform(r, ground)
     if kind == "flats":
-        m = from_flats(ground, field("flats", lambda fs: [list(f) for f in fs]))
+        m = from_flats(ground, field("flats", lambda fs: [list(f) for f in fs]), check_fan)
     elif kind == "graphic":
-        m = graphic(field("edges", lambda es: [(u, v) for u, v in es]), ground)
+        m = graphic(field("edges", lambda es: [(u, v) for u, v in es]), ground, check_fan)
     elif kind == "linear":
-        m = linear(field("matrix", lambda cs: [[parse_rat(v) for v in c] for c in cs]), ground)
+        matrix = field("matrix", lambda cs: [[parse_rat(v) for v in c] for c in cs])
+        m = linear(matrix, ground, check_fan)
     else:
         raise UnknownElement(f"unknown matroid kind {kind!r}")
     if check_fan:

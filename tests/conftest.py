@@ -22,6 +22,42 @@ def transpose(m):
     return tuple(zip(*m))
 
 
+def _reference_eliminate(rows, col_order):
+    """Gauss-Jordan over Fraction in the given column order: normalize each
+    pivot row, clear its column.  Shares no code with ``normalvol.linalg``."""
+    pivots = []
+    r = 0
+    for c in col_order:
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [inv * v for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def _reference_solve(a, b, col_order):
+    """x with zero free coordinates, or None when A x = b is inconsistent."""
+    n = len(a[0])
+    rows = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    pivots = _reference_eliminate(rows, col_order)
+    if any(rows[i][n] != 0 for i in range(len(pivots), len(a))):
+        return None
+    x = [Fraction(0)] * n
+    for r, c in pivots:
+        x[c] = rows[r][n]
+    return tuple(x)
+
+
 def make_quadrant_fan():
     """Rays +-e1, +-e2 in the plane, four orthant cones, weights 1."""
     rays = {

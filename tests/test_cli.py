@@ -2,6 +2,10 @@ import contextlib
 import io
 import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -400,6 +404,88 @@ def test_hrw_caps_a_graphic_bergman_fan_before_building_it(caps, tmp_path, capsy
     assert "cap" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("caps", ["", "max_dim=1", "max_rays=20"])
+def test_hrw_caps_a_linear_bergman_fan_during_the_flat_search(caps, tmp_path, capsys, monkeypatch):
+    # Columns (1, i, i^2) give U(3,20): d = 2 and 210 proper flats, over the default 200.
+    monkeypatch.setattr(matroid, "Matroid", _refuse)
+    monkeypatch.setenv("NORMALVOL_CAPS", caps)
+    path = tmp_path / "u320.json"
+    path.write_text(
+        json.dumps(
+            {
+                "kind": "linear",
+                "ground_set": [f"e{i}" for i in range(20)],
+                "matrix": [[1, i, i * i] for i in range(1, 21)],
+            }
+        )
+    )
+    code, out, err = run(capsys, ["hrw", "--matroid", str(path)])
+    assert code == 2 and out == ""
+    assert "cap" in json.loads(err)["error"]
+
+
+def test_hrw_caps_flats_before_the_axiom_check(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(matroid, "Matroid", _refuse)
+    monkeypatch.setenv("NORMALVOL_CAPS", "max_rays=2")
+    path = tmp_path / "m.json"
+    flats = [[], ["a"], ["b"], ["c"], ["a", "b", "c"]]
+    path.write_text(json.dumps({"kind": "flats", "ground_set": ["a", "b", "c"], "flats": flats}))
+    code, out, err = run(capsys, ["hrw", "--matroid", str(path)])
+    assert code == 2 and out == ""
+    assert "cap" in json.loads(err)["error"]
+
+
+def test_max_ground_cap_cannot_be_raised(quadrant_files, capsys, monkeypatch):
+    monkeypatch.setenv("NORMALVOL_CAPS", "max_ground=21")
+    code, out, err = run(capsys, ["fan-validate", "--fan", quadrant_files["fan"]])
+    assert code == 2 and out == ""
+    assert "max_ground" in json.loads(err)["error"]
+    monkeypatch.setenv("NORMALVOL_CAPS", "max_ground=20")
+    assert run(capsys, ["fan-validate", "--fan", quadrant_files["fan"]])[0] == 0
+
+
+# Fan files that parse but describe no fan; each error names what is wrong.
+NO_RAY_FAN = {"ambient_dim": 1, "rays": [], "max_cones": [{"rays": [], "weight": "1"}]}
+DEGENERATE_FANS = {
+    "no rays": (NO_RAY_FAN, "no rays"),
+    "ambient_dim -1": (
+        {**NO_RAY_FAN, "ambient_dim": "-1", "rays": [{"id": "a", "u": ["1"]}]},
+        "ambient_dim",
+    ),
+    "a cone repeating a ray": (
+        {
+            "ambient_dim": 1,
+            "rays": [{"id": "a", "u": ["1"]}, {"id": "b", "u": ["-1"]}],
+            "max_cones": [{"rays": ["a", "a"], "weight": "1"}, {"rays": ["b"], "weight": "1"}],
+        },
+        "repeats",
+    ),
+}
+
+
+@pytest.mark.parametrize("fan", list(DEGENERATE_FANS))
+@pytest.mark.parametrize(
+    "command", ["cubical-find", "reduce-check", "af-check", "export-mesh", "fan-validate"]
+)
+def test_a_degenerate_fan_file_is_an_input_error(command, fan, tmp_path, capsys):
+    raw, words = DEGENERATE_FANS[fan]
+    paths = {"fan": raw, "gram": {"gram": [["1"]]}, "z": {"z": {}}}
+    for key, doc in paths.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps(doc))
+    argv = [command, "--fan", str(tmp_path / "fan.json")]
+    if command != "fan-validate":
+        argv += ["--gram", str(tmp_path / "gram.json")]
+    if command == "export-mesh":
+        argv += ["--z", str(tmp_path / "z.json"), "--out", str(tmp_path / "mesh.obj")]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    if command == "fan-validate":
+        report = json.loads(out)
+        assert not report["valid"] and words in report["error"]
+    else:
+        assert out == "" and words in json.loads(err)["error"]
+
+
 @pytest.mark.parametrize(
     "command, method", [("volume", "poly"), ("volume", "chow"), ("mixed-volume", "chow")]
 )
@@ -445,6 +531,31 @@ def test_error_reported_on_stderr(quadrant_files, capsys, tmp_path):
     )
     assert code == 2 and out == ""
     assert "error" in json.loads(err)
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def test_exit_codes_across_a_process_boundary(quadrant_files, tmp_path):
+    """``python -m normalvol.cli`` as a shell runs it: exit code, stdout and stderr."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("NORMALVOL_CAPS", None)
+
+    def shell(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "normalvol.cli", *argv], env=env, capture_output=True, text=True
+        )
+
+    files = [quadrant_files[key] for key in ("fan", "gram", "z")]
+    done = shell("volume", "--fan", files[0], "--gram", files[1], "--z", files[2])
+    assert (done.returncode, done.stdout, done.stderr) == (0, "48\n", "")
+    no_rays, gram1 = tmp_path / "no_rays.json", tmp_path / "gram1.json"
+    no_rays.write_text(json.dumps(NO_RAY_FAN))
+    gram1.write_text(json.dumps({"gram": [["1"]]}))
+    done = shell("cubical-find", "--fan", str(no_rays), "--gram", str(gram1))
+    assert done.returncode == 2 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert isinstance(json.loads(done.stderr)["error"], str)
 
 
 # Matroid files each lacking one key that their kind needs, or giving it a
