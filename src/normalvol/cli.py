@@ -23,7 +23,7 @@ from .fan import MarkedFan, fan_to_json, is_tropical, parse_fan
 from .linalg import Mat, qmat
 from .matroid import GROUND_SET_CAP, matroid_from_json
 from .normalcx import Context, ZValues
-from .serialize import format_rat, parse_rat
+from .serialize import format_rat, parse_list, parse_rat, read_field
 
 EXIT_PASS = 0
 EXIT_FAIL = 2
@@ -88,11 +88,8 @@ def _load_fan(path: str, caps: Caps) -> MarkedFan:
 
 
 def _load_gram(path: str) -> Mat:
-    raw = _load_json(path)
-    try:
-        return qmat([[parse_rat(v) for v in row] for row in raw["gram"]])
-    except (KeyError, TypeError):
-        raise InputError('a Gram file must hold {"gram": [[value, ...], ...]}') from None
+    rows = partial(parse_list, convert=partial(parse_list, convert=parse_rat))
+    return qmat(read_field(_load_json(path), "the Gram file", "gram", rows))
 
 
 def _load_z(path: str, fan: MarkedFan) -> ZValues:
@@ -402,9 +399,16 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         caps = _caps_from_env()
-        return args.func(args, caps)
+        code = args.func(args, caps)
+        sys.stdout.flush()  # so that a closed reader shows here, not at interpreter exit
+        return code
     except NormalVolError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return EXIT_FAIL
+    except BrokenPipeError:
+        # The reader is gone; send what is still buffered to devnull so the exit flush is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(json.dumps({"error": "standard output was closed by its reader"}), file=sys.stderr)
         return EXIT_FAIL
 
 

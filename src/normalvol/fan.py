@@ -27,7 +27,7 @@ from .errors import (
 from .linalg import (
     Mat, Vec, ZERO, ONE, dot, inverse, mat_vec, qvec, rank, vec_scale, vec_sub, zeros
 )
-from .serialize import format_rat, parse_int, parse_rat, read_field
+from .serialize import format_rat, parse_int, parse_list, parse_rat, read_field
 
 Cone = frozenset[str]
 
@@ -163,11 +163,8 @@ def parse_fan(raw: Mapping) -> tuple[int, dict[str, Vec], list[tuple[tuple[str, 
     """
     field = partial(read_field, raw, "the fan")
     ambient_dim = field("ambient_dim", parse_int)
-    rays = field("rays", lambda es: [(_ray_id(e["id"]), qvec(map(parse_rat, e["u"]))) for e in es])
-    max_cones = field(
-        "max_cones",
-        lambda es: [(tuple(map(_ray_id, e["rays"])), parse_rat(e["weight"])) for e in es],
-    )
+    rays = field("rays", lambda es: parse_list(es, _ray))
+    max_cones = field("max_cones", lambda es: parse_list(es, _cone))
     if ambient_dim < 1:
         raise InputError(f"the fan's 'ambient_dim' must be at least 1, got {ambient_dim}")
     if not rays:
@@ -179,6 +176,14 @@ def parse_fan(raw: Mapping) -> tuple[int, dict[str, Vec], list[tuple[tuple[str, 
     if len(ray_map) != len(rays):
         raise FacesDontMeet("duplicate ray ids")
     return ambient_dim, ray_map, max_cones
+
+
+def _ray(entry) -> tuple[str, Vec]:
+    return _ray_id(entry["id"]), qvec(parse_list(entry["u"], parse_rat))
+
+
+def _cone(entry) -> tuple[tuple[str, ...], Fraction]:
+    return tuple(parse_list(entry["rays"], _ray_id)), parse_rat(entry["weight"])
 
 
 def _ray_id(value) -> str:

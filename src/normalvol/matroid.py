@@ -1,9 +1,10 @@
 """Matroids, characteristic polynomials, and Bergman fans.
 
-A matroid is stored by its lattice of flats, with flats encoded as bitsets
-over the ordered ground set.  Constructors from other encodings (uniform,
-graphic, linear over the rationals) build the flats by closure search from
-a rank oracle and then run the same axiom validation.
+A matroid is stored by its flats, bitsets over the ordered ground set, and
+by the covers that the axiom check finds; ranks, closures and Bergman flags
+all read the covers.  Constructors from other encodings (uniform, graphic,
+linear over the rationals) build the flats by closure search from a rank
+oracle, one closure per cover, and then run the same axiom validation.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
 from .fan import MarkedFan
 from .linalg import Mat, Vec, ONE, ZERO, identity, qmat
 from .linalg import rank as matrix_rank
-from .serialize import parse_int, parse_rat, read_field
+from .serialize import parse_int, parse_list, parse_rat, read_field
 
 GROUND_SET_CAP = 20
 
@@ -52,10 +53,10 @@ class Matroid:
         self.full_mask = (1 << self.n) - 1
         self.flats: tuple[int, ...] = tuple(sorted(flat_masks, key=lambda m: (_popcount(m), m)))
         self._validate_axioms()
-        self._rank_of_flat: dict[int, int] = {}
+        self._rank_of_flat: dict[int, int] = {0: 0}
         for f in self.flats:
-            below = [self._rank_of_flat[g] for g in self.flats if g != f and g & f == g]
-            self._rank_of_flat[f] = max(below, default=-1) + 1
+            for g in self._cover[f].values():
+                self._rank_of_flat[g] = self._rank_of_flat[f] + 1
         self.rank = self._rank_of_flat[self.full_mask]
 
     def _validate_axioms(self) -> None:
@@ -70,25 +71,23 @@ class Matroid:
                     raise AxiomViolation(
                         "F2", f"intersection of {self.labels(f)} and {self.labels(g)} is not a flat"
                     )
+        # F3: f's covers partition E - f; _cover[f] maps each element outside f to its cover.
+        self._cover: dict[int, dict[int, int]] = {}
         for f in self.flats:
             above = [g for g in self.flats if g & f == f and g != f]
             minimal = [g for g in above if not any(h & g == h and h != g for h in above)]
-            rest = self.full_mask & ~f
-            covered = 0
+            cover = self._cover[f] = {}
             for g in minimal:
-                extra = g & ~f
-                if covered & extra:
+                extra = [i for i in range(self.n) if (g & ~f) >> i & 1]
+                if cover.keys() & extra:
                     raise AxiomViolation(
                         "F3", f"two minimal flats above {self.labels(f)} share an element"
                     )
-                covered |= extra
-            if covered != rest and above:
+                cover.update(dict.fromkeys(extra, g))
+            if above and len(cover) != self.n - _popcount(f):
                 raise AxiomViolation(
                     "F3", f"elements outside {self.labels(f)} missed by its minimal superflats"
                 )
-        # Looplessness: no element belongs to the minimal flat.
-        if min(flats, key=_popcount) != 0:
-            raise LoopDetected("the closure of the empty set is nonempty")
 
     # -- basic queries ---------------------------------------------------
 
@@ -96,11 +95,10 @@ class Matroid:
         return tuple(e for i, e in enumerate(self.ground) if mask >> i & 1)
 
     def closure(self, mask: int) -> int:
-        out = self.full_mask
-        for f in self.flats:
-            if f & mask == mask:
-                out &= f
-        return out
+        f = 0  # climb to the cover of f holding the lowest element of mask outside f
+        while missing := mask & ~f:
+            f = self._cover[f][(missing & -missing).bit_length() - 1]
+        return f
 
     def rank_of_flat(self, flat: int) -> int:
         return self._rank_of_flat[flat]
@@ -160,11 +158,13 @@ def _flats_from_rank_oracle(
     frontier = deque(flats)  # breadth first, so a cap on the flats stops it early
     while frontier:
         f = frontier.popleft()
+        covered = f  # f and the covers of f found so far, one closure each
         for i in range(n):
             bit = 1 << i
-            if f & bit:
+            if covered & bit:
                 continue
             g = closure(f | bit)
+            covered |= g
             if g not in flats:
                 flats.add(g)
                 frontier.append(g)
@@ -260,7 +260,7 @@ def matroid_from_json(
     check of a matroid given by its flats.
     """
     field = partial(read_field, raw, "the matroid file")
-    ground = field("ground_set", lambda g: [str(e) for e in g])
+    ground = field("ground_set", lambda g: parse_list(g, str))
     if not ground:
         raise InputError("the matroid file's 'ground_set' is empty")
     if len(ground) > cap:
@@ -272,11 +272,12 @@ def matroid_from_json(
             check_fan(sum(comb(n, k) for k in range(1, r)), r - 1)
         return uniform(r, ground)
     if kind == "flats":
-        m = from_flats(ground, field("flats", lambda fs: [list(f) for f in fs]), check_fan)
+        m = from_flats(ground, field("flats", lambda fs: parse_list(fs, parse_list)), check_fan)
     elif kind == "graphic":
-        m = graphic(field("edges", lambda es: [(u, v) for u, v in es]), ground, check_fan)
+        edges = field("edges", lambda es: [(u, v) for u, v in parse_list(es, parse_list)])
+        m = graphic(edges, ground, check_fan)
     elif kind == "linear":
-        matrix = field("matrix", lambda cs: [[parse_rat(v) for v in c] for c in cs])
+        matrix = field("matrix", lambda cs: parse_list(cs, lambda c: parse_list(c, parse_rat)))
         m = linear(matrix, ground, check_fan)
     else:
         raise UnknownElement(f"unknown matroid kind {kind!r}")
@@ -364,14 +365,12 @@ def bergman_fan(m: Matroid, e0: str) -> MarkedFan:
             (ONE if f >> m.index[e] & 1 else ZERO) - shift for e in coords
         )
 
-    by_rank = {k: m.flats_of_rank(k) for k in range(1, m.rank)}
     flags: list[list[int]] = [[]]
-    for k in range(1, m.rank):
+    for _ in range(1, m.rank):  # each chain grows by each cover of its end, in m.flats order
         flags = [
-            chain + [f]
+            chain + [g]
             for chain in flags
-            for f in by_rank[k]
-            if not chain or chain[-1] & f == chain[-1]
+            for g in dict.fromkeys(m._cover[chain[-1] if chain else 0].values())
         ]
     max_cones = [([flat_ray_id(m, f) for f in chain], ONE) for chain in flags]
     return MarkedFan(len(coords), rays, max_cones, validate_geometry=False)

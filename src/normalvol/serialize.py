@@ -5,7 +5,8 @@ bit-exactly; floats are never accepted or emitted.  Only integers and
 integer quotients are read, at most ``MAX_DIGITS`` digits each, so an input
 string cannot expand into an enormous number.  Counts (a fan's
 ``ambient_dim``, a matroid's ``rank``) are JSON integers or strings of
-digits, never floats or booleans.
+digits, never floats or booleans.  Arrays are JSON lists, never strings,
+which would otherwise be read one character per entry.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import InputError, NormalVolError
 MAX_DIGITS = 1000
 
 _RATIONAL = re.compile(rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}(?:/[0-9]{{1,{MAX_DIGITS}}})?")
+_DIGITS = re.compile(rf"[0-9]{{1,{MAX_DIGITS}}}")
 
 
 def parse_rat(value) -> Fraction:
@@ -36,10 +38,20 @@ def parse_rat(value) -> Fraction:
 
 
 def parse_int(value) -> int:
-    """An integer given as a JSON integer or a string; floats and booleans raise TypeError."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return int(value)
+    """A JSON integer or a string of digits; anything else raises TypeError."""
+    if isinstance(value, str) and _DIGITS.fullmatch(value):
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer or a string of digits, got {value!r}")
+    return value
+
+
+def parse_list(value, convert=lambda entry: entry) -> list:
+    """The entries of a JSON array (or a tuple, from Python callers), each
+    through convert; anything else, a string above all, raises TypeError."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected an array, got {value!r}")
+    return [convert(entry) for entry in value]
 
 
 def read_field(raw, what: str, key: str, convert=lambda value: value):

@@ -558,6 +558,29 @@ def test_exit_codes_across_a_process_boundary(quadrant_files, tmp_path):
     assert isinstance(json.loads(done.stderr)["error"], str)
 
 
+def test_closed_stdout_is_a_json_error(tmp_path):
+    """A reader that has gone before the report is written: exit 2, one JSON error, no traceback."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("NORMALVOL_CAPS", None)
+    path = tmp_path / "u56.json"
+    path.write_text(json.dumps({"kind": "uniform", "ground_set": list("abcdef"), "rank": 5}))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts, so its first write fails
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "normalvol.cli", "hrw", "--matroid", str(path)],
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+    assert isinstance(json.loads(done.stderr)["error"], str)
+
+
 # Matroid files each lacking one key that their kind needs, or giving it a
 # value of the wrong shape; "hrw" must name the key, where one is given.
 BAD_MATROIDS = {
@@ -596,6 +619,27 @@ BAD_MATROIDS = {
         {"kind": "linear", "ground_set": ["a", "b"], "matrix": [[1, 0], [0, 1], [1, 1]]},
         None,
     ),
+    # A string is not an array, though iterating it gives one entry per character.
+    "matroid with ground_set abc": (
+        {"kind": "uniform", "ground_set": "abc", "rank": 2},
+        "ground_set",
+    ),
+    "matroid with flats as strings": (
+        {"kind": "flats", "ground_set": ["a", "b", "c"], "flats": ["", "a", "b", "c", "abc"]},
+        "flats",
+    ),
+    "graphic matroid with edges as strings": (
+        {"kind": "graphic", "ground_set": ["a", "b", "c"], "edges": ["12", "23", "13"]},
+        "edges",
+    ),
+    "linear matroid with columns as strings": (
+        {"kind": "linear", "ground_set": ["a", "b", "c"], "matrix": ["10", "01", "11"]},
+        "matrix",
+    ),
+    "uniform matroid with rank 0_2": (
+        {"kind": "uniform", "ground_set": ["a", "b", "c"], "rank": "0_2"},
+        "rank",
+    ),
 }
 
 # Fan files with one malformed key, which the error must name.
@@ -607,6 +651,25 @@ BAD_FANS = {
         {**QUADRANT_JSON, "max_cones": [{"rays": [[1]], "weight": "1"}]},
         "max_cones",
     ),
+    "fan with a ray's u as a string": (
+        {**QUADRANT_JSON, "rays": [{"id": "r1", "u": "10"}, *QUADRANT_JSON["rays"][1:]]},
+        "rays",
+    ),
+    "fan with a cone's rays as a string": (
+        {
+            "ambient_dim": 2,
+            "rays": [{"id": "a", "u": ["1", "0"]}, {"id": "b", "u": ["0", "1"]}],
+            "max_cones": [{"rays": "ab", "weight": "1"}],
+        },
+        "max_cones",
+    ),
+}
+
+# Gram files with no "gram" key, or with rows or entries that are not arrays.
+BAD_GRAMS = {
+    "Gram without gram key": ([["1", "0"], ["0", "1"]], None),
+    "Gram with rows as strings": ({"gram": ["21", "12"]}, "gram"),
+    "Gram as a string": ({"gram": "1"}, "gram"),
 }
 
 
@@ -616,11 +679,11 @@ BAD_FANS = {
         "missing file",
         "malformed JSON",
         "truncation without z",
-        "Gram without gram key",
         "bad cap",
         "hrw --out in a missing directory",
         "export-mesh --out in a missing directory",
     ]
+    + list(BAD_GRAMS)
     + list(BAD_FANS)
     + list(BAD_MATROIDS),
 )
@@ -637,8 +700,9 @@ def test_unreadable_input_is_a_json_error(case, quadrant_files, capsys, monkeypa
     elif case == "truncation without z":
         bad.write_text(json.dumps({"r1": "1"}))
         files["z"] = str(bad)
-    elif case == "Gram without gram key":
-        bad.write_text(json.dumps([["1", "0"], ["0", "1"]]))
+    elif case in BAD_GRAMS:
+        raw, key = BAD_GRAMS[case]
+        bad.write_text(json.dumps(raw))
         files["gram"] = str(bad)
     elif case == "bad cap":
         monkeypatch.setenv("NORMALVOL_CAPS", "max_rays=abc")
