@@ -91,13 +91,18 @@ def check_reduce_conditions(ctx: Context) -> ReduceReport:
 # -- the AF inequality itself -------------------------------------------------
 
 
+def _require_af_dimension(fan: MarkedFan) -> None:
+    """Refuse a fan on which the AF inequality says nothing, before any work."""
+    if fan.d < 2:
+        raise ArityMismatch("the AF inequality needs a fan of dimension >= 2")
+
+
 def af_check(ctx: Context, zs: Sequence[Mapping[str, Fraction]]) -> Fraction:
     """Exact AF margin MVol(z1,z2,rest)^2 - MVol(z1,z1,rest)*MVol(z2,z2,rest).
 
     All arguments must be cubical; a nonnegative margin is the inequality.
     """
-    if ctx.fan.d < 2:
-        raise ArityMismatch("the AF inequality needs a fan of dimension >= 2")
+    _require_af_dimension(ctx.fan)
     if len(zs) != ctx.fan.d:
         raise ArityMismatch(f"need {ctx.fan.d} cubical arguments, got {len(zs)}")
     tables = TruncationTables(ctx)
@@ -155,8 +160,6 @@ def _unimodal(seq: Sequence[int]) -> bool:
 @dataclass(frozen=True)
 class HRWReport:
     mubar_char: tuple[int, ...]
-    mubar_deg: tuple[int, ...]
-    mubar_mvol: tuple[int, ...]
     mu: tuple[int, ...]
     log_concave: bool
     unimodal: bool
@@ -185,24 +188,15 @@ def hrw_verify(m: Matroid, e0: str) -> HRWReport:
     z_alpha, z_beta = alpha_beta_z(m, e0)
     d = fan.d
     tuples = [[z_alpha] * (d - a) + [z_beta] * a for a in range(d + 1)]
-    mubar_deg = []
-    mubar_mvol = []
-    for zs, mv in zip(tuples, mixed_volumes(ctx, tuples)):
-        deg = chow.deg_product(fan, zs)
-        if deg.denominator != 1 or mv.denominator != 1:
-            raise MismatchError("matroid degrees must be integers")
-        mubar_deg.append(int(deg))
-        mubar_mvol.append(int(mv))
-    mubar_deg = tuple(mubar_deg)
-    mubar_mvol = tuple(mubar_mvol)
+    mvols = mixed_volumes(ctx, tuples)
+    degs = [chow.deg_product(fan, zs) for zs in tuples]
+    if any(v.denominator != 1 for v in degs + mvols):
+        raise MismatchError("matroid degrees must be integers")
+    mubar_deg, mubar_mvol = (tuple(map(int, vs)) for vs in (degs, mvols))
     if not mubar_char == mubar_deg == mubar_mvol:
-        raise MismatchError(
-            f"mubar paths disagree: {mubar_char} vs {mubar_deg} vs {mubar_mvol}"
-        )
+        raise MismatchError(f"mubar paths disagree: {mubar_char} vs {mubar_deg} vs {mubar_mvol}")
     return HRWReport(
         mubar_char=mubar_char,
-        mubar_deg=mubar_deg,
-        mubar_mvol=mubar_mvol,
         mu=cp.mu,
         log_concave=_log_concave(mubar_char),
         unimodal=_unimodal(mubar_char),
@@ -245,7 +239,7 @@ def boundary_limit_margins(
     def p(t: Fraction) -> Fraction:
         total = ZERO
         for mask, value in corner.items():
-            k = bin(mask).count("1")
+            k = mask.bit_count()
             total += (ONE - t) ** (d - k) * t**k * value
         return total
 

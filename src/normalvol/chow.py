@@ -21,9 +21,6 @@ from .errors import GradeOverflow, NotTropical, WrongGrade
 from .fan import Cone, MarkedFan, ZERO_CONE, is_tropical
 from .linalg import Vec, ZERO, ONE, dot, qvec, solve
 
-LEX = "lex"  # covector supported on the earliest independent coordinates
-REVLEX = "revlex"  # covector preferring the last coordinates
-
 
 @dataclass(frozen=True)
 class ChowClass:
@@ -46,36 +43,24 @@ class ChowClass:
         return cls.build(0, {ZERO_CONE: ONE})
 
 
-def covector(fan: MarkedFan, sigma: Cone, z: Mapping[str, Fraction], strategy: str = LEX) -> Vec:
+def covector(fan: MarkedFan, sigma: Cone, z: Mapping[str, Fraction]) -> Vec:
     """A linear functional v with <v, u_rho> = z_rho for every ray rho of sigma.
 
-    The system is underdetermined when dim(sigma) < ambient_dim; the pivot
-    strategy fixes which solution is taken (free coordinates are zero), and
-    degrees must not depend on it.
+    The system is underdetermined when dim(sigma) < ambient_dim; ``solve``
+    takes the solution whose free coordinates are zero, and degrees do not
+    depend on that choice.
     """
-    if strategy == LEX:
-        step = 1
-    elif strategy == REVLEX:
-        step = -1  # pivot on the reversed coordinates, then reverse the answer back
-    else:
-        raise ValueError(f"unknown pivot strategy {strategy!r}")
     rids = sorted(sigma)
-    a = tuple(fan.rays[rid][::step] for rid in rids)
-    return solve(a, qvec([z[rid] for rid in rids]))[::step]
+    return solve(tuple(fan.rays[rid] for rid in rids), qvec([z[rid] for rid in rids]))
 
 
-def multiply_divisor(
-    fan: MarkedFan,
-    cls: ChowClass,
-    z: Mapping[str, Fraction],
-    strategy: str = LEX,
-) -> ChowClass:
+def multiply_divisor(fan: MarkedFan, cls: ChowClass, z: Mapping[str, Fraction]) -> ChowClass:
     """The product cls * D(z) written back in the X_sigma basis."""
     if cls.grade >= fan.d:
         raise GradeOverflow(f"cannot raise grade {cls.grade} on a {fan.d}-dimensional fan")
     out: dict[Cone, Fraction] = {}
     for sigma, c in cls.weights:
-        v = covector(fan, sigma, z, strategy) if any(z[rho] for rho in sigma) else None
+        v = covector(fan, sigma, z) if any(z[rho] for rho in sigma) else None
         for eta in fan.link(sigma):
             coeff = Fraction(z[eta])
             if v is not None:
@@ -96,13 +81,9 @@ def degree(fan: MarkedFan, cls: ChowClass) -> Fraction:
     return sum((c * fan.weights[sigma] for sigma, c in cls.weights), ZERO)
 
 
-def deg_product(
-    fan: MarkedFan,
-    zs: Sequence[Mapping[str, Fraction]],
-    strategy: str = LEX,
-) -> Fraction:
+def deg_product(fan: MarkedFan, zs: Sequence[Mapping[str, Fraction]]) -> Fraction:
     """deg(D(z_1) ... D(z_d)); the z_i need not be cubical."""
     cls = ChowClass.unit()
     for z in zs:
-        cls = multiply_divisor(fan, cls, z, strategy)
+        cls = multiply_divisor(fan, cls, z)
     return degree(fan, cls)

@@ -59,7 +59,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as handle:
             return json.load(handle)
-    except (OSError, ValueError) as exc:  # unreadable file or malformed JSON
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, malformed or too deep
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
@@ -211,6 +211,7 @@ def cmd_af_check(args, caps: Caps) -> int:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
     fan = _load_fan(args.fan, caps)
     ctx = Context(fan, _load_gram(args.gram))
+    af._require_af_dimension(fan)  # before the LP and the sampling
     if args.z:
         tuples = [[_load_z(path, fan) for path in args.z]]
         sampled = False

@@ -37,10 +37,6 @@ GROUND_SET_CAP = 20
 CheckFan = Callable[[int, int], None]
 
 
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 class Matroid:
     """A loopless matroid presented by its flats."""
 
@@ -51,7 +47,7 @@ class Matroid:
         self.n = len(self.ground)
         self.index: dict[str, int] = {e: i for i, e in enumerate(self.ground)}
         self.full_mask = (1 << self.n) - 1
-        self.flats: tuple[int, ...] = tuple(sorted(flat_masks, key=lambda m: (_popcount(m), m)))
+        self.flats: tuple[int, ...] = tuple(sorted(flat_masks, key=lambda m: (m.bit_count(), m)))
         self._validate_axioms()
         self._rank_of_flat: dict[int, int] = {0: 0}
         for f in self.flats:
@@ -77,14 +73,9 @@ class Matroid:
             above = [g for g in self.flats if g & f == f and g != f]
             minimal = [g for g in above if not any(h & g == h and h != g for h in above)]
             cover = self._cover[f] = {}
-            for g in minimal:
-                extra = [i for i in range(self.n) if (g & ~f) >> i & 1]
-                if cover.keys() & extra:
-                    raise AxiomViolation(
-                        "F3", f"two minimal flats above {self.labels(f)} share an element"
-                    )
-                cover.update(dict.fromkeys(extra, g))
-            if above and len(cover) != self.n - _popcount(f):
+            for g in minimal:  # covers meet in f: g & g' is a flat (F2) between f and g
+                cover.update(dict.fromkeys((i for i in range(self.n) if (g & ~f) >> i & 1), g))
+            if above and len(cover) != self.n - f.bit_count():
                 raise AxiomViolation(
                     "F3", f"elements outside {self.labels(f)} missed by its minimal superflats"
                 )
@@ -181,7 +172,7 @@ def uniform(r: int, ground: int | Sequence[str]) -> Matroid:
     n = len(labels)
     if not 0 < r <= n:
         raise RankTooSmall(f"uniform matroid needs 0 < r <= {n}, got {r}")
-    return Matroid(labels, _flats_from_rank_oracle(labels, lambda m: min(_popcount(m), r)))
+    return Matroid(labels, _flats_from_rank_oracle(labels, lambda m: min(m.bit_count(), r)))
 
 
 def graphic(
@@ -315,7 +306,7 @@ def char_poly(m: Matroid) -> CharPoly:
     r = m.rank
     chi = [0] * (r + 1)
     for s in range(1 << m.n):
-        chi[r - m.rank_of_flat(m.closure(s))] += -1 if _popcount(s) & 1 else 1
+        chi[r - m.rank_of_flat(m.closure(s))] += -1 if s.bit_count() & 1 else 1
 
     mobius: dict[int, int] = {}
     for f in m.flats:

@@ -70,6 +70,18 @@ def make_quadrant_fan():
     return nv.MarkedFan(2, rays, cones)
 
 
+def reversed_coordinates(fan):
+    """The same fan with each ray's coordinates reversed: same ids, cones and weights.
+
+    A covector with zero free coordinates on this fan, reversed back, is one
+    that prefers the last coordinates of the original fan, so degrees computed
+    on both fans compare two choices of covector.
+    """
+    rays = {rid: u[::-1] for rid, u in fan.rays.items()}
+    cones = [(cone, fan.weights[cone]) for cone in fan.max_cones]
+    return nv.MarkedFan(fan.ambient_dim, rays, cones, validate_geometry=False)
+
+
 def make_pm1_fan(weights=(1, 1)):
     """The 1-dimensional fan with rays at +1 and -1."""
     rays = {"p": (Fraction(1),), "m": (Fraction(-1),)}

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import normalvol as nv
+from normalvol import af
 from normalvol.af import (
     FAIL,
     PASS,
@@ -10,7 +11,7 @@ from normalvol.af import (
     boundary_limit_margins,
     sample_cubical,
 )
-from normalvol.errors import ArityMismatch, NotCubical
+from normalvol.errors import ArityMismatch, MismatchError, NotCubical
 from normalvol.fan import product_fan
 from normalvol.linalg import identity, signature
 from normalvol.normalcx import Context, vol_polynomial
@@ -148,8 +149,33 @@ def test_hrw_values(name):
     report = nv.hrw_verify(fx.matroid, fx.e0)
     assert report.verdict == PASS
     assert report.mubar_char == HRW_MUBAR[name]
-    assert report.mubar_char == report.mubar_deg == report.mubar_mvol
     assert report.log_concave and report.unimodal
+
+
+def test_hrw_refuses_a_mixed_volume_off_by_one(monkeypatch):
+    mixed_volumes = af.mixed_volumes
+
+    def shifted(ctx, tuples):
+        values = mixed_volumes(ctx, tuples)
+        values[1] += 1
+        return values
+
+    monkeypatch.setattr(af, "mixed_volumes", shifted)
+    with pytest.raises(MismatchError, match="mubar paths disagree"):
+        nv.hrw_verify(bergman("U34").matroid, "a")
+
+
+def test_hrw_refuses_a_chow_degree_off_by_one(monkeypatch):
+    deg_product = af.chow.deg_product
+    calls = []
+
+    def shifted(fan, zs):
+        calls.append(zs)
+        return deg_product(fan, zs) + (1 if len(calls) == 2 else 0)
+
+    monkeypatch.setattr(af.chow, "deg_product", shifted)
+    with pytest.raises(MismatchError, match="mubar paths disagree"):
+        nv.hrw_verify(bergman("U34").matroid, "a")
 
 
 def test_hrw_e0_independent():

@@ -260,6 +260,28 @@ def test_af_check_undefined_exits_3(quadrant_files, capsys, monkeypatch):
     assert json.loads(out)["verdict"] == "undefined"
 
 
+def test_af_check_refuses_dimension_one_before_sampling(tmp_path, capsys, monkeypatch):
+    def refuse(ctx, count, seed):
+        raise AssertionError("sampled a fan of dimension 1")
+
+    monkeypatch.setattr(cli.af, "sample_cubical", refuse)
+    fan = tmp_path / "fan.json"
+    fan.write_text(
+        json.dumps(
+            {
+                "ambient_dim": 1,
+                "rays": [{"id": "p", "u": ["1"]}, {"id": "m", "u": ["-1"]}],
+                "max_cones": [{"rays": ["p"], "weight": "1"}, {"rays": ["m"], "weight": "1"}],
+            }
+        )
+    )
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps({"gram": [["1"]]}))
+    code, out, err = run(capsys, ["af-check", "--fan", str(fan), "--gram", str(gram)])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "the AF inequality needs a fan of dimension >= 2"}
+
+
 @pytest.mark.parametrize("samples", ["0", "-2"])
 def test_af_check_rejects_fewer_than_one_sample(samples, quadrant_files, capsys):
     argv = ["af-check", "--fan", quadrant_files["fan"], "--gram", quadrant_files["gram"]]
@@ -581,6 +603,38 @@ def test_closed_stdout_is_a_json_error(tmp_path):
     assert isinstance(json.loads(done.stderr)["error"], str)
 
 
+# Run with ``python -S``: no site-packages, only the standard library and ``src``.
+STDLIB_ONLY_HRW = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import normalvol
+from normalvol import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["hrw", "--matroid", sys.argv[2]])
+foreign = [
+    name
+    for name in sys.modules
+    if name != "__main__"
+    and name.partition(".")[0] not in sys.stdlib_module_names | {"normalvol"}
+]
+print(json.dumps({"code": code, "foreign": sorted(foreign)}))
+"""
+
+
+def test_library_and_cli_run_on_the_standard_library_alone(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "NORMALVOL_CAPS")}
+    path = tmp_path / "u34.json"
+    path.write_text(json.dumps({"kind": "uniform", "ground_set": list("abcd"), "rank": 3}))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", STDLIB_ONLY_HRW, str(SRC), str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.stderr == ""
+    assert json.loads(done.stdout) == {"code": 0, "foreign": []}
+
+
 # Matroid files each lacking one key that their kind needs, or giving it a
 # value of the wrong shape; "hrw" must name the key, where one is given.
 BAD_MATROIDS = {
@@ -678,6 +732,8 @@ BAD_GRAMS = {
     [
         "missing file",
         "malformed JSON",
+        "deeply nested fan JSON",
+        "deeply nested matroid JSON",
         "truncation without z",
         "bad cap",
         "hrw --out in a missing directory",
@@ -697,6 +753,12 @@ def test_unreadable_input_is_a_json_error(case, quadrant_files, capsys, monkeypa
     elif case == "malformed JSON":
         bad.write_text('{"ambient_dim": 2,')
         files["fan"] = str(bad)
+    elif case == "deeply nested fan JSON":
+        bad.write_text("[" * 200000)
+        files["fan"] = str(bad)
+    elif case == "deeply nested matroid JSON":
+        bad.write_text("[" * 200000)
+        argv = ["hrw", "--matroid", str(bad)]
     elif case == "truncation without z":
         bad.write_text(json.dumps({"r1": "1"}))
         files["z"] = str(bad)

@@ -223,6 +223,6 @@ def test_hrw_builds_no_star_context(monkeypatch):
 
     monkeypatch.setattr(af, "Context", Recording)
     report = nv.hrw_verify(nv.uniform(4, 5), "a")
-    assert report.mubar_mvol == (1, 4, 6, 4)
+    assert report.mubar_char == (1, 4, 6, 4)
     assert len(built) == 1
     assert built[0]._stars == {}
