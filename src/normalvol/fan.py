@@ -4,6 +4,9 @@ A fan is stored by its maximal cones; since every cone is simplicial, the
 faces of a maximal cone are exactly the subsets of its ray set, and the
 whole face poset is generated from the maximal cones.  Ray ids are strings
 and a cone is a frozenset of ray ids (the empty set is the zero cone).
+
+A fan scales its rays to integers once: ``int_rays`` holds M u, with M =
+``ray_scale`` the lcm of their denominators; every integer computation reads them.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from collections.abc import KeysView
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import lcm
 from typing import Iterable, Mapping
 
 from . import lp
@@ -51,6 +55,11 @@ class MarkedFan:
                 raise DimensionMismatch(f"ray {rid!r} has length {len(u)}, expected {ambient_dim}")
             if all(x == 0 for x in u):
                 raise NotSimplicial(f"ray {rid!r} has zero marked generator")
+        self.ray_scale = lcm(*(x.denominator for u in self.rays.values() for x in u))
+        self.int_rays: dict[str, tuple[int, ...]] = {
+            rid: tuple(x.numerator * (self.ray_scale // x.denominator) for x in u)
+            for rid, u in self.rays.items()
+        }
         self.weights: dict[Cone, Fraction] = {}
         cones: list[Cone] = []
         for ray_ids, weight in max_cones:
@@ -72,7 +81,7 @@ class MarkedFan:
             raise NotPure("maximal cones have different numbers of rays")
         self.max_cones: tuple[Cone, ...] = tuple(cones)
         for cone in self.max_cones:
-            if rank(tuple(self.rays[rid] for rid in cone)) != len(cone):
+            if rank(tuple(self.int_rays[rid] for rid in cone)) != len(cone):
                 raise NotSimplicial(f"cone {sorted(cone)} has dependent generators")
         used = set().union(*self.max_cones)
         unused = self.rays.keys() - used
@@ -228,14 +237,19 @@ def is_tropical(fan: MarkedFan) -> TropicalReport:
 
 
 def _balancing_report(fan: MarkedFan) -> TropicalReport:
-    """Cones tau whose weighted link sum leaves span(tau); tau's rays are independent."""
+    """Cones tau whose weighted link sum leaves span(tau); tau's rays are independent.
+
+    The sums are integers: weights scaled by the lcm of their denominators, times ``int_rays``.
+    """
+    scale = lcm(*(w.denominator for w in fan.weights.values()))
+    int_weights = {c: w.numerator * (scale // w.denominator) for c, w in fan.weights.items()}
     failing = []
     for tau in fan.cones_of_dim(fan.d - 1):
-        total = zeros(fan.ambient_dim)
+        total = [0] * fan.ambient_dim
         for eta in fan.link(tau):
-            weight = fan.weights[tau | {eta}]
-            total = tuple(t + weight * u for t, u in zip(total, fan.rays[eta]))
-        if rank(tuple(fan.rays[rid] for rid in tau) + (total,)) != len(tau):
+            weight = int_weights[tau | {eta}]
+            total = [t + weight * x for t, x in zip(total, fan.int_rays[eta])]
+        if rank(tuple(fan.int_rays[rid] for rid in tau) + (total,)) != len(tau):
             failing.append(tau)
     return TropicalReport(not failing, tuple(failing))
 

@@ -6,9 +6,11 @@ be compared with ``==``.  Elimination is fraction-free: ``solve``, ``rank``,
 ``inverse`` and ``det`` scale each row to integers and read one Bareiss
 Gauss-Jordan elimination, dividing by the pivots only at the end; their
 results equal those of rational elimination.  ``solve`` returns one
-solution vector, its free coordinates zero; the Chow covectors
-use it, star fans use ``inverse``, fan and balancing checks use ``rank`` and
-the geometric oracle uses ``det``.
+solution as integer numerators over one denominator, the last pivot, with
+its free coordinates zero; the Chow covectors use it, star fans use
+``inverse``, fan and balancing checks use ``rank`` and the geometric oracle
+uses ``det``; the four eliminating routines take integer rows as well as
+rational ones.
 """
 
 from __future__ import annotations
@@ -125,11 +127,14 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[tuple[int, int]]
     return pivots, sign * prev
 
 
-def solve(a: Mat, b: Vec) -> Vec:
-    """One solution x of A x = b, exactly; raises :class:`NoSolution` when inconsistent.
+def solve(a: Mat, b: Vec) -> tuple[tuple[int, ...], int]:
+    """One solution of A x = b, exactly, as (x, p): integer numerators x over p != 0.
 
-    Pivots are taken in column order, and coordinates in non-pivot columns
-    are zero, so the solution is deterministic.
+    Raises :class:`NoSolution` when the system is inconsistent.  Pivots are
+    taken in column order, and coordinates in non-pivot columns are zero,
+    so the solution x / p is deterministic.  After the elimination every
+    pivot entry is the last pivot p, so with the free coordinates zero the
+    pivot row of column c reads p X_c = its right-hand side, which is x_c.
     """
     m = len(a)
     n = len(a[0]) if a else 0
@@ -139,10 +144,11 @@ def solve(a: Mat, b: Vec) -> Vec:
     pivots, _ = _eliminate(rows, n)
     if any(rows[i][n] for i in range(len(pivots), m)):
         raise NoSolution("inconsistent linear system")
-    x = [ZERO] * n
+    x = [0] * n
     for r, c in pivots:
-        x[c] = Fraction(rows[r][n], rows[r][c])
-    return tuple(x)
+        x[c] = rows[r][n]
+    p = rows[pivots[-1][0]][pivots[-1][1]] if pivots else 1
+    return tuple(x), p
 
 
 def rank(a: Mat) -> int:

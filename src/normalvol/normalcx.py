@@ -17,8 +17,10 @@ transitive, so z^{sigma - rho}_rho = c_sigma(z)_rho / (G_sigma^-1)_{rho rho}.  O
 table of these coefficients is built per distinct truncation.
 
 The exact core is fraction-free.  A context scales its Gram by the lcm g of
-the Gram's denominators and its rays by the lcm M of theirs, so every ray
-pairing is an integer, <u_a, u_b> / pair_scale with pair_scale = 1 / (g M^2).
+the Gram's denominators and reads the fan's integer rays M u (``int_rays``,
+M the lcm of the ray denominators, scaled once when the fan is built), so
+every ray pairing is an integer, <u_a, u_b> / pair_scale with
+pair_scale = 1 / (g M^2).
 Each cone keeps the integer determinant D > 0 and adjugate of its Gram block
 in these pairings, so G_sigma^-1 = adj / (D pair_scale), bordered from the face
 without its last ray; the one division in a bordering step is exact by
@@ -97,9 +99,9 @@ class Context:
     Star contexts are realized inside the same ambient coordinates, so the
     restricted inner product is literally the same Gram matrix.
 
-    The caches hold integers.  With g the lcm of the Gram's denominators and
-    M the lcm of the rays' coordinate denominators, G~ = g G and u~ = M u
-    are integral, and ``ray_pair`` is the integer <u~_a, G~ u~_b> =
+    The caches hold integers.  With g the lcm of the Gram's denominators,
+    G~ = g G is integral, and the fan's ``int_rays`` are u~ = M u with
+    M = ``fan.ray_scale``, so ``ray_pair`` is the integer <u~_a, G~ u~_b> =
     <u_a, u_b> / pair_scale, where pair_scale = 1 / (g M^2).  A cone's Gram
     block in these pairings has an integer determinant D > 0 and adjugate,
     and G_sigma^-1 = adj / (D pair_scale).
@@ -110,13 +112,11 @@ class Context:
         self.fan = fan
         self.gram = gram
         g = lcm(*(x.denominator for row in gram for x in row))
-        m = lcm(*(x.denominator for u in fan.rays.values() for x in u))
-        self.pair_scale = Fraction(1, g * m * m)
+        self.pair_scale = Fraction(1, g * fan.ray_scale**2)
         gram_int = [[int(x * g) for x in row] for row in gram]
-        self._int_rays = {rid: tuple(int(x * m) for x in u) for rid, u in fan.rays.items()}
         self._gram_rays = {
             rid: tuple(sum(x * y for x, y in zip(row, u)) for row in gram_int)
-            for rid, u in self._int_rays.items()
+            for rid, u in fan.int_rays.items()
         }
         self._ray_pairs: dict[tuple[str, str], int] = {}
         self._gram_inv: dict[Cone, tuple[int, tuple[tuple[int, ...], ...]]] = {}
@@ -129,7 +129,7 @@ class Context:
         key = (a, b) if a <= b else (b, a)
         value = self._ray_pairs.get(key)
         if value is None:
-            value = sum(x * y for x, y in zip(self._int_rays[a], self._gram_rays[b]))
+            value = sum(x * y for x, y in zip(self.fan.int_rays[a], self._gram_rays[b]))
             self._ray_pairs[key] = value
         return value
 

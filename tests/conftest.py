@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 import normalvol as nv
-from normalvol.linalg import identity, qmat
+from normalvol.fan import TropicalReport
+from normalvol.linalg import identity, mat_vec, qmat
 from normalvol.normalcx import Context
 
 
@@ -80,6 +81,45 @@ def reversed_coordinates(fan):
     rays = {rid: u[::-1] for rid, u in fan.rays.items()}
     cones = [(cone, fan.weights[cone]) for cone in fan.max_cones]
     return nv.MarkedFan(fan.ambient_dim, rays, cones, validate_geometry=False)
+
+
+def dense_rational_matrix(n):
+    """An invertible n x n matrix L U with every entry of L and U rational and
+    most entries of the product nonzero: L is unit lower triangular and U upper
+    triangular with diagonal 2/3."""
+    low = [[Fraction(1) if k == i else Fraction(i - k + 1, k + 2) if k < i else 0 for k in range(n)]
+           for i in range(n)]
+    up = [[Fraction(j - k + 2, 3) if j >= k else 0 for j in range(n)] for k in range(n)]
+    return mat_mul(low, up)
+
+
+def mapped(fan, a, weights=None):
+    """The fan with each ray u replaced by A u: same ids and cones.
+
+    The weights are the fan's, or ``weights[cone]`` where given.  For an
+    invertible A this is the same fan in other coordinates, so degrees and
+    the balancing condition do not change (covectors map to A^-T v).
+    """
+    rays = {rid: tuple(mat_vec(a, u)) for rid, u in fan.rays.items()}
+    weights = weights or {}
+    cones = [(cone, weights.get(cone, fan.weights[cone])) for cone in fan.max_cones]
+    return nv.MarkedFan(fan.ambient_dim, rays, cones, validate_geometry=False)
+
+
+def reference_balancing_report(fan):
+    """The balancing check over Fraction: the weighted link sum of each
+    codimension-1 cone must lie in the span of its rays.  Ranks come from
+    ``_reference_eliminate``, so this shares no arithmetic with ``normalvol``."""
+    failing = []
+    for tau in fan.cones_of_dim(fan.d - 1):
+        total = [Fraction(0)] * fan.ambient_dim
+        for eta in fan.link(tau):
+            weight = fan.weights[tau | {eta}]
+            total = [t + weight * u for t, u in zip(total, fan.rays[eta])]
+        rows = [list(fan.rays[rid]) for rid in sorted(tau)] + [total]
+        if len(_reference_eliminate(rows, range(fan.ambient_dim))) != len(tau):
+            failing.append(tau)
+    return TropicalReport(not failing, tuple(failing))
 
 
 def make_pm1_fan(weights=(1, 1)):

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normalvol as nv
+from normalvol import chow
 from normalvol.chow import ChowClass, covector
 from normalvol.errors import GradeOverflow, NotTropical, WrongGrade
 from normalvol.fan import ZERO_CONE, product_fan
@@ -15,8 +17,10 @@ from normalvol.normalcx import vol_recursive
 from conftest import (
     _reference_solve,
     bergman,
+    dense_rational_matrix,
     make_pm1_fan,
     make_quadrant_fan,
+    mapped,
     reversed_coordinates,
 )
 
@@ -68,7 +72,16 @@ def test_covector_defining_equations():
     chosen = []
     # the reversed fan's covectors, reversed back, are covectors of the fan too
     for f, back in ((fan, 1), (reversed_coordinates(fan), -1)):
-        v1, v2, vc = (covector(f, sigma, z)[::back] for z in (z1, z2, combo))
+        covectors = []
+        for z in (z1, z2, combo):
+            scale = lcm(*(x.denominator for x in z.values()))
+            zz = {r: int(x * scale) for r, x in z.items()}
+            v, p = covector(f, sigma, zz)
+            assert p != 0 and all(type(x) is int for x in v)
+            assert all(dot(v, f.int_rays[rho]) == p * zz[rho] for rho in sigma)
+            # v / p pairs M u with Z z, so M v / (Z p) pairs u with z
+            covectors.append(tuple(Fraction(f.ray_scale * x, scale * p) for x in v)[::back])
+        v1, v2, vc = covectors
         for v, z in ((v1, z1), (v2, z2), (vc, combo)):
             assert all(dot(v, fan.rays[rho]) == z[rho] for rho in sigma)
         assert vc == tuple(a + lam * b for a, b in zip(v1, v2))
@@ -99,13 +112,16 @@ def _reference_multiply(fan, cls, z):
 
 # Every covector term vanishes on products of coordinate fans, so the product
 # here has a Bergman factor; U(4,5) adds 2-cones of one Bergman fan, on which
-# z can vanish on one ray and not the other.  Each fan also comes with its
-# coordinates reversed, which changes the covector chosen on each cone.
+# z can vanish on one ray and not the other.  The mapped fan has dense
+# non-integral rays, so its integer rays are scaled by a ray_scale above 1.
+# Each fan also comes with its coordinates reversed, which changes the
+# covector chosen on each cone.
 REFERENCE_FANS = {
     "U34": bergman("U34").fan,
     "K4": bergman("K4").fan,
     "U45": bergman("U45").fan,
     "U34 x pm1": product_fan(bergman("U34").fan, make_pm1_fan((2, 2))),
+    "U34 mapped": mapped(bergman("U34").fan, dense_rational_matrix(3)),
 }
 REFERENCE_FANS.update(
     {f"{name} reversed": reversed_coordinates(fan) for name, fan in list(REFERENCE_FANS.items())}
@@ -130,6 +146,40 @@ def test_multiply_divisor_matches_per_ray_expansion(name, data):
         product = nv.multiply_divisor(fan, cls, z)
         assert product == _reference_multiply(fan, cls, z)
         cls = product
+
+
+@pytest.mark.parametrize("name", ["U34", "K4"])
+def test_degrees_do_not_change_under_a_rational_change_of_coordinates(name):
+    fx = bergman(name)
+    fan = fx.fan
+    other = mapped(fan, dense_rational_matrix(fan.ambient_dim))
+    assert other.ray_scale > 1
+    rng = random.Random(5)
+    z_random = {r: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for r in fan.ray_ids()}
+    for zs in ([fx.z_alpha] * fan.d, [fx.z_alpha, fx.z_beta], [z_random, fx.z_beta]):
+        assert nv.deg_product(fan, zs) == nv.deg_product(other, zs)
+
+
+def test_deg_product_checks_before_it_multiplies(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("multiply_divisor called")
+
+    monkeypatch.setattr(chow, "multiply_divisor", refuse)
+    quadrant = make_quadrant_fan()
+    z = zmap(r1=1, r2=2, r3=3, r4=4)
+    with pytest.raises(WrongGrade, match="degree needs grade 2, got 1"):
+        chow.deg_product(quadrant, [z])
+    with pytest.raises(GradeOverflow, match="cannot raise grade 2 on a 2-dimensional fan"):
+        chow.deg_product(quadrant, [z] * 3)
+    unbalanced = make_pm1_fan(weights=(1, 2))
+    zp = {"p": Fraction(1), "m": Fraction(1)}
+    with pytest.raises(NotTropical, match="degree is only well defined on tropical fans"):
+        chow.deg_product(unbalanced, [zp])
+    # arity comes first, as in the product loop: a non-tropical fan with the wrong count
+    with pytest.raises(WrongGrade):
+        chow.deg_product(unbalanced, [])
+    with pytest.raises(GradeOverflow):
+        chow.deg_product(unbalanced, [zp, zp])
 
 
 def test_deg_product_adds_no_attribute_to_the_fan():

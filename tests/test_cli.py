@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -320,6 +321,38 @@ def test_hrw(tmp_path, capsys):
     fan = build_fan(report["bergman_fan"])
     assert fan.d == 1 and sorted(fan.rays) == ["a", "b", "c"]
     assert json.loads(out_path.read_text()) == report
+
+
+# SHA-256 of the whole `hrw` stdout (the report and the Bergman fan), recorded
+# before the Chow path and the balancing check moved to integer arithmetic.
+HRW_GOLDEN = {
+    "U45": (
+        {"kind": "uniform", "ground_set": [str(i) for i in range(5)], "rank": 4},
+        "09b4017d267e23291ea4d9c3ef4f7f0eebd0eb49860767013543155f3d11abd8",
+    ),
+    "K5": (
+        {
+            "kind": "graphic",
+            "ground_set": [f"e{i}" for i in range(10)],
+            "edges": [[str(a), str(b)] for a, b in itertools.combinations(range(1, 6), 2)],
+        },
+        "5fd0569e1ed54065aee14ccddc3fb2d160e9d0d33bf7f168e606604291fdcb42",
+    ),
+    "U56": (
+        {"kind": "uniform", "ground_set": [str(i) for i in range(6)], "rank": 5},
+        "c17bad2db28a9978c8d4361c811c3a098f42f9c0ecc126b67e17104974b66f08",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(HRW_GOLDEN))
+def test_hrw_output_is_byte_identical_to_the_recorded_one(name, tmp_path, capsys):
+    raw, digest = HRW_GOLDEN[name]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, ["hrw", "--matroid", str(path)])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("e0", ["zz", ""])

@@ -11,10 +11,18 @@ from normalvol.errors import (
     NotSimplicial,
     RayProjectionCollision,
 )
-from normalvol.fan import ZERO_CONE, star, star_connected_minus_origin
+from normalvol.fan import ZERO_CONE, _balancing_report, star, star_connected_minus_origin
 from normalvol.linalg import identity, qvec
 
-from conftest import QUADRANT_JSON, make_pm1_fan, make_quadrant_fan
+from conftest import (
+    QUADRANT_JSON,
+    bergman,
+    dense_rational_matrix,
+    make_pm1_fan,
+    make_quadrant_fan,
+    mapped,
+    reference_balancing_report,
+)
 
 
 def test_quadrant_fan_builds():
@@ -100,6 +108,38 @@ def test_tropical_pm1():
 
 def test_tropical_quadrant():
     assert nv.is_tropical(make_quadrant_fan()).is_tropical
+
+
+def _thirds_and_halves(weights):
+    rays = {"p": (Fraction(1, 3),), "m": (Fraction(-1, 2),)}
+    return nv.MarkedFan(1, rays, [(("p",), weights[0]), (("m",), weights[1])])
+
+
+def _mapped_bergman(name, changed=None):
+    """A Bergman fan in dense rational coordinates, every weight 1/2 but ``changed``'s 1/3."""
+    fan = bergman(name).fan
+    weights = {cone: Fraction(1, 3 if cone == changed else 2) for cone in fan.max_cones}
+    return mapped(fan, dense_rational_matrix(fan.ambient_dim), weights)
+
+
+def test_balancing_with_non_integral_rays_and_weights():
+    """Integer balancing sums against the Fraction reference, on fans whose
+    rays need scaling, and on mapped Bergman fans whose weights do too."""
+    first = bergman("U34").fan.max_cones[0]
+    fans = {
+        "thirds and halves, 3 and 2": (_thirds_and_halves((3, 2)), True),
+        "thirds and halves, 1 and 1": (_thirds_and_halves((1, 1)), False),
+        "U34 mapped, weights 1/2": (_mapped_bergman("U34"), True),
+        "U34 mapped, one weight 1/3": (_mapped_bergman("U34", first), False),
+        "K4 mapped, weights 1/2": (_mapped_bergman("K4"), True),
+    }
+    for name, (fan, balanced) in fans.items():
+        assert fan.ray_scale > 1, name
+        report = _balancing_report(fan)
+        assert report == reference_balancing_report(fan), name
+        assert report.is_tropical is balanced, name
+    assert _balancing_report(fans["thirds and halves, 1 and 1"][0]).failing == (ZERO_CONE,)
+    assert len(_balancing_report(fans["U34 mapped, one weight 1/3"][0]).failing) == 2
 
 
 def test_star_of_quadrant_at_ray():

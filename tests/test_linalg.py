@@ -22,9 +22,15 @@ from normalvol.linalg import (
 from conftest import _reference_eliminate, _reference_solve, mat_mul, transpose
 
 
+def solution(a, b):
+    """The solution ``solve`` returns, as the vector x / p."""
+    x, p = solve(a, b)
+    return tuple(Fraction(v, p) for v in x)
+
+
 def test_solve_unique_system():
     a = qmat([[2, 1], [1, 3]])
-    assert solve(a, qvec([5, 5])) == qvec([2, 1])
+    assert solution(a, qvec([5, 5])) == qvec([2, 1])
 
 
 def test_solve_inconsistent_raises():
@@ -34,7 +40,7 @@ def test_solve_inconsistent_raises():
 
 
 def test_solve_underdetermined_free_coordinates_zero():
-    assert solve(qmat([[1, 1, 1]]), qvec([6])) == qvec([6, 0, 0])
+    assert solution(qmat([[1, 1, 1]]), qvec([6])) == qvec([6, 0, 0])
 
 
 def test_inverse_and_det():
@@ -142,7 +148,7 @@ def test_integer_elimination_matches_rational_elimination(system):
             with pytest.raises(NoSolution):
                 solve(a_step, b)
         else:
-            assert solve(a_step, b)[::step] == expected
+            assert solution(a_step, b)[::step] == expected
     assert rank(a) == len(_reference_eliminate([list(row) for row in a], range(n)))
     if len(a) == n:
         assert det(a) == _reference_det(a)
@@ -152,6 +158,21 @@ def test_integer_elimination_matches_rational_elimination(system):
         else:
             columns = tuple(_reference_solve(a, e, range(n)) for e in identity(n))
             assert inverse(a) == transpose(columns)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_systems())
+def test_solve_returns_integer_numerators_over_the_last_pivot(system):
+    a, b = system
+    expected = _reference_solve(a, b, range(len(a[0])))
+    if expected is None:
+        with pytest.raises(NoSolution):
+            solve(a, b)
+        return
+    x, p = solve(a, b)
+    assert type(p) is int and p != 0
+    assert all(type(v) is int for v in x)
+    assert tuple(Fraction(v, p) for v in x) == expected
 
 
 @st.composite
