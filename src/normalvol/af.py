@@ -26,7 +26,7 @@ from .normalcx import (
     classify_z,
     find_cubical,
     mixed_volumes,
-    vol_polynomial,
+    star_hessians,
 )
 
 PASS = "pass"
@@ -57,11 +57,17 @@ def check_reduce_conditions(ctx: Context) -> ReduceReport:
     """Sufficient conditions for the AF inequality on the normal complex.
 
     Condition (i): for every cone of dimension at most d-3 (the zero cone
-    included), the star minus the origin is connected.  Condition (ii): the
-    volume quadratic of every 2-dimensional star has exactly one positive
-    eigenvalue.  The cubical cone must also be nonempty for AF to be about
-    anything.  Both conditions are read off the link of each cone in the face
-    poset; no star fan is built.
+    included), the star minus the origin is connected; it is read off the
+    link of each cone in the face poset.  Condition (ii) of the paper's main
+    theorem: the volume quadratic of the star at every cone tau of dimension
+    d - 2 has exactly one positive eigenvalue.  Above tau the volume dynamic
+    program has two layers, F(tau | a) = x_a and, for each maximal cone
+    sigma = tau | {a, b}, F(sigma) = 2 x_a x_b + adj_ba / adj_bb x_a^2 +
+    adj_ab / adj_aa x_b^2 with adj the adjugate of sigma's Gram block, so the
+    quadratic's Hessian is a sum over the maximal cones above tau
+    (``normalcx.star_hessians``) and its ``signature`` gives the count.  The
+    cubical cone must also be nonempty for AF to be about anything.  No star
+    fan and no polynomial is built.
     """
     fan = ctx.fan
     failing: list[Cone] = []
@@ -69,14 +75,9 @@ def check_reduce_conditions(ctx: Context) -> ReduceReport:
         for tau in fan.cones_of_dim(k):
             if not star_connected_minus_origin(fan, tau):
                 failing.append(tau)
-    signatures: list[tuple[Cone, Signature]] = []
-    ii_pass = True
-    if fan.d >= 2:
-        for tau in fan.cones_of_dim(fan.d - 2):
-            sig = signature(vol_polynomial(ctx, tau).hessian(fan.link(tau)))
-            signatures.append((tau, sig))
-            if sig.n_plus != 1:
-                ii_pass = False
+    hessians = star_hessians(ctx)
+    signatures = [(tau, signature(hessians[tau])) for tau in fan.cones_of_dim(fan.d - 2)]
+    ii_pass = all(sig.n_plus == 1 for _, sig in signatures)
     witness = find_cubical(ctx)
     return ReduceReport(
         condition_i_pass=not failing,

@@ -29,7 +29,7 @@ from .errors import (
     RayProjectionCollision,
 )
 from .linalg import (
-    Mat, Vec, ZERO, ONE, dot, inverse, mat_vec, qvec, rank, vec_scale, vec_sub, zeros
+    Mat, Vec, ZERO, ONE, dot, inverse, mat_vec, qvec, rank, vec_scale, vec_sub
 )
 from .serialize import format_rat, parse_int, parse_list, parse_rat, read_field
 
@@ -326,25 +326,3 @@ def star_connected_minus_origin(fan: MarkedFan, tau: Cone = ZERO_CONE) -> bool:
                 seen.add(nxt)
                 stack.append(nxt)
     return len(seen) == len(rays)
-
-
-# -- products --------------------------------------------------------------
-
-
-def product_fan(a: MarkedFan, b: MarkedFan) -> MarkedFan:
-    """Product of two fans in the direct sum of their ambient spaces.
-
-    Ray ids are prefixed "L." and "R." to keep the factors disjoint; weights multiply.
-    """
-    pa, pb = "L.", "R."
-    rays: dict[str, Vec] = {}
-    for rid, u in a.rays.items():
-        rays[pa + rid] = tuple(u) + zeros(b.ambient_dim)
-    for rid, u in b.rays.items():
-        rays[pb + rid] = zeros(a.ambient_dim) + tuple(u)
-    cones = []
-    for ca in a.max_cones:
-        for cb in b.max_cones:
-            ray_ids = [pa + r for r in ca] + [pb + r for r in cb]
-            cones.append((ray_ids, a.weights[ca] * b.weights[cb]))
-    return MarkedFan(a.ambient_dim + b.ambient_dim, rays, cones, validate_geometry=False)

@@ -29,11 +29,12 @@ by the lcm Z of its denominators and holds the integers adj (Z z), which have
 the signs of c_sigma(z); a factor is then num_rho / (Z adj_{rho rho}), the only
 Fraction the program builds per entry.  Every public value stays a Fraction.
 
-Started at a
-cone tau instead of the zero cone, the same program gives the volume
-polynomial of the star at tau, so no star fan is built for it either.
-``restrict_z`` reads its rays off ``fan.link(tau)`` and builds no star
-either; only ``face_complex`` builds star contexts, for the face identity
+The Hessians of the volume quadratics of the stars at the cones of
+dimension d - 2, which condition (ii) of ``reduce-check`` reads, come in
+closed form from the maximal cones' adjugates (``star_hessians``), so no star
+fan and no polynomial is built for them.  ``restrict_z`` reads its rays off
+``fan.link(tau)`` and builds no star either; only ``face_complex`` builds star
+contexts, for the face identity
 w_pi(z) - w_tau(z) = w^star_{pi - tau}(z^tau), and the star's geometry comes
 from its own elimination, not from this context's adjugates.  The geometric
 oracle below and the Chow degrees in ``chow`` stay independent of the
@@ -122,7 +123,7 @@ class Context:
         self._gram_inv: dict[Cone, tuple[int, tuple[tuple[int, ...], ...]]] = {}
         self._sorted_cones: list[tuple[Cone, tuple[str, ...]]] | None = None
         self._stars: dict[Cone, "Context"] = {}
-        self._vol_polys: dict[Cone, MultiPoly] = {}
+        self._vol_poly: MultiPoly | None = None
 
     def ray_pair(self, a: str, b: str) -> int:
         """The integer <u~_a, G~ u~_b> = <u_a, u_b> / pair_scale, cached per unordered pair."""
@@ -392,19 +393,18 @@ def _face_dp(
     levels: Sequence[Callable[[Cone], Sequence[T]]],
     one: T,
     zero: T,
-    base: Cone = ZERO_CONE,
 ) -> T:
-    """sum_sigma w_sigma F(sigma) over the maximal cones sigma containing base, where
-    F(base) = one and, for a cone sigma with k rays more than base,
-    F(sigma) = sum_{rho in sigma - base} F(sigma - rho) * levels[k-1](sigma)[rho].
+    """sum_sigma w_sigma F(sigma) over the maximal cones sigma, where F(0) = one
+    and, for a cone sigma of dimension k,
+    F(sigma) = sum_{rho in sigma} F(sigma - rho) * levels[k-1](sigma)[rho].
 
     ``levels[k-1](sigma)`` gives the factor (z_k)^{sigma - rho}_rho of each ray
-    rho of sigma, in sorted ray order; the entries of the rays of base are not
-    read.  Each layer is climbed from the one below through ``fan.link``, and
-    zero values of F are not stored, so sparse truncations keep the layers small.
+    rho of sigma, in sorted ray order.  Each layer is climbed from the one
+    below through ``fan.link``, and zero values of F are not stored, so sparse
+    truncations keep the layers small.
     """
     link = ctx.fan.link
-    layer = {base: one}
+    layer = {ZERO_CONE: one}
     for factors in levels:
         nxt: dict[Cone, T] = {}
         for cone in {face | {eta} for face in layer for eta in link(face)}:
@@ -521,33 +521,57 @@ def mvol_polarization_oracle(
     return total / factorial(d)
 
 
-def vol_polynomial(ctx: Context, tau: Cone = ZERO_CONE) -> MultiPoly:
-    """The volume polynomial of the star at tau, in the variables of ``fan.link(tau)``.
+def vol_polynomial(ctx: Context) -> MultiPoly:
+    """The volume polynomial of the fan, in the variables of its rays.
 
-    Homogeneous of degree d - dim(tau); tau = 0 gives the volume polynomial of
-    the fan.  The dynamic program over ``MultiPoly``, started at tau; the factor
-    of (sigma, rho) is the linear form
-    sum_{theta in sigma - tau} (G_sigma^-1)_{rho theta} / (G_sigma^-1)_{rho rho} x_theta.
-    This is the star's own factor: the star's Gram on sigma - tau is the Schur
-    complement of G_tau in G_sigma, whose inverse is the (sigma - tau)-block of
-    G_sigma^-1.  The ratios are read off the adjugate, adj_{rho theta} / adj_{rho rho}.
-    Cached on the context per tau.
+    Homogeneous of degree d: the dynamic program over ``MultiPoly``, where the
+    factor of (sigma, rho) is the linear form
+    sum_{theta in sigma} (G_sigma^-1)_{rho theta} / (G_sigma^-1)_{rho rho} x_theta,
+    whose ratios are read off the adjugate, adj_{rho theta} / adj_{rho rho}.
+    Cached on the context.
     """
-    poly = ctx._vol_polys.get(tau)
-    if poly is None:
+    if ctx._vol_poly is None:
 
         def forms(cone: Cone) -> tuple[MultiPoly, ...]:
-            adj = ctx.cone_gram_inverse(cone)[1]
-            cols = [(j, t) for j, t in enumerate(sorted(cone)) if t not in tau]
+            rids = sorted(cone)
             return tuple(
-                MultiPoly.linear({t: Fraction(row[j], row[i]) for j, t in cols})
-                for i, row in enumerate(adj)
+                MultiPoly.linear({t: Fraction(v, row[i]) for t, v in zip(rids, row)})
+                for i, row in enumerate(ctx.cone_gram_inverse(cone)[1])
             )
 
-        levels = [forms] * (ctx.fan.d - len(tau))
-        poly = _face_dp(ctx, levels, MultiPoly.constant(ONE), MultiPoly.zero(), tau)
-        ctx._vol_polys[tau] = poly
-    return poly
+        levels = [forms] * ctx.fan.d
+        ctx._vol_poly = _face_dp(ctx, levels, MultiPoly.constant(ONE), MultiPoly.zero())
+    return ctx._vol_poly
+
+
+def star_hessians(ctx: Context) -> dict[Cone, Mat]:
+    """The Hessian of the volume quadratic of the star at each cone tau of
+    dimension d - 2, rows and columns in ``fan.link(tau)`` order.
+
+    Each pair a < b of rays of a maximal cone sigma adds 2 w_sigma to H_ab
+    and H_ba, 2 w_sigma adj_ab / adj_bb to H_aa and 2 w_sigma adj_ab / adj_aa
+    to H_bb at tau = sigma - {a, b}, adj the adjugate of sigma's Gram block:
+    the dynamic program above tau has two layers (``af.check_reduce_conditions``).
+    No polynomial and no star fan is built.
+    """
+    fan = ctx.fan
+    sums: dict[Cone, list[list[Fraction]]] = {}
+    for sigma in fan.max_cones:
+        rids = sorted(sigma)
+        adj = ctx.cone_gram_inverse(sigma)[1]
+        w2 = 2 * fan.weights[sigma]
+        for i, j in combinations(range(len(rids)), 2):
+            tau = sigma - {rids[i], rids[j]}
+            link = fan.link(tau)
+            h = sums.get(tau)
+            if h is None:
+                h = sums[tau] = [[ZERO] * len(link) for _ in link]
+            a, b = link.index(rids[i]), link.index(rids[j])
+            h[a][b] += w2
+            h[b][a] += w2
+            h[a][a] += w2 * Fraction(adj[i][j], adj[j][j])
+            h[b][b] += w2 * Fraction(adj[i][j], adj[i][i])
+    return {tau: tuple(map(tuple, h)) for tau, h in sums.items()}
 
 
 # -- the low-dimensional geometric oracle -----------------------------------

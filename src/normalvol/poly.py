@@ -9,10 +9,10 @@ mathematical equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import DimensionMismatch
-from .linalg import Mat, ZERO
+from .linalg import ZERO
 
 Mono = tuple[tuple[str, int], ...]
 
@@ -22,10 +22,6 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     for var, e in b:
         exps[var] = exps.get(var, 0) + e
     return tuple(sorted(exps.items()))
-
-
-def _mono_deg(m: Mono) -> int:
-    return sum(e for _, e in m)
 
 
 class MultiPoly:
@@ -83,9 +79,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def total_degree(self) -> int:
-        return max((_mono_deg(m) for m in self.terms), default=0)
-
     def eval_at(self, values: Mapping[str, Fraction]) -> Fraction:
         total = ZERO
         for mono, coeff in self.terms.items():
@@ -96,25 +89,3 @@ class MultiPoly:
                 term *= Fraction(values[var]) ** e
             total += term
         return total
-
-    def hessian(self, variables: Iterable[str]) -> Mat:
-        """Constant Hessian matrix of a quadratic form, in the given variable order."""
-        if self.total_degree() > 2:
-            raise DimensionMismatch("hessian matrix requires a quadratic polynomial")
-        order = list(variables)
-        index = {v: i for i, v in enumerate(order)}
-        n = len(order)
-        h = [[ZERO] * n for _ in range(n)]
-        for mono, coeff in self.terms.items():
-            if _mono_deg(mono) != 2:
-                continue
-            if len(mono) == 1:
-                (var, _), = mono
-                i = index[var]
-                h[i][i] += 2 * coeff
-            else:
-                (v1, _), (v2, _) = mono
-                i, j = index[v1], index[v2]
-                h[i][j] += coeff
-                h[j][i] += coeff
-        return tuple(tuple(row) for row in h)

@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 
 import normalvol as nv
+from normalvol.errors import DimensionMismatch
 from normalvol.fan import TropicalReport
-from normalvol.linalg import identity, mat_vec, qmat
+from normalvol.linalg import ZERO, identity, mat_vec, qmat, zeros
 from normalvol.normalcx import Context
 
 
@@ -120,6 +121,50 @@ def reference_balancing_report(fan):
         if len(_reference_eliminate(rows, range(fan.ambient_dim))) != len(tau):
             failing.append(tau)
     return TropicalReport(not failing, tuple(failing))
+
+
+def total_degree(poly):
+    """The largest degree of a monomial of a ``MultiPoly``; 0 for the zero polynomial."""
+    return max((sum(e for _, e in mono) for mono in poly.terms), default=0)
+
+
+def hessian(poly, variables):
+    """The constant Hessian of a quadratic ``MultiPoly``, in the given variable order.
+
+    The reference for ``normalcx.star_hessians``: it reads the polynomial's
+    terms, not the adjugates.
+    """
+    if total_degree(poly) > 2:
+        raise DimensionMismatch("hessian matrix requires a quadratic polynomial")
+    index = {v: i for i, v in enumerate(variables)}
+    h = [[ZERO] * len(index) for _ in index]
+    for mono, coeff in poly.terms.items():
+        if sum(e for _, e in mono) != 2:
+            continue
+        if len(mono) == 1:
+            (var, _), = mono
+            h[index[var]][index[var]] += 2 * coeff
+        else:
+            (v1, _), (v2, _) = mono
+            i, j = index[v1], index[v2]
+            h[i][j] += coeff
+            h[j][i] += coeff
+    return tuple(tuple(row) for row in h)
+
+
+def product_fan(a, b):
+    """Product of two fans in the direct sum of their ambient spaces.
+
+    Ray ids are prefixed "L." and "R." to keep the factors disjoint; weights multiply.
+    """
+    rays = {"L." + rid: tuple(u) + zeros(b.ambient_dim) for rid, u in a.rays.items()}
+    rays.update({"R." + rid: zeros(a.ambient_dim) + tuple(u) for rid, u in b.rays.items()})
+    cones = [
+        (["L." + r for r in ca] + ["R." + r for r in cb], a.weights[ca] * b.weights[cb])
+        for ca in a.max_cones
+        for cb in b.max_cones
+    ]
+    return nv.MarkedFan(a.ambient_dim + b.ambient_dim, rays, cones, validate_geometry=False)
 
 
 def make_pm1_fan(weights=(1, 1)):

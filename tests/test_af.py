@@ -12,11 +12,10 @@ from normalvol.af import (
     sample_cubical,
 )
 from normalvol.errors import ArityMismatch, MismatchError, NotCubical
-from normalvol.fan import product_fan
 from normalvol.linalg import identity, signature
 from normalvol.normalcx import Context, vol_polynomial
 
-from conftest import bergman, make_pm1_fan
+from conftest import bergman, hessian, make_pm1_fan, product_fan
 
 
 def zmap(**kwargs):
@@ -59,7 +58,7 @@ def test_product_star_signature():
     fan = product_fan(f1, f1)
     ctx = Context(fan, identity(4))
     quad = vol_polynomial(ctx)
-    sig = signature(quad.hessian(fan.ray_ids()))
+    sig = signature(hessian(quad, fan.ray_ids()))
     assert (sig.n_plus, sig.n_minus) == (1, 1)
     report = nv.check_reduce_conditions(ctx)
     assert report.verdict == PASS

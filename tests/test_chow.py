@@ -10,7 +10,7 @@ import normalvol as nv
 from normalvol import chow
 from normalvol.chow import ChowClass, covector
 from normalvol.errors import GradeOverflow, NotTropical, WrongGrade
-from normalvol.fan import ZERO_CONE, product_fan
+from normalvol.fan import ZERO_CONE
 from normalvol.linalg import dot, qvec
 from normalvol.normalcx import vol_recursive
 
@@ -21,6 +21,7 @@ from conftest import (
     make_pm1_fan,
     make_quadrant_fan,
     mapped,
+    product_fan,
     reversed_coordinates,
 )
 

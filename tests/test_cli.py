@@ -13,6 +13,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from normalvol import af, cli, lp, matroid, normalcx
+from normalvol.fan import fan_to_json
+from normalvol.serialize import format_rat
 
 from conftest import QUADRANT_JSON
 
@@ -351,6 +353,29 @@ def test_hrw_output_is_byte_identical_to_the_recorded_one(name, tmp_path, capsys
     path = tmp_path / "m.json"
     path.write_text(json.dumps(raw))
     code, out, err = run(capsys, ["hrw", "--matroid", str(path)])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the whole `reduce-check` stdout on the Bergman fan of U(r, r + 1)
+# with the e0 Gram, e0 the first ground element, recorded while condition (ii)
+# still built the volume polynomial of each star.
+REDUCE_GOLDEN = {
+    "U45": (4, "2e7328b924d4fcd675cdef705b424a16603564c13eaa8ce9252171c30d984c28"),
+    "U56": (5, "b474e52b4475b11f33c76da4014e3c51d35119a9ee1c7dbb671040f566172b9d"),
+}
+
+
+@pytest.mark.parametrize("name", list(REDUCE_GOLDEN))
+def test_reduce_check_output_is_byte_identical_to_the_recorded_one(name, tmp_path, capsys):
+    rank, digest = REDUCE_GOLDEN[name]
+    m = matroid.uniform(rank, rank + 1)
+    e0 = m.ground[0]
+    gram = [[format_rat(x) for x in row] for row in matroid.e0_inner_product(m, e0)]
+    (tmp_path / "fan.json").write_text(json.dumps(fan_to_json(matroid.bergman_fan(m, e0))))
+    (tmp_path / "gram.json").write_text(json.dumps({"gram": gram}))
+    argv = ["reduce-check", "--fan", str(tmp_path / "fan.json"), "--gram", str(tmp_path / "gram.json")]
+    code, out, err = run(capsys, argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import normalvol as nv
 from normalvol import af, chow
-from normalvol.fan import product_fan, star_connected_minus_origin
+from normalvol.fan import star_connected_minus_origin
 from normalvol.linalg import dot, identity, inverse, mat_vec, signature
 from normalvol.normalcx import (
     Context,
@@ -25,12 +25,22 @@ from normalvol.normalcx import (
     mvol_polarization_oracle,
     mvol_recursive,
     restrict_z,
+    star_hessians,
     vol_polynomial,
     vol_recursive,
     w_vector,
 )
 
-from conftest import make_pm1_fan, make_quadrant_fan, mat_mul
+from conftest import (
+    bergman,
+    dense_rational_matrix,
+    hessian,
+    make_pm1_fan,
+    make_quadrant_fan,
+    mat_mul,
+    product_fan,
+    transpose,
+)
 
 FANS = {
     "pm1 x pm1": product_fan(make_pm1_fan(), make_pm1_fan((2, 2))),
@@ -39,8 +49,8 @@ FANS = {
     "pm1^3": product_fan(product_fan(make_pm1_fan(), make_pm1_fan()), make_pm1_fan((2, 2))),
 }
 
-# The d = 3 fans of the star tests.  "quadrant x ray" is not complete: on it, a
-# star factor that kept the variables of tau would change the star polynomial.
+# The d = 3 fans of the star tests.  "quadrant x ray" is not complete, so the
+# closed-form star Hessians and star connectivity also meet a fan with a boundary.
 STAR_FANS = {name: fan for name, fan in FANS.items() if fan.d == 3}
 STAR_FANS["quadrant x ray"] = product_fan(
     make_quadrant_fan(), nv.MarkedFan(1, {"p": (Fraction(1),)}, [(("p",), 1)])
@@ -144,14 +154,19 @@ def test_restriction_reads_the_link_and_builds_no_star(name, data):
         assert face_complex(reference, tau, z)[1] == z_tau
 
 
-@st.composite
-def context_with_rational_rays(draw):
-    """A fan of FANS with every ray scaled by a random positive rational, and a random Gram."""
-    fan = FANS[draw(st.sampled_from(sorted(FANS)))]
+def _rescaled(draw, fan):
+    """The fan with every ray scaled by a random positive rational (still a valid fan)."""
     scale = st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=6)
     rays = {rid: tuple(draw(scale) * x for x in u) for rid, u in fan.rays.items()}
     cones = [(tuple(sorted(c)), fan.weights[c]) for c in fan.max_cones]
-    return Context(nv.MarkedFan(fan.ambient_dim, rays, cones), draw(gram(fan.ambient_dim)))
+    return nv.MarkedFan(fan.ambient_dim, rays, cones, validate_geometry=False)
+
+
+@st.composite
+def context_with_rational_rays(draw):
+    """A fan of FANS with every ray scaled by a random positive rational, and a random Gram."""
+    fan = _rescaled(draw, FANS[draw(st.sampled_from(sorted(FANS)))])
+    return Context(fan, draw(gram(fan.ambient_dim)))
 
 
 @PROPERTY
@@ -175,7 +190,8 @@ def test_cone_adjugates_invert_the_gram_blocks(ctx):
 
 @st.composite
 def context_of_dim_3(draw):
-    fan = STAR_FANS[draw(st.sampled_from(sorted(STAR_FANS)))]
+    """A fan of STAR_FANS with its rays rescaled, and a random Gram."""
+    fan = _rescaled(draw, STAR_FANS[draw(st.sampled_from(sorted(STAR_FANS)))])
     return Context(fan, draw(gram(fan.ambient_dim)))
 
 
@@ -185,9 +201,12 @@ def _cones_up_to(fan, dim):
 
 @PROPERTY
 @given(context_of_dim_3())
-def test_star_volume_polynomial_is_the_dp_above_tau(ctx):
-    for tau in _cones_up_to(ctx.fan, ctx.fan.d - 2):
-        assert vol_polynomial(ctx, tau) == vol_polynomial(ctx.star_context(tau))
+def test_star_hessians_are_the_hessians_of_the_star_polynomials(ctx):
+    # the closed form against the star fan's own elimination and dynamic program
+    hessians = star_hessians(ctx)
+    assert set(hessians) == set(ctx.fan.cones_of_dim(ctx.fan.d - 2))
+    for tau, h in hessians.items():
+        assert h == hessian(vol_polynomial(ctx.star_context(tau)), ctx.fan.link(tau))
 
 
 @PROPERTY
@@ -199,18 +218,36 @@ def test_star_connectivity_is_read_off_the_link(ctx):
         assert star_connected_minus_origin(ctx.fan, tau) == expected
 
 
-@pytest.mark.parametrize("name", ["quadrant x pm1", "pm1^3"])
+def _dense_gram(n):
+    """M^T M for a dense invertible rational M: positive definite, no zero entry."""
+    m = dense_rational_matrix(n)
+    return mat_mul(transpose(m), m)
+
+
+# (fan, Gram, verdict); the U(4,5) fan's cubical cone is empty under the dense Gram
+REDUCE_CASES = {name: (FANS[name], identity(3), af.PASS) for name in ("quadrant x pm1", "pm1^3")}
+for _fx in map(bergman, ("U34", "K4", "U35", "U45")):
+    REDUCE_CASES[f"{_fx.name} e0"] = (_fx.fan, _fx.gram, af.PASS)
+    REDUCE_CASES[f"{_fx.name} dense"] = (
+        _fx.fan,
+        _dense_gram(_fx.fan.ambient_dim),
+        af.UNDEFINED if _fx.name == "U45" else af.PASS,
+    )
+
+
+@pytest.mark.parametrize("name", list(REDUCE_CASES))
 def test_reduce_conditions_build_no_star_context(name):
-    fan = FANS[name]
-    ctx = Context(fan, identity(fan.ambient_dim))
+    fan, g, verdict = REDUCE_CASES[name]
+    ctx = Context(fan, g)
     report = af.check_reduce_conditions(ctx)
-    assert report.verdict == af.PASS
-    assert len(report.condition_ii_signatures) == 6
+    assert report.verdict == verdict
+    assert report.condition_i_pass and report.condition_ii_pass
+    assert [tau for tau, _ in report.condition_ii_signatures] == fan.cones_of_dim(fan.d - 2)
     assert ctx._stars == {}
-    reference = Context(fan, identity(fan.ambient_dim))
+    reference = Context(fan, g)
     for tau, sig in report.condition_ii_signatures:
         star_ctx = reference.star_context(tau)
-        assert sig == signature(vol_polynomial(star_ctx).hessian(star_ctx.fan.ray_ids()))
+        assert sig == signature(hessian(vol_polynomial(star_ctx), star_ctx.fan.ray_ids()))
 
 
 def test_hrw_builds_no_star_context(monkeypatch):
