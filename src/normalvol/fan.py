@@ -11,7 +11,7 @@ A fan scales its rays to integers once: ``int_rays`` holds M u, with M =
 
 from __future__ import annotations
 
-from collections.abc import KeysView
+from collections.abc import Callable, KeysView
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -87,12 +87,20 @@ class MarkedFan:
         unused = self.rays.keys() - used
         if unused:
             raise NotPure(f"rays {sorted(unused)} lie in no maximal cone")
-        links: dict[Cone, list[str]] = {
-            frozenset(sub): [] for cone in self.max_cones for sub in _subsets(sorted(cone))
-        }
-        for cone in links:
-            for rid in cone:
-                links[cone - {rid}].append(rid)
+        # Faces layer by layer, downward: sigma gives each sigma - rho, and a
+        # face joins the next layer, to give its own faces, once.
+        links: dict[Cone, list[str]] = {cone: [] for cone in self.max_cones}
+        layer: Iterable[Cone] = self.max_cones
+        while layer:
+            below: dict[Cone, None] = {}
+            for cone in layer:
+                for rid in cone:
+                    face = cone - {rid}
+                    if face not in links:
+                        links[face] = []
+                        below[face] = None
+                    links[face].append(rid)
+            layer = below
         self._links: dict[Cone, tuple[str, ...]] = {c: tuple(sorted(s)) for c, s in links.items()}
         self.cones: KeysView[Cone] = self._links.keys()
         self._tropical: TropicalReport | None = None  # filled by is_tropical
@@ -121,15 +129,31 @@ class MarkedFan:
     def _check_meet_along_faces(self) -> None:
         """Exact pairwise check that maximal cones intersect in their common face.
 
-        For simplicial cones, a point of cone(S1) lies in the common face iff
-        its (unique) barycentric coefficients vanish outside the common ray
-        set, so a violation is a feasible point of an exact LP.  One LP per
-        pair suffices: if no point of c1 & c2 has c1-coefficients off the
-        common rays, c1 & c2 = cone(common), so the swapped LP is infeasible.
+        A pair (c1, c2) with common face tau is cleared first by a sign
+        certificate, with no LP: a functional l with l >= 0 on the rays of c1,
+        l <= 0 on those of c2, and l > 0 on every ray of c1 - tau or l < 0 on
+        every ray of c2 - tau.  Any x in both cones has l(x) >= 0 and
+        l(x) <= 0, so l(x) = 0.  Say l > 0 on c1 - tau, and write x as
+        sum a_r r over the rays r of c1, every a_r >= 0.  Then
+        0 = sum a_r l(r) is a sum of terms >= 0, so a_r = 0 wherever
+        l(r) > 0, that is on every ray off tau, and x lies in cone(tau).  The
+        other case is the same with c2 and -l.  The candidates are +-x_a and
+        +-(x_a - x_b), read off ``int_rays``, whose signs are those of the
+        rays; see ``_sign_certificate``.
+
+        A pair with no certificate goes to an exact LP.  For simplicial
+        cones, a point of cone(S1) lies in the common face iff its (unique)
+        barycentric coefficients vanish outside the common ray set, so a
+        violation is a feasible point of the LP.  One LP per pair suffices:
+        if no point of c1 & c2 has c1-coefficients off the common rays,
+        c1 & c2 = cone(common), so the swapped LP is infeasible.
         """
+        certified = _sign_certificate(self)
         for i, c1 in enumerate(self.max_cones):
             for c2 in self.max_cones[i + 1 :]:
                 common = c1 & c2
+                if certified(c1, c2, common):
+                    continue
                 if self._meets_outside_face(c1, c2, common):
                     raise FacesDontMeet(
                         f"cones {sorted(c1)} and {sorted(c2)} do not meet along {sorted(common)}"
@@ -154,10 +178,49 @@ class MarkedFan:
         return lp.feasible_nonneg(rows, b) is not None
 
 
-def _subsets(items: list[str]):
-    n = len(items)
-    for mask in range(1 << n):
-        yield [items[i] for i in range(n) if mask >> i & 1]
+def _sign_certificate(fan: MarkedFan) -> Callable[[Cone, Cone, Cone], bool]:
+    """A test of whether maximal cones (c1, c2, common) have a sign certificate.
+
+    The certificate is a functional l among +-x_a and +-(x_a - x_b) with
+    l >= 0 on c1, l <= 0 on c2, and l != 0 on every ray of c1 - common or
+    on every ray of c2 - common; it proves c1 & c2 = cone(common) (see
+    ``MarkedFan._check_meet_along_faces``).  Each candidate is evaluated
+    once per ray.  Candidate j stands for bit j (+l) and bit j + m (-l) of
+    three masks per ray: the signed candidates that are >= 0 on it, <= 0 on
+    it, and nonzero on it.  A pair then costs a few integer ANDs.
+    """
+    n = fan.ambient_dim
+    diffs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    m = n + len(diffs)
+    nonneg: dict[str, int] = {}
+    nonpos: dict[str, int] = {}
+    nonzero: dict[str, int] = {}
+    for rid, u in fan.int_rays.items():
+        values = [*u, *(u[a] - u[b] for a, b in diffs)]
+        pos = sum(1 << j for j, v in enumerate(values) if v > 0)
+        neg = sum(1 << j for j, v in enumerate(values) if v < 0)
+        zero = (1 << m) - 1 & ~(pos | neg)
+        nonneg[rid] = pos | zero | (neg | zero) << m
+        nonpos[rid] = neg | zero | (pos | zero) << m
+        nonzero[rid] = pos | neg | (pos | neg) << m
+    every = (1 << 2 * m) - 1
+
+    def on_all(masks: Mapping[str, int], rids: Iterable[str]) -> int:
+        out = every
+        for rid in rids:
+            out &= masks[rid]
+        return out
+
+    nonneg_on = {c: on_all(nonneg, c) for c in fan.max_cones}
+    nonpos_on = {c: on_all(nonpos, c) for c in fan.max_cones}
+
+    def certified(c1: Cone, c2: Cone, common: Cone) -> bool:
+        signed = nonneg_on[c1] & nonpos_on[c2]
+        return bool(
+            signed and signed & (on_all(nonzero, c1 - common) | on_all(nonzero, c2 - common))
+        )
+
+    return certified
 
 
 # -- construction from JSON ---------------------------------------------

@@ -10,7 +10,8 @@ solution as integer numerators over one denominator, the last pivot, with
 its free coordinates zero; the Chow covectors use it, star fans use
 ``inverse``, fan and balancing checks use ``rank`` and the geometric oracle
 uses ``det``; the four eliminating routines take integer rows as well as
-rational ones.
+rational ones, and a row that is all ``int`` is eliminated as it is, with
+no scaling.
 """
 
 from __future__ import annotations
@@ -80,11 +81,12 @@ def _scaled_row(row: Sequence) -> tuple[int, list[int]]:
     return s, [x.numerator * (s // x.denominator) for x in row]
 
 
-def _integer_rows(rows: Iterable[Sequence]) -> list[list[int]]:
-    return [_scaled_row(row)[1] for row in rows]
+def _integer_rows(rows: Iterable[Sequence]) -> list[Sequence[int]]:
+    """Each row scaled to integers; a row that is already ``int`` is passed through as it is."""
+    return [row if all(type(x) is int for x in row) else _scaled_row(row)[1] for row in rows]
 
 
-def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[tuple[int, int]], int]:
+def _eliminate(rows: list[Sequence[int]], ncols: int) -> tuple[list[tuple[int, int]], int]:
     """Bareiss's fraction-free Gauss-Jordan elimination; returns (pivots, signed last pivot).
 
     Each pivot is a (row index, column index) pair.  The first ``ncols``

@@ -357,19 +357,30 @@ def test_hrw_output_is_byte_identical_to_the_recorded_one(name, tmp_path, capsys
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# SHA-256 of the whole `reduce-check` stdout on the Bergman fan of U(r, r + 1)
-# with the e0 Gram, e0 the first ground element, recorded while condition (ii)
-# still built the volume polynomial of each star.
+# SHA-256 of the whole `reduce-check` stdout on a Bergman fan with the e0 Gram,
+# e0 the first ground element.  U(4,5) and U(5,6) were recorded while condition
+# (ii) still built the volume polynomial of each star, K5 before fan validation
+# cleared pairs of cones by sign certificates.
 REDUCE_GOLDEN = {
-    "U45": (4, "2e7328b924d4fcd675cdef705b424a16603564c13eaa8ce9252171c30d984c28"),
-    "U56": (5, "b474e52b4475b11f33c76da4014e3c51d35119a9ee1c7dbb671040f566172b9d"),
+    "U45": (
+        lambda: matroid.uniform(4, 5),
+        "2e7328b924d4fcd675cdef705b424a16603564c13eaa8ce9252171c30d984c28",
+    ),
+    "U56": (
+        lambda: matroid.uniform(5, 6),
+        "b474e52b4475b11f33c76da4014e3c51d35119a9ee1c7dbb671040f566172b9d",
+    ),
+    "K5": (
+        lambda: matroid.graphic(list(itertools.combinations("12345", 2))),
+        "d95fe44eed2078f92ddeab2612a2dcb223522b11c96c3e93e1584aa27f36be35",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", list(REDUCE_GOLDEN))
 def test_reduce_check_output_is_byte_identical_to_the_recorded_one(name, tmp_path, capsys):
-    rank, digest = REDUCE_GOLDEN[name]
-    m = matroid.uniform(rank, rank + 1)
+    build, digest = REDUCE_GOLDEN[name]
+    m = build()
     e0 = m.ground[0]
     gram = [[format_rat(x) for x in row] for row in matroid.e0_inner_product(m, e0)]
     (tmp_path / "fan.json").write_text(json.dumps(fan_to_json(matroid.bergman_fan(m, e0))))

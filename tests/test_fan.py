@@ -1,8 +1,12 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import normalvol as nv
+from normalvol import lp
 from normalvol.errors import (
     DimensionMismatch,
     FacesDontMeet,
@@ -11,8 +15,14 @@ from normalvol.errors import (
     NotSimplicial,
     RayProjectionCollision,
 )
-from normalvol.fan import ZERO_CONE, _balancing_report, star, star_connected_minus_origin
-from normalvol.linalg import identity, qvec
+from normalvol.fan import (
+    ZERO_CONE,
+    _balancing_report,
+    _sign_certificate,
+    star,
+    star_connected_minus_origin,
+)
+from normalvol.linalg import identity, qvec, rank
 
 from conftest import (
     QUADRANT_JSON,
@@ -74,12 +84,128 @@ def test_duplicate_cone_rejected():
 
 def test_overlapping_cones_rejected():
     # cone(a, c) contains cone(a, b)'s interior direction b = a + c; validation
-    # runs one LP per pair, so both listing orders must be rejected
+    # checks each pair once, so both listing orders must be rejected
     rays = {"a": qvec([1, 0]), "b": qvec([1, 1]), "c": qvec([0, 1])}
     cones = [(("a", "b"), 1), (("a", "c"), 1)]
     for listed in (cones, cones[::-1]):
         with pytest.raises(FacesDontMeet):
             nv.MarkedFan(2, rays, listed)
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """A list that grows by one entry per call of ``lp.feasible_nonneg``."""
+    calls = []
+    solve = lp.feasible_nonneg
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(lp, "feasible_nonneg", counted)
+    return calls
+
+
+def _revalidated(fan):
+    """The fan rebuilt with the face-to-face check on."""
+    return nv.MarkedFan(fan.ambient_dim, fan.rays, [(c, fan.weights[c]) for c in fan.max_cones])
+
+
+def _complete_graph(n):
+    return nv.graphic([(str(a), str(b)) for a, b in itertools.combinations(range(1, n + 1), 2)])
+
+
+@pytest.mark.parametrize(
+    "name, matroid, lps",
+    [
+        ("U34", lambda: nv.uniform(3, 4), 0),
+        ("K4", lambda: _complete_graph(4), 0),
+        ("U35", lambda: nv.uniform(3, 5), 0),
+        ("U38", lambda: nv.uniform(3, 8), 0),
+        ("U45", lambda: nv.uniform(4, 5), 60),
+        ("K5", lambda: _complete_graph(5), 270),
+    ],
+)
+def test_sign_certificates_leave_few_pairs_to_the_lp(name, matroid, lps, lp_calls):
+    """LP calls of the face-to-face check on Bergman fans; every other pair
+    (of 1770 on U(4,5), 16110 on K5) is cleared by a sign certificate."""
+    m = matroid()
+    fan = _revalidated(nv.bergman_fan(m, m.ground[0]))
+    assert fan.faces_meet_checked
+    assert len(lp_calls) == lps, name
+
+
+def test_one_overlap_among_certified_pairs_is_rejected(lp_calls):
+    # four orthants of R^3 and cone(e1, e2, b), b = (1, 1, 1), which lies in
+    # the positive orthant; every other pair has a sign certificate
+    rays = {
+        "e1": qvec([1, 0, 0]), "e2": qvec([0, 1, 0]), "e3": qvec([0, 0, 1]),
+        "m1": qvec([-1, 0, 0]), "m2": qvec([0, -1, 0]), "m3": qvec([0, 0, -1]),
+        "b": qvec([1, 1, 1]),
+    }
+    orthants = [("e1", "e2", "e3"), ("m1", "e2", "e3"), ("e1", "m2", "e3"), ("e1", "e2", "m3")]
+    cones = [(c, 1) for c in orthants + [("e1", "e2", "b")]]
+    fan = nv.MarkedFan(3, rays, cones, validate_geometry=False)
+    certified = _sign_certificate(fan)
+    uncertified = [
+        (c1, c2) for c1, c2 in itertools.combinations(fan.max_cones, 2)
+        if not certified(c1, c2, c1 & c2)
+    ]
+    assert uncertified == [(frozenset(orthants[0]), frozenset({"e1", "e2", "b"}))]
+    for listed in (cones, cones[::-1]):
+        lp_calls.clear()
+        with pytest.raises(FacesDontMeet, match=r"do not meet along \['e1', 'e2'\]"):
+            nv.MarkedFan(3, rays, listed)
+        assert len(lp_calls) == 1
+
+
+COORDINATE = st.sampled_from([Fraction(k, 2) for k in range(-4, 5)])
+
+
+@st.composite
+def small_fans(draw):
+    """(ambient_dim, rays, maximal cones): 2 to 6 simplicial cones of dimension
+    2 or 3 on at most 6 rays with small coordinates.  They are not checked to
+    meet face to face: about half of the draws have a pair that overlaps."""
+    n, d = draw(st.sampled_from([(3, 3), (3, 2), (2, 2)]))
+    vectors = draw(
+        st.lists(st.tuples(*[COORDINATE] * n).filter(any), min_size=d, max_size=6, unique=True)
+    )
+    rays = {f"r{i}": qvec(u) for i, u in enumerate(vectors)}
+    ray_sets = draw(
+        st.lists(st.sets(st.sampled_from(sorted(rays)), min_size=d, max_size=d), min_size=2, max_size=6)
+    )
+    cones = list(dict.fromkeys(
+        frozenset(c) for c in ray_sets if rank(tuple(rays[rid] for rid in c)) == d
+    ))
+    assume(len(cones) >= 2)
+    used = set().union(*cones)
+    return n, {rid: u for rid, u in rays.items() if rid in used}, [(sorted(c), 1) for c in cones]
+
+
+# cone(a, b) and cone(c, d) share the direction of a = c / 2 but no ray id; x_2
+# vanishes on a and on c, so it is no certificate
+@example((2, {"a": qvec([1, 0]), "b": qvec([0, 1]), "c": qvec([2, 0]), "d": qvec([0, -1])},
+          [(["a", "b"], 1), (["c", "d"], 1)]))
+@settings(max_examples=150, deadline=None)
+@given(small_fans())
+def test_sign_certificates_agree_with_the_lp(case):
+    """A pair cleared by a sign certificate has no point outside its common face
+    by the LP either, and the fan's verdict is the one of an LP on every pair."""
+    n, rays, cones = case
+    fan = nv.MarkedFan(n, rays, cones, validate_geometry=False)
+    certified = _sign_certificate(fan)
+    overlapping = False
+    for c1, c2 in itertools.combinations(fan.max_cones, 2):
+        meets_outside = fan._meets_outside_face(c1, c2, c1 & c2)
+        assert not (meets_outside and certified(c1, c2, c1 & c2))
+        overlapping |= meets_outside
+    try:
+        nv.MarkedFan(n, rays, cones)
+    except FacesDontMeet:
+        assert overlapping
+    else:
+        assert not overlapping
 
 
 def test_json_round_trip():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from normalvol.errors import DimensionMismatch, NoSolution, NotSymmetric
 from normalvol.linalg import (
+    _integer_rows,
     det,
     dot,
     identity,
@@ -173,6 +175,28 @@ def test_solve_returns_integer_numerators_over_the_last_pivot(system):
     assert type(p) is int and p != 0
     assert all(type(v) is int for v in x)
     assert tuple(Fraction(v, p) for v in x) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_systems())
+def test_int_rows_are_eliminated_as_they_are(system):
+    """Each row of (A | b) scaled to ``int`` by its own lcm: the int rows are
+    not copied, and ``rank`` and ``solve`` read them as the rational ones."""
+    a, b = system
+    scaled = []
+    for row, rhs in zip(a, b):
+        s = lcm(*(x.denominator for x in (*row, rhs)))
+        scaled.append(tuple(int(x * s) for x in (*row, rhs)))
+    int_a = tuple(row[:-1] for row in scaled)
+    int_b = tuple(row[-1] for row in scaled)
+    assert all(out is row for out, row in zip(_integer_rows(int_a), int_a))
+    assert rank(int_a) == rank(a)
+    expected = _reference_solve(a, b, range(len(a[0])))
+    if expected is None:
+        with pytest.raises(NoSolution):
+            solve(int_a, int_b)
+    else:
+        assert solution(int_a, int_b) == expected
 
 
 @st.composite
