@@ -21,13 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import GradeOverflow, NotTropical, WrongGrade
 from .fan import Cone, MarkedFan, ZERO_CONE, is_tropical
-from .linalg import ZERO, ONE, solve
+from .linalg import ZERO, ONE, scaled_to_int, solve
 
 
 @dataclass(frozen=True)
@@ -68,8 +67,7 @@ def multiply_divisor(fan: MarkedFan, cls: ChowClass, z: Mapping[str, Fraction]) 
     """The product cls * D(z) written back in the X_sigma basis."""
     if cls.grade >= fan.d:
         raise GradeOverflow(f"cannot raise grade {cls.grade} on a {fan.d}-dimensional fan")
-    scale = lcm(*(z[rid].denominator for rid in fan.rays))
-    zz = {rid: z[rid].numerator * (scale // z[rid].denominator) for rid in fan.rays}
+    scale, zz = scaled_to_int(z)
     out: dict[Cone, Fraction] = {}
     for sigma, c in cls.weights:
         v, p = covector(fan, sigma, zz) if any(zz[rho] for rho in sigma) else (None, 1)

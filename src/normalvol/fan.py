@@ -131,13 +131,15 @@ class MarkedFan:
 
         A pair (c1, c2) with common face tau is cleared first by a sign
         certificate, with no LP: a functional l with l >= 0 on the rays of c1,
-        l <= 0 on those of c2, and l > 0 on every ray of c1 - tau or l < 0 on
-        every ray of c2 - tau.  Any x in both cones has l(x) >= 0 and
-        l(x) <= 0, so l(x) = 0.  Say l > 0 on c1 - tau, and write x as
-        sum a_r r over the rays r of c1, every a_r >= 0.  Then
-        0 = sum a_r l(r) is a sum of terms >= 0, so a_r = 0 wherever
-        l(r) > 0, that is on every ray off tau, and x lies in cone(tau).  The
-        other case is the same with c2 and -l.  The candidates are +-x_a and
+        l <= 0 on those of c2, and linearly independent zero rays, the rays
+        of c1 | c2 on which l = 0.  Any x in both cones has l(x) >= 0 and
+        l(x) <= 0, so l(x) = 0.  Write x as sum a_r r over the rays r of c1,
+        every a_r >= 0.  Then 0 = sum a_r l(r) is a sum of terms >= 0, so
+        a_r = 0 wherever l(r) != 0; the same holds for the coefficients b_r
+        of x over c2.  Both sums then run over zero rays, and their difference
+        is sum (a_r - b_r) r = 0, a coefficient absent from a sum being 0.  By
+        independence a_r = b_r on every zero ray, so a_r = 0 on the rays of
+        c1 off c2, and x lies in cone(tau).  The candidates are +-x_a and
         +-(x_a - x_b), read off ``int_rays``, whose signs are those of the
         rays; see ``_sign_certificate``.
 
@@ -182,12 +184,15 @@ def _sign_certificate(fan: MarkedFan) -> Callable[[Cone, Cone, Cone], bool]:
     """A test of whether maximal cones (c1, c2, common) have a sign certificate.
 
     The certificate is a functional l among +-x_a and +-(x_a - x_b) with
-    l >= 0 on c1, l <= 0 on c2, and l != 0 on every ray of c1 - common or
-    on every ray of c2 - common; it proves c1 & c2 = cone(common) (see
+    l >= 0 on c1, l <= 0 on c2, and linearly independent zero rays in
+    c1 | c2; it proves c1 & c2 = cone(common) (see
     ``MarkedFan._check_meet_along_faces``).  Each candidate is evaluated
     once per ray.  Candidate j stands for bit j (+l) and bit j + m (-l) of
     three masks per ray: the signed candidates that are >= 0 on it, <= 0 on
-    it, and nonzero on it.  A pair then costs a few integer ANDs.
+    it, and nonzero on it.  When l != 0 on every ray of c1 - common or on
+    every ray of c2 - common, the zero rays lie in one simplicial cone, and
+    the pair costs a few integer ANDs; otherwise each candidate that has
+    the signs costs one ``rank`` of its zero rays.
     """
     n = fan.ambient_dim
     diffs = [(a, b) for a in range(n) for b in range(a + 1, n)]
@@ -216,9 +221,18 @@ def _sign_certificate(fan: MarkedFan) -> Callable[[Cone, Cone, Cone], bool]:
 
     def certified(c1: Cone, c2: Cone, common: Cone) -> bool:
         signed = nonneg_on[c1] & nonpos_on[c2]
-        return bool(
-            signed and signed & (on_all(nonzero, c1 - common) | on_all(nonzero, c2 - common))
+        if signed & (on_all(nonzero, c1 - common) | on_all(nonzero, c2 - common)):
+            return True
+        rays = c1 | c2
+        candidates = (signed | signed >> m) & (1 << m) - 1
+        return any(
+            candidates >> j & 1 and independent(r for r in rays if not nonzero[r] >> j & 1)
+            for j in range(m)
         )
+
+    def independent(rids: Iterable[str]) -> bool:
+        zero_rays = tuple(fan.int_rays[rid] for rid in rids)
+        return rank(zero_rays) == len(zero_rays)
 
     return certified
 

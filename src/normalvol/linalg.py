@@ -11,7 +11,9 @@ its free coordinates zero; the Chow covectors use it, star fans use
 ``inverse``, fan and balancing checks use ``rank`` and the geometric oracle
 uses ``det``; the four eliminating routines take integer rows as well as
 rational ones, and a row that is all ``int`` is eliminated as it is, with
-no scaling.
+no scaling.  ``signature`` reads inertia off a symmetric Bareiss
+elimination with one pivot rule, over the whole matrix scaled to integers
+by one factor; ``scaled_to_int`` scales a truncation the same way.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, NoSolution, NotSymmetric
 
@@ -79,6 +81,12 @@ def _scaled_row(row: Sequence) -> tuple[int, list[int]]:
     """(s, s * row) with s the lcm of the row's denominators."""
     s = lcm(*(x.denominator for x in row))
     return s, [x.numerator * (s // x.denominator) for x in row]
+
+
+def scaled_to_int(z: Mapping[str, Fraction]) -> tuple[int, dict[str, int]]:
+    """(Z, Z z): Z the lcm of the denominators of z's values, Z z in integers."""
+    scale, ints = _scaled_row(tuple(z.values()))
+    return scale, dict(zip(z, ints))
 
 
 def _integer_rows(rows: Iterable[Sequence]) -> list[Sequence[int]]:
@@ -197,13 +205,17 @@ class Signature:
 
 
 def signature(s: Mat) -> Signature:
-    """Inertia of a symmetric rational matrix by exact congruence elimination.
+    """Inertia of a symmetric rational matrix by symmetric Bareiss elimination.
 
-    Uses 1x1 diagonal pivots when available; when the remaining diagonal is
-    all zero but some off-diagonal entry is not, a 2x2 hyperbolic pivot
-    contributes one positive and one negative eigenvalue (Sylvester's law
-    makes the counts congruence-invariant, so Schur complements preserve
-    them).
+    The matrix is scaled to integers by one positive factor.  A pivot is any
+    active w_kk != 0; with prev the pivot before it (1 at first), w_kk / prev
+    is the next diagonal entry of an LDL^T factorisation, positive when
+    w_kk * prev > 0, and every other active entry becomes
+    (w_kk w_ij - w_ik w_kj) // prev, exact because each entry is a minor.
+    When the active diagonal is zero but some w_ij is not, adding row and
+    column j to row and column i is a congruence that puts 2 w_ij there; by
+    Sylvester's law of inertia it keeps the counts.  The active entries left
+    when all are zero count as zero eigenvalues.
     """
     n = len(s)
     for i in range(n):
@@ -212,40 +224,32 @@ def signature(s: Mat) -> Signature:
         for j in range(i):
             if s[i][j] != s[j][i]:
                 raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
-    work = {(i, j): s[i][j] for i in range(n) for j in range(n)}
+    flat = _scaled_row([x for row in s for x in row])[1]
+    w = [flat[i * n : (i + 1) * n] for i in range(n)]
     active = list(range(n))
     n_plus = n_minus = 0
+    prev = 1
     while active:
-        piv = next((i for i in active if work[(i, i)] != 0), None)
-        if piv is not None:
-            p = work[(piv, piv)]
-            if p > 0:
-                n_plus += 1
-            else:
-                n_minus += 1
-            active.remove(piv)
-            col = {k: work[(k, piv)] for k in active}
-            for k in active:
-                if col[k] == 0:
-                    continue
-                for l in active:
-                    work[(k, l)] -= col[k] * col[l] / p
+        k = next((i for i in active if w[i][i]), None)
+        if k is None:
+            pair = next(((i, j) for i in active for j in active if w[i][j]), None)
+            if pair is None:
+                break
+            i, j = pair
+            for t in active:
+                w[i][t] += w[j][t]
+            for t in active:
+                w[t][i] += w[t][j]
             continue
-        off = next(
-            ((i, j) for idx, i in enumerate(active) for j in active[idx + 1 :] if work[(i, j)] != 0),
-            None,
-        )
-        if off is None:
-            return Signature(n_plus, n_minus, len(active))
-        i, j = off
-        a = work[(i, j)]
-        n_plus += 1
-        n_minus += 1
-        active.remove(i)
-        active.remove(j)
-        ci = {k: work[(k, i)] for k in active}
-        cj = {k: work[(k, j)] for k in active}
-        for k in active:
-            for l in active:
-                work[(k, l)] -= (ci[k] * cj[l] + cj[k] * ci[l]) / a
-    return Signature(n_plus, n_minus, n - n_plus - n_minus)
+        p, wk = w[k][k], w[k]
+        if p * prev > 0:
+            n_plus += 1
+        else:
+            n_minus += 1
+        active.remove(k)
+        for i in active:
+            wi, f = w[i], w[i][k]
+            for j in active:
+                wi[j] = (p * wi[j] - f * wk[j]) // prev
+        prev = p
+    return Signature(n_plus, n_minus, len(active))

@@ -71,6 +71,7 @@ from .linalg import (
     ZERO,
     ONE,
     det,
+    scaled_to_int,
     signature,
     vec_add,
     vec_scale,
@@ -239,12 +240,6 @@ class CubReport:
         return self.classification in (CUBICAL, PSEUDOCUBICAL_BOUNDARY)
 
 
-def _scaled_z(z: Mapping[str, Fraction]) -> tuple[int, dict[str, int]]:
-    """(Z, Z z) with Z the lcm of the denominators of z."""
-    scale = lcm(*(v.denominator for v in z.values()))
-    return scale, {rid: v.numerator * (scale // v.denominator) for rid, v in z.items()}
-
-
 def _coefficient_rows(
     ctx: Context, zz: Mapping[str, int]
 ) -> Iterator[tuple[Cone, tuple[str, ...], tuple[int, ...]]]:
@@ -277,7 +272,7 @@ def _scan(rows) -> CubReport:
 def classify_z(ctx: Context, z: Mapping[str, Fraction]) -> CubReport:
     """Exact classification by the barycentric coefficients of every w-vector."""
     _check_keys(ctx.fan, z)
-    return _scan(_coefficient_rows(ctx, _scaled_z(z)[1]))
+    return _scan(_coefficient_rows(ctx, scaled_to_int(z)[1]))
 
 
 def require_pseudocubical(report: CubReport) -> None:
@@ -447,7 +442,7 @@ class TruncationTables:
         key = tuple(z[rid] for rid in self._rays)
         entry = self._tables.get(key)
         if entry is None:
-            scale, zz = _scaled_z(z)
+            scale, zz = scaled_to_int(z)
             rows = list(_coefficient_rows(self.ctx, zz))
             entry = (_scan(rows), scale, {cone: nums for cone, _, nums in rows})
             self._tables[key] = entry

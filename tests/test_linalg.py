@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from normalvol.errors import DimensionMismatch, NoSolution, NotSymmetric
 from normalvol.linalg import (
+    Signature,
     _integer_rows,
     det,
     dot,
@@ -88,6 +89,98 @@ def test_signature_congruence_invariance():
                 break
         congruent = mat_mul(transpose(p), mat_mul(s, p))
         assert tuple(signature(congruent)) == tuple(signature(s))
+
+
+def test_signature_zero_diagonal_triangle():
+    # the all-ones matrix minus the identity, with eigenvalues 2, -1, -1
+    assert tuple(signature(qmat([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))) == (1, 2, 0)
+
+
+def test_signature_two_hyperbolic_pairs():
+    s = qmat([[0, 3, 0, 0], [3, 0, 0, 0], [0, 0, 0, Fraction(-1, 2)], [0, 0, Fraction(-1, 2), 0]])
+    assert tuple(signature(s)) == (2, 2, 0)
+
+
+def test_signature_zero_matrix():
+    assert tuple(signature(qmat([[0] * 3] * 3))) == (0, 0, 3)
+    assert tuple(signature(())) == (0, 0, 0)
+
+
+def test_signature_of_int_entries():
+    s = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
+    assert tuple(signature(s)) == tuple(signature(qmat(s))) == (3, 0, 0)
+
+
+def _reference_signature(s):
+    """Inertia by rational congruence elimination: 1x1 diagonal pivots, and a
+    2x2 hyperbolic pivot, counted once positive and once negative, when the
+    remaining diagonal is all zero but some off-diagonal entry is not."""
+    n = len(s)
+    work = {(i, j): s[i][j] for i in range(n) for j in range(n)}
+    active = list(range(n))
+    n_plus = n_minus = 0
+    while active:
+        piv = next((i for i in active if work[(i, i)] != 0), None)
+        if piv is not None:
+            p = work[(piv, piv)]
+            if p > 0:
+                n_plus += 1
+            else:
+                n_minus += 1
+            active.remove(piv)
+            col = {k: work[(k, piv)] for k in active}
+            for k in active:
+                if col[k] == 0:
+                    continue
+                for l in active:
+                    work[(k, l)] -= col[k] * col[l] / p
+            continue
+        off = next(
+            ((i, j) for idx, i in enumerate(active) for j in active[idx + 1 :] if work[(i, j)] != 0),
+            None,
+        )
+        if off is None:
+            return Signature(n_plus, n_minus, len(active))
+        i, j = off
+        a = work[(i, j)]
+        n_plus += 1
+        n_minus += 1
+        active.remove(i)
+        active.remove(j)
+        ci = {k: work[(k, i)] for k in active}
+        cj = {k: work[(k, j)] for k in active}
+        for k in active:
+            for l in active:
+                work[(k, l)] -= (ci[k] * cj[l] + cj[k] * ci[l]) / a
+    return Signature(n_plus, n_minus, n - n_plus - n_minus)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices of size 1 to 6: either sparse, often with
+    the whole diagonal forced to zero, or a sum of at most 3 signed rank-one
+    terms v v^T, so of low rank."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(Fraction(0)), RATIONALS)
+    if draw(st.booleans()):
+        s = [[Fraction(0)] * n for _ in range(n)]
+        zero_diagonal = draw(st.booleans())
+        for i in range(n):
+            for j in range(i + 1):
+                s[i][j] = s[j][i] = Fraction(0) if i == j and zero_diagonal else draw(entry)
+    else:
+        terms = [
+            (draw(st.sampled_from([1, -1, 2, Fraction(-1, 3)])), [draw(entry) for _ in range(n)])
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        s = [[sum(c * v[i] * v[j] for c, v in terms) for j in range(n)] for i in range(n)]
+    return qmat(s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_matrices())
+def test_signature_matches_rational_congruence_elimination(s):
+    assert signature(s) == _reference_signature(s)
 
 
 def test_vector_length_mismatch():
