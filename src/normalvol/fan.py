@@ -15,7 +15,6 @@ from collections.abc import Callable, KeysView
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import lcm
 from typing import Iterable, Mapping
 
 from . import lp
@@ -29,7 +28,8 @@ from .errors import (
     RayProjectionCollision,
 )
 from .linalg import (
-    Mat, Vec, ZERO, ONE, dot, inverse, mat_vec, qvec, rank, vec_scale, vec_sub
+    Mat, Vec, ZERO, ONE, dot, inverse, mat_vec, qvec, rank, scaled_rows, scaled_to_int,
+    vec_scale, vec_sub,
 )
 from .serialize import format_rat, parse_int, parse_list, parse_rat, read_field
 
@@ -55,11 +55,8 @@ class MarkedFan:
                 raise DimensionMismatch(f"ray {rid!r} has length {len(u)}, expected {ambient_dim}")
             if all(x == 0 for x in u):
                 raise NotSimplicial(f"ray {rid!r} has zero marked generator")
-        self.ray_scale = lcm(*(x.denominator for u in self.rays.values() for x in u))
-        self.int_rays: dict[str, tuple[int, ...]] = {
-            rid: tuple(x.numerator * (self.ray_scale // x.denominator) for x in u)
-            for rid, u in self.rays.items()
-        }
+        self.ray_scale, int_rows = scaled_rows(self.rays.values())
+        self.int_rays: dict[str, tuple[int, ...]] = dict(zip(self.rays, map(tuple, int_rows)))
         self.weights: dict[Cone, Fraction] = {}
         cones: list[Cone] = []
         for ray_ids, weight in max_cones:
@@ -318,8 +315,7 @@ def _balancing_report(fan: MarkedFan) -> TropicalReport:
 
     The sums are integers: weights scaled by the lcm of their denominators, times ``int_rays``.
     """
-    scale = lcm(*(w.denominator for w in fan.weights.values()))
-    int_weights = {c: w.numerator * (scale // w.denominator) for c, w in fan.weights.items()}
+    int_weights = scaled_to_int(fan.weights)[1]
     failing = []
     for tau in fan.cones_of_dim(fan.d - 1):
         total = [0] * fan.ambient_dim

@@ -13,7 +13,9 @@ uses ``det``; the four eliminating routines take integer rows as well as
 rational ones, and a row that is all ``int`` is eliminated as it is, with
 no scaling.  ``signature`` reads inertia off a symmetric Bareiss
 elimination with one pivot rule, over the whole matrix scaled to integers
-by one factor; ``scaled_to_int`` scales a truncation the same way.
+by one factor.  ``scaled_rows`` is that one scaling, of a matrix by the lcm
+of all its denominators; fans scale their rays, contexts their Gram and
+``scaled_to_int`` a truncation with it.
 """
 
 from __future__ import annotations
@@ -21,12 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 from .errors import DimensionMismatch, NoSolution, NotSymmetric
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
+
+K = TypeVar("K")
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -77,21 +81,22 @@ def identity(n: int) -> Mat:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
-def _scaled_row(row: Sequence) -> tuple[int, list[int]]:
-    """(s, s * row) with s the lcm of the row's denominators."""
-    s = lcm(*(x.denominator for x in row))
-    return s, [x.numerator * (s // x.denominator) for x in row]
+def scaled_rows(rows: Iterable[Iterable]) -> tuple[int, list[list[int]]]:
+    """(s, s * rows): s the lcm of the denominators of every entry, s * rows in integers."""
+    rows = [tuple(row) for row in rows]
+    s = lcm(*(x.denominator for row in rows for x in row))
+    return s, [[x.numerator * (s // x.denominator) for x in row] for row in rows]
 
 
-def scaled_to_int(z: Mapping[str, Fraction]) -> tuple[int, dict[str, int]]:
+def scaled_to_int(z: Mapping[K, Fraction]) -> tuple[int, dict[K, int]]:
     """(Z, Z z): Z the lcm of the denominators of z's values, Z z in integers."""
-    scale, ints = _scaled_row(tuple(z.values()))
+    scale, (ints,) = scaled_rows([z.values()])
     return scale, dict(zip(z, ints))
 
 
 def _integer_rows(rows: Iterable[Sequence]) -> list[Sequence[int]]:
     """Each row scaled to integers; a row that is already ``int`` is passed through as it is."""
-    return [row if all(type(x) is int for x in row) else _scaled_row(row)[1] for row in rows]
+    return [row if all(type(x) is int for x in row) else scaled_rows([row])[1][0] for row in rows]
 
 
 def _eliminate(rows: list[Sequence[int]], ncols: int) -> tuple[list[tuple[int, int]], int]:
@@ -185,7 +190,7 @@ def det(a: Mat) -> Fraction:
     scale = 1
     rows = []
     for row in a:
-        s, ints = _scaled_row(row)
+        s, (ints,) = scaled_rows([row])
         rows.append(ints)
         scale *= s
     pivots, last = _eliminate(rows, len(rows))
@@ -224,8 +229,7 @@ def signature(s: Mat) -> Signature:
         for j in range(i):
             if s[i][j] != s[j][i]:
                 raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
-    flat = _scaled_row([x for row in s for x in row])[1]
-    w = [flat[i * n : (i + 1) * n] for i in range(n)]
+    w = scaled_rows(s)[1]
     active = list(range(n))
     n_plus = n_minus = 0
     prev = 1

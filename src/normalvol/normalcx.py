@@ -11,7 +11,19 @@ program over the cones of the fan, grouped by dimension:
     F_0(0) = 1,  F_k(sigma) = sum_{rho in sigma} F_{k-1}(sigma - rho) * (z_k)^{sigma - rho}_rho,
     MVol(z_1, ..., z_d) = sum_sigma w_sigma F_d(sigma).
 
-Its factors come from the barycentric coefficients c_sigma(z) = G_sigma^-1 z_sigma
+Run backward from the weighted maximal cones with the same factors,
+
+    B_d(sigma) = w_sigma,  B_{k-1}(tau) = sum_{rho in link(tau)} B_k(tau | rho) * (z_k)^tau_rho,
+
+it meets the forward pass at any dimension k (both expand over chains of cones):
+MVol(z_1, ..., z_d) = sum_{dim tau = k} F_k(tau; z_1..z_k) B_k(tau; z_{k+1}..z_d).
+A batch (``TruncationTables``) keeps every layer it builds and meets each tuple
+at the k that needs the fewest new layers, ties going to the end of the leading
+run of z_1 (so no forward layer passes that run): a constant tuple climbs all
+d layers, and the d + 1 tuples alpha^(d-a) beta^a of ``hrw`` need 2d layers in
+all, not d(d + 1).
+
+The factors come from the barycentric coefficients c_sigma(z) = G_sigma^-1 z_sigma
 of the w-vectors, the same numbers the classification reads: restriction is
 transitive, so z^{sigma - rho}_rho = c_sigma(z)_rho / (G_sigma^-1)_{rho rho}.  One
 table of these coefficients is built per distinct truncation.
@@ -50,9 +62,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from itertools import combinations, permutations
-from typing import Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterator, Mapping, Sequence, TypeVar
 
 from . import lp
 from .errors import (
@@ -71,6 +83,7 @@ from .linalg import (
     ZERO,
     ONE,
     det,
+    scaled_rows,
     scaled_to_int,
     signature,
     vec_add,
@@ -113,9 +126,8 @@ class Context:
         check_gram(gram, fan.ambient_dim)
         self.fan = fan
         self.gram = gram
-        g = lcm(*(x.denominator for row in gram for x in row))
+        g, gram_int = scaled_rows(gram)
         self.pair_scale = Fraction(1, g * fan.ray_scale**2)
-        gram_int = [[int(x * g) for x in row] for row in gram]
         self._gram_rays = {
             rid: tuple(sum(x * y for x, y in zip(row, u)) for row in gram_int)
             for rid, u in fan.int_rays.items()
@@ -383,96 +395,137 @@ def polytope_vertices(
 T = TypeVar("T", Fraction, MultiPoly)
 
 
-def _face_dp(
-    ctx: Context,
-    levels: Sequence[Callable[[Cone], Sequence[T]]],
-    one: T,
-    zero: T,
-) -> T:
-    """sum_sigma w_sigma F(sigma) over the maximal cones sigma, where F(0) = one
-    and, for a cone sigma of dimension k,
-    F(sigma) = sum_{rho in sigma} F(sigma - rho) * levels[k-1](sigma)[rho].
+def _climb(
+    ctx: Context, layer: Mapping[Cone, T], factors: Mapping[Cone, Sequence[T]], zero: T
+) -> dict[Cone, T]:
+    """Forward: F(sigma) = sum_{rho in sigma} layer(sigma - rho) * factors[sigma][rho].
 
-    ``levels[k-1](sigma)`` gives the factor (z_k)^{sigma - rho}_rho of each ray
-    rho of sigma, in sorted ray order.  Each layer is climbed from the one
-    below through ``fan.link``, and zero values of F are not stored, so sparse
-    truncations keep the layers small.
+    A row of ``factors`` holds (z_k)^{sigma - rho}_rho in sorted ray order; an
+    empty row means no nonzero factor.  Zero values of F are not stored.
     """
     link = ctx.fan.link
-    layer = {ZERO_CONE: one}
-    for factors in levels:
-        nxt: dict[Cone, T] = {}
-        for cone in {face | {eta} for face in layer for eta in link(face)}:
-            row = factors(cone)
-            total = zero
-            for i, rid in enumerate(sorted(cone)):
+    nxt: dict[Cone, T] = {}
+    for cone in {face | {eta} for face in layer for eta in link(face)}:
+        total = zero
+        for rid, f in zip(sorted(cone), factors[cone]):
+            if f:
                 prev = layer.get(cone - {rid})
-                if prev is not None and row[i]:
-                    total = total + prev * row[i]
-            if total:
-                nxt[cone] = total
-        layer = nxt
-    weights = ctx.fan.weights
-    return sum((weights[s] * layer[s] for s in ctx.fan.max_cones if s in layer), zero)
+                if prev is not None:
+                    total = total + prev * f
+        if total:
+            nxt[cone] = total
+    return nxt
 
 
-# (classification, Z, {cone: adj_cone (Z z)_cone})
-_Table = tuple[CubReport, int, dict[Cone, tuple[int, ...]]]
+def _descend(layer: Mapping[Cone, Fraction], factors: Mapping[Cone, Vec]) -> dict[Cone, Fraction]:
+    """Backward: B(tau) = sum_{rho in link(tau)} layer(tau | rho) * factors[tau | rho][rho].
+
+    Pseudocubical factors are >= 0 and weights > 0, so no sum of nonzero terms cancels.
+    """
+    nxt: dict[Cone, Fraction] = {}
+    for cone, value in layer.items():
+        for rid, f in zip(sorted(cone), factors[cone]):
+            if f:
+                face = cone - {rid}
+                nxt[face] = nxt.get(face, ZERO) + value * f
+    return nxt
+
+
+class _Table(dict):
+    """One truncation's classification, and its factor rows by cone, each built on first read.
+
+    With Z z the truncation scaled to integers, the integers num = adj_sigma (Z z)_sigma
+    have the signs of c_sigma(z), and the row of sigma is z^{sigma - rho}_rho =
+    c_sigma(z)_rho / (G_sigma^-1)_{rho rho} = num_rho / (Z adj_{rho rho}), where
+    adj_{rho rho} = D_{sigma - rho} > 0.  A cone whose nums are all zero has the row ().
+    """
+
+    def __init__(self, ctx: Context, z: Mapping[str, Fraction]):
+        super().__init__()
+        self.ctx = ctx
+        self.scale, zz = scaled_to_int(z)
+        self.nums: dict[Cone, tuple[int, ...]] = {}
+        self.report = _scan(self._rows(zz))
+
+    def _rows(
+        self, zz: Mapping[str, int]
+    ) -> Iterator[tuple[Cone, tuple[str, ...], tuple[int, ...]]]:
+        # the scan stops at a negative coefficient, and mvol refuses z
+        for cone, rids, nums in _coefficient_rows(self.ctx, zz):
+            if any(nums):
+                self.nums[cone] = nums
+            yield cone, rids, nums
+
+    def __missing__(self, cone: Cone) -> Vec:
+        nums = self.nums.pop(cone, None)
+        if nums is None:
+            return ()
+        adj, scale = self.ctx.cone_gram_inverse(cone)[1], self.scale
+        row = tuple(Fraction(v, scale * adj[i][i]) if v else ZERO for i, v in enumerate(nums))
+        self[cone] = row
+        return row
 
 
 class TruncationTables:
-    """The barycentric table of each distinct truncation, built once per instance.
+    """The tables and dynamic-program layers of one batch of mixed volumes.
 
-    A table holds Z z scaled to integers, Z the lcm of the denominators of z,
-    and maps every nonzero cone sigma to the integers adj_sigma (Z z)_sigma,
-    which are Z D_sigma pair_scale c_sigma(z).  Their signs give the
-    classification, and the factors of the dynamic program are
-    z^{sigma - rho}_rho = c_sigma(z)_rho / (G_sigma^-1)_{rho rho}
-    = num_rho / (Z adj_{rho rho}), where adj_{rho rho} = D_{sigma - rho} > 0.
-    Truncations are told apart by value.  Nothing is stored on the context.
+    Truncations are told apart by value and numbered as they come; forward
+    layers are memoized by the prefix of those numbers, backward layers by
+    the suffix.  Nothing is stored on the context.
     """
 
     def __init__(self, ctx: Context):
         self.ctx = ctx
         self._rays = ctx.fan.ray_ids()
-        self._tables: dict[tuple[Fraction, ...], _Table] = {}
+        self._index: dict[tuple[Fraction, ...], int] = {}
+        self._tables: list[_Table] = []
+        self._forward: dict[tuple[int, ...], dict[Cone, Fraction]] = {(): {ZERO_CONE: ONE}}
+        self._backward = {(): {sigma: ctx.fan.weights[sigma] for sigma in ctx.fan.max_cones}}
 
-    def _entry(self, z: Mapping[str, Fraction]) -> _Table:
+    def _lookup(self, z: Mapping[str, Fraction]) -> int:
         _check_keys(self.ctx.fan, z)
         key = tuple(z[rid] for rid in self._rays)
-        entry = self._tables.get(key)
-        if entry is None:
-            scale, zz = scaled_to_int(z)
-            rows = list(_coefficient_rows(self.ctx, zz))
-            entry = (_scan(rows), scale, {cone: nums for cone, _, nums in rows})
-            self._tables[key] = entry
-        return entry
+        t = self._index.get(key)
+        if t is None:
+            t = self._index[key] = len(self._tables)
+            self._tables.append(_Table(self.ctx, z))
+        return t
 
     def classify(self, z: Mapping[str, Fraction]) -> CubReport:
         """Same report as ``classify_z``."""
-        return self._entry(z)[0]
+        return self._tables[self._lookup(z)].report
 
-    def _factors(self, scale: int, nums: dict[Cone, tuple[int, ...]]) -> Callable[[Cone], Vec]:
-        gram_inverse = self.ctx.cone_gram_inverse
+    def _forward_layer(self, prefix: tuple[int, ...]) -> dict[Cone, Fraction]:
+        if prefix not in self._forward:
+            below = self._forward_layer(prefix[:-1])
+            self._forward[prefix] = _climb(self.ctx, below, self._tables[prefix[-1]], ZERO)
+        return self._forward[prefix]
 
-        def row(cone: Cone) -> Vec:
-            adj = gram_inverse(cone)[1]
-            return tuple(
-                Fraction(v, scale * adj[i][i]) if v else ZERO for i, v in enumerate(nums[cone])
-            )
-
-        return row
+    def _backward_layer(self, suffix: tuple[int, ...]) -> dict[Cone, Fraction]:
+        if suffix not in self._backward:
+            above = self._backward_layer(suffix[1:])
+            self._backward[suffix] = _descend(above, self._tables[suffix[0]])
+        return self._backward[suffix]
 
     def mvol(self, zs: Sequence[Mapping[str, Fraction]]) -> Fraction:
+        """MVol(zs), met at the split that needs the fewest new layers (module docstring)."""
         d = self.ctx.fan.d
         if len(zs) != d:
             raise ArityMismatch(f"need exactly {d} arguments, got {len(zs)}")
-        levels = []
+        ts = []
         for z in zs:
-            report, scale, nums = self._entry(z)
-            require_pseudocubical(report)
-            levels.append(self._factors(scale, nums))
-        return _face_dp(self.ctx, levels, ONE, ZERO)
+            ts.append(self._lookup(z))
+            require_pseudocubical(self._tables[ts[-1]].report)
+        key = tuple(ts)
+        run = next((k for k in range(d) if key[k] != key[0]), d)
+
+        def new_layers(k: int) -> tuple[int, int]:
+            new = sum(key[:j] not in self._forward for j in range(1, k + 1))
+            return new + sum(key[j:] not in self._backward for j in range(k, d)), abs(k - run)
+
+        k = min(range(d + 1), key=new_layers)
+        forward, backward = self._forward_layer(key[:k]), self._backward_layer(key[k:])
+        return sum((v * backward[c] for c, v in forward.items() if c in backward), ZERO)
 
 
 def mixed_volumes(
@@ -526,16 +579,19 @@ def vol_polynomial(ctx: Context) -> MultiPoly:
     Cached on the context.
     """
     if ctx._vol_poly is None:
-
-        def forms(cone: Cone) -> tuple[MultiPoly, ...]:
-            rids = sorted(cone)
-            return tuple(
+        forms = {
+            cone: tuple(
                 MultiPoly.linear({t: Fraction(v, row[i]) for t, v in zip(rids, row)})
                 for i, row in enumerate(ctx.cone_gram_inverse(cone)[1])
             )
-
-        levels = [forms] * ctx.fan.d
-        ctx._vol_poly = _face_dp(ctx, levels, MultiPoly.constant(ONE), MultiPoly.zero())
+            for cone, rids in ctx.sorted_cones()
+        }
+        zero = MultiPoly.zero()
+        layer = {ZERO_CONE: MultiPoly.constant(ONE)}
+        for _ in range(ctx.fan.d):
+            layer = _climb(ctx, layer, forms, zero)
+        weights = ctx.fan.weights
+        ctx._vol_poly = sum((weights[s] * layer[s] for s in ctx.fan.max_cones if s in layer), zero)
     return ctx._vol_poly
 
 

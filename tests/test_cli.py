@@ -325,8 +325,9 @@ def test_hrw(tmp_path, capsys):
     assert json.loads(out_path.read_text()) == report
 
 
-# SHA-256 of the whole `hrw` stdout (the report and the Bergman fan), recorded
-# before the Chow path and the balancing check moved to integer arithmetic.
+# SHA-256 of the whole `hrw` stdout (the report and the Bergman fan).  U(4,5), K5
+# and U(5,6) were recorded before the Chow path and the balancing check moved to
+# integer arithmetic, U(6,7) before the volume DP met forward and backward layers.
 HRW_GOLDEN = {
     "U45": (
         {"kind": "uniform", "ground_set": [str(i) for i in range(5)], "rank": 4},
@@ -343,6 +344,10 @@ HRW_GOLDEN = {
     "U56": (
         {"kind": "uniform", "ground_set": [str(i) for i in range(6)], "rank": 5},
         "c17bad2db28a9978c8d4361c811c3a098f42f9c0ecc126b67e17104974b66f08",
+    ),
+    "U67": (
+        {"kind": "uniform", "ground_set": [str(i) for i in range(7)], "rank": 6},
+        "c78153e16586e90d9bc7b9187bcd6ee317f7fd61d3e678b704f705300d5c9968",
     ),
 }
 

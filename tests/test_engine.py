@@ -5,6 +5,7 @@ random positive-definite rationals L D L^T close to diagonal, and truncations
 are random cubical points near the all-ones vector.  Every comparison is exact.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -14,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import normalvol as nv
-from normalvol import af, chow
+from normalvol import af, chow, normalcx
 from normalvol.fan import star_connected_minus_origin
 from normalvol.linalg import dot, identity, inverse, mat_vec, signature
 from normalvol.normalcx import (
@@ -22,6 +23,7 @@ from normalvol.normalcx import (
     classify_z,
     face_complex,
     geometric_volume_oracle,
+    mixed_volumes,
     mvol_polarization_oracle,
     mvol_recursive,
     restrict_z,
@@ -112,6 +114,89 @@ def test_dp_matches_chow_and_polarization(case):
     assert value == chow.deg_product(ctx.fan, zs)
     assert value == mvol_polarization_oracle(ctx, zs)
     assert value == _geometric_mvol(ctx, zs)
+
+
+@st.composite
+def batch_of_tuples(draw):
+    """A context, and tuples over 2-3 cubical truncations whose layers a memo can share.
+
+    The batch mixes a pencil (in either order), the three tuples of ``af_check``,
+    tuples with their slots permuted and repeated tuples, in a drawn order.
+    """
+    fan = FANS[draw(st.sampled_from(sorted(FANS)))]
+    ctx = Context(fan, draw(gram(fan.ambient_dim)))
+    step = st.fractions(min_value=Fraction(-1, 4), max_value=Fraction(1, 4), max_denominator=8)
+    pool = []
+    for _ in range(draw(st.integers(2, 3))):
+        z = {rid: 1 + draw(step) for rid in fan.ray_ids()}
+        assume(classify_z(ctx, z).is_cubical)
+        pool.append(z)
+    d = fan.d
+    z1, z2 = pool[0], pool[1]
+    pencil = [[z1] * (d - a) + [z2] * a for a in range(d + 1)]
+    if draw(st.booleans()):
+        pencil.reverse()
+    rest = [pool[-1]] * (d - 2)
+    tuples = pencil + [[z1, z2] + rest, [z1, z1] + rest, [z2, z2] + rest]
+    picks = st.sampled_from(tuples)
+    tuples += [draw(st.permutations(draw(picks))) for _ in range(2)]
+    tuples += [draw(picks) for _ in range(2)]
+    return ctx, draw(st.permutations(tuples))
+
+
+@PROPERTY
+@given(batch_of_tuples(), st.randoms(use_true_random=False))
+def test_memoized_layers_match_chow_and_slot_permutations(case, rng):
+    ctx, tuples = case
+    values = mixed_volumes(ctx, tuples)
+    assert values == [chow.deg_product(ctx.fan, zs) for zs in tuples]
+    permuted = [rng.sample(list(zs), len(zs)) for zs in tuples]
+    assert mixed_volumes(ctx, permuted) == values
+
+
+def _count_layers(monkeypatch):
+    """Count the forward and backward layers built, by wrapping the two step functions."""
+    counts = Counter()
+    for name in ("_climb", "_descend"):
+
+        def counted(*args, _step=getattr(normalcx, name), _name=name):
+            counts[_name] += 1
+            return _step(*args)
+
+        monkeypatch.setattr(normalcx, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_hrw_pencil_builds_2d_layers(r, monkeypatch):
+    # d + 1 mixed volumes: alpha climbed d times, each later coefficient one new layer
+    layers = _count_layers(monkeypatch)
+    report = nv.hrw_verify(nv.uniform(r, r + 1), "a")
+    d = report.fan.d
+    assert d == r - 1
+    assert sum(layers.values()) == 2 * d
+
+
+def _three_cubical(fan):
+    """Three distinct positive truncations: cubical on pm1^3 with the identity Gram."""
+    rays = fan.ray_ids()
+    return [{rid: Fraction(i + j + 2, i + 1) for j, rid in enumerate(rays)} for i in range(3)]
+
+
+def test_layer_counts_of_af_check_volume_and_polarization(monkeypatch):
+    ctx = Context(FANS["pm1^3"], identity(3))
+    zs = _three_cubical(ctx.fan)
+    layers = _count_layers(monkeypatch)
+    af.af_check(ctx, zs)
+    # [z1, z2, z3] builds 3; [z1, z1, z3] and [z2, z2, z3] one each
+    assert sum(layers.values()) == 5
+    layers.clear()
+    vol_recursive(ctx, zs[0])
+    assert dict(layers) == {"_climb": 3}
+    layers.clear()
+    mvol_polarization_oracle(ctx, zs)
+    # one constant tuple per nonempty subset, climbed as vol_recursive climbs it
+    assert dict(layers) == {"_climb": 3 * (2**3 - 1)}
 
 
 @PROPERTY
