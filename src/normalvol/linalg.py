@@ -8,14 +8,14 @@ Gauss-Jordan elimination, dividing by the pivots only at the end; their
 results equal those of rational elimination.  ``solve`` returns one
 solution as integer numerators over one denominator, the last pivot, with
 its free coordinates zero; the Chow covectors use it, star fans use
-``inverse``, fan and balancing checks use ``rank`` and the geometric oracle
-uses ``det``; the four eliminating routines take integer rows as well as
-rational ones, and a row that is all ``int`` is eliminated as it is, with
-no scaling.  ``signature`` reads inertia off a symmetric Bareiss
-elimination with one pivot rule, over the whole matrix scaled to integers
-by one factor.  ``scaled_rows`` is that one scaling, of a matrix by the lcm
-of all its denominators; fans scale their rays, contexts their Gram and
-``scaled_to_int`` a truncation with it.
+``inverse`` and fan and balancing checks use ``rank``, and the geometric
+oracle expands its integer determinants along ``cofactors``.  The four
+eliminating routines take integer rows as well as rational ones, and a row
+that is all ``int`` is eliminated as it is, with no scaling.  ``signature``
+reads inertia off a symmetric Bareiss elimination with one pivot rule, over
+the whole matrix scaled to integers by one factor.  ``scaled_rows`` is that
+one scaling, of a matrix by the lcm of all its denominators; fans scale
+their rays, contexts their Gram and ``scaled_to_int`` a truncation with it.
 """
 
 from __future__ import annotations
@@ -181,6 +181,14 @@ def inverse(a: Mat) -> Mat:
     if len(pivots) < n:
         raise NoSolution("matrix is singular")
     return tuple(tuple(Fraction(v, rows[r][c]) for v in rows[r][n:]) for r, c in pivots)
+
+
+def cofactors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The v with det(x, *rows) = x . v, for k - 1 <= 2 rows of length k."""
+    if len(rows) == 2:
+        (b0, b1, b2), (c0, c1, c2) = rows
+        return (b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0)
+    return (rows[0][1], -rows[0][0]) if rows else (1,)
 
 
 def det(a: Mat) -> Fraction:

@@ -53,16 +53,16 @@ oracle below and the Chow degrees in ``chow`` stay independent of the
 dynamic program.
 
 The truncation polytope P_sigma(z) of a cone, the convex hull of the w_tau(z)
-over the faces tau of sigma, is built and checked in one place,
-``polytope_vertices``; the mesh export draws it and the geometric oracle
-tiles it by chain simplices.
+over the faces tau of sigma, is checked in one place, ``_checked_faces``, which
+gives its vertices in integers; the mesh export draws it and the geometric
+oracle tiles it by chain simplices, with no w-vector and no rational determinant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from itertools import combinations, permutations
 from typing import Iterator, Mapping, Sequence, TypeVar
 
@@ -82,7 +82,7 @@ from .linalg import (
     Vec,
     ZERO,
     ONE,
-    det,
+    cofactors,
     scaled_rows,
     scaled_to_int,
     signature,
@@ -220,15 +220,13 @@ def w_vector(ctx: Context, cone: Cone, z: Mapping[str, Fraction]) -> WVector:
     """The unique vector of span(cone) pairing to z_rho against every marked ray."""
     if cone not in ctx.fan.cones:
         raise DimensionMismatch(f"{sorted(cone)} is not a cone of the fan")
-    if not cone:
-        return WVector(cone, zeros(ctx.fan.ambient_dim), ())
+    scale, zz = scaled_to_int(z)
+    d, c, _ = _face_pairings(ctx, cone, zz, ())
     rids = sorted(cone)
-    d, adj = ctx.cone_gram_inverse(cone)
-    scale = ONE / (d * ctx.pair_scale)
-    coeffs = tuple(scale * sum((a * z[rid] for a, rid in zip(row, rids)), ZERO) for row in adj)
+    coeffs = tuple(Fraction(x, scale * d) / ctx.pair_scale for x in c)
     coords = zeros(ctx.fan.ambient_dim)
-    for c, rid in zip(coeffs, rids):
-        coords = vec_add(coords, vec_scale(c, ctx.fan.rays[rid]))
+    for x, rid in zip(coeffs, rids):
+        coords = vec_add(coords, vec_scale(x, ctx.fan.rays[rid]))
     return WVector(cone, coords, tuple(zip(rids, coeffs)))
 
 
@@ -329,8 +327,9 @@ def restrict_z(ctx: Context, tau: Cone, z: Mapping[str, Fraction]) -> ZValues:
     """Truncation values z^tau on the rays of ``fan.link(tau)``, the star's rays:
     z^tau_eta = z_eta - <w_tau(z), u_eta>."""
     rids = ctx.fan.link(tau)
-    pairings = _ray_pairings(ctx, w_vector(ctx, tau, z), rids)
-    return {eta: z[eta] - p for eta, p in zip(rids, pairings)}
+    scale, zz = scaled_to_int(z)
+    d, _, pairings = _face_pairings(ctx, tau, zz, rids)
+    return {eta: z[eta] - Fraction(p, scale * d) for eta, p in zip(rids, pairings)}
 
 
 def face_complex(
@@ -352,30 +351,41 @@ def face_complex(
     return star_ctx, z_tau
 
 
-def _ray_pairings(ctx: Context, w: WVector, rids: Sequence[str]) -> tuple[Fraction, ...]:
-    """<w, u_rho> for each ray id rho, as sum_theta c_theta <u_theta, u_rho> over the
-    barycentric coefficients of w and the cached integer ray pairings."""
-    return tuple(
-        ctx.pair_scale * sum((c * ctx.ray_pair(theta, rho) for theta, c in w.coefficients), ZERO)
-        for rho in rids
-    )
+def _face_pairings(
+    ctx: Context, tau: Cone, zz: Mapping[str, int], rids: Sequence[str]
+) -> tuple[int, list[int], list[int]]:
+    """(D_tau, c, p) for zz = Z z: c = adj_tau zz_tau has the signs of the barycentric
+    coefficients of w_tau(z), and p_rho = sum_theta c_theta ray_pair(theta, rho) for each
+    ray id rho of rids, so that <w_tau(z), u_rho> = p_rho / (Z D_tau)."""
+    taus = sorted(tau)
+    d, adj = ctx.cone_gram_inverse(tau) if tau else (1, ())
+    c = [sum(a * zz[t] for a, t in zip(row, taus)) for row in adj]
+    return d, c, [sum(x * ctx.ray_pair(t, rho) for t, x in zip(taus, c)) for rho in rids]
 
 
 # -- polytopes --------------------------------------------------------------
 
 
-def _face_w_vectors(ctx: Context, sigma: Cone, z: Mapping[str, Fraction]) -> list[WVector]:
-    """w_tau(z) for every face tau of sigma, checked for negative coefficients."""
+def _checked_faces(
+    ctx: Context, sigma: Cone, z: Mapping[str, Fraction]
+) -> dict[Cone, tuple[int, list[int]]]:
+    """(Z D_tau, p) of ``_face_pairings`` for each nonzero face tau of sigma, on sigma's
+    rays.  Faces come by size, then sorted, each refused as it comes: DimensionMismatch
+    if it is not a cone, NotPseudocubical if w_tau(z) has a negative coefficient."""
     _check_keys(ctx.fan, z)
-    rids = sorted(sigma)
-    out = []
-    for k in range(len(rids) + 1):
-        for sub in combinations(rids, k):
-            w = w_vector(ctx, frozenset(sub), z)
-            if any(c < 0 for _, c in w.coefficients):
+    rids = sorted(sigma & z.keys())  # any other id fails its face's check
+    scale, zz = scaled_to_int({rid: z[rid] for rid in rids})
+    faces = {}
+    for k in range(1, len(sigma) + 1):
+        for sub in combinations(sorted(sigma), k):
+            tau = frozenset(sub)
+            if tau not in ctx.fan.cones:
+                raise DimensionMismatch(f"{list(sub)} is not a cone of the fan")
+            d, c, p = _face_pairings(ctx, tau, zz, rids)
+            if min(c) < 0:
                 raise NotPseudocubical(f"z is outside the pseudocubical cone at {list(sub)}")
-            out.append(w)
-    return out
+            faces[tau] = (scale * d, p)
+    return faces
 
 
 def polytope_vertices(
@@ -387,7 +397,8 @@ def polytope_vertices(
     w-vector of a face of sigma has a negative barycentric coefficient; no
     other cone is read.
     """
-    return {w.cone: w.coords for w in _face_w_vectors(ctx, sigma, z)}
+    faces = [ZERO_CONE, *_checked_faces(ctx, sigma, z)]
+    return {tau: w_vector(ctx, tau, z).coords for tau in faces}
 
 
 # -- volumes: one dynamic program over the cones ------------------------------
@@ -639,18 +650,25 @@ def geometric_volume_oracle(
     rays of sigma.  In the coordinates <w, u_rho>, rho in sigma (the *-dual
     basis of the marked generators, where the fundamental simplex is the
     standard simplex), a simplex's normalized volume is the |det| of its
-    chain vertices.  Each coordinate is computed from the barycentric
-    coefficients of the face's w-vector, sum_theta c_theta <u_theta, u_rho>,
-    even where it must equal z_rho, so the w-vectors are checked too; as in
-    ``polytope_vertices`` only the faces of sigma are checked for negative
-    coefficients (NotPseudocubical).  Limited to cones of dimension <= 3.
+    chain vertices.  In integers, with no w-vector: vertex w_tau is
+    p_tau / (Z D_tau) (``_checked_faces``; p is computed even where it must give
+    z_rho, so the w-vectors are checked too), and a chain's |det| is
+    |p_rho_1 . v| / (Z^k D_rho_1 ... D_sigma), v the ``cofactors`` of the rows
+    above p_rho_1, built once per facet and shared by its orderings.  Limited
+    to cones of dimension <= 3.
     """
     if len(sigma) > 3:
         raise DimTooLarge("geometric oracle supports dimension <= 3 only")
-    rids = sorted(sigma)
-    vertex = {w.cone: _ray_pairings(ctx, w, rids) for w in _face_w_vectors(ctx, sigma, z)}
+    faces = _checked_faces(ctx, sigma, z)
+    if not sigma:
+        return ONE  # the empty chain
+    shared: dict[tuple[Cone, ...], tuple[int, ...]] = {}
     total = ZERO
-    for order in permutations(rids):
-        chain = tuple(vertex[frozenset(order[:i])] for i in range(1, len(order) + 1))
-        total += abs(det(chain))
+    for order in permutations(sorted(sigma)):
+        chain = [frozenset(order[:i]) for i in range(1, len(order) + 1)]
+        above = tuple(chain[1:])
+        if above not in shared:
+            shared[above] = cofactors([faces[tau][1] for tau in above])
+        det = sum(x * v for x, v in zip(faces[chain[0]][1], shared[above]))
+        total += Fraction(abs(det), prod(faces[tau][0] for tau in chain))
     return total

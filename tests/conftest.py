@@ -5,13 +5,14 @@ come from the LP search, ``find_cubical``.
 """
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
 import normalvol as nv
-from normalvol.errors import DimensionMismatch
+from normalvol.errors import DimensionMismatch, DimTooLarge, NotPseudocubical
 from normalvol.fan import TropicalReport
-from normalvol.linalg import ZERO, identity, mat_vec, qmat, zeros
+from normalvol.linalg import ZERO, dot, identity, mat_vec, qmat, zeros
 from normalvol.normalcx import Context
 
 
@@ -58,6 +59,57 @@ def _reference_solve(a, b, col_order):
     for r, c in pivots:
         x[c] = rows[r][n]
     return tuple(x)
+
+
+def _reference_det(a):
+    """Determinant by rational Gaussian elimination with row swaps."""
+    rows = [list(row) for row in a]
+    n, result = len(rows), Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            result = -result
+        result *= rows[c][c]
+        for i in range(c + 1, n):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [v - f * w for v, w in zip(rows[i], rows[c])]
+    return result
+
+
+def reference_geometric_volume(ctx, sigma, z):
+    """The chain-simplex tiling of ``normalcx.geometric_volume_oracle`` over Fraction.
+
+    This is the oracle as it was before it moved to integers, rebuilt from first
+    principles: w_tau(z) = sum_theta c_theta u_theta with c solving the Gram block of
+    tau against z_tau (``_reference_solve``), vertex coordinates <w_tau(z), u_rho>
+    through the Gram matrix, and the |det| of each chain by ``_reference_det``.  It
+    refuses what the oracle refuses, in the same order and with the same messages,
+    and shares no arithmetic with ``normalvol.normalcx``.
+    """
+    if len(sigma) > 3:
+        raise DimTooLarge("geometric oracle supports dimension <= 3 only")
+    if set(z) != set(ctx.fan.rays):
+        raise DimensionMismatch("z-values must be indexed by exactly the fan's rays")
+    rays, gram, rids = ctx.fan.rays, ctx.gram, sorted(sigma)
+    w = {}
+    for k in range(1, len(rids) + 1):
+        for sub in combinations(rids, k):
+            if frozenset(sub) not in ctx.fan.cones:
+                raise DimensionMismatch(f"{list(sub)} is not a cone of the fan")
+            block = [[dot(rays[a], mat_vec(gram, rays[b])) for b in sub] for a in sub]
+            c = _reference_solve(block, [z[a] for a in sub], range(k))
+            if any(x < 0 for x in c):
+                raise NotPseudocubical(f"z is outside the pseudocubical cone at {list(sub)}")
+            coords = zip(*(rays[a] for a in sub))
+            w[frozenset(sub)] = [sum(x * u for x, u in zip(c, col)) for col in coords]
+    vertex = {tau: [dot(v, mat_vec(gram, rays[rho])) for rho in rids] for tau, v in w.items()}
+    return sum(
+        abs(_reference_det([vertex[frozenset(order[:i])] for i in range(1, len(order) + 1)]))
+        for order in permutations(rids)
+    )
 
 
 def make_quadrant_fan():

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -14,9 +15,10 @@ from hypothesis import strategies as st
 
 from normalvol import af, cli, lp, matroid, normalcx
 from normalvol.fan import fan_to_json
+from normalvol.linalg import inverse, qmat
 from normalvol.serialize import format_rat
 
-from conftest import QUADRANT_JSON
+from conftest import QUADRANT_JSON, bergman, mapped, mat_mul, transpose
 
 GRAM2 = {"gram": [["1", "0"], ["0", "1"]]}
 
@@ -393,6 +395,91 @@ def test_reduce_check_output_is_byte_identical_to_the_recorded_one(name, tmp_pat
     argv = ["reduce-check", "--fan", str(tmp_path / "fan.json"), "--gram", str(tmp_path / "gram.json")]
     code, out, err = run(capsys, argv)
     assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _k4_e0():
+    """K4's Bergman fan with the e0 Gram and its ``find_cubical`` witness."""
+    fx = bergman("K4")
+    return fx.fan, fx.gram, fx.cubical_witness()
+
+
+# A dense rational A and the cubical witness of U(4,5) under the identity Gram, by
+# the class (|F|, e0 in F) of the flat F behind each ray.
+DENSE_A = qmat([[1, 1, 2, 1], [2, "7/2", "5/2", "1/2"], [2, -1, 8, 6], [1, 4, 1, 3]])
+U45_WITNESS_CLASSES = {
+    (1, False): Fraction(3, 37),
+    (1, True): Fraction(9, 37),
+    (2, False): Fraction(5, 37),
+    (2, True): Fraction(8, 37),
+    (3, False): Fraction(6, 37),
+    (3, True): Fraction(6, 37),
+}
+
+
+def _u45_dense():
+    """U(4,5) with rays A u and the Gram A^-T A^-1, which keeps every pairing of the
+    identity Gram, so the identity Gram's witness stays cubical."""
+    fx = bergman("U45")
+    a_inv = inverse(DENSE_A)
+    witness = {
+        rid: U45_WITNESS_CLASSES[(len(rid.split(",")), fx.e0 in rid.split(","))]
+        for rid in fx.fan.ray_ids()
+    }
+    return mapped(fx.fan, DENSE_A), mat_mul(transpose(a_inv), a_inv), witness
+
+
+# SHA-256 of the whole `volume --all` stdout (which runs the geometric oracle) and
+# `mixed-volume --all` stdout; the second and later truncations of `mixed-volume`
+# are the witness with each ray moved by -1/64, 0 or +1/64 of its value.  Recorded
+# before the geometric oracle moved to integer arithmetic.
+VOLUME_GOLDEN = {
+    ("K4 e0", "volume"): (
+        _k4_e0,
+        "c8a439fbfe7ac7c5416354b1ed3dfae8bfa1bb4f8b4c44d29250daa52fd6fe1a",
+    ),
+    ("K4 e0", "mixed-volume"): (
+        _k4_e0,
+        "268a8040e96b9d46a366e3e28d41504656b03446821448af6db6b784d46e9840",
+    ),
+    ("U45 dense", "volume"): (
+        _u45_dense,
+        "af107ece7322658a0b8899b1175d135ff96def9c1627a84f975b4a5c0781d86c",
+    ),
+    ("U45 dense", "mixed-volume"): (
+        _u45_dense,
+        "72a66fb441035d7bc553fbe5d8ac6f612b3485f7e86f23bcd368a97ae4bd6671",
+    ),
+}
+
+
+def _volume_golden_argv(build, command, tmp_path):
+    fan, gram, witness = build()
+    rays = fan.ray_ids()
+    moved = [
+        {rid: v * (1 + Fraction((k + j) % 3 - 1, 64)) for j, (rid, v) in enumerate(witness.items())}
+        for k in range(fan.d)
+    ]
+    zs = [witness] if command == "volume" else moved
+    gram_json = {"gram": [[format_rat(x) for x in row] for row in gram]}
+    (tmp_path / "fan.json").write_text(json.dumps(fan_to_json(fan)))
+    (tmp_path / "gram.json").write_text(json.dumps(gram_json))
+    argv = [command, "--fan", str(tmp_path / "fan.json"), "--gram", str(tmp_path / "gram.json")]
+    for k, z in enumerate(zs):
+        path = tmp_path / f"z{k}.json"
+        path.write_text(json.dumps({"z": {rid: format_rat(z[rid]) for rid in rays}}))
+        argv += ["--z", str(path)]
+    return argv + ["--all"]
+
+
+@pytest.mark.parametrize("case", list(VOLUME_GOLDEN))
+def test_volume_and_mixed_volume_outputs_are_byte_identical_to_the_recorded_ones(
+    case, tmp_path, capsys
+):
+    build, digest = VOLUME_GOLDEN[case]
+    code, out, err = run(capsys, _volume_golden_argv(build, case[1], tmp_path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["agree"]
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

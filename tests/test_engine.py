@@ -11,13 +11,14 @@ from itertools import combinations
 from math import factorial
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import normalvol as nv
 from normalvol import af, chow, normalcx
+from normalvol.errors import NormalVolError
 from normalvol.fan import star_connected_minus_origin
-from normalvol.linalg import dot, identity, inverse, mat_vec, signature
+from normalvol.linalg import dot, identity, inverse, mat_vec, qmat, signature
 from normalvol.normalcx import (
     Context,
     classify_z,
@@ -41,6 +42,7 @@ from conftest import (
     make_quadrant_fan,
     mat_mul,
     product_fan,
+    reference_geometric_volume,
     transpose,
 )
 
@@ -271,6 +273,69 @@ def test_cone_adjugates_invert_the_gram_blocks(ctx):
         rays = [ctx.fan.rays[rid] for rid in rids]
         block = tuple(tuple(dot(u, mat_vec(ctx.gram, v)) for v in rays) for u in rays)
         assert tuple(tuple(v / (d * ctx.pair_scale) for v in row) for row in adj) == inverse(block)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A rescaled fan of FANS with a random Gram, a cone sigma (now and then a set of
+    rays that is not one), and a truncation of one of four kinds:
+    - "near": near the all-ones vector, mostly cubical;
+    - "zeros": the same, zero on some rays;
+    - "boundary": the same, with one barycentric coefficient of w_sigma(z) solved to 0,
+      so that every chain through that facet is degenerate (det 0);
+    - "signs": of random signs, mostly outside the pseudocubical cone.
+    """
+    ctx = draw(context_with_rational_rays())
+    fan = ctx.fan
+    rays = fan.ray_ids()
+    if draw(st.integers(0, 9)):
+        sigma = draw(st.sampled_from(sorted(fan.cones, key=sorted)))
+    else:
+        subsets = (frozenset(s) for k in (2, 3) for s in combinations(rays, k))
+        sigma = draw(st.sampled_from([s for s in subsets if s not in fan.cones]))
+    step = st.fractions(min_value=Fraction(-1, 4), max_value=Fraction(1, 4), max_denominator=8)
+    z = {rid: 1 + draw(step) for rid in rays}
+    kind = draw(st.sampled_from(["near", "zeros", "boundary", "signs"]))
+    if kind == "zeros":
+        for rid in draw(st.sets(st.sampled_from(rays), min_size=1)):
+            z[rid] = Fraction(0)
+    elif kind == "boundary" and sigma in fan.cones and sigma:
+        rids = sorted(sigma)
+        i = draw(st.integers(0, len(rids) - 1))
+        row = ctx.cone_gram_inverse(sigma)[1][i]
+        rest = sum(a * z[rid] for j, (a, rid) in enumerate(zip(row, rids)) if j != i)
+        z[rids[i]] = Fraction(-rest, row[i])
+    elif kind == "signs":
+        z = {rid: draw(st.fractions(min_value=-2, max_value=2, max_denominator=6)) for rid in rays}
+    event(kind)
+    return ctx, sigma, z
+
+
+_QUADRANT = Context(make_quadrant_fan(), identity(2))
+_BOUNDARY = {"r1": Fraction(0), "r2": Fraction(1), "r3": Fraction(1), "r4": Fraction(1)}
+_CUBE = Context(FANS["pm1^3"], qmat([[2, 0, 0], [0, 3, 0], [0, 0, 5]]))
+_BOX = {rid: Fraction(i + 1, 2) for i, rid in enumerate(_CUBE.fan.ray_ids())}
+
+
+@PROPERTY
+@given(oracle_cases())
+@example((_QUADRANT, frozenset({"r1", "r2"}), _BOUNDARY))  # a 0 x 1 rectangle: volume 0
+@example((_QUADRANT, frozenset({"r2", "r3"}), _BOUNDARY))  # a 1 x 1 square: volume 2
+@example((_QUADRANT, frozenset({"r1", "r3"}), _BOUNDARY))  # not a cone
+@example((_CUBE, _CUBE.fan.max_cones[0], _BOX))  # a box with three different sides, D != 1
+def test_geometric_oracle_equals_the_rational_tiling(case):
+    # value for value, and the same refusal with the same message
+    ctx, sigma, z = case
+    try:
+        expected = reference_geometric_volume(ctx, sigma, z)
+    except NormalVolError as exc:
+        event(type(exc).__name__)
+        with pytest.raises(NormalVolError) as raised:
+            geometric_volume_oracle(ctx, sigma, z)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+    else:
+        event("zero volume" if expected == 0 else "positive volume")
+        assert geometric_volume_oracle(ctx, sigma, z) == expected
 
 
 @st.composite

@@ -10,6 +10,7 @@ from normalvol.errors import DimensionMismatch, NoSolution, NotSymmetric
 from normalvol.linalg import (
     Signature,
     _integer_rows,
+    cofactors,
     det,
     dot,
     identity,
@@ -22,7 +23,7 @@ from normalvol.linalg import (
     solve,
 )
 
-from conftest import _reference_eliminate, _reference_solve, mat_mul, transpose
+from conftest import _reference_det, _reference_eliminate, _reference_solve, mat_mul, transpose
 
 
 def solution(a, b):
@@ -191,23 +192,6 @@ def test_vector_length_mismatch():
 # -- the fraction-free routines against plain rational elimination -----------
 
 
-def _reference_det(a):
-    rows = [list(row) for row in a]
-    n, result = len(rows), Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            result = -result
-        result *= rows[c][c]
-        for i in range(c + 1, n):
-            f = rows[i][c] / rows[c][c]
-            rows[i] = [v - f * w for v, w in zip(rows[i], rows[c])]
-    return result
-
-
 RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=7)
 
 
@@ -228,6 +212,15 @@ def rational_systems(draw):
     a = qmat([rows[i] for i in order])
     b = qvec(draw(entry) for _ in range(m))
     return a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.lists(
+    st.lists(st.integers(-9, 9), min_size=k, max_size=k), min_size=k, max_size=k
+)))
+def test_cofactors_expand_the_determinant_along_its_first_row(rows):
+    first, *below = rows
+    assert dot(first, cofactors(below)) == _reference_det(qmat(rows))
 
 
 @settings(max_examples=200, deadline=None)

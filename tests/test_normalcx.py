@@ -6,6 +6,7 @@ import pytest
 import normalvol as nv
 from normalvol.errors import (
     ArityMismatch,
+    DimensionMismatch,
     DimTooLarge,
     NormalVolError,
     NotPseudocubical,
@@ -280,8 +281,16 @@ def test_geometric_oracle_rejects_negative_face():
     z = {"a": F(-1), "b": F(4)}
     sigma = frozenset(rays)
     assert all(c > 0 for _, c in w_vector(ctx, sigma, z).coefficients)
-    with pytest.raises(NotPseudocubical):
+    with pytest.raises(NotPseudocubical, match=r"^z is outside the pseudocubical cone at \['a'\]$"):
         geometric_volume_oracle(ctx, sigma, z)
+
+
+def test_geometric_oracle_refuses_a_non_cone_and_foreign_z(quadrant_ctx):
+    z = zmap(r1=1, r2=2, r3=3, r4=4)
+    with pytest.raises(DimensionMismatch, match=r"^\['r1', 'r3'\] is not a cone of the fan$"):
+        geometric_volume_oracle(quadrant_ctx, frozenset({"r1", "r3"}), z)
+    with pytest.raises(DimensionMismatch, match="indexed by exactly the fan's rays"):
+        geometric_volume_oracle(quadrant_ctx, frozenset({"r1", "r2"}), zmap(r1=1, r2=2))
 
 
 def test_geometric_oracle_dim_cap():
