@@ -37,9 +37,15 @@ Each cone keeps the integer determinant D > 0 and adjugate of its Gram block
 in these pairings, so G_sigma^-1 = adj / (D pair_scale), bordered from the face
 without its last ray; the one division in a bordering step is exact by
 Sylvester's identity (the step of Bareiss's elimination).  A table scales z
-by the lcm Z of its denominators and holds the integers adj (Z z), which have
-the signs of c_sigma(z); a factor is then num_rho / (Z adj_{rho rho}), the only
-Fraction the program builds per entry.  Every public value stays a Fraction.
+by the lcm Z of its denominators and holds the integers num = adj (Z z), which
+have the signs of c_sigma(z); the factor of (sigma, rho) is num_rho / (Z D_{sigma - rho}),
+since adj_{rho rho} = D_{sigma - rho}.  With Lambda_j the lcm of D_tau over the
+cones tau of dimension j (``Context.dim_lcms``), a row of a k-cone holds the
+integers num_rho (Lambda_{k-1} // D_{sigma - rho}) over the one denominator
+Z Lambda_{k-1}, and the backward layers start from the weights times their
+lcm denominator W.  So every layer is integers, and a mixed volume builds one
+Fraction: sum F B / (W prod_k Z_k Lambda_{k-1}).  Every public value stays a
+Fraction.
 
 The Hessians of the volume quadratics of the stars at the cones of
 dimension d - 2, which condition (ii) of ``reduce-check`` reads, come in
@@ -62,7 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 from itertools import combinations, permutations
 from typing import Iterator, Mapping, Sequence, TypeVar
 
@@ -135,6 +141,7 @@ class Context:
         self._ray_pairs: dict[tuple[str, str], int] = {}
         self._gram_inv: dict[Cone, tuple[int, tuple[tuple[int, ...], ...]]] = {}
         self._sorted_cones: list[tuple[Cone, tuple[str, ...]]] | None = None
+        self._dim_lcms: tuple[int, ...] | None = None
         self._stars: dict[Cone, "Context"] = {}
         self._vol_poly: MultiPoly | None = None
 
@@ -180,6 +187,20 @@ class Context:
             rows = sorted((tuple(sorted(c)), c) for c in self.fan.cones if c)
             self._sorted_cones = [(cone, rids) for rids, cone in rows]
         return self._sorted_cones
+
+    def dim_lcms(self) -> tuple[int, ...]:
+        """(Lambda_0, ..., Lambda_{d-1}): Lambda_j the lcm of D over the cones of dimension j.
+
+        Lambda_0 = 1, the determinant of the empty cone.  Computed once per context.
+        """
+        if self._dim_lcms is None:
+            lcms = [1] * self.fan.d
+            for cone, _ in self.sorted_cones():
+                k = len(cone)
+                if k < self.fan.d:
+                    lcms[k] = lcm(lcms[k], self.cone_gram_inverse(cone)[0])
+            self._dim_lcms = tuple(lcms)
+        return self._dim_lcms
 
     def star_context(self, tau: Cone) -> "Context":
         ctx = self._stars.get(tau)
@@ -403,7 +424,7 @@ def polytope_vertices(
 
 # -- volumes: one dynamic program over the cones ------------------------------
 
-T = TypeVar("T", Fraction, MultiPoly)
+T = TypeVar("T", int, MultiPoly)
 
 
 def _climb(
@@ -411,8 +432,10 @@ def _climb(
 ) -> dict[Cone, T]:
     """Forward: F(sigma) = sum_{rho in sigma} layer(sigma - rho) * factors[sigma][rho].
 
-    A row of ``factors`` holds (z_k)^{sigma - rho}_rho in sorted ray order; an
-    empty row means no nonzero factor.  Zero values of F are not stored.
+    A row of ``factors`` holds (z_k)^{sigma - rho}_rho in sorted ray order, as integer
+    numerators over the row's one denominator (``_Table``) or as linear forms
+    (``vol_polynomial``); an empty row means no nonzero factor.  Zero values of F are
+    not stored.
     """
     link = ctx.fan.link
     nxt: dict[Cone, T] = {}
@@ -428,17 +451,20 @@ def _climb(
     return nxt
 
 
-def _descend(layer: Mapping[Cone, Fraction], factors: Mapping[Cone, Vec]) -> dict[Cone, Fraction]:
+def _descend(
+    layer: Mapping[Cone, int], factors: Mapping[Cone, Sequence[int]]
+) -> dict[Cone, int]:
     """Backward: B(tau) = sum_{rho in link(tau)} layer(tau | rho) * factors[tau | rho][rho].
 
-    Pseudocubical factors are >= 0 and weights > 0, so no sum of nonzero terms cancels.
+    In integer numerators, as ``_climb``.  Pseudocubical factors are >= 0 and
+    weights > 0, so no sum of nonzero terms cancels.
     """
-    nxt: dict[Cone, Fraction] = {}
+    nxt: dict[Cone, int] = {}
     for cone, value in layer.items():
         for rid, f in zip(sorted(cone), factors[cone]):
             if f:
                 face = cone - {rid}
-                nxt[face] = nxt.get(face, ZERO) + value * f
+                nxt[face] = nxt.get(face, 0) + value * f
     return nxt
 
 
@@ -446,9 +472,10 @@ class _Table(dict):
     """One truncation's classification, and its factor rows by cone, each built on first read.
 
     With Z z the truncation scaled to integers, the integers num = adj_sigma (Z z)_sigma
-    have the signs of c_sigma(z), and the row of sigma is z^{sigma - rho}_rho =
-    c_sigma(z)_rho / (G_sigma^-1)_{rho rho} = num_rho / (Z adj_{rho rho}), where
-    adj_{rho rho} = D_{sigma - rho} > 0.  A cone whose nums are all zero has the row ().
+    have the signs of c_sigma(z), and z^{sigma - rho}_rho = c_sigma(z)_rho / (G_sigma^-1)_{rho rho}
+    = num_rho / (Z D_{sigma - rho}), as adj_{rho rho} = D_{sigma - rho} > 0.  The row of a
+    k-cone sigma holds the integers num_rho (Lambda_{k-1} // D_{sigma - rho}), all over
+    Z Lambda_{k-1} (``Context.dim_lcms``).  A cone whose nums are all zero has the row ().
     """
 
     def __init__(self, ctx: Context, z: Mapping[str, Fraction]):
@@ -457,6 +484,8 @@ class _Table(dict):
         self.scale, zz = scaled_to_int(z)
         self.nums: dict[Cone, tuple[int, ...]] = {}
         self.report = _scan(self._rows(zz))
+        # after a full scan every cone's D is cached; a refused z reads no row
+        self.lcms = ctx.dim_lcms() if self.report.is_pseudocubical else ()
 
     def _rows(
         self, zz: Mapping[str, int]
@@ -467,12 +496,12 @@ class _Table(dict):
                 self.nums[cone] = nums
             yield cone, rids, nums
 
-    def __missing__(self, cone: Cone) -> Vec:
+    def __missing__(self, cone: Cone) -> tuple[int, ...]:
         nums = self.nums.pop(cone, None)
         if nums is None:
             return ()
-        adj, scale = self.ctx.cone_gram_inverse(cone)[1], self.scale
-        row = tuple(Fraction(v, scale * adj[i][i]) if v else ZERO for i, v in enumerate(nums))
+        adj, lam = self.ctx.cone_gram_inverse(cone)[1], self.lcms[len(cone) - 1]
+        row = tuple(v * (lam // adj[i][i]) for i, v in enumerate(nums))
         self[cone] = row
         return row
 
@@ -482,7 +511,10 @@ class TruncationTables:
 
     Truncations are told apart by value and numbered as they come; forward
     layers are memoized by the prefix of those numbers, backward layers by
-    the suffix.  Nothing is stored on the context.
+    the suffix.  Layers hold integer numerators: the forward layer of
+    z_1..z_k is over prod_{j <= k} Z_j Lambda_{j-1}, and the backward layer
+    of z_{k+1}..z_d over W prod_{j > k} Z_j Lambda_{j-1}, W the lcm of the
+    weights' denominators.  The context keeps only ``dim_lcms``.
     """
 
     def __init__(self, ctx: Context):
@@ -490,8 +522,9 @@ class TruncationTables:
         self._rays = ctx.fan.ray_ids()
         self._index: dict[tuple[Fraction, ...], int] = {}
         self._tables: list[_Table] = []
-        self._forward: dict[tuple[int, ...], dict[Cone, Fraction]] = {(): {ZERO_CONE: ONE}}
-        self._backward = {(): {sigma: ctx.fan.weights[sigma] for sigma in ctx.fan.max_cones}}
+        self._forward: dict[tuple[int, ...], dict[Cone, int]] = {(): {ZERO_CONE: 1}}
+        self._weight_scale, weights = scaled_to_int(ctx.fan.weights)
+        self._backward: dict[tuple[int, ...], dict[Cone, int]] = {(): weights}
 
     def _lookup(self, z: Mapping[str, Fraction]) -> int:
         _check_keys(self.ctx.fan, z)
@@ -506,13 +539,13 @@ class TruncationTables:
         """Same report as ``classify_z``."""
         return self._tables[self._lookup(z)].report
 
-    def _forward_layer(self, prefix: tuple[int, ...]) -> dict[Cone, Fraction]:
+    def _forward_layer(self, prefix: tuple[int, ...]) -> dict[Cone, int]:
         if prefix not in self._forward:
             below = self._forward_layer(prefix[:-1])
-            self._forward[prefix] = _climb(self.ctx, below, self._tables[prefix[-1]], ZERO)
+            self._forward[prefix] = _climb(self.ctx, below, self._tables[prefix[-1]], 0)
         return self._forward[prefix]
 
-    def _backward_layer(self, suffix: tuple[int, ...]) -> dict[Cone, Fraction]:
+    def _backward_layer(self, suffix: tuple[int, ...]) -> dict[Cone, int]:
         if suffix not in self._backward:
             above = self._backward_layer(suffix[1:])
             self._backward[suffix] = _descend(above, self._tables[suffix[0]])
@@ -536,7 +569,9 @@ class TruncationTables:
 
         k = min(range(d + 1), key=new_layers)
         forward, backward = self._forward_layer(key[:k]), self._backward_layer(key[k:])
-        return sum((v * backward[c] for c, v in forward.items() if c in backward), ZERO)
+        total = sum(v * backward[c] for c, v in forward.items() if c in backward)
+        scales = prod(self._tables[t].scale for t in ts)
+        return Fraction(total, self._weight_scale * scales * prod(self.ctx.dim_lcms()))
 
 
 def mixed_volumes(

@@ -51,6 +51,10 @@ FANS = {
     "pm1 x quadrant": product_fan(make_pm1_fan((3, 3)), make_quadrant_fan()),
     "quadrant x pm1": product_fan(make_quadrant_fan(), make_pm1_fan()),
     "pm1^3": product_fan(product_fan(make_pm1_fan(), make_pm1_fan()), make_pm1_fan((2, 2))),
+    # weights 1/2, so the dynamic program scales its weights to integers (W = 2)
+    "half pm1 x quadrant": product_fan(
+        make_pm1_fan((Fraction(1, 2), Fraction(1, 2))), make_quadrant_fan()
+    ),
 }
 
 # The d = 3 fans of the star tests.  "quadrant x ray" is not complete, so the
@@ -61,6 +65,14 @@ STAR_FANS["quadrant x ray"] = product_fan(
 )
 
 PROPERTY = settings(max_examples=15, deadline=None)
+
+# Axis-aligned rays under a diagonal Gram: every positive truncation is cubical.
+# The 1-cones have D = 2, 3, 5, so the lcm of D by dimension (1, 30, 30) is not constant.
+_HALF = Context(FANS["half pm1 x quadrant"], qmat([[2, 0, 0], [0, 3, 0], [0, 0, 5]]))
+_HALF_ZS = [
+    {rid: Fraction(i + j + 2, i + 1) for j, rid in enumerate(_HALF.fan.ray_ids())}
+    for i in range(3)
+]
 
 
 @st.composite
@@ -110,6 +122,7 @@ def _geometric_mvol(ctx, zs):
 
 @PROPERTY
 @given(context_and_truncations())
+@example((_HALF, _HALF_ZS))
 def test_dp_matches_chow_and_polarization(case):
     ctx, zs = case
     value = mvol_recursive(ctx, zs)
@@ -199,6 +212,28 @@ def test_layer_counts_of_af_check_volume_and_polarization(monkeypatch):
     mvol_polarization_oracle(ctx, zs)
     # one constant tuple per nonempty subset, climbed as vol_recursive climbs it
     assert dict(layers) == {"_climb": 3 * (2**3 - 1)}
+
+
+def test_layers_hold_integers_and_mvol_builds_one_fraction(monkeypatch):
+    tables = normalcx.TruncationTables(_HALF)
+    for z in _HALF_ZS:
+        tables.classify(z)
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counted)
+        value = tables.mvol(_HALF_ZS)
+    assert len(built) == 1
+    assert _HALF.dim_lcms() == (1, 30, 30)
+    assert value == chow.deg_product(_HALF.fan, _HALF_ZS)
+    layers = [*tables._forward.values(), *tables._backward.values()]
+    assert all(type(v) is int for layer in layers for v in layer.values())
+    assert all(type(f) is int for table in tables._tables for row in table.values() for f in row)
 
 
 @PROPERTY
