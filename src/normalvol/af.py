@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from . import chow, normalcx
+from . import chow
 from .errors import ArityMismatch, MismatchError, NotCubical
 from .fan import Cone, MarkedFan, star_connected_minus_origin
 from .linalg import Signature, ONE, ZERO, signature

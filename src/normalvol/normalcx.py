@@ -26,7 +26,8 @@ all, not d(d + 1).
 The factors come from the barycentric coefficients c_sigma(z) = G_sigma^-1 z_sigma
 of the w-vectors, the same numbers the classification reads: restriction is
 transitive, so z^{sigma - rho}_rho = c_sigma(z)_rho / (G_sigma^-1)_{rho rho}.  One
-table of these coefficients is built per distinct truncation.
+pass over the cones per distinct truncation (``_Table``) classifies it and keeps
+its nonzero rows of factors by dimension, so no step of the program reads a link.
 
 The exact core is fraction-free.  A context scales its Gram by the lcm g of
 the Gram's denominators and reads the fan's integer rays M u (``int_rays``,
@@ -70,7 +71,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
 from itertools import combinations, permutations
-from typing import Iterator, Mapping, Sequence, TypeVar
+from typing import Mapping, Sequence, TypeVar
 
 from . import lp
 from .errors import (
@@ -271,39 +272,11 @@ class CubReport:
         return self.classification in (CUBICAL, PSEUDOCUBICAL_BOUNDARY)
 
 
-def _coefficient_rows(
-    ctx: Context, zz: Mapping[str, int]
-) -> Iterator[tuple[Cone, tuple[str, ...], tuple[int, ...]]]:
-    """(cone, its sorted ray ids, adj_cone zz_cone) for every nonzero cone, lazily.
-
-    For zz = Z z these integers are Z D pair_scale times the barycentric
-    coefficients c_cone(z) = G_cone^-1 z_cone of w_cone(z), so they have the
-    coefficients' signs; the rows come in ``Context.sorted_cones`` order.
-    """
-    for cone, rids in ctx.sorted_cones():
-        adj = ctx.cone_gram_inverse(cone)[1]
-        support = [(j, zz[rid]) for j, rid in enumerate(rids) if zz[rid]]
-        yield cone, rids, tuple(sum(row[j] * v for j, v in support) for row in adj)
-
-
-def _scan(rows) -> CubReport:
-    """The classification read off coefficient rows: first negative, else first zero."""
-    boundary: tuple[Cone, str] | None = None
-    for cone, rids, coeffs in rows:
-        for rid, coeff in zip(rids, coeffs):
-            if coeff < 0:
-                return CubReport(OUTSIDE, cone, rid)
-            if coeff == 0 and boundary is None:
-                boundary = (cone, rid)
-    if boundary is not None:
-        return CubReport(PSEUDOCUBICAL_BOUNDARY, *boundary)
-    return CubReport(CUBICAL)
-
-
 def classify_z(ctx: Context, z: Mapping[str, Fraction]) -> CubReport:
-    """Exact classification by the barycentric coefficients of every w-vector."""
+    """Exact classification by the w-vectors' barycentric coefficients (``_Table``): the
+    first negative, else the first zero, with the cones in lexicographic order."""
     _check_keys(ctx.fan, z)
-    return _scan(_coefficient_rows(ctx, scaled_to_int(z)[1]))
+    return _Table(ctx, z).report
 
 
 def require_pseudocubical(report: CubReport) -> None:
@@ -427,21 +400,18 @@ def polytope_vertices(
 T = TypeVar("T", int, MultiPoly)
 
 
-def _climb(
-    ctx: Context, layer: Mapping[Cone, T], factors: Mapping[Cone, Sequence[T]], zero: T
-) -> dict[Cone, T]:
-    """Forward: F(sigma) = sum_{rho in sigma} layer(sigma - rho) * factors[sigma][rho].
+def _climb(layer: Mapping[Cone, T], rows: Mapping[Cone, Sequence[T]], zero: T) -> dict[Cone, T]:
+    """Forward: F(sigma) = sum_{rho in sigma} layer(sigma - rho) * rows[sigma][rho], over the
+    k-cones sigma of ``rows``.
 
-    A row of ``factors`` holds (z_k)^{sigma - rho}_rho in sorted ray order, as integer
-    numerators over the row's one denominator (``_Table``) or as linear forms
-    (``vol_polynomial``); an empty row means no nonzero factor.  Zero values of F are
-    not stored.
+    A row holds (z_k)^{sigma - rho}_rho in sorted ray order, as integer numerators over
+    one denominator per dimension (``_Table``) or as linear forms (``vol_polynomial``); a
+    cone with no row has no nonzero factor.  Zero values of F are not stored.
     """
-    link = ctx.fan.link
     nxt: dict[Cone, T] = {}
-    for cone in {face | {eta} for face in layer for eta in link(face)}:
+    for cone, row in rows.items():
         total = zero
-        for rid, f in zip(sorted(cone), factors[cone]):
+        for rid, f in zip(sorted(cone), row):
             if f:
                 prev = layer.get(cone - {rid})
                 if prev is not None:
@@ -451,17 +421,15 @@ def _climb(
     return nxt
 
 
-def _descend(
-    layer: Mapping[Cone, int], factors: Mapping[Cone, Sequence[int]]
-) -> dict[Cone, int]:
-    """Backward: B(tau) = sum_{rho in link(tau)} layer(tau | rho) * factors[tau | rho][rho].
+def _descend(layer: Mapping[Cone, int], rows: Mapping[Cone, Sequence[int]]) -> dict[Cone, int]:
+    """Backward: B(tau) = sum_{rho in link(tau)} layer(tau | rho) * rows[tau | rho][rho].
 
-    In integer numerators, as ``_climb``.  Pseudocubical factors are >= 0 and
-    weights > 0, so no sum of nonzero terms cancels.
+    ``rows`` are the rows of the layer's cones, in integer numerators as for ``_climb``.
+    Pseudocubical factors are >= 0 and weights > 0, so no sum of nonzero terms cancels.
     """
     nxt: dict[Cone, int] = {}
     for cone, value in layer.items():
-        for rid, f in zip(sorted(cone), factors[cone]):
+        for rid, f in zip(sorted(cone), rows.get(cone, ())):
             if f:
                 face = cone - {rid}
                 nxt[face] = nxt.get(face, 0) + value * f
@@ -469,41 +437,39 @@ def _descend(
 
 
 class _Table(dict):
-    """One truncation's classification, and its factor rows by cone, each built on first read.
+    """One truncation's classification, and its factor rows: ``self[k]`` maps each
+    k-cone with a nonzero factor to its row.
 
-    With Z z the truncation scaled to integers, the integers num = adj_sigma (Z z)_sigma
-    have the signs of c_sigma(z), and z^{sigma - rho}_rho = c_sigma(z)_rho / (G_sigma^-1)_{rho rho}
-    = num_rho / (Z D_{sigma - rho}), as adj_{rho rho} = D_{sigma - rho} > 0.  The row of a
-    k-cone sigma holds the integers num_rho (Lambda_{k-1} // D_{sigma - rho}), all over
-    Z Lambda_{k-1} (``Context.dim_lcms``).  A cone whose nums are all zero has the row ().
+    One pass over ``Context.sorted_cones`` builds both.  With Z z the truncation scaled
+    to integers, the integers num = adj_sigma (Z z)_sigma have the signs of c_sigma(z):
+    the report is the first negative num, else the first zero, else cubical.  And
+    z^{sigma - rho}_rho = c_sigma(z)_rho / (G_sigma^-1)_{rho rho} = num_rho / (Z D_{sigma - rho}),
+    as adj_{rho rho} = D_{sigma - rho} > 0, so the row of a k-cone sigma holds the integers
+    num_rho (Lambda_{k-1} // D_{sigma - rho}), all over Z Lambda_{k-1} (``Context.dim_lcms``).
+    The pass stops at a negative num, which refuses z for every volume.
     """
 
     def __init__(self, ctx: Context, z: Mapping[str, Fraction]):
-        super().__init__()
-        self.ctx = ctx
+        super().__init__((k, {}) for k in range(1, ctx.fan.d + 1))
         self.scale, zz = scaled_to_int(z)
-        self.nums: dict[Cone, tuple[int, ...]] = {}
-        self.report = _scan(self._rows(zz))
-        # after a full scan every cone's D is cached; a refused z reads no row
-        self.lcms = ctx.dim_lcms() if self.report.is_pseudocubical else ()
-
-    def _rows(
-        self, zz: Mapping[str, int]
-    ) -> Iterator[tuple[Cone, tuple[str, ...], tuple[int, ...]]]:
-        # the scan stops at a negative coefficient, and mvol refuses z
-        for cone, rids, nums in _coefficient_rows(self.ctx, zz):
+        lcms = ctx.dim_lcms()
+        boundary: tuple[Cone, str] | None = None
+        for cone, rids in ctx.sorted_cones():
+            adj = ctx.cone_gram_inverse(cone)[1]
+            support = [(j, zz[rid]) for j, rid in enumerate(rids) if zz[rid]]
+            nums = [sum(row[j] * v for j, v in support) for row in adj]
+            for rid, v in zip(rids, nums):
+                if v < 0:
+                    self.report = CubReport(OUTSIDE, cone, rid)
+                    return
+                if v == 0 and boundary is None:
+                    boundary = (cone, rid)
             if any(nums):
-                self.nums[cone] = nums
-            yield cone, rids, nums
-
-    def __missing__(self, cone: Cone) -> tuple[int, ...]:
-        nums = self.nums.pop(cone, None)
-        if nums is None:
-            return ()
-        adj, lam = self.ctx.cone_gram_inverse(cone)[1], self.lcms[len(cone) - 1]
-        row = tuple(v * (lam // adj[i][i]) for i, v in enumerate(nums))
-        self[cone] = row
-        return row
+                lam = lcms[len(cone) - 1]
+                self[len(cone)][cone] = tuple(v * (lam // adj[i][i]) for i, v in enumerate(nums))
+        self.report = (
+            CubReport(PSEUDOCUBICAL_BOUNDARY, *boundary) if boundary else CubReport(CUBICAL)
+        )
 
 
 class TruncationTables:
@@ -542,13 +508,15 @@ class TruncationTables:
     def _forward_layer(self, prefix: tuple[int, ...]) -> dict[Cone, int]:
         if prefix not in self._forward:
             below = self._forward_layer(prefix[:-1])
-            self._forward[prefix] = _climb(self.ctx, below, self._tables[prefix[-1]], 0)
+            rows = self._tables[prefix[-1]][len(prefix)]
+            self._forward[prefix] = _climb(below, rows, 0)
         return self._forward[prefix]
 
     def _backward_layer(self, suffix: tuple[int, ...]) -> dict[Cone, int]:
         if suffix not in self._backward:
             above = self._backward_layer(suffix[1:])
-            self._backward[suffix] = _descend(above, self._tables[suffix[0]])
+            rows = self._tables[suffix[0]][self.ctx.fan.d + 1 - len(suffix)]
+            self._backward[suffix] = _descend(above, rows)
         return self._backward[suffix]
 
     def mvol(self, zs: Sequence[Mapping[str, Fraction]]) -> Fraction:
@@ -625,17 +593,16 @@ def vol_polynomial(ctx: Context) -> MultiPoly:
     Cached on the context.
     """
     if ctx._vol_poly is None:
-        forms = {
-            cone: tuple(
+        forms: dict[int, dict[Cone, tuple[MultiPoly, ...]]] = {}
+        for cone, rids in ctx.sorted_cones():
+            forms.setdefault(len(cone), {})[cone] = tuple(
                 MultiPoly.linear({t: Fraction(v, row[i]) for t, v in zip(rids, row)})
                 for i, row in enumerate(ctx.cone_gram_inverse(cone)[1])
             )
-            for cone, rids in ctx.sorted_cones()
-        }
         zero = MultiPoly.zero()
         layer = {ZERO_CONE: MultiPoly.constant(ONE)}
-        for _ in range(ctx.fan.d):
-            layer = _climb(ctx, layer, forms, zero)
+        for k in range(1, ctx.fan.d + 1):
+            layer = _climb(layer, forms[k], zero)
         weights = ctx.fan.weights
         ctx._vol_poly = sum((weights[s] * layer[s] for s in ctx.fan.max_cones if s in layer), zero)
     return ctx._vol_poly

@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import strategies as st
 
 import normalvol as nv
 from normalvol.errors import DimensionMismatch, DimTooLarge, NotPseudocubical
@@ -263,6 +264,42 @@ def make_matroid(name):
 
 
 MATROID_NAMES = ("U23", "U34", "U35", "U45", "K4", "K4e")
+
+
+def sparse_paving_flats(ground, r, circuit_hyperplanes):
+    """The flats of the sparse paving matroid of rank r on ground with these
+    circuit-hyperplanes (r-sets meeting pairwise in at most r - 2 elements):
+    every set of size <= r - 2, the (r - 1)-sets inside no circuit-hyperplane,
+    the circuit-hyperplanes and the ground set."""
+    hyperplanes = [set(h) for h in circuit_hyperplanes]
+    small = [list(s) for k in range(r - 1) for s in combinations(ground, k)]
+    free = [
+        list(s) for s in combinations(ground, r - 1) if not any(set(s) <= h for h in hyperplanes)
+    ]
+    return small + free + [sorted(h) for h in hyperplanes] + [list(ground)]
+
+
+# The Vamos matroid: rank 4 on aA bB cC dD, its circuit-hyperplanes the unions of
+# two pairs other than cCdD.  No field represents it.
+VAMOS_GROUND = ["a", "A", "b", "B", "c", "C", "d", "D"]
+VAMOS_FLATS = sparse_paving_flats(VAMOS_GROUND, 4, ["aAbB", "aAcC", "aAdD", "bBcC", "bBdD"])
+
+
+@st.composite
+def sparse_paving_matroids(draw, sizes, ranks):
+    """(ground, r, circuit-hyperplanes) with |ground| from sizes and r from ranks.
+
+    Drawn r-sets are kept in order when they meet every kept one in at most
+    r - 2 elements; an empty list gives the uniform matroid U(r, n).
+    """
+    n, r = draw(st.sampled_from(sizes)), draw(st.sampled_from(ranks))
+    ground = [f"e{i}" for i in range(n)]
+    subsets = st.sets(st.sampled_from(ground), min_size=r, max_size=r)
+    kept = []
+    for s in draw(st.lists(subsets, max_size=2 * n)):
+        if all(len(s & h) <= r - 2 for h in kept):
+            kept.append(s)
+    return ground, r, [sorted(h) for h in kept]
 
 
 class BergmanFixture:

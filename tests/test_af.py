@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import normalvol as nv
 from normalvol import af
@@ -15,7 +17,14 @@ from normalvol.errors import ArityMismatch, MismatchError, NotCubical
 from normalvol.linalg import identity, signature
 from normalvol.normalcx import Context, vol_polynomial
 
-from conftest import bergman, hessian, make_pm1_fan, product_fan
+from conftest import (
+    bergman,
+    hessian,
+    make_pm1_fan,
+    product_fan,
+    sparse_paving_flats,
+    sparse_paving_matroids,
+)
 
 
 def zmap(**kwargs):
@@ -181,6 +190,24 @@ def test_hrw_e0_independent():
     m = bergman("U34").matroid
     for e0 in m.ground:
         assert nv.hrw_verify(m, e0).mubar_char == (1, 3, 3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sparse_paving_matroids(sizes=[6, 7, 8], ranks=[3, 4]), st.data())
+def test_hrw_and_reduce_conditions_on_sparse_paving_matroids(case, data):
+    # most sparse paving matroids are representable over no field; the theorem covers them all
+    ground, r, circuit_hyperplanes = case
+    m = nv.from_flats(ground, sparse_paving_flats(ground, r, circuit_hyperplanes))
+    assert m.rank == r
+    e0 = data.draw(st.sampled_from(ground))
+    event(f"n = {len(ground)}, r = {r}, {len(circuit_hyperplanes)} circuit-hyperplanes")
+    report = nv.hrw_verify(m, e0)  # MismatchError unless the three mubar paths agree
+    mubar = report.mubar_char
+    assert report.verdict == PASS
+    assert all(mubar[i] ** 2 >= mubar[i - 1] * mubar[i + 1] for i in range(1, len(mubar) - 1))
+    if r == 3 and len(ground) <= 7:  # find_cubical is cheap here
+        ctx = Context(nv.bergman_fan(m, e0), nv.e0_inner_product(m, e0))
+        assert nv.check_reduce_conditions(ctx).verdict == PASS
 
 
 # -- boundary limits ----------------------------------------------------------------------

@@ -18,7 +18,15 @@ from normalvol.fan import fan_to_json
 from normalvol.linalg import inverse, qmat
 from normalvol.serialize import format_rat
 
-from conftest import QUADRANT_JSON, bergman, mapped, mat_mul, transpose
+from conftest import (
+    QUADRANT_JSON,
+    VAMOS_FLATS,
+    VAMOS_GROUND,
+    bergman,
+    mapped,
+    mat_mul,
+    transpose,
+)
 
 GRAM2 = {"gram": [["1", "0"], ["0", "1"]]}
 
@@ -362,6 +370,28 @@ def test_hrw_output_is_byte_identical_to_the_recorded_one(name, tmp_path, capsys
     code, out, err = run(capsys, ["hrw", "--matroid", str(path)])
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the whole `hrw` stdout on the Vamos matroid, a `flats` file, by e0.
+VAMOS_GOLDEN = {
+    "a": "b41eabd1fef2a0637367925b4d5b4cb117ce2ae86ec05ee6919af45a16e282da",
+    "c": "6cdb04df4ffa2ed07df71f315ae69bccc0079f1b660749981d5d462ec02959d4",
+}
+
+
+@pytest.mark.parametrize("e0", list(VAMOS_GOLDEN))
+def test_hrw_on_the_vamos_matroid(e0, tmp_path, capsys):
+    # no vector configuration realizes it: the HRW theorem beyond representable matroids
+    path = tmp_path / "vamos.json"
+    path.write_text(json.dumps({"kind": "flats", "ground_set": VAMOS_GROUND, "flats": VAMOS_FLATS}))
+    code, out, err = run(capsys, ["hrw", "--matroid", str(path), "--e0", e0])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["verdict"], report["e0"]) == ("pass", e0)
+    assert report["mubar"] == [1, 7, 21, 30] and report["mu"] == [1, 8, 28, 51, 30]
+    fan = report["bergman_fan"]
+    assert (len(fan["rays"]), len(fan["max_cones"])) == (77, 276)
+    assert hashlib.sha256(out.encode()).hexdigest() == VAMOS_GOLDEN[e0]
 
 
 # SHA-256 of the whole `reduce-check` stdout on a Bergman fan with the e0 Gram,
@@ -762,6 +792,23 @@ def test_closed_stdout_is_a_json_error(tmp_path):
     assert done.returncode == 2
     assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
     assert isinstance(json.loads(done.stderr)["error"], str)
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """``hrw`` on U(4,5) and ``volume --all`` on K4, byte for byte under two hash seeds."""
+    path = tmp_path / "u45.json"
+    path.write_text(json.dumps(HRW_GOLDEN["U45"][0]))
+    commands = [["hrw", "--matroid", str(path)], _volume_golden_argv(_k4_e0, "volume", tmp_path)]
+    for argv in commands:
+        outs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed}
+            env.pop("NORMALVOL_CAPS", None)
+            command = [sys.executable, "-m", "normalvol.cli", *argv]
+            done = subprocess.run(command, env=env, capture_output=True, text=True)
+            assert (done.returncode, done.stderr) == (0, "")
+            outs.append(done.stdout)
+        assert outs[0] == outs[1]
 
 
 # Run with ``python -S``: no site-packages, only the standard library and ``src``.

@@ -20,7 +20,12 @@ from normalvol.errors import NormalVolError
 from normalvol.fan import star_connected_minus_origin
 from normalvol.linalg import dot, identity, inverse, mat_vec, qmat, signature
 from normalvol.normalcx import (
+    CUBICAL,
+    OUTSIDE,
+    PSEUDOCUBICAL_BOUNDARY,
     Context,
+    CubReport,
+    TruncationTables,
     classify_z,
     face_complex,
     geometric_volume_oracle,
@@ -233,7 +238,8 @@ def test_layers_hold_integers_and_mvol_builds_one_fraction(monkeypatch):
     assert value == chow.deg_product(_HALF.fan, _HALF_ZS)
     layers = [*tables._forward.values(), *tables._backward.values()]
     assert all(type(v) is int for layer in layers for v in layer.values())
-    assert all(type(f) is int for table in tables._tables for row in table.values() for f in row)
+    rows = [row for table in tables._tables for by_dim in table.values() for row in by_dim.values()]
+    assert rows and all(type(f) is int for row in rows for f in row)
 
 
 @PROPERTY
@@ -259,6 +265,63 @@ def test_table_factors_are_restrictions(case):
             inv_rho_rho = adj[i][i] / (d * ctx.pair_scale)
             restricted = restrict_z(ctx, sigma - {rho}, z)
             assert c / inv_rho_rho == restricted[rho]
+
+
+@st.composite
+def context_and_any_truncation(draw):
+    """A context of ``context_and_truncations`` and one truncation of three kinds:
+    - "cubical": its first cubical truncation;
+    - "zeros": the same, zero on some rays, so that some cones have no nonzero factor;
+    - "signs": of random signs, mostly outside the pseudocubical cone.
+    """
+    ctx, zs = draw(context_and_truncations())
+    rays = ctx.fan.ray_ids()
+    z = dict(zs[0])
+    kind = draw(st.sampled_from(["cubical", "zeros", "signs"]))
+    if kind == "zeros":
+        for rid in draw(st.sets(st.sampled_from(rays), min_size=1)):
+            z[rid] = Fraction(0)
+    elif kind == "signs":
+        value = st.fractions(min_value=-1, max_value=2, max_denominator=4)
+        z = {rid: draw(value) for rid in rays}
+    event(kind)
+    return ctx, z
+
+
+def _reference_scan(ctx, z):
+    """The classification by the w-vectors' coefficients, cones in lexicographic order:
+    the first negative coefficient, else the first zero."""
+    boundary = None
+    for cone in sorted((c for c in ctx.fan.cones if c), key=sorted):
+        for rho, c in w_vector(ctx, cone, z).coefficients:
+            if c < 0:
+                return CubReport(OUTSIDE, cone, rho)
+            if c == 0 and boundary is None:
+                boundary = (cone, rho)
+    return CubReport(PSEUDOCUBICAL_BOUNDARY, *boundary) if boundary else CubReport(CUBICAL)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(context_and_any_truncation())
+def test_table_rows_are_scaled_restrictions_and_its_report_is_the_scan(case):
+    ctx, z = case
+    table = normalcx._Table(ctx, z)
+    report = _reference_scan(ctx, z)
+    event(report.classification)
+    assert classify_z(ctx, z) == table.report == report
+    assert TruncationTables(ctx).classify(z) == report
+    # the pass builds the rows of the cones before an outside witness, and no others
+    cones = sorted((c for c in ctx.fan.cones if c), key=sorted)
+    if report.classification == OUTSIDE:
+        cones = cones[: cones.index(report.witness_cone)]
+    expected = {k: {} for k in range(1, ctx.fan.d + 1)}
+    for sigma in cones:
+        k = len(sigma)
+        factors = [restrict_z(ctx, sigma - {rho}, z)[rho] for rho in sorted(sigma)]
+        if any(factors):
+            scale = table.scale * ctx.dim_lcms()[k - 1]
+            expected[k][sigma] = tuple(f * scale for f in factors)
+    assert table == expected
 
 
 @PROPERTY
