@@ -18,7 +18,7 @@ from .normalcx import (
     vol_recursive,
     w_vector,
 )
-from .chow import ChowClass, deg_product, degree, multiply_divisor
+from .chow import deg_product, deg_products
 from .matroid import (
     Matroid,
     alpha_beta_z,
@@ -47,10 +47,8 @@ __all__ = [
     "vol_polynomial",
     "mvol_recursive",
     "mvol_polarization_oracle",
-    "ChowClass",
-    "multiply_divisor",
-    "degree",
     "deg_product",
+    "deg_products",
     "Matroid",
     "from_flats",
     "uniform",

@@ -190,7 +190,7 @@ def hrw_verify(m: Matroid, e0: str) -> HRWReport:
     d = fan.d
     tuples = [[z_alpha] * (d - a) + [z_beta] * a for a in range(d + 1)]
     mvols = mixed_volumes(ctx, tuples)
-    degs = [chow.deg_product(fan, zs) for zs in tuples]
+    degs = chow.deg_products(fan, tuples)
     if any(v.denominator != 1 for v in degs + mvols):
         raise MismatchError("matroid degrees must be integers")
     mubar_deg, mubar_mvol = (tuple(map(int, vs)) for vs in (degs, mvols))

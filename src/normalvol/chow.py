@@ -13,44 +13,38 @@ touches volumes, which makes it an independent check of the volume algorithms.
 The pairings are taken in integers.  A divisor is scaled once to zz = Z z,
 Z the lcm of its denominators, and each covector is an integer vector v
 over one denominator p on the fan's integer rays u~ = M u, so the
-coefficient of X_{sigma | eta} is (p zz_eta - <v, u~_eta>) / (Z p): an
-integer sum, and one Fraction for each nonzero coefficient.
+coefficient of X_{sigma | eta} is (p zz_eta - <v, u~_eta>) / (Z p).  A
+class is integer numerators over one denominator: a step takes the lcm L
+of its covectors' p and multiplies the denominator by Z L.
+
+The last divisor needs no covector.  The degree of D(z) X_tau, for a cone
+tau of dimension d - 1, is sum_eta w_{tau | eta} (z_eta - <v, u_eta>), and
+the balancing walk of ``fan.is_tropical`` leaves integers (a, p) with
+p s_tau + sum_i a_i u~_i = 0, s_tau = sum_eta w~_{tau | eta} u~_eta and
+w~ = W w the weights over the lcm W of their denominators.  Since
+<v, u~_i> = p_v zz_i on tau's rays, the v-terms sum to -a . zz_tau / p, and
+the degree is (p sum_eta w~_{tau | eta} zz_eta + a . zz_tau) / (Z W p)
+whatever covector was chosen: the top grade is a pairing of the grade
+d - 1 class with the certificates, and each degree builds one Fraction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import GradeOverflow, NotTropical, WrongGrade
 from .fan import Cone, MarkedFan, ZERO_CONE, is_tropical
-from .linalg import ZERO, ONE, scaled_to_int, solve
+from .linalg import scaled_rows, scaled_to_int, solve
+
+# sum_sigma nums[sigma] X_sigma / den, zero numerators pruned
+Numerators = dict[Cone, int]
+Covector = tuple[tuple[int, ...], int]
 
 
-@dataclass(frozen=True)
-class ChowClass:
-    """A grade-k element written in the X_sigma basis, zero weights pruned."""
-
-    grade: int
-    weights: tuple[tuple[Cone, Fraction], ...]
-
-    @classmethod
-    def build(cls, grade: int, weights: Mapping[Cone, Fraction]) -> "ChowClass":
-        items = [(c, v) for c, v in weights.items() if v != 0]
-        for cone, _ in items:
-            if len(cone) != grade:
-                raise WrongGrade(f"cone {sorted(cone)} has dimension {len(cone)}, not {grade}")
-        items.sort(key=lambda cv: sorted(cv[0]))
-        return cls(grade, tuple(items))
-
-    @classmethod
-    def unit(cls) -> "ChowClass":
-        return cls.build(0, {ZERO_CONE: ONE})
-
-
-def covector(fan: MarkedFan, sigma: Cone, zz: Mapping[str, int]) -> tuple[tuple[int, ...], int]:
+def covector(fan: MarkedFan, sigma: Cone, zz: Mapping[str, int]) -> Covector:
     """(v, p), integers with p != 0 and <v, u~_rho> = p zz_rho for every ray rho of sigma.
 
     Here u~ are the fan's ``int_rays`` and zz = Z z is a divisor scaled to
@@ -63,35 +57,119 @@ def covector(fan: MarkedFan, sigma: Cone, zz: Mapping[str, int]) -> tuple[tuple[
     return solve(tuple(fan.int_rays[rid] for rid in rids), tuple(zz[rid] for rid in rids))
 
 
-def multiply_divisor(fan: MarkedFan, cls: ChowClass, z: Mapping[str, Fraction]) -> ChowClass:
-    """The product cls * D(z) written back in the X_sigma basis."""
-    if cls.grade >= fan.d:
-        raise GradeOverflow(f"cannot raise grade {cls.grade} on a {fan.d}-dimensional fan")
-    scale, zz = scaled_to_int(z)
-    out: dict[Cone, Fraction] = {}
-    for sigma, c in cls.weights:
-        v, p = covector(fan, sigma, zz) if any(zz[rho] for rho in sigma) else (None, 1)
+def _multiply(
+    fan: MarkedFan, nums: Numerators, zz: Mapping[str, int], solved: dict[Cone, Covector]
+) -> tuple[Numerators, int]:
+    """(N, L): nums * D(zz) is N / (Z L) times the class's denominator.
+
+    ``solved`` holds zz's covectors by cone, and gains one for each cone of
+    nums on which zz is not zero and which it lacks.  L is the lcm of the p
+    of those cones' covectors; a cone where zz is zero takes v = 0, p = 1.
+    """
+    vs = {}
+    for sigma in nums:
+        if any(zz[rho] for rho in sigma):
+            if sigma not in solved:
+                solved[sigma] = covector(fan, sigma, zz)
+            vs[sigma] = solved[sigma]
+    big = lcm(*(p for _, p in vs.values()))
+    out: Numerators = {}
+    for sigma, c in nums.items():
+        v, p = vs.get(sigma, ((), 1))
+        c *= big // p
         for eta in fan.link(sigma):
-            num = p * zz[eta]
-            if v is not None:
-                num -= sum(map(mul, v, fan.int_rays[eta]))
+            num = p * zz[eta] - sum(map(mul, v, fan.int_rays[eta]))
             if num:
                 bigger = sigma | {eta}
-                out[bigger] = out.get(bigger, ZERO) + c * Fraction(num, scale * p)
-    return ChowClass.build(cls.grade + 1, out)
+                out[bigger] = out.get(bigger, 0) + c * num
+    return {cone: c for cone, c in out.items() if c}, big
 
 
-def degree(fan: MarkedFan, cls: ChowClass) -> Fraction:
-    """The degree map: weighted sum of top-cone coefficients."""
-    if cls.grade != fan.d:
-        raise WrongGrade(f"degree needs grade {fan.d}, got {cls.grade}")
-    _require_tropical(fan)
-    return sum((c * fan.weights[sigma] for sigma, c in cls.weights), ZERO)
+def _pairings(
+    fan: MarkedFan,
+    weights: Mapping[Cone, int],
+    classes: Mapping[tuple[int, ...], Numerators],
+    pairs: Sequence[tuple[tuple[int, ...], int]],
+    zzs: Sequence[Mapping[str, int]],
+) -> tuple[dict[tuple[tuple[int, ...], int], int], int]:
+    """(T, P): deg(classes[c] * D(zzs[t])) is T[c, t] / (Z_t W P) over c's denominator.
+
+    Each cone tau of the classes pairs once with each divisor, as
+    P sum_eta w~_{tau | eta} zz_eta + (P / p) a . zz_tau, P the lcm of the p.
+    """
+    certificates = is_tropical(fan).certificates
+    lasts = dict.fromkeys(t for _, t in pairs)
+    cones = dict.fromkeys(tau for nums in classes.values() for tau in nums)
+    big = lcm(*(certificates[tau][1] for tau in cones))
+    totals = dict.fromkeys(pairs, 0)
+    for tau in cones:
+        a, p = certificates[tau]
+        link = [(eta, weights[tau | {eta}]) for eta in fan.link(tau)]
+        rays = list(zip(sorted(tau), a))
+        values = {
+            t: big * sum(w * zzs[t][eta] for eta, w in link)
+            + big // p * sum(x * zzs[t][rho] for rho, x in rays)
+            for t in lasts
+        }
+        for c, t in pairs:
+            num = classes[c].get(tau)
+            if num:
+                totals[c, t] += num * values[t]
+    return totals, big
 
 
-def _require_tropical(fan: MarkedFan) -> None:
+def deg_products(
+    fan: MarkedFan, tuples: Sequence[Sequence[Mapping[str, Fraction]]]
+) -> list[Fraction]:
+    """deg(D(z_1) ... D(z_d)) for each tuple; the z_i need not be cubical.
+
+    The count of divisors of every tuple, then the balancing condition, are
+    checked before any product.  Truncations are told apart by value, and
+    the class of each prefix of length k < d is built once, from the class
+    of its own prefix, all of length k before any of length k + 1; a step
+    solves for one covector per (cone, truncation) of its layer.  The last
+    divisor is paired with the certificates (module docstring).
+    """
+    d = fan.d
+    for zs in tuples:
+        if len(zs) < d:
+            raise WrongGrade(f"degree needs grade {d}, got {len(zs)}")
+        if len(zs) > d:
+            raise GradeOverflow(f"cannot raise grade {d} on a {d}-dimensional fan")
     if not is_tropical(fan).is_tropical:
         raise NotTropical("degree is only well defined on tropical fans")
+    if not d:
+        return [fan.weights[ZERO_CONE]] * len(tuples)
+    rays = fan.ray_ids()
+    index: dict[tuple[Fraction, ...], int] = {}
+    scales: list[int] = []
+    zzs: list[dict[str, int]] = []
+    keys = []
+    for zs in tuples:
+        key = []
+        for z in zs:
+            value = tuple(z[rid] for rid in rays)
+            if value not in index:
+                index[value] = len(zzs)
+                scale, (ints,) = scaled_rows([value])
+                scales.append(scale)
+                zzs.append(dict(zip(rays, ints)))
+            key.append(index[value])
+        keys.append(tuple(key))
+    layer: dict[tuple[int, ...], tuple[Numerators, int]] = {(): ({ZERO_CONE: 1}, 1)}
+    for k in range(1, d):
+        solved: list[dict[Cone, Covector]] = [{} for _ in zzs]  # the covectors of this layer
+        below, layer = layer, {}
+        for prefix in dict.fromkeys(key[:k] for key in keys):
+            t = prefix[-1]
+            nums, den = below[prefix[:-1]]
+            nums, big = _multiply(fan, nums, zzs[t], solved[t])
+            layer[prefix] = nums, den * scales[t] * big
+    pairs = [(key[:-1], key[-1]) for key in keys]
+    weight_scale, weights = scaled_to_int(fan.weights)
+    classes = {c: nums for c, (nums, _) in layer.items()}
+    totals, big = _pairings(fan, weights, classes, list(dict.fromkeys(pairs)), zzs)
+    return [Fraction(totals[c, t], layer[c][1] * scales[t] * weight_scale * big) for c, t in pairs]
 
 
 def deg_product(fan: MarkedFan, zs: Sequence[Mapping[str, Fraction]]) -> Fraction:
@@ -99,12 +177,4 @@ def deg_product(fan: MarkedFan, zs: Sequence[Mapping[str, Fraction]]) -> Fractio
 
     The count of divisors, then the balancing condition, are checked before any product.
     """
-    if len(zs) < fan.d:
-        raise WrongGrade(f"degree needs grade {fan.d}, got {len(zs)}")
-    if len(zs) > fan.d:
-        raise GradeOverflow(f"cannot raise grade {fan.d} on a {fan.d}-dimensional fan")
-    _require_tropical(fan)
-    cls = ChowClass.unit()
-    for z in zs:
-        cls = multiply_divisor(fan, cls, z)
-    return degree(fan, cls)
+    return deg_products(fan, [zs])[0]

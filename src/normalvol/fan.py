@@ -12,7 +12,7 @@ A fan scales its rays to integers once: ``int_rays`` holds M u, with M =
 from __future__ import annotations
 
 from collections.abc import Callable, KeysView
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Iterable, Mapping
@@ -28,8 +28,8 @@ from .errors import (
     RayProjectionCollision,
 )
 from .linalg import (
-    Mat, Vec, ZERO, ONE, dot, inverse, mat_vec, qvec, rank, scaled_rows, scaled_to_int,
-    vec_scale, vec_sub,
+    Mat, Vec, ZERO, ONE, dot, inverse, mat_vec, qvec, rank, reduce_row, scaled_rows,
+    scaled_to_int, vec_scale, vec_sub,
 )
 from .serialize import format_rat, parse_int, parse_list, parse_rat, read_field
 
@@ -296,8 +296,15 @@ def fan_to_json(fan: MarkedFan) -> dict:
 
 @dataclass(frozen=True)
 class TropicalReport:
+    """The cones tau of dimension d - 1 that fail the balancing condition, and
+    ``certificates``, neither compared nor printed: (a, p) for every other tau,
+    integers with p != 0 and p s_tau + sum_i a_i u~_i = 0 (``_balancing_report``)."""
+
     is_tropical: bool
     failing: tuple[Cone, ...]
+    certificates: Mapping[Cone, tuple[tuple[int, ...], int]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 def is_tropical(fan: MarkedFan) -> TropicalReport:
@@ -311,20 +318,58 @@ def is_tropical(fan: MarkedFan) -> TropicalReport:
 
 
 def _balancing_report(fan: MarkedFan) -> TropicalReport:
-    """Cones tau whose weighted link sum leaves span(tau); tau's rays are independent.
+    """Cones tau whose weighted link sum s_tau leaves span(tau), and certificates for the rest.
 
-    The sums are integers: weights scaled by the lcm of their denominators, times ``int_rays``.
+    The sums are integers: s_tau = sum_eta w~_{tau | eta} u~_eta, with the
+    weights scaled by the lcm W of their denominators and u~ the
+    ``int_rays``.  One depth-first walk visits the cones of dimension below d
+    in sorted-ray order, so the cones tau come in ``cones_of_dim`` order: a
+    cone's children add the rays of its link after its last ray.  Along the
+    walk, each ray of the cone is a fraction-free echelon row, reduced by
+    ``reduce_row`` against the rays before it and augmented by a unit vector
+    that records its combination of the rays.  At tau, s_tau reduced against
+    these rows is p s_tau + sum_i a_i u~_i in its first n entries and a in
+    the rest, p the last pivot (1 at the zero cone).  tau's rays are
+    independent, so the residual is zero exactly when s_tau lies in
+    span(tau), and then (a, p) certifies it.  A row whose pivot is negative
+    is negated, as its ray and unit vector would be, so every pivot is
+    positive and none costs a rescaling by -1.
     """
-    int_weights = scaled_to_int(fan.weights)[1]
-    failing = []
-    for tau in fan.cones_of_dim(fan.d - 1):
-        total = [0] * fan.ambient_dim
-        for eta in fan.link(tau):
-            weight = int_weights[tau | {eta}]
-            total = [t + weight * x for t, x in zip(total, fan.int_rays[eta])]
-        if rank(tuple(fan.int_rays[rid] for rid in tau) + (total,)) != len(tau):
-            failing.append(tau)
-    return TropicalReport(not failing, tuple(failing))
+    n, top = fan.ambient_dim, fan.d - 1
+    weights = scaled_to_int(fan.weights)[1]
+    failing: list[Cone] = []
+    certificates: dict[Cone, tuple[tuple[int, ...], int]] = {}
+    # the fan's own cone objects as keys, and equal certificates kept once:
+    # on U(7,8), 57120 cones share 20 certificates
+    own = {cone: cone for cone in fan.cones if len(cone) == top}
+    shared: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
+    pad = [0] * top
+
+    def walk(cone: Cone, last: str | None, echelon: list[tuple[int, list[int]]]) -> None:
+        if len(cone) == top:
+            total = [0] * n
+            for eta in fan.link(cone):
+                w = weights[cone | {eta}]
+                total = [t + w * x for t, x in zip(total, fan.int_rays[eta])]
+            row = reduce_row([*total, *pad], echelon)
+            if any(row[:n]):
+                failing.append(cone)
+            else:
+                c, prow = echelon[-1] if echelon else (0, [1])
+                certificate = tuple(row[n:]), prow[c]
+                certificates[own[cone]] = shared.setdefault(certificate, certificate)
+            return
+        unit = [int(i == len(cone)) for i in range(top)]
+        for eta in fan.link(cone):
+            if last is None or eta > last:
+                row = reduce_row([*fan.int_rays[eta], *unit], echelon)
+                c = next(i for i in range(n) if row[i])
+                if row[c] < 0:
+                    row = [-v for v in row]
+                walk(cone | {eta}, eta, [*echelon, (c, row)])
+
+    walk(ZERO_CONE, None, [])
+    return TropicalReport(not failing, tuple(failing), certificates)
 
 
 # -- star fans ------------------------------------------------------------

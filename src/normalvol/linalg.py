@@ -8,10 +8,13 @@ Gauss-Jordan elimination, dividing by the pivots only at the end; their
 results equal those of rational elimination.  ``solve`` returns one
 solution as integer numerators over one denominator, the last pivot, with
 its free coordinates zero; the Chow covectors use it, star fans use
-``inverse`` and fan and balancing checks use ``rank``, and the geometric
-oracle expands its integer determinants along ``cofactors``.  The four
-eliminating routines take integer rows as well as rational ones, and a row
-that is all ``int`` is eliminated as it is, with no scaling.  ``signature``
+``inverse`` and the simpliciality and sign-certificate checks of fans use
+``rank``, and the geometric oracle expands its integer determinants along
+``cofactors``.  ``reduce_row`` is one row's part of a Bareiss forward
+elimination, against rows already in fraction-free echelon form; the
+balancing check builds those rows one ray at a time, without ``rank``.
+The four eliminating routines take integer rows as well as rational ones,
+and a row that is all ``int`` is eliminated as it is, with no scaling.  ``signature``
 reads inertia off a symmetric Bareiss elimination with one pivot rule, over
 the whole matrix scaled to integers by one factor.  ``scaled_rows`` is that
 one scaling, of a matrix by the lcm of all its denominators; fans scale
@@ -140,6 +143,30 @@ def _eliminate(rows: list[Sequence[int]], ncols: int) -> tuple[list[tuple[int, i
         if r == len(rows):
             break
     return pivots, sign * prev
+
+
+def reduce_row(row: Sequence[int], echelon: Sequence[tuple[int, Sequence[int]]]) -> list[int]:
+    """``row`` reduced against fraction-free echelon rows by one Bareiss step each.
+
+    ``echelon`` holds (pivot column, row) pairs, each row already reduced
+    against those before it, so its entries in the earlier pivot columns are
+    zero.  With p the pivot and prev the one before it (1 at first), the row
+    becomes (p * row - row[c] * pivot_row) // prev, exact by Sylvester's
+    identity as in ``_eliminate``, and only rescaled by p / prev when
+    row[c] == 0.  The result is p_k row + sum_j m_j r_j over the original
+    rows r_j, p_k the last pivot, with integers m_j; it is zero in every pivot
+    column, and zero everywhere exactly when row lies in their span.
+    """
+    row = list(row)
+    prev = 1
+    for c, prow in echelon:
+        p, f = prow[c], row[c]
+        if f:
+            row = [(p * v - f * w) // prev for v, w in zip(row, prow)]
+        elif p != prev:
+            row = [p * v // prev for v in row]
+        prev = p
+    return row
 
 
 def solve(a: Mat, b: Vec) -> tuple[tuple[int, ...], int]:

@@ -4,6 +4,7 @@ Bergman contexts are built once per test session; their cubical witnesses
 come from the LP search, ``find_cubical``.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -11,9 +12,15 @@ import pytest
 from hypothesis import strategies as st
 
 import normalvol as nv
-from normalvol.errors import DimensionMismatch, DimTooLarge, NotPseudocubical
-from normalvol.fan import TropicalReport
-from normalvol.linalg import ZERO, dot, identity, mat_vec, qmat, zeros
+from normalvol.errors import (
+    DimensionMismatch,
+    DimTooLarge,
+    GradeOverflow,
+    NotPseudocubical,
+    WrongGrade,
+)
+from normalvol.fan import ZERO_CONE, TropicalReport
+from normalvol.linalg import ZERO, ONE, dot, identity, mat_vec, qmat, qvec, zeros
 from normalvol.normalcx import Context
 
 
@@ -174,6 +181,70 @@ def reference_balancing_report(fan):
         if len(_reference_eliminate(rows, range(fan.ambient_dim))) != len(tau):
             failing.append(tau)
     return TropicalReport(not failing, tuple(failing))
+
+
+@dataclass(frozen=True)
+class ChowClass:
+    """A grade-k Chow class over Fraction in the X_sigma basis, zero weights pruned.
+
+    The reference for ``normalvol.chow``, which keeps integer numerators over
+    one denominator instead.
+    """
+
+    grade: int
+    weights: tuple
+
+    @classmethod
+    def build(cls, grade, weights):
+        items = [(c, v) for c, v in weights.items() if v != 0]
+        for cone, _ in items:
+            if len(cone) != grade:
+                raise WrongGrade(f"cone {sorted(cone)} has dimension {len(cone)}, not {grade}")
+        items.sort(key=lambda cv: sorted(cv[0]))
+        return cls(grade, tuple(items))
+
+    @classmethod
+    def unit(cls):
+        return cls.build(0, {ZERO_CONE: ONE})
+
+
+def reference_multiply(fan, cls, z):
+    """cls * D(z) by the per-ray expansion: one solve per ray rho of each sigma.
+
+    x_rho X_sigma for rho in sigma is rewritten with the covector v_rho dual
+    to rho on sigma (<v_rho, u_eta> = [eta == rho] for eta in sigma), solved
+    over Fraction by ``_reference_solve`` on the rational rays.
+    """
+    if cls.grade >= fan.d:
+        raise GradeOverflow(f"cannot raise grade {cls.grade} on a {fan.d}-dimensional fan")
+    out = {}
+    for sigma, c in cls.weights:
+        rids = sorted(sigma)
+        for eta in fan.link(sigma):
+            out[sigma | {eta}] = out.get(sigma | {eta}, Fraction(0)) + c * z[eta]
+        for rho in rids:
+            if not z[rho]:
+                continue
+            rhs = qvec([1 if rid == rho else 0 for rid in rids])
+            v = _reference_solve(tuple(fan.rays[rid] for rid in rids), rhs, range(fan.ambient_dim))
+            for eta in fan.link(sigma):
+                out[sigma | {eta}] -= c * z[rho] * dot(v, fan.rays[eta])
+    return ChowClass.build(cls.grade + 1, out)
+
+
+def reference_degree(fan, cls):
+    """The degree map on a grade-d class: the weighted sum of its top-cone coefficients."""
+    if cls.grade != fan.d:
+        raise WrongGrade(f"degree needs grade {fan.d}, got {cls.grade}")
+    return sum((c * fan.weights[sigma] for sigma, c in cls.weights), ZERO)
+
+
+def reference_deg_product(fan, zs):
+    """deg(D(z_1) ... D(z_d)) by ``reference_multiply`` from the unit class."""
+    cls = ChowClass.unit()
+    for z in zs:
+        cls = reference_multiply(fan, cls, z)
+    return reference_degree(fan, cls)
 
 
 def total_degree(poly):

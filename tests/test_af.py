@@ -174,14 +174,14 @@ def test_hrw_refuses_a_mixed_volume_off_by_one(monkeypatch):
 
 
 def test_hrw_refuses_a_chow_degree_off_by_one(monkeypatch):
-    deg_product = af.chow.deg_product
-    calls = []
+    deg_products = af.chow.deg_products
 
-    def shifted(fan, zs):
-        calls.append(zs)
-        return deg_product(fan, zs) + (1 if len(calls) == 2 else 0)
+    def shifted(fan, tuples):
+        values = deg_products(fan, tuples)
+        values[1] += 1
+        return values
 
-    monkeypatch.setattr(af.chow, "deg_product", shifted)
+    monkeypatch.setattr(af.chow, "deg_products", shifted)
     with pytest.raises(MismatchError, match="mubar paths disagree"):
         nv.hrw_verify(bergman("U34").matroid, "a")
 

@@ -8,20 +8,22 @@ from hypothesis import strategies as st
 
 import normalvol as nv
 from normalvol import chow
-from normalvol.chow import ChowClass, covector
+from normalvol.chow import covector
 from normalvol.errors import GradeOverflow, NotTropical, WrongGrade
-from normalvol.fan import ZERO_CONE
-from normalvol.linalg import dot, qvec
+from normalvol.fan import ZERO_CONE, is_tropical
+from normalvol.linalg import dot, scaled_to_int
 from normalvol.normalcx import vol_recursive
 
 from conftest import (
-    _reference_solve,
+    ChowClass,
     bergman,
     dense_rational_matrix,
     make_pm1_fan,
     make_quadrant_fan,
     mapped,
     product_fan,
+    reference_deg_product,
+    reference_multiply,
     reversed_coordinates,
 )
 
@@ -30,35 +32,54 @@ def zmap(**kwargs):
     return {k: Fraction(v) for k, v in kwargs.items()}
 
 
+def _as_class(grade, nums, den):
+    """The reference class of integer numerators over den."""
+    return ChowClass.build(grade, {cone: Fraction(c, den) for cone, c in nums.items()})
+
+
 def test_unit_times_divisor_is_the_divisor():
     fan = make_quadrant_fan()
-    z = zmap(r1=1, r2=2, r3=3, r4=4)
-    cls = nv.multiply_divisor(fan, ChowClass.unit(), z)
-    assert dict(cls.weights) == {frozenset({r}): z[r] for r in z}
+    z = zmap(r1=Fraction(1, 2), r2=2, r3=Fraction(3, 4), r4=4)
+    scale, zz = scaled_to_int(z)
+    # the zero cone has no rays, so the first step solves for no covector
+    solved = {}
+    nums, big = chow._multiply(fan, {ZERO_CONE: 1}, zz, solved)
+    assert (scale, big, solved) == (4, 1, {})
+    assert _as_class(1, nums, scale * big) == reference_multiply(fan, ChowClass.unit(), z)
+    assert nums == {frozenset({r}): zz[r] for r in z}
 
 
 def test_wrong_grade_rejected():
     fan = make_quadrant_fan()
-    with pytest.raises(WrongGrade):
-        ChowClass.build(2, {frozenset({"r1"}): Fraction(1)})
-    with pytest.raises(WrongGrade):
-        nv.degree(fan, ChowClass.unit())
+    z = zmap(r1=1, r2=2, r3=3, r4=4)
+    # a short tuple anywhere in a batch is refused
+    with pytest.raises(WrongGrade, match="degree needs grade 2, got 1"):
+        chow.deg_products(fan, [[z, z], [z]])
+    with pytest.raises(WrongGrade, match="degree needs grade 2, got 0"):
+        nv.deg_product(fan, [])
 
 
 def test_grade_overflow():
     fan = make_pm1_fan()
     z = {"p": Fraction(1), "m": Fraction(1)}
-    cls = nv.multiply_divisor(fan, ChowClass.unit(), z)
-    with pytest.raises(GradeOverflow):
-        nv.multiply_divisor(fan, cls, z)
+    assert chow.deg_products(fan, [[z]]) == [2]
+    with pytest.raises(GradeOverflow, match="cannot raise grade 1 on a 1-dimensional fan"):
+        chow.deg_products(fan, [[z], [z, z]])
 
 
 def test_degree_requires_tropical():
     fan = make_pm1_fan(weights=(1, 2))
     z = {"p": Fraction(1), "m": Fraction(1)}
-    cls = nv.multiply_divisor(fan, ChowClass.unit(), z)
     with pytest.raises(NotTropical):
-        nv.degree(fan, cls)
+        nv.deg_products(fan, [[z]])
+    report = is_tropical(fan)
+    assert report.failing == (ZERO_CONE,) and report.certificates == {}
+
+
+def test_degree_on_a_zero_dimensional_fan_is_its_weight():
+    fan = nv.MarkedFan(1, {}, [((), Fraction(2, 3))])
+    assert fan.d == 0
+    assert nv.deg_products(fan, [[], []]) == [Fraction(2, 3)] * 2
 
 
 def test_covector_defining_equations():
@@ -90,39 +111,20 @@ def test_covector_defining_equations():
     assert chosen[0] != chosen[1]
 
 
-def _reference_multiply(fan, cls, z):
-    """cls * D(z) by the per-ray expansion: one solve per ray rho of each sigma.
-
-    x_rho X_sigma for rho in sigma is rewritten with the covector v_rho dual
-    to rho on sigma (<v_rho, u_eta> = [eta == rho] for eta in sigma).
-    """
-    out = {}
-    for sigma, c in cls.weights:
-        rids = sorted(sigma)
-        for eta in fan.link(sigma):
-            out[sigma | {eta}] = out.get(sigma | {eta}, Fraction(0)) + c * z[eta]
-        for rho in rids:
-            if not z[rho]:
-                continue
-            rhs = qvec([1 if rid == rho else 0 for rid in rids])
-            v = _reference_solve(tuple(fan.rays[rid] for rid in rids), rhs, range(fan.ambient_dim))
-            for eta in fan.link(sigma):
-                out[sigma | {eta}] -= c * z[rho] * dot(v, fan.rays[eta])
-    return ChowClass.build(cls.grade + 1, out)
-
-
 # Every covector term vanishes on products of coordinate fans, so the product
 # here has a Bergman factor; U(4,5) adds 2-cones of one Bergman fan, on which
-# z can vanish on one ray and not the other.  The mapped fan has dense
-# non-integral rays, so its integer rays are scaled by a ray_scale above 1.
+# z can vanish on one ray and not the other.  The mapped fans have dense
+# non-integral rays, so their integer rays are scaled by a ray_scale above 1,
+# and at d = 3 their balancing certificates come from pivots other than 1.
 # Each fan also comes with its coordinates reversed, which changes the
-# covector chosen on each cone.
+# covector chosen on each cone and the certificate's pivots.
 REFERENCE_FANS = {
     "U34": bergman("U34").fan,
     "K4": bergman("K4").fan,
     "U45": bergman("U45").fan,
     "U34 x pm1": product_fan(bergman("U34").fan, make_pm1_fan((2, 2))),
     "U34 mapped": mapped(bergman("U34").fan, dense_rational_matrix(3)),
+    "U45 mapped": mapped(bergman("U45").fan, dense_rational_matrix(4)),
 }
 REFERENCE_FANS.update(
     {f"{name} reversed": reversed_coordinates(fan) for name, fan in list(REFERENCE_FANS.items())}
@@ -140,13 +142,55 @@ entries = st.one_of(
     data=st.data(),
 )
 def test_multiply_divisor_matches_per_ray_expansion(name, data):
+    # the integer step, with one covector per cone where z is not zero, against
+    # the per-ray expansion over Fraction, at every grade below d
     fan = REFERENCE_FANS[name]
-    cls = ChowClass.unit()
-    for _ in range(fan.d):
+    cls, nums, den = ChowClass.unit(), {ZERO_CONE: 1}, 1
+    for _ in range(fan.d - 1):
         z = {r: data.draw(entries) for r in fan.ray_ids()}
-        product = nv.multiply_divisor(fan, cls, z)
-        assert product == _reference_multiply(fan, cls, z)
-        cls = product
+        scale, zz = scaled_to_int(z)
+        solved = {}
+        support = [sigma for sigma in nums if any(z[rho] for rho in sigma)]
+        nums, big = chow._multiply(fan, nums, zz, solved)
+        assert list(solved) == support
+        assert big == lcm(*(p for _, p in solved.values()))
+        den *= scale * big
+        cls = reference_multiply(fan, cls, z)
+        assert _as_class(cls.grade, nums, den) == cls
+        assert all(type(c) is int and c for c in nums.values())
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    name=st.sampled_from(sorted(REFERENCE_FANS)),
+    data=st.data(),
+)
+def test_deg_products_match_per_ray_reference(name, data):
+    # batches drawn from a pool of two or three truncations, so that prefixes repeat
+    fan = REFERENCE_FANS[name]
+    rids = fan.ray_ids()
+    pool = [{r: data.draw(entries) for r in rids} for _ in range(data.draw(st.integers(2, 3)))]
+    picks = st.lists(st.sampled_from(range(len(pool))), min_size=fan.d, max_size=fan.d)
+    tuples = [[pool[i] for i in data.draw(picks)] for _ in range(data.draw(st.integers(1, 4)))]
+    values = chow.deg_products(fan, tuples)
+    assert values == [reference_deg_product(fan, zs) for zs in tuples]
+    assert values == [chow.deg_product(fan, zs) for zs in tuples]
+
+
+@pytest.mark.parametrize("name", ["U45", "K4"])
+def test_deg_products_of_a_batch_equal_its_degrees_one_by_one(name):
+    # mixed batches: the hrw pencil, its reversal, repeated tuples and a random truncation
+    fx = bergman(name)
+    fan, a, b = fx.fan, fx.z_alpha, fx.z_beta
+    rng = random.Random(3)
+    c = {r: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for r in fan.ray_ids()}
+    d = fan.d
+    pencil = [[a] * (d - k) + [b] * k for k in range(d + 1)]
+    tuples = pencil + [zs[::-1] for zs in pencil] + [[c] + [a] * (d - 1), [a] * (d - 1) + [c]]
+    tuples += [[dict(z) for z in zs] for zs in tuples[:2]]  # equal by value, not by identity
+    values = chow.deg_products(fan, tuples)
+    assert values == [chow.deg_product(fan, zs) for zs in tuples]
+    assert tuple(values[: d + 1]) == nv.char_poly(fx.matroid).mubar
 
 
 @pytest.mark.parametrize("name", ["U34", "K4"])
@@ -163,9 +207,11 @@ def test_degrees_do_not_change_under_a_rational_change_of_coordinates(name):
 
 def test_deg_product_checks_before_it_multiplies(monkeypatch):
     def refuse(*args):
-        raise AssertionError("multiply_divisor called")
+        raise AssertionError("a product was taken")
 
-    monkeypatch.setattr(chow, "multiply_divisor", refuse)
+    # the step below the top, the pairing at the top and the covectors
+    for name in ("_multiply", "_pairings", "covector"):
+        monkeypatch.setattr(chow, name, refuse)
     quadrant = make_quadrant_fan()
     z = zmap(r1=1, r2=2, r3=3, r4=4)
     with pytest.raises(WrongGrade, match="degree needs grade 2, got 1"):
@@ -254,6 +300,57 @@ def test_bergman_rank3_squares():
 
 def test_zero_entry_prunes():
     fan = make_quadrant_fan()
-    cls = nv.multiply_divisor(fan, ChowClass.unit(), zmap(r1=0, r2=0, r3=0, r4=0))
-    assert cls.weights == ()
-    assert nv.degree(fan, ChowClass.build(2, {})) == 0
+    zero = zmap(r1=0, r2=0, r3=0, r4=0)
+    assert chow._multiply(fan, {ZERO_CONE: 1}, scaled_to_int(zero)[1], {}) == ({}, 1)
+    assert reference_multiply(fan, ChowClass.unit(), zero).weights == ()
+    z = zmap(r1=1, r2=2, r3=3, r4=4)
+    assert nv.deg_products(fan, [[zero, z], [z, zero]]) == [0, 0]
+
+
+def test_one_degree_builds_one_fraction(monkeypatch):
+    # integer numerators over one denominator all the way: the only Fraction is the degree
+    fx, other = bergman("U45"), REFERENCE_FANS["U45 mapped"]
+    for fan, zs in (
+        (fx.fan, [fx.z_alpha, fx.z_beta, _halves(fx.fan)]),
+        (other, [_halves(other)] * 3),
+    ):
+        is_tropical(fan)
+        built = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", counted)
+            value = chow.deg_product(fan, zs)
+        assert len(built) == 1
+        assert value == reference_deg_product(fan, zs)
+
+
+def _halves(fan):
+    return {r: Fraction(i % 5 - 2, 2) for i, r in enumerate(fan.ray_ids())}
+
+
+def test_top_grade_calls_no_covector(monkeypatch):
+    calls = []
+
+    def counted(fan, sigma, zz):
+        calls.append(sigma)
+        return covector(fan, sigma, zz)
+
+    monkeypatch.setattr(chow, "covector", counted)
+    small = [make_quadrant_fan(), make_pm1_fan(), bergman("U34").fan, bergman("K4").fan]
+    small += [REFERENCE_FANS["U34 mapped"], REFERENCE_FANS["U34 mapped reversed"]]
+    for fan in small:
+        assert fan.d <= 2
+        z = _halves(fan)
+        assert chow.deg_product(fan, [z] * fan.d) == reference_deg_product(fan, [z] * fan.d)
+    assert calls == []
+    # on d = 3 only the middle step solves, once per ray where both z are nonzero
+    fx = bergman("U45")
+    z1, z2 = _halves(fx.fan), fx.z_beta
+    chow.deg_product(fx.fan, [z1, z2, fx.z_alpha])
+    solved = [frozenset({r}) for r in fx.fan.ray_ids() if z1[r] and z2[r]]
+    assert sorted(calls, key=sorted) == solved

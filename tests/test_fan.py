@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -31,7 +32,9 @@ from conftest import (
     make_pm1_fan,
     make_quadrant_fan,
     mapped,
+    product_fan,
     reference_balancing_report,
+    reversed_coordinates,
 )
 
 
@@ -267,6 +270,58 @@ def test_balancing_with_non_integral_rays_and_weights():
         assert report.is_tropical is balanced, name
     assert _balancing_report(fans["thirds and halves, 1 and 1"][0]).failing == (ZERO_CONE,)
     assert len(_balancing_report(fans["U34 mapped, one weight 1/3"][0]).failing) == 2
+
+
+def _certificate_fans():
+    """Balanced and unbalanced fans: Bergman fans and their reversals, a product
+    with a 1-dimensional factor, mapped fans with ray_scale > 1 and weights
+    1/2 or 1/3, and 1-dimensional fans, whose only codimension-1 cone is the
+    zero cone."""
+    first = {name: bergman(name).fan.max_cones[0] for name in ("U34", "U45")}
+    fans = {name: bergman(name).fan for name in ("U34", "K4", "U45")}
+    fans["U34 x pm1"] = product_fan(bergman("U34").fan, make_pm1_fan((2, 2)))
+    for name in ("U34", "K4", "U45"):
+        fans[f"{name} mapped"] = _mapped_bergman(name)
+    for name in ("U34", "U45"):
+        fans[f"{name} mapped, one weight 1/3"] = _mapped_bergman(name, first[name])
+    fans.update({f"{name} reversed": reversed_coordinates(fan) for name, fan in list(fans.items())})
+    for weights in ((3, 2), (1, 1)):
+        fans[f"thirds and halves, {weights}"] = _thirds_and_halves(weights)
+    for weights in ((1, 1), (1, 2)):
+        fans[f"pm1, {weights}"] = make_pm1_fan(weights)
+    fans["quadrant"] = make_quadrant_fan()
+    return fans
+
+
+def test_balancing_certificates_hold_in_integers():
+    """Every balanced codimension-1 cone tau has (a, p), p != 0, with
+    p s_tau + sum_i a_i u~_i = 0 in integers, s_tau summed here from the
+    weights times the lcm of their denominators."""
+    fans = _certificate_fans()
+    mapped_scales = [fan.ray_scale for name, fan in fans.items() if "mapped" in name]
+    assert mapped_scales and all(scale > 1 for scale in mapped_scales)
+    for name, fan in fans.items():
+        report = _balancing_report(fan)
+        assert report == reference_balancing_report(fan), name
+        taus = fan.cones_of_dim(fan.d - 1)
+        assert list(report.certificates) == [tau for tau in taus if tau not in report.failing], name
+        scale = lcm(*(w.denominator for w in fan.weights.values()))
+        for tau, (a, p) in report.certificates.items():
+            assert type(p) is int and p != 0 and len(a) == len(tau), (name, tau)
+            total = [0] * fan.ambient_dim
+            for eta in fan.link(tau):
+                w = fan.weights[tau | {eta}] * scale
+                assert w.denominator == 1
+                total = [t + int(w) * x for t, x in zip(total, fan.int_rays[eta])]
+            combo = [p * t for t in total]
+            for x, rid in zip(a, sorted(tau)):
+                assert type(x) is int
+                combo = [c + x * u for c, u in zip(combo, fan.int_rays[rid])]
+            assert combo == [0] * fan.ambient_dim, (name, tau)
+    assert _balancing_report(fans["thirds and halves, (3, 2)"]).certificates == {ZERO_CONE: ((), 1)}
+    assert _balancing_report(fans["pm1, (1, 2)"]).certificates == {}
+    assert len(_balancing_report(fans["U45 mapped, one weight 1/3"]).failing) == 3
+    assert repr(_balancing_report(fans["U45"])) == "TropicalReport(is_tropical=True, failing=())"
 
 
 def test_star_of_quadrant_at_ray():
