@@ -17,8 +17,15 @@ from typing import Mapping, Sequence
 from . import chow
 from .errors import ArityMismatch, MismatchError, NotCubical
 from .fan import Cone, MarkedFan, star_connected_minus_origin
-from .linalg import Signature, ONE, ZERO, signature
-from .matroid import Matroid, alpha_beta_z, bergman_fan, char_poly, e0_inner_product
+from .linalg import Signature, signature
+from .matroid import (
+    Matroid,
+    alpha_beta_z,
+    bergman_fan,
+    char_poly,
+    e0_inner_product,
+    require_bergman_input,
+)
 from .normalcx import (
     Context,
     TruncationTables,
@@ -181,7 +188,10 @@ def hrw_verify(m: Matroid, e0: str) -> HRWReport:
     alpha^(d-a) beta^a and the mixed volumes of the corresponding
     (z_alpha, z_beta) tuples, or MismatchError is raised, and the resulting
     sequence must be log-concave and unimodal (as must the unreduced one).
+    A rank below 2 or an e0 outside the ground set is refused before
+    ``char_poly``'s pass over the 2^|E| subsets.
     """
+    require_bergman_input(m, e0)
     cp = char_poly(m)
     mubar_char = cp.mubar
     fan = bergman_fan(m, e0)
@@ -205,44 +215,3 @@ def hrw_verify(m: Matroid, e0: str) -> HRWReport:
         mu_unimodal=_unimodal(cp.mu),
         fan=fan,
     )
-
-
-# -- boundary values vs cubical limits ---------------------------------------------
-
-
-def boundary_limit_margins(
-    ctx: Context,
-    bases: Sequence[Mapping[str, Fraction]],
-    witness: Mapping[str, Fraction],
-    ts: Sequence[Fraction],
-) -> dict[Fraction, Fraction]:
-    """Compare MVol along cubical approximants with its multilinear expansion.
-
-    For z_i(t) = (1-t) * bases[i] + t * witness, the mixed volume is a
-    polynomial p(t) determined by the 2^d mixed volumes of base/witness
-    choices.  Returns, per t, the (identically zero) difference between the
-    direct evaluation and p(t); the t = 0 value of p is the boundary value.
-    """
-    d = ctx.fan.d
-    rays = ctx.fan.ray_ids()
-    masks = range(1 << d)
-    corners = [[witness if mask >> i & 1 else bases[i] for i in range(d)] for mask in masks]
-    zts = {}
-    for t in ts:
-        t = Fraction(t)
-        zts[t] = [
-            {rid: (ONE - t) * Fraction(b[rid]) + t * Fraction(witness[rid]) for rid in rays}
-            for b in bases
-        ]
-    values = mixed_volumes(ctx, corners + list(zts.values()))
-    corner = dict(zip(masks, values))
-
-    def p(t: Fraction) -> Fraction:
-        total = ZERO
-        for mask, value in corner.items():
-            k = mask.bit_count()
-            total += (ONE - t) ** (d - k) * t**k * value
-        return total
-
-    direct = values[len(corners) :]
-    return {t: value - p(t) for t, value in zip(zts, direct)}

@@ -19,7 +19,7 @@ of its covectors' p and multiplies the denominator by Z L.
 
 The last divisor needs no covector.  The degree of D(z) X_tau, for a cone
 tau of dimension d - 1, is sum_eta w_{tau | eta} (z_eta - <v, u_eta>), and
-the balancing walk of ``fan.is_tropical`` leaves integers (a, p) with
+the balancing check of ``fan.is_tropical`` leaves integers (a, p) with
 p s_tau + sum_i a_i u~_i = 0, s_tau = sum_eta w~_{tau | eta} u~_eta and
 w~ = W w the weights over the lcm W of their denominators.  Since
 <v, u~_i> = p_v zz_i on tau's rays, the v-terms sum to -a . zz_tau / p, and

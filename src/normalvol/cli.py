@@ -308,7 +308,7 @@ def cmd_export_mesh(args, caps: Caps) -> int:
     z = _load_z(path, fan)
     lines = ["# normal complex mesh"]
     vertex_count = 0
-    for sigma in sorted(fan.max_cones, key=sorted):
+    for sigma in fan.cones_of_dim(fan.d):
         rids = sorted(sigma)
         vertices = normalcx.polytope_vertices(ctx, sigma, z)
         local = {}

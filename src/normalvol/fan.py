@@ -7,6 +7,10 @@ and a cone is a frozenset of ray ids (the empty set is the zero cone).
 
 A fan scales its rays to integers once: ``int_rays`` holds M u, with M =
 ``ray_scale`` the lcm of their denominators; every integer computation reads them.
+
+A fan also fixes the one order of its cones, once: ``sorted_cones`` lists
+every cone with its sorted ray ids, lexicographically by those ids, so the
+zero cone comes first.  Every ordered scan or report over the cones reads it.
 """
 
 from __future__ import annotations
@@ -100,6 +104,10 @@ class MarkedFan:
             layer = below
         self._links: dict[Cone, tuple[str, ...]] = {c: tuple(sorted(s)) for c, s in links.items()}
         self.cones: KeysView[Cone] = self._links.keys()
+        ordered = sorted((tuple(sorted(c)), c) for c in self.cones)
+        self.sorted_cones: tuple[tuple[Cone, tuple[str, ...]], ...] = tuple(
+            (cone, rids) for rids, cone in ordered
+        )
         self._tropical: TropicalReport | None = None  # filled by is_tropical
         # Whether cones were checked to meet face to face: the check runs for d <= 3 only.
         self.faces_meet_checked = validate_geometry and self.d <= 3
@@ -112,7 +120,7 @@ class MarkedFan:
         return sorted(self.rays)
 
     def cones_of_dim(self, k: int) -> list[Cone]:
-        return sorted((c for c in self.cones if len(c) == k), key=sorted)
+        return [cone for cone, rids in self.sorted_cones if len(rids) == k]
 
     def link(self, tau: Cone) -> tuple[str, ...]:
         """Sorted ids of the rays eta not in tau for which tau | {eta} is a cone."""
@@ -286,7 +294,7 @@ def fan_to_json(fan: MarkedFan) -> dict:
         "rays": [{"id": rid, "u": [format_rat(v) for v in fan.rays[rid]]} for rid in fan.ray_ids()],
         "max_cones": [
             {"rays": sorted(cone), "weight": format_rat(fan.weights[cone])}
-            for cone in sorted(fan.max_cones, key=sorted)
+            for cone in fan.cones_of_dim(fan.d)
         ],
     }
 
@@ -322,53 +330,50 @@ def _balancing_report(fan: MarkedFan) -> TropicalReport:
 
     The sums are integers: s_tau = sum_eta w~_{tau | eta} u~_eta, with the
     weights scaled by the lcm W of their denominators and u~ the
-    ``int_rays``.  One depth-first walk visits the cones of dimension below d
-    in sorted-ray order, so the cones tau come in ``cones_of_dim`` order: a
-    cone's children add the rays of its link after its last ray.  Along the
-    walk, each ray of the cone is a fraction-free echelon row, reduced by
+    ``int_rays``.  One loop reads the cones of dimension below d in
+    ``fan.sorted_cones`` order, so the cones tau come in ``cones_of_dim``
+    order.  Each ray of a cone is a fraction-free echelon row, reduced by
     ``reduce_row`` against the rays before it and augmented by a unit vector
-    that records its combination of the rays.  At tau, s_tau reduced against
-    these rows is p s_tau + sum_i a_i u~_i in its first n entries and a in
-    the rest, p the last pivot (1 at the zero cone).  tau's rays are
-    independent, so the residual is zero exactly when s_tau lies in
-    span(tau), and then (a, p) certifies it.  A row whose pivot is negative
-    is negated, as its ray and unit vector would be, so every pivot is
-    positive and none costs a rescaling by -1.
+    that records its combination of the rays.  In lexicographic order a
+    cone's face without its last ray is the last earlier cone of one
+    dimension less, so cutting the echelon stack to that dimension leaves
+    the face's rows, and the cone adds the row of its last ray.  At tau,
+    s_tau reduced against these rows is p s_tau + sum_i a_i u~_i in its first
+    n entries and a in the rest, p the last pivot (1 at the zero cone).
+    tau's rays are independent, so the residual is zero exactly when s_tau
+    lies in span(tau), and then (a, p) certifies it.  A row whose pivot is
+    negative is negated, as its ray and unit vector would be, so every pivot
+    is positive and none costs a rescaling by -1.
     """
     n, top = fan.ambient_dim, fan.d - 1
     weights = scaled_to_int(fan.weights)[1]
     failing: list[Cone] = []
     certificates: dict[Cone, tuple[tuple[int, ...], int]] = {}
-    # the fan's own cone objects as keys, and equal certificates kept once:
-    # on U(7,8), 57120 cones share 20 certificates
-    own = {cone: cone for cone in fan.cones if len(cone) == top}
+    # equal certificates kept once: on U(7,8), 57120 cones share 20 certificates
     shared: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
-    pad = [0] * top
-
-    def walk(cone: Cone, last: str | None, echelon: list[tuple[int, list[int]]]) -> None:
-        if len(cone) == top:
+    echelon: list[tuple[int, list[int]]] = []
+    for cone, rids in fan.sorted_cones:
+        k = len(rids)
+        if k > top:
+            continue
+        if k:
+            del echelon[k - 1 :]
+            unit = [int(i == k - 1) for i in range(top)]
+            row = reduce_row([*fan.int_rays[rids[-1]], *unit], echelon)
+            c = next(i for i in range(n) if row[i])
+            echelon.append((c, row if row[c] > 0 else [-v for v in row]))
+        if k == top:
             total = [0] * n
             for eta in fan.link(cone):
                 w = weights[cone | {eta}]
                 total = [t + w * x for t, x in zip(total, fan.int_rays[eta])]
-            row = reduce_row([*total, *pad], echelon)
+            row = reduce_row([*total, *[0] * top], echelon)
             if any(row[:n]):
                 failing.append(cone)
             else:
                 c, prow = echelon[-1] if echelon else (0, [1])
                 certificate = tuple(row[n:]), prow[c]
-                certificates[own[cone]] = shared.setdefault(certificate, certificate)
-            return
-        unit = [int(i == len(cone)) for i in range(top)]
-        for eta in fan.link(cone):
-            if last is None or eta > last:
-                row = reduce_row([*fan.int_rays[eta], *unit], echelon)
-                c = next(i for i in range(n) if row[i])
-                if row[c] < 0:
-                    row = [-v for v in row]
-                walk(cone | {eta}, eta, [*echelon, (c, row)])
-
-    walk(ZERO_CONE, None, [])
+                certificates[cone] = shared.setdefault(certificate, certificate)
     return TropicalReport(not failing, tuple(failing), certificates)
 
 

@@ -97,9 +97,6 @@ class Matroid:
     def proper_flats(self) -> tuple[int, ...]:
         return tuple(f for f in self.flats if f != 0 and f != self.full_mask)
 
-    def flats_of_rank(self, k: int) -> tuple[int, ...]:
-        return tuple(f for f in self.flats if self._rank_of_flat[f] == k)
-
 
 # -- constructors ----------------------------------------------------------
 
@@ -335,6 +332,14 @@ def flat_ray_id(m: Matroid, flat: int) -> str:
     return ",".join(m.labels(flat))
 
 
+def require_bergman_input(m: Matroid, e0: str) -> None:
+    """Raise RankTooSmall or UnknownElement unless ``bergman_fan(m, e0)`` is defined."""
+    if m.rank < 2:
+        raise RankTooSmall(f"Bergman fan needs rank >= 2, got {m.rank}")
+    if e0 not in m.index:
+        raise UnknownElement(f"{e0!r} is not a ground set element")
+
+
 def bergman_fan(m: Matroid, e0: str) -> MarkedFan:
     """Bergman fan on flags of proper flats, realized in R^(E minus e0).
 
@@ -342,10 +347,7 @@ def bergman_fan(m: Matroid, e0: str) -> MarkedFan:
     coordinate, so the e0 inner product is the identity matrix.  All cone
     weights are 1, and the fan has dimension rank(m) - 1.
     """
-    if m.rank < 2:
-        raise RankTooSmall(f"Bergman fan needs rank >= 2, got {m.rank}")
-    if e0 not in m.index:
-        raise UnknownElement(f"{e0!r} is not a ground set element")
+    require_bergman_input(m, e0)
     coords = [e for e in m.ground if e != e0]
     e0_bit = 1 << m.index[e0]
 

@@ -119,7 +119,8 @@ class Context:
     """An immutable (fan, inner product) pair with per-cone caches.
 
     Star contexts are realized inside the same ambient coordinates, so the
-    restricted inner product is literally the same Gram matrix.
+    restricted inner product is literally the same Gram matrix.  Every scan
+    over the cones reads the fan's one order, ``fan.sorted_cones``.
 
     The caches hold integers.  With g the lcm of the Gram's denominators,
     G~ = g G is integral, and the fan's ``int_rays`` are u~ = M u with
@@ -140,8 +141,7 @@ class Context:
             for rid, u in fan.int_rays.items()
         }
         self._ray_pairs: dict[tuple[str, str], int] = {}
-        self._gram_inv: dict[Cone, tuple[int, tuple[tuple[int, ...], ...]]] = {}
-        self._sorted_cones: list[tuple[Cone, tuple[str, ...]]] | None = None
+        self._gram_inv: dict[Cone, tuple[int, tuple[tuple[int, ...], ...]]] = {ZERO_CONE: (1, ())}
         self._dim_lcms: tuple[int, ...] | None = None
         self._stars: dict[Cone, "Context"] = {}
         self._vol_poly: MultiPoly | None = None
@@ -158,8 +158,9 @@ class Context:
     def cone_gram_inverse(self, cone: Cone) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(D, adj): the determinant and adjugate of the cone's integer Gram block.
 
-        Rows and columns are in sorted ray order, and G_cone^-1 = adj / (D pair_scale).
-        Bordered onto (D, A) of the face without the last ray r: with
+        Rows and columns are in sorted ray order, and G_cone^-1 = adj / (D pair_scale);
+        the zero cone's is (1, ()).  Computed on first use and cached, bordered onto
+        (D, A) of the face without the last ray r: with
         b = ray_pair(face, r) and a = A b,
         D' = ray_pair(r, r) D - b.a and adj' = [[(D' A + a a^T) / D, -a], [-a^T, D]].
         The division by D is exact: its quotient is the block of adj', and the
@@ -169,7 +170,7 @@ class Context:
         entry = self._gram_inv.get(cone)
         if entry is None:
             *head, last = sorted(cone)
-            d, adj = self.cone_gram_inverse(frozenset(head)) if head else (1, ())
+            d, adj = self.cone_gram_inverse(frozenset(head))
             b = [self.ray_pair(rid, last) for rid in head]
             a = [sum(x * y for x, y in zip(row, b)) for row in adj]
             d_new = self.ray_pair(last, last) * d - sum(x * y for x, y in zip(a, b))
@@ -182,13 +183,6 @@ class Context:
             self._gram_inv[cone] = entry
         return entry
 
-    def sorted_cones(self) -> list[tuple[Cone, tuple[str, ...]]]:
-        """Every nonzero cone with its sorted ray ids, in lexicographic order."""
-        if self._sorted_cones is None:
-            rows = sorted((tuple(sorted(c)), c) for c in self.fan.cones if c)
-            self._sorted_cones = [(cone, rids) for rids, cone in rows]
-        return self._sorted_cones
-
     def dim_lcms(self) -> tuple[int, ...]:
         """(Lambda_0, ..., Lambda_{d-1}): Lambda_j the lcm of D over the cones of dimension j.
 
@@ -196,7 +190,7 @@ class Context:
         """
         if self._dim_lcms is None:
             lcms = [1] * self.fan.d
-            for cone, _ in self.sorted_cones():
+            for cone, _ in self.fan.sorted_cones:
                 k = len(cone)
                 if k < self.fan.d:
                     lcms[k] = lcm(lcms[k], self.cone_gram_inverse(cone)[0])
@@ -233,7 +227,6 @@ def _check_keys(fan: MarkedFan, z: Mapping[str, Fraction]) -> None:
 
 @dataclass(frozen=True)
 class WVector:
-    cone: Cone
     coords: Vec
     coefficients: tuple[tuple[str, Fraction], ...]  # barycentric, in the ray basis
 
@@ -249,7 +242,7 @@ def w_vector(ctx: Context, cone: Cone, z: Mapping[str, Fraction]) -> WVector:
     coords = zeros(ctx.fan.ambient_dim)
     for x, rid in zip(coeffs, rids):
         coords = vec_add(coords, vec_scale(x, ctx.fan.rays[rid]))
-    return WVector(cone, coords, tuple(zip(rids, coeffs)))
+    return WVector(coords, tuple(zip(rids, coeffs)))
 
 
 CUBICAL = "cubical"
@@ -296,7 +289,7 @@ def find_cubical(ctx: Context) -> tuple[ZValues, Fraction] | None:
     ray_order = ctx.fan.ray_ids()
     index = {rid: i for i, rid in enumerate(ray_order)}
     rows: dict[Vec, None] = {}  # coefficient rows repeat across shared faces
-    for cone, rids in ctx.sorted_cones():
+    for cone, rids in ctx.fan.sorted_cones:
         d, adj = ctx.cone_gram_inverse(cone)
         scale = ONE / (d * ctx.pair_scale)
         for adj_row in adj:
@@ -352,7 +345,7 @@ def _face_pairings(
     coefficients of w_tau(z), and p_rho = sum_theta c_theta ray_pair(theta, rho) for each
     ray id rho of rids, so that <w_tau(z), u_rho> = p_rho / (Z D_tau)."""
     taus = sorted(tau)
-    d, adj = ctx.cone_gram_inverse(tau) if tau else (1, ())
+    d, adj = ctx.cone_gram_inverse(tau)
     c = [sum(a * zz[t] for a, t in zip(row, taus)) for row in adj]
     return d, c, [sum(x * ctx.ray_pair(t, rho) for t, x in zip(taus, c)) for rho in rids]
 
@@ -440,9 +433,10 @@ class _Table(dict):
     """One truncation's classification, and its factor rows: ``self[k]`` maps each
     k-cone with a nonzero factor to its row.
 
-    One pass over ``Context.sorted_cones`` builds both.  With Z z the truncation scaled
-    to integers, the integers num = adj_sigma (Z z)_sigma have the signs of c_sigma(z):
-    the report is the first negative num, else the first zero, else cubical.  And
+    One pass over the fan's cone order, ``fan.sorted_cones``, builds both; the zero cone,
+    first, has no ray and so no row.  With Z z the truncation scaled to integers, the
+    integers num = adj_sigma (Z z)_sigma have the signs of c_sigma(z): the report is
+    the first negative num, else the first zero, in that order, else cubical.  And
     z^{sigma - rho}_rho = c_sigma(z)_rho / (G_sigma^-1)_{rho rho} = num_rho / (Z D_{sigma - rho}),
     as adj_{rho rho} = D_{sigma - rho} > 0, so the row of a k-cone sigma holds the integers
     num_rho (Lambda_{k-1} // D_{sigma - rho}), all over Z Lambda_{k-1} (``Context.dim_lcms``).
@@ -454,7 +448,7 @@ class _Table(dict):
         self.scale, zz = scaled_to_int(z)
         lcms = ctx.dim_lcms()
         boundary: tuple[Cone, str] | None = None
-        for cone, rids in ctx.sorted_cones():
+        for cone, rids in ctx.fan.sorted_cones:
             adj = ctx.cone_gram_inverse(cone)[1]
             support = [(j, zz[rid]) for j, rid in enumerate(rids) if zz[rid]]
             nums = [sum(row[j] * v for j, v in support) for row in adj]
@@ -594,7 +588,7 @@ def vol_polynomial(ctx: Context) -> MultiPoly:
     """
     if ctx._vol_poly is None:
         forms: dict[int, dict[Cone, tuple[MultiPoly, ...]]] = {}
-        for cone, rids in ctx.sorted_cones():
+        for cone, rids in ctx.fan.sorted_cones:
             forms.setdefault(len(cone), {})[cone] = tuple(
                 MultiPoly.linear({t: Fraction(v, row[i]) for t, v in zip(rids, row)})
                 for i, row in enumerate(ctx.cone_gram_inverse(cone)[1])

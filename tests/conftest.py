@@ -21,7 +21,7 @@ from normalvol.errors import (
 )
 from normalvol.fan import ZERO_CONE, TropicalReport
 from normalvol.linalg import ZERO, ONE, dot, identity, mat_vec, qmat, qvec, zeros
-from normalvol.normalcx import Context
+from normalvol.normalcx import Context, mixed_volumes
 
 
 def mat_mul(a, b):
@@ -337,6 +337,11 @@ def make_matroid(name):
 MATROID_NAMES = ("U23", "U34", "U35", "U45", "K4", "K4e")
 
 
+def flats_of_rank(m, k):
+    """The flats of rank k of a matroid, in ``m.flats`` order."""
+    return tuple(f for f in m.flats if m.rank_of_flat(f) == k)
+
+
 def sparse_paving_flats(ground, r, circuit_hyperplanes):
     """The flats of the sparse paving matroid of rank r on ground with these
     circuit-hyperplanes (r-sets meeting pairwise in at most r - 2 elements):
@@ -410,3 +415,36 @@ def pm1_ctx():
 
 def rational_gram(entries):
     return qmat(entries)
+
+
+def boundary_limit_margins(ctx, bases, witness, ts):
+    """Compare MVol along cubical approximants with its multilinear expansion.
+
+    For z_i(t) = (1-t) * bases[i] + t * witness, the mixed volume is a
+    polynomial p(t) determined by the 2^d mixed volumes of base/witness
+    choices.  Returns, per t, the (identically zero) difference between the
+    direct evaluation and p(t); the t = 0 value of p is the boundary value.
+    """
+    d = ctx.fan.d
+    rays = ctx.fan.ray_ids()
+    masks = range(1 << d)
+    corners = [[witness if mask >> i & 1 else bases[i] for i in range(d)] for mask in masks]
+    zts = {}
+    for t in ts:
+        t = Fraction(t)
+        zts[t] = [
+            {rid: (ONE - t) * Fraction(b[rid]) + t * Fraction(witness[rid]) for rid in rays}
+            for b in bases
+        ]
+    values = mixed_volumes(ctx, corners + list(zts.values()))
+    corner = dict(zip(masks, values))
+
+    def p(t):
+        total = ZERO
+        for mask, value in corner.items():
+            k = mask.bit_count()
+            total += (ONE - t) ** (d - k) * t**k * value
+        return total
+
+    direct = values[len(corners) :]
+    return {t: value - p(t) for t, value in zip(zts, direct)}

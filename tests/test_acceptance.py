@@ -27,6 +27,8 @@ from normalvol.normalcx import (
 from conftest import (
     MATROID_NAMES,
     bergman,
+    boundary_limit_margins,
+    flats_of_rank,
     make_pm1_fan,
     make_quadrant_fan,
     reversed_coordinates,
@@ -161,16 +163,16 @@ def test_acceptance_6_reduce_conditions_and_rank3_degrees():
         def ind(rid):
             return {r: Fraction(1 if r == rid else 0) for r in fan.ray_ids()}
 
-        for g in m.flats_of_rank(2):
+        for g in flats_of_rank(m, 2):
             gid = flat_ray_id(m, g)
             if chow.deg_product(fan, [ind(gid)] * 2) != -1:
                 ok = False
-            for f in m.flats_of_rank(1):
+            for f in flats_of_rank(m, 1):
                 if f & g == f:
                     fid = flat_ray_id(m, f)
                     if chow.deg_product(fan, [ind(fid), ind(gid)]) != 1:
                         ok = False
-        for f in m.flats_of_rank(1):
+        for f in flats_of_rank(m, 1):
             fid = flat_ray_id(m, f)
             above = sum(1 for c in fan.cones_of_dim(2) if fid in c)
             if chow.deg_product(fan, [ind(fid)] * 2) != 1 - above:
@@ -285,7 +287,7 @@ def test_acceptance_11_boundary_limits():
         d = fx.ctx.fan.d
         bases = [fx.z_alpha if i % 2 == 0 else fx.z_beta for i in range(d)]
         witness = fx.cubical_witness()
-        margins = af.boundary_limit_margins(fx.ctx, bases, witness, ts)
+        margins = boundary_limit_margins(fx.ctx, bases, witness, ts)
         if any(v != 0 for v in margins.values()):
             ok = False
         # the t -> 0 limit is exactly the boundary mixed volume

@@ -10,7 +10,6 @@ from normalvol.af import (
     FAIL,
     PASS,
     UNDEFINED,
-    boundary_limit_margins,
     sample_cubical,
 )
 from normalvol.errors import ArityMismatch, MismatchError, NotCubical
@@ -19,6 +18,7 @@ from normalvol.normalcx import Context, vol_polynomial
 
 from conftest import (
     bergman,
+    boundary_limit_margins,
     hessian,
     make_pm1_fan,
     product_fan,

@@ -18,6 +18,7 @@ from conftest import (
     ChowClass,
     bergman,
     dense_rational_matrix,
+    flats_of_rank,
     make_pm1_fan,
     make_quadrant_fan,
     mapped,
@@ -284,8 +285,8 @@ def test_bergman_rank3_squares():
     m, fan = fx.matroid, fx.fan
     from normalvol.matroid import flat_ray_id
 
-    rank1 = [flat_ray_id(m, f) for f in m.flats_of_rank(1)]
-    rank2 = [flat_ray_id(m, f) for f in m.flats_of_rank(2)]
+    rank1 = [flat_ray_id(m, f) for f in flats_of_rank(m, 1)]
+    rank2 = [flat_ray_id(m, f) for f in flats_of_rank(m, 2)]
 
     for f_id in rank1:
         for g_id in rank2:

@@ -522,6 +522,30 @@ def test_hrw_refuses_an_e0_outside_the_ground_set(e0, tmp_path, capsys):
     assert json.loads(err) == {"error": f"{e0!r} is not a ground set element"}
 
 
+@pytest.mark.parametrize(
+    "rank, e0, message",
+    [
+        (2, "zz", "'zz' is not a ground set element"),
+        (1, None, "Bergman fan needs rank >= 2, got 1"),
+    ],
+)
+def test_hrw_refuses_bad_input_before_char_poly(
+    rank, e0, message, tmp_path, capsys, monkeypatch
+):
+    # on |E| = 20, char_poly's pass over the 2^20 subsets would come first
+    def refuse(m):
+        raise AssertionError("char_poly ran before the input was checked")
+
+    monkeypatch.setattr(af, "char_poly", refuse)
+    matroid = tmp_path / "m.json"
+    ground = [f"e{i}" for i in range(20)]
+    matroid.write_text(json.dumps({"kind": "uniform", "ground_set": ground, "rank": rank}))
+    argv = ["hrw", "--matroid", str(matroid)] + (["--e0", e0] if e0 else [])
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": message}
+
+
 def test_export_mesh(quadrant_files, tmp_path, capsys):
     out_path = tmp_path / "mesh.obj"
     code, out, _ = run(

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import normalvol as nv
 from normalvol import af, chow, normalcx
 from normalvol.errors import NormalVolError
-from normalvol.fan import star_connected_minus_origin
+from normalvol.fan import ZERO_CONE, star_connected_minus_origin
 from normalvol.linalg import dot, identity, inverse, mat_vec, qmat, signature
 from normalvol.normalcx import (
     CUBICAL,
@@ -371,6 +371,56 @@ def test_cone_adjugates_invert_the_gram_blocks(ctx):
         rays = [ctx.fan.rays[rid] for rid in rids]
         block = tuple(tuple(dot(u, mat_vec(ctx.gram, v)) for v in rays) for u in rays)
         assert tuple(tuple(v / (d * ctx.pair_scale) for v in row) for row in adj) == inverse(block)
+
+
+def _check_cone_order(fan):
+    order = fan.sorted_cones
+    ids = [rids for _, rids in order]
+    # each cone once, the zero cone first, each with its sorted ids, strictly increasing
+    assert order[0] == (ZERO_CONE, ())
+    assert len(order) == len(fan.cones) and {cone for cone, _ in order} == set(fan.cones)
+    assert all(tuple(sorted(cone)) == rids for cone, rids in order)
+    assert all(a < b for a, b in zip(ids, ids[1:]))
+    # a cone's face without its last ray is the nearest earlier cone of one dimension less
+    latest = {}
+    for cone, rids in order:
+        if rids:
+            assert latest[len(rids) - 1] == cone - {rids[-1]}
+        latest[len(rids)] = cone
+    for k in range(fan.d + 1):
+        assert fan.cones_of_dim(k) == sorted((c for c in fan.cones if len(c) == k), key=sorted)
+    assert Context(fan, identity(fan.ambient_dim)).cone_gram_inverse(ZERO_CONE) == (1, ())
+
+
+@pytest.mark.parametrize("name", sorted(FANS))
+def test_the_fan_owns_one_lexicographic_cone_order(name):
+    _check_cone_order(FANS[name])
+
+
+def _relabeled(fan, names):
+    """The fan with ray ids renamed by ``names``, so that the id order is not the factors'."""
+    rays = {names[rid]: u for rid, u in fan.rays.items()}
+    cones = [([names[rid] for rid in c], fan.weights[c]) for c in fan.max_cones]
+    return nv.MarkedFan(fan.ambient_dim, rays, cones, validate_geometry=False)
+
+
+FACTORS = {
+    "pm1": make_pm1_fan(),
+    "quadrant": make_quadrant_fan(),
+    "ray": nv.MarkedFan(1, {"p": (Fraction(1),)}, [(("p",), 1)]),
+    "U34": bergman("U34").fan,
+}
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from(sorted(FACTORS)), min_size=2, max_size=3), st.data())
+def test_drawn_product_fans_own_one_lexicographic_cone_order(factors, data):
+    fan = FACTORS[factors[0]]
+    for name in factors[1:]:
+        fan = product_fan(fan, FACTORS[name])
+    rids = sorted(fan.rays)
+    labels = data.draw(st.permutations([f"r{i}" for i in range(len(rids))] + ["a", "ab", "b"]))
+    _check_cone_order(_relabeled(fan, dict(zip(rids, labels))))
 
 
 @st.composite

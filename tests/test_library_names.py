@@ -16,11 +16,8 @@ import normalvol as nv
 
 SRC = Path(nv.__file__).resolve().parent
 
-# Helpers of the acceptance suite, kept in the library next to the code they exercise.
-ALLOWED = {
-    "boundary_limit_margins": "acceptance 11 compares boundary values with cubical limits",
-    "flats_of_rank": "acceptance 6 reads the rank-1 and rank-2 flats for its degrees",
-}
+# Names that only tests read, kept in the library on purpose: none.
+ALLOWED: dict[str, str] = {}
 
 
 def test_every_library_name_is_exported_or_read_by_the_library():

@@ -16,7 +16,7 @@ from normalvol.errors import (
 from normalvol.linalg import dot, mat_vec, qvec, zeros
 from normalvol.matroid import char_poly, flat_ray_id, matroid_from_json
 
-from conftest import K4_EDGES, MATROID_NAMES, bergman, make_matroid
+from conftest import K4_EDGES, MATROID_NAMES, bergman, flats_of_rank, make_matroid
 
 
 # -- axioms and constructors ------------------------------------------------
@@ -77,8 +77,8 @@ def test_u23_flats():
 def test_k4_shape():
     m = make_matroid("K4")
     assert m.n == 6 and m.rank == 3
-    assert len(m.flats_of_rank(1)) == 6
-    assert len(m.flats_of_rank(2)) == 7  # 4 triangles + 3 perfect matchings
+    assert len(flats_of_rank(m, 1)) == 6
+    assert len(flats_of_rank(m, 2)) == 7  # 4 triangles + 3 perfect matchings
 
 
 def test_closure_and_rank_queries():
