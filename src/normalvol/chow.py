@@ -1,29 +1,31 @@
 """Chow ring degree computations for tropical fans.
 
 Classes of grade k are rational combinations of the squarefree cone
-monomials X_sigma with dim(sigma) = k.  Multiplying X_sigma by a divisor
+monomials X_sigma with dim(sigma) = k, keyed by the fan's cones, the sorted
+tuples of their ray ids.  Multiplying X_sigma by a divisor
 D(z) = sum z_rho x_rho first subtracts (sum_eta <v, u_eta> x_eta) X_sigma = 0,
 for one covector v per cone with <v, u_rho> = z_rho on the rays of sigma.
 The terms of sigma's own rays then cancel, and x_eta X_sigma = 0
-unless sigma | {eta} is a cone, so D(z) X_sigma is the sum over eta in
-link(sigma) of (z_eta - <v, u_eta>) X_{sigma | eta}: products stay in the
+unless join(sigma, eta) is a cone, so D(z) X_sigma is the sum over eta in
+link(sigma) of (z_eta - <v, u_eta>) X_{join(sigma, eta)}: products stay in the
 X_sigma basis at one linear solve per (cone, divisor).  This path never
 touches volumes, which makes it an independent check of the volume algorithms.
 
 The pairings are taken in integers.  A divisor is scaled once to zz = Z z,
 Z the lcm of its denominators, and each covector is an integer vector v
 over one denominator p on the fan's integer rays u~ = M u, so the
-coefficient of X_{sigma | eta} is (p zz_eta - <v, u~_eta>) / (Z p).  A
+coefficient of X_{join(sigma, eta)} is (p zz_eta - <v, u~_eta>) / (Z p).  A
 class is integer numerators over one denominator: a step takes the lcm L
 of its covectors' p and multiplies the denominator by Z L.
 
 The last divisor needs no covector.  The degree of D(z) X_tau, for a cone
-tau of dimension d - 1, is sum_eta w_{tau | eta} (z_eta - <v, u_eta>), and
-the balancing check of ``fan.is_tropical`` leaves integers (a, p) with
-p s_tau + sum_i a_i u~_i = 0, s_tau = sum_eta w~_{tau | eta} u~_eta and
+tau of dimension d - 1, is sum_eta w_{tau eta} (z_eta - <v, u_eta>), with
+w_{tau eta} the weight of join(tau, eta), and the balancing check of
+``fan.is_tropical`` leaves integers (a, p) with
+p s_tau + sum_i a_i u~_i = 0, s_tau = sum_eta w~_{tau eta} u~_eta and
 w~ = W w the weights over the lcm W of their denominators.  Since
 <v, u~_i> = p_v zz_i on tau's rays, the v-terms sum to -a . zz_tau / p, and
-the degree is (p sum_eta w~_{tau | eta} zz_eta + a . zz_tau) / (Z W p)
+the degree is (p sum_eta w~_{tau eta} zz_eta + a . zz_tau) / (Z W p)
 whatever covector was chosen: the top grade is a pairing of the grade
 d - 1 class with the certificates, and each degree builds one Fraction.
 """
@@ -36,7 +38,7 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import GradeOverflow, NotTropical, WrongGrade
-from .fan import Cone, MarkedFan, ZERO_CONE, is_tropical
+from .fan import Cone, MarkedFan, ZERO_CONE, is_tropical, join
 from .linalg import scaled_rows, scaled_to_int, solve
 
 # sum_sigma nums[sigma] X_sigma / den, zero numerators pruned
@@ -53,8 +55,7 @@ def covector(fan: MarkedFan, sigma: Cone, zz: Mapping[str, int]) -> Covector:
     solution whose free coordinates are zero, and degrees do not depend on
     that choice.
     """
-    rids = sorted(sigma)
-    return solve(tuple(fan.int_rays[rid] for rid in rids), tuple(zz[rid] for rid in rids))
+    return solve(tuple(fan.int_rays[rid] for rid in sigma), tuple(zz[rid] for rid in sigma))
 
 
 def _multiply(
@@ -80,7 +81,7 @@ def _multiply(
         for eta in fan.link(sigma):
             num = p * zz[eta] - sum(map(mul, v, fan.int_rays[eta]))
             if num:
-                bigger = sigma | {eta}
+                bigger = join(sigma, eta)
                 out[bigger] = out.get(bigger, 0) + c * num
     return {cone: c for cone, c in out.items() if c}, big
 
@@ -95,7 +96,7 @@ def _pairings(
     """(T, P): deg(classes[c] * D(zzs[t])) is T[c, t] / (Z_t W P) over c's denominator.
 
     Each cone tau of the classes pairs once with each divisor, as
-    P sum_eta w~_{tau | eta} zz_eta + (P / p) a . zz_tau, P the lcm of the p.
+    P sum_eta w~_{tau eta} zz_eta + (P / p) a . zz_tau, P the lcm of the p.
     """
     certificates = is_tropical(fan).certificates
     lasts = dict.fromkeys(t for _, t in pairs)
@@ -104,8 +105,8 @@ def _pairings(
     totals = dict.fromkeys(pairs, 0)
     for tau in cones:
         a, p = certificates[tau]
-        link = [(eta, weights[tau | {eta}]) for eta in fan.link(tau)]
-        rays = list(zip(sorted(tau), a))
+        link = [(eta, weights[join(tau, eta)]) for eta in fan.link(tau)]
+        rays = list(zip(tau, a))
         values = {
             t: big * sum(w * zzs[t][eta] for eta, w in link)
             + big // p * sum(x * zzs[t][rho] for rho, x in rays)

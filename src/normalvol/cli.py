@@ -135,7 +135,7 @@ def cmd_fan_validate(args, caps: Caps) -> int:
             "pure": True,
             "faces_meet_checked": fan.faces_meet_checked,
             "tropical": report.is_tropical,
-            "failing_cones": [sorted(c) for c in report.failing],
+            "failing_cones": [list(c) for c in report.failing],
         }
     )
     return EXIT_PASS if report.is_tropical else EXIT_FAIL
@@ -244,13 +244,13 @@ def cmd_reduce_check(args, caps: Caps) -> int:
             "verdict": report.verdict,
             "condition_i": {
                 "pass": report.condition_i_pass,
-                "failing_cones": [sorted(c) for c in report.condition_i_failing],
+                "failing_cones": [list(c) for c in report.condition_i_failing],
             },
             "condition_ii": {
                 "pass": report.condition_ii_pass,
                 "signatures": [
                     {
-                        "cone": sorted(cone),
+                        "cone": list(cone),
                         "n_plus": sig.n_plus,
                         "n_minus": sig.n_minus,
                         "n_zero": sig.n_zero,
@@ -309,31 +309,30 @@ def cmd_export_mesh(args, caps: Caps) -> int:
     lines = ["# normal complex mesh"]
     vertex_count = 0
     for sigma in fan.cones_of_dim(fan.d):
-        rids = sorted(sigma)
         vertices = normalcx.polytope_vertices(ctx, sigma, z)
         local = {}
-        for face in sorted(vertices, key=sorted):
+        for face in sorted(vertices):
             coords = vertices[face]
             padded = tuple(float(c) for c in coords) + (0.0,) * (3 - len(coords))
             vertex_count += 1
             local[face] = vertex_count
             lines.append("v {:.12g} {:.12g} {:.12g}".format(*padded))
-        lines.append(f"g cone_{'_'.join(rids)}")
-        lines.extend(_obj_faces(rids, local))
+        lines.append(f"g cone_{'_'.join(sigma)}")
+        lines.extend(_obj_faces(sigma, local))
     _write(args.out, "\n".join(lines) + "\n")
     _emit({"out": args.out, "vertices": vertex_count, "cones": len(fan.max_cones)})
     return EXIT_PASS
 
 
-def _obj_faces(rids: list[str], local: dict) -> list[str]:
+def _obj_faces(rids: tuple[str, ...], local: dict) -> list[str]:
     """Faces of one combinatorial-cube polytope, triangulated fan-wise."""
 
     def quad(cycle) -> list[str]:
-        ids = [local[frozenset(f)] for f in cycle]
+        ids = [local[tuple(sorted(f))] for f in cycle]
         return [f"f {ids[0]} {ids[i]} {ids[i + 1]}" for i in range(1, 3)]
 
     if len(rids) == 1:
-        return [f"l {local[frozenset()]} {local[frozenset(rids)]}"]
+        return [f"l {local[()]} {local[rids]}"]
     if len(rids) == 2:
         a, b = rids
         return quad([(), (a,), (a, b), (b,)])

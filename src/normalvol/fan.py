@@ -3,18 +3,22 @@
 A fan is stored by its maximal cones; since every cone is simplicial, the
 faces of a maximal cone are exactly the subsets of its ray set, and the
 whole face poset is generated from the maximal cones.  Ray ids are strings
-and a cone is a frozenset of ray ids (the empty set is the zero cone).
+and a cone is the sorted tuple of its ray ids (the empty tuple is the zero
+cone): one value is both its key and its place in the order below.  The face
+of a cone without its i-th ray is ``cone[:i] + cone[i + 1:]``, and ``join``
+adds a ray.
 
 A fan scales its rays to integers once: ``int_rays`` holds M u, with M =
 ``ray_scale`` the lcm of their denominators; every integer computation reads them.
 
-A fan also fixes the one order of its cones, once: ``sorted_cones`` lists
-every cone with its sorted ray ids, lexicographically by those ids, so the
-zero cone comes first.  Every ordered scan or report over the cones reads it.
+A fan also fixes the one order of its cones, once: ``cones`` lists every
+cone lexicographically, so the zero cone comes first.  Every ordered scan or
+report over the cones reads it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections.abc import Callable, KeysView
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,9 +41,21 @@ from .linalg import (
 )
 from .serialize import format_rat, parse_int, parse_list, parse_rat, read_field
 
-Cone = frozenset[str]
+Cone = tuple[str, ...]
 
-ZERO_CONE: Cone = frozenset()
+ZERO_CONE: Cone = ()
+
+
+def join(cone: Cone, rid: str) -> Cone:
+    """The cone with the ray rid, not one of its own, added in its sorted place."""
+    i = bisect(cone, rid)
+    return cone[:i] + (rid,) + cone[i:]
+
+
+def check_sorted(rids: Cone) -> None:
+    """Refuse ray ids that are not a sorted tuple, a set say, as no cone of the fan."""
+    if rids != tuple(sorted(rids)):
+        raise DimensionMismatch(f"{sorted(rids)} is not a cone of the fan")
 
 
 class MarkedFan:
@@ -64,15 +80,15 @@ class MarkedFan:
         self.weights: dict[Cone, Fraction] = {}
         cones: list[Cone] = []
         for ray_ids, weight in max_cones:
-            cone = frozenset(ray_ids)
-            missing = cone - self.rays.keys()
+            cone = tuple(sorted(ray_ids))
+            missing = [rid for rid in cone if rid not in self.rays]
             if missing:
-                raise DimensionMismatch(f"cone uses unknown rays {sorted(missing)}")
+                raise DimensionMismatch(f"cone uses unknown rays {missing}")
             weight = Fraction(weight)
             if weight <= 0:
-                raise NonpositiveWeight(f"cone {sorted(cone)} has weight {weight}")
+                raise NonpositiveWeight(f"cone {list(cone)} has weight {weight}")
             if cone in self.weights:
-                raise FacesDontMeet(f"cone {sorted(cone)} listed twice")
+                raise FacesDontMeet(f"cone {list(cone)} listed twice")
             self.weights[cone] = weight
             cones.append(cone)
         if not cones:
@@ -83,31 +99,29 @@ class MarkedFan:
         self.max_cones: tuple[Cone, ...] = tuple(cones)
         for cone in self.max_cones:
             if rank(tuple(self.int_rays[rid] for rid in cone)) != len(cone):
-                raise NotSimplicial(f"cone {sorted(cone)} has dependent generators")
+                raise NotSimplicial(f"cone {list(cone)} has dependent generators")
         used = set().union(*self.max_cones)
         unused = self.rays.keys() - used
         if unused:
             raise NotPure(f"rays {sorted(unused)} lie in no maximal cone")
-        # Faces layer by layer, downward: sigma gives each sigma - rho, and a
-        # face joins the next layer, to give its own faces, once.
+        # Faces layer by layer, downward: sigma gives each face without one ray,
+        # and a face joins the next layer, to give its own faces, once.
         links: dict[Cone, list[str]] = {cone: [] for cone in self.max_cones}
         layer: Iterable[Cone] = self.max_cones
         while layer:
             below: dict[Cone, None] = {}
             for cone in layer:
-                for rid in cone:
-                    face = cone - {rid}
+                for i, rid in enumerate(cone):
+                    face = cone[:i] + cone[i + 1 :]
                     if face not in links:
                         links[face] = []
                         below[face] = None
                     links[face].append(rid)
             layer = below
-        self._links: dict[Cone, tuple[str, ...]] = {c: tuple(sorted(s)) for c, s in links.items()}
+        self._links: dict[Cone, tuple[str, ...]] = {
+            cone: tuple(sorted(links[cone])) for cone in sorted(links)
+        }
         self.cones: KeysView[Cone] = self._links.keys()
-        ordered = sorted((tuple(sorted(c)), c) for c in self.cones)
-        self.sorted_cones: tuple[tuple[Cone, tuple[str, ...]], ...] = tuple(
-            (cone, rids) for rids, cone in ordered
-        )
         self._tropical: TropicalReport | None = None  # filled by is_tropical
         # Whether cones were checked to meet face to face: the check runs for d <= 3 only.
         self.faces_meet_checked = validate_geometry and self.d <= 3
@@ -120,10 +134,14 @@ class MarkedFan:
         return sorted(self.rays)
 
     def cones_of_dim(self, k: int) -> list[Cone]:
-        return [cone for cone, rids in self.sorted_cones if len(rids) == k]
+        return [cone for cone in self.cones if len(cone) == k]
 
     def link(self, tau: Cone) -> tuple[str, ...]:
-        """Sorted ids of the rays eta not in tau for which tau | {eta} is a cone."""
+        """Sorted ids of the rays eta not in tau for which join(tau, eta) is a cone.
+
+        Refuses anything but a cone of the fan, a set or an unsorted tuple of ray
+        ids included, by DimensionMismatch; the functions that take a cone check it here.
+        """
         try:
             return self._links[tau]
         except KeyError:
@@ -158,16 +176,15 @@ class MarkedFan:
         certified = _sign_certificate(self)
         for i, c1 in enumerate(self.max_cones):
             for c2 in self.max_cones[i + 1 :]:
-                common = c1 & c2
+                common = tuple(rid for rid in c1 if rid in c2)
                 if certified(c1, c2, common):
                     continue
                 if self._meets_outside_face(c1, c2, common):
                     raise FacesDontMeet(
-                        f"cones {sorted(c1)} and {sorted(c2)} do not meet along {sorted(common)}"
+                        f"cones {list(c1)} and {list(c2)} do not meet along {list(common)}"
                     )
 
-    def _meets_outside_face(self, c1: Cone, c2: Cone, common: Cone) -> bool:
-        r1, r2 = sorted(c1), sorted(c2)
+    def _meets_outside_face(self, r1: Cone, r2: Cone, common: Cone) -> bool:
         n = self.ambient_dim
         ncols = len(r1) + len(r2)
         rows = []
@@ -226,9 +243,10 @@ def _sign_certificate(fan: MarkedFan) -> Callable[[Cone, Cone, Cone], bool]:
 
     def certified(c1: Cone, c2: Cone, common: Cone) -> bool:
         signed = nonneg_on[c1] & nonpos_on[c2]
-        if signed & (on_all(nonzero, c1 - common) | on_all(nonzero, c2 - common)):
+        only1, only2 = ([rid for rid in c if rid not in common] for c in (c1, c2))
+        if signed & (on_all(nonzero, only1) | on_all(nonzero, only2)):
             return True
-        rays = c1 | c2
+        rays = c1 + tuple(only2)
         candidates = (signed | signed >> m) & (1 << m) - 1
         return any(
             candidates >> j & 1 and independent(r for r in rays if not nonzero[r] >> j & 1)
@@ -293,7 +311,7 @@ def fan_to_json(fan: MarkedFan) -> dict:
         "ambient_dim": fan.ambient_dim,
         "rays": [{"id": rid, "u": [format_rat(v) for v in fan.rays[rid]]} for rid in fan.ray_ids()],
         "max_cones": [
-            {"rays": sorted(cone), "weight": format_rat(fan.weights[cone])}
+            {"rays": list(cone), "weight": format_rat(fan.weights[cone])}
             for cone in fan.cones_of_dim(fan.d)
         ],
     }
@@ -328,12 +346,12 @@ def is_tropical(fan: MarkedFan) -> TropicalReport:
 def _balancing_report(fan: MarkedFan) -> TropicalReport:
     """Cones tau whose weighted link sum s_tau leaves span(tau), and certificates for the rest.
 
-    The sums are integers: s_tau = sum_eta w~_{tau | eta} u~_eta, with the
-    weights scaled by the lcm W of their denominators and u~ the
-    ``int_rays``.  One loop reads the cones of dimension below d in
-    ``fan.sorted_cones`` order, so the cones tau come in ``cones_of_dim``
-    order.  Each ray of a cone is a fraction-free echelon row, reduced by
-    ``reduce_row`` against the rays before it and augmented by a unit vector
+    The sums are integers: s_tau = sum_eta w~_{tau eta} u~_eta, with w~_{tau eta}
+    the weight of join(tau, eta) scaled by the lcm W of the weights'
+    denominators and u~ the ``int_rays``.  One loop reads the cones of
+    dimension below d in ``fan.cones`` order, so the cones tau come in
+    ``cones_of_dim`` order.  Each ray of a cone is a fraction-free echelon row,
+    reduced by ``reduce_row`` against the rays before it and augmented by a unit vector
     that records its combination of the rays.  In lexicographic order a
     cone's face without its last ray is the last earlier cone of one
     dimension less, so cutting the echelon stack to that dimension leaves
@@ -352,20 +370,20 @@ def _balancing_report(fan: MarkedFan) -> TropicalReport:
     # equal certificates kept once: on U(7,8), 57120 cones share 20 certificates
     shared: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
     echelon: list[tuple[int, list[int]]] = []
-    for cone, rids in fan.sorted_cones:
-        k = len(rids)
+    for cone in fan.cones:
+        k = len(cone)
         if k > top:
             continue
         if k:
             del echelon[k - 1 :]
             unit = [int(i == k - 1) for i in range(top)]
-            row = reduce_row([*fan.int_rays[rids[-1]], *unit], echelon)
+            row = reduce_row([*fan.int_rays[cone[-1]], *unit], echelon)
             c = next(i for i in range(n) if row[i])
             echelon.append((c, row if row[c] > 0 else [-v for v in row]))
         if k == top:
             total = [0] * n
             for eta in fan.link(cone):
-                w = weights[cone | {eta}]
+                w = weights[join(cone, eta)]
                 total = [t + w * x for t, x in zip(total, fan.int_rays[eta])]
             row = reduce_row([*total, *[0] * top], echelon)
             if any(row[:n]):
@@ -385,20 +403,20 @@ def star(fan: MarkedFan, tau: Cone, gram: Mat) -> MarkedFan:
 
     Its rays are the rays of ``fan.link(tau)``, projected and keeping their
     ids, so restricting a z-vector to the star is index-stable; a star cone
-    pi stands for the cone pi | tau of the fan.  A ray u projects to
-    u - sum_i c_i u_i over the rays u_i of tau, with c = G_tau^-1 (<u_i, u>)_i
-    and G_tau inverted once per star.  A projection is never zero: tau | {eta}
-    lies in a maximal cone, whose rays were checked independent.
+    pi stands for the cone of the fan with the rays of pi and tau.  A ray u
+    projects to u - sum_i c_i u_i over the rays u_i of tau, with
+    c = G_tau^-1 (<u_i, u>)_i and G_tau inverted once per star.  A projection
+    is never zero: join(tau, eta) lies in a maximal cone, whose rays were
+    checked independent.
     """
-    if tau not in fan.cones:
-        raise DimensionMismatch(f"{sorted(tau)} is not a cone of the fan")
+    link = fan.link(tau)
     if not tau:
         return fan
-    basis = [fan.rays[rid] for rid in sorted(tau)]
+    basis = [fan.rays[rid] for rid in tau]
     gbasis = [mat_vec(gram, u) for u in basis]
     gm_inv = inverse(tuple(tuple(dot(u, gb) for gb in gbasis) for u in basis))
     star_rays = {}
-    for rid in fan.link(tau):
+    for rid in link:
         v = fan.rays[rid]
         coeffs = mat_vec(gm_inv, tuple(dot(v, gb) for gb in gbasis))
         for c, u in zip(coeffs, basis):
@@ -406,7 +424,9 @@ def star(fan: MarkedFan, tau: Cone, gram: Mat) -> MarkedFan:
         star_rays[rid] = v
     _check_no_collision(star_rays)
     star_cones = [
-        (sorted(sigma - tau), fan.weights[sigma]) for sigma in fan.max_cones if tau <= sigma
+        ([rid for rid in sigma if rid not in tau], fan.weights[sigma])
+        for sigma in fan.max_cones
+        if set(tau) <= set(sigma)
     ]
     return MarkedFan(fan.ambient_dim, star_rays, star_cones, validate_geometry=False)
 
@@ -434,8 +454,8 @@ def _positively_parallel(u: Vec, v: Vec) -> bool:
 def star_connected_minus_origin(fan: MarkedFan, tau: Cone = ZERO_CONE) -> bool:
     """Connectivity of the star at tau minus the origin.
 
-    The graph's vertices are ``fan.link(tau)`` and a, b are adjacent when
-    tau | {a, b} is a cone.  For a pure star of dimension >= 2 this is
+    The graph's vertices are ``fan.link(tau)`` and a, b are adjacent when b is
+    in the link of join(tau, a).  For a pure star of dimension >= 2 this is
     equivalent to connectivity of the star minus the origin.
     """
     rays = fan.link(tau)
@@ -444,7 +464,7 @@ def star_connected_minus_origin(fan: MarkedFan, tau: Cone = ZERO_CONE) -> bool:
     seen = {rays[0]}
     stack = [rays[0]]
     while stack:
-        for nxt in fan.link(tau | {stack.pop()}):
+        for nxt in fan.link(join(tau, stack.pop())):
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)

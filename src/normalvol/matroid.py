@@ -85,6 +85,12 @@ class Matroid:
     def labels(self, mask: int) -> tuple[str, ...]:
         return tuple(e for i, e in enumerate(self.ground) if mask >> i & 1)
 
+    def element_bit(self, e: str) -> int:
+        """The bit of ground set element e in a flat; UnknownElement for any other value."""
+        if e not in self.index:
+            raise UnknownElement(f"{e!r} is not a ground set element")
+        return 1 << self.index[e]
+
     def closure(self, mask: int) -> int:
         f = 0  # climb to the cover of f holding the lowest element of mask outside f
         while missing := mask & ~f:
@@ -336,8 +342,7 @@ def require_bergman_input(m: Matroid, e0: str) -> None:
     """Raise RankTooSmall or UnknownElement unless ``bergman_fan(m, e0)`` is defined."""
     if m.rank < 2:
         raise RankTooSmall(f"Bergman fan needs rank >= 2, got {m.rank}")
-    if e0 not in m.index:
-        raise UnknownElement(f"{e0!r} is not a ground set element")
+    m.element_bit(e0)
 
 
 def bergman_fan(m: Matroid, e0: str) -> MarkedFan:
@@ -349,7 +354,7 @@ def bergman_fan(m: Matroid, e0: str) -> MarkedFan:
     """
     require_bergman_input(m, e0)
     coords = [e for e in m.ground if e != e0]
-    e0_bit = 1 << m.index[e0]
+    e0_bit = m.element_bit(e0)
 
     rays: dict[str, Vec] = {}
     for f in m.proper_flats():
@@ -371,16 +376,13 @@ def bergman_fan(m: Matroid, e0: str) -> MarkedFan:
 
 def e0_inner_product(m: Matroid, e0: str) -> Mat:
     """The inner product making {u_e | e != e0} orthonormal: the identity Gram."""
-    if e0 not in m.index:
-        raise UnknownElement(f"{e0!r} is not a ground set element")
+    m.element_bit(e0)
     return identity(m.n - 1)
 
 
 def alpha_beta_z(m: Matroid, e0: str) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
     """Indicator truncation values with D(z_alpha) = alpha and D(z_beta) = beta."""
-    if e0 not in m.index:
-        raise UnknownElement(f"{e0!r} is not a ground set element")
-    e0_bit = 1 << m.index[e0]
+    e0_bit = m.element_bit(e0)
     z_alpha: dict[str, Fraction] = {}
     z_beta: dict[str, Fraction] = {}
     for f in m.proper_flats():

@@ -13,9 +13,11 @@ program over the cones of the fan, grouped by dimension:
 
 Run backward from the weighted maximal cones with the same factors,
 
-    B_d(sigma) = w_sigma,  B_{k-1}(tau) = sum_{rho in link(tau)} B_k(tau | rho) * (z_k)^tau_rho,
+    B_d(sigma) = w_sigma,  B_{k-1}(tau) = sum_{rho in link(tau)} B_k(tau + rho) * (z_k)^tau_rho,
 
-it meets the forward pass at any dimension k (both expand over chains of cones):
+with sigma - rho the face of sigma without rho and tau + rho the cone
+``fan.join(tau, rho)``.  It meets the forward pass at any dimension k (both
+expand over chains of cones):
 MVol(z_1, ..., z_d) = sum_{dim tau = k} F_k(tau; z_1..z_k) B_k(tau; z_{k+1}..z_d).
 A batch (``TruncationTables``) keeps every layer it builds and meets each tuple
 at the k that needs the fewest new layers, ties going to the end of the leading
@@ -83,7 +85,7 @@ from .errors import (
     NotPseudocubical,
     NormalVolError,
 )
-from .fan import Cone, MarkedFan, ZERO_CONE, star
+from .fan import Cone, MarkedFan, ZERO_CONE, check_sorted, star
 from .linalg import (
     Mat,
     Vec,
@@ -120,7 +122,8 @@ class Context:
 
     Star contexts are realized inside the same ambient coordinates, so the
     restricted inner product is literally the same Gram matrix.  Every scan
-    over the cones reads the fan's one order, ``fan.sorted_cones``.
+    over the cones reads the fan's one order, ``fan.cones``, and every cache
+    is keyed by the fan's cones, sorted tuples of ray ids.
 
     The caches hold integers.  With g the lcm of the Gram's denominators,
     G~ = g G is integral, and the fan's ``int_rays`` are u~ = M u with
@@ -158,9 +161,9 @@ class Context:
     def cone_gram_inverse(self, cone: Cone) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(D, adj): the determinant and adjugate of the cone's integer Gram block.
 
-        Rows and columns are in sorted ray order, and G_cone^-1 = adj / (D pair_scale);
+        Rows and columns are in the cone's ray order, and G_cone^-1 = adj / (D pair_scale);
         the zero cone's is (1, ()).  Computed on first use and cached, bordered onto
-        (D, A) of the face without the last ray r: with
+        (D, A) of the face ``cone[:-1]`` without the last ray r: with
         b = ray_pair(face, r) and a = A b,
         D' = ray_pair(r, r) D - b.a and adj' = [[(D' A + a a^T) / D, -a], [-a^T, D]].
         The division by D is exact: its quotient is the block of adj', and the
@@ -169,8 +172,8 @@ class Context:
         """
         entry = self._gram_inv.get(cone)
         if entry is None:
-            *head, last = sorted(cone)
-            d, adj = self.cone_gram_inverse(frozenset(head))
+            head, last = cone[:-1], cone[-1]
+            d, adj = self.cone_gram_inverse(head)
             b = [self.ray_pair(rid, last) for rid in head]
             a = [sum(x * y for x, y in zip(row, b)) for row in adj]
             d_new = self.ray_pair(last, last) * d - sum(x * y for x, y in zip(a, b))
@@ -190,7 +193,7 @@ class Context:
         """
         if self._dim_lcms is None:
             lcms = [1] * self.fan.d
-            for cone, _ in self.fan.sorted_cones:
+            for cone in self.fan.cones:
                 k = len(cone)
                 if k < self.fan.d:
                     lcms[k] = lcm(lcms[k], self.cone_gram_inverse(cone)[0])
@@ -200,10 +203,8 @@ class Context:
     def star_context(self, tau: Cone) -> "Context":
         ctx = self._stars.get(tau)
         if ctx is None:
-            if not tau:
-                ctx = self
-            else:
-                ctx = Context(star(self.fan, tau, self.gram), self.gram)
+            star_fan = star(self.fan, tau, self.gram)
+            ctx = self if star_fan is self.fan else Context(star_fan, self.gram)
             self._stars[tau] = ctx
         return ctx
 
@@ -233,16 +234,14 @@ class WVector:
 
 def w_vector(ctx: Context, cone: Cone, z: Mapping[str, Fraction]) -> WVector:
     """The unique vector of span(cone) pairing to z_rho against every marked ray."""
-    if cone not in ctx.fan.cones:
-        raise DimensionMismatch(f"{sorted(cone)} is not a cone of the fan")
+    ctx.fan.link(cone)  # refuses a non-cone
     scale, zz = scaled_to_int(z)
     d, c, _ = _face_pairings(ctx, cone, zz, ())
-    rids = sorted(cone)
     coeffs = tuple(Fraction(x, scale * d) / ctx.pair_scale for x in c)
     coords = zeros(ctx.fan.ambient_dim)
-    for x, rid in zip(coeffs, rids):
+    for x, rid in zip(coeffs, cone):
         coords = vec_add(coords, vec_scale(x, ctx.fan.rays[rid]))
-    return WVector(coords, tuple(zip(rids, coeffs)))
+    return WVector(coords, tuple(zip(cone, coeffs)))
 
 
 CUBICAL = "cubical"
@@ -289,12 +288,12 @@ def find_cubical(ctx: Context) -> tuple[ZValues, Fraction] | None:
     ray_order = ctx.fan.ray_ids()
     index = {rid: i for i, rid in enumerate(ray_order)}
     rows: dict[Vec, None] = {}  # coefficient rows repeat across shared faces
-    for cone, rids in ctx.fan.sorted_cones:
+    for cone in ctx.fan.cones:
         d, adj = ctx.cone_gram_inverse(cone)
         scale = ONE / (d * ctx.pair_scale)
         for adj_row in adj:
             row = [ZERO] * len(ray_order)
-            for rid, v in zip(rids, adj_row):
+            for rid, v in zip(cone, adj_row):
                 row[index[rid]] = scale * v
             rows.setdefault(tuple(row))
     found = lp.max_min_slack(list(rows))
@@ -333,7 +332,7 @@ def face_complex(
     order = {CUBICAL: 2, PSEUDOCUBICAL_BOUNDARY: 1, OUTSIDE: 0}
     if order[after] < order[before]:
         raise MismatchError(
-            f"restriction to {sorted(tau)} weakened classification {before} -> {after}"
+            f"restriction to {list(tau)} weakened classification {before} -> {after}"
         )
     return star_ctx, z_tau
 
@@ -344,10 +343,9 @@ def _face_pairings(
     """(D_tau, c, p) for zz = Z z: c = adj_tau zz_tau has the signs of the barycentric
     coefficients of w_tau(z), and p_rho = sum_theta c_theta ray_pair(theta, rho) for each
     ray id rho of rids, so that <w_tau(z), u_rho> = p_rho / (Z D_tau)."""
-    taus = sorted(tau)
     d, adj = ctx.cone_gram_inverse(tau)
-    c = [sum(a * zz[t] for a, t in zip(row, taus)) for row in adj]
-    return d, c, [sum(x * ctx.ray_pair(t, rho) for t, x in zip(taus, c)) for rho in rids]
+    c = [sum(a * zz[t] for a, t in zip(row, tau)) for row in adj]
+    return d, c, [sum(x * ctx.ray_pair(t, rho) for t, x in zip(tau, c)) for rho in rids]
 
 
 # -- polytopes --------------------------------------------------------------
@@ -357,20 +355,21 @@ def _checked_faces(
     ctx: Context, sigma: Cone, z: Mapping[str, Fraction]
 ) -> dict[Cone, tuple[int, list[int]]]:
     """(Z D_tau, p) of ``_face_pairings`` for each nonzero face tau of sigma, on sigma's
-    rays.  Faces come by size, then sorted, each refused as it comes: DimensionMismatch
-    if it is not a cone, NotPseudocubical if w_tau(z) has a negative coefficient."""
+    rays.  Ray ids that are not a sorted tuple are refused first; then faces come by size,
+    then sorted, each refused as it comes: DimensionMismatch if it is not a cone,
+    NotPseudocubical if w_tau(z) has a negative coefficient."""
     _check_keys(ctx.fan, z)
-    rids = sorted(sigma & z.keys())  # any other id fails its face's check
+    check_sorted(sigma)
+    rids = [rid for rid in sigma if rid in z]  # any other id fails its face's check
     scale, zz = scaled_to_int({rid: z[rid] for rid in rids})
     faces = {}
     for k in range(1, len(sigma) + 1):
-        for sub in combinations(sorted(sigma), k):
-            tau = frozenset(sub)
+        for tau in combinations(sigma, k):
             if tau not in ctx.fan.cones:
-                raise DimensionMismatch(f"{list(sub)} is not a cone of the fan")
+                raise DimensionMismatch(f"{list(tau)} is not a cone of the fan")
             d, c, p = _face_pairings(ctx, tau, zz, rids)
             if min(c) < 0:
-                raise NotPseudocubical(f"z is outside the pseudocubical cone at {list(sub)}")
+                raise NotPseudocubical(f"z is outside the pseudocubical cone at {list(tau)}")
             faces[tau] = (scale * d, p)
     return faces
 
@@ -395,18 +394,18 @@ T = TypeVar("T", int, MultiPoly)
 
 def _climb(layer: Mapping[Cone, T], rows: Mapping[Cone, Sequence[T]], zero: T) -> dict[Cone, T]:
     """Forward: F(sigma) = sum_{rho in sigma} layer(sigma - rho) * rows[sigma][rho], over the
-    k-cones sigma of ``rows``.
+    k-cones sigma of ``rows``, with sigma - rho the face without rho.
 
-    A row holds (z_k)^{sigma - rho}_rho in sorted ray order, as integer numerators over
+    A row holds (z_k)^{sigma - rho}_rho in the cone's ray order, as integer numerators over
     one denominator per dimension (``_Table``) or as linear forms (``vol_polynomial``); a
     cone with no row has no nonzero factor.  Zero values of F are not stored.
     """
     nxt: dict[Cone, T] = {}
     for cone, row in rows.items():
         total = zero
-        for rid, f in zip(sorted(cone), row):
+        for i, f in enumerate(row):
             if f:
-                prev = layer.get(cone - {rid})
+                prev = layer.get(cone[:i] + cone[i + 1 :])
                 if prev is not None:
                     total = total + prev * f
         if total:
@@ -415,25 +414,26 @@ def _climb(layer: Mapping[Cone, T], rows: Mapping[Cone, Sequence[T]], zero: T) -
 
 
 def _descend(layer: Mapping[Cone, int], rows: Mapping[Cone, Sequence[int]]) -> dict[Cone, int]:
-    """Backward: B(tau) = sum_{rho in link(tau)} layer(tau | rho) * rows[tau | rho][rho].
+    """Backward: B(tau) = sum_{rho in link(tau)} layer(sigma) * rows[sigma][rho], sigma = tau + rho.
 
     ``rows`` are the rows of the layer's cones, in integer numerators as for ``_climb``.
     Pseudocubical factors are >= 0 and weights > 0, so no sum of nonzero terms cancels.
     """
     nxt: dict[Cone, int] = {}
     for cone, value in layer.items():
-        for rid, f in zip(sorted(cone), rows.get(cone, ())):
+        for i, f in enumerate(rows.get(cone, ())):
             if f:
-                face = cone - {rid}
+                face = cone[:i] + cone[i + 1 :]
                 nxt[face] = nxt.get(face, 0) + value * f
     return nxt
 
 
 class _Table(dict):
     """One truncation's classification, and its factor rows: ``self[k]`` maps each
-    k-cone with a nonzero factor to its row.
+    k-cone with a nonzero factor to its row, whose i-th entry is the factor of the
+    cone's i-th ray rho, over the face ``cone[:i] + cone[i + 1:]`` = sigma - rho.
 
-    One pass over the fan's cone order, ``fan.sorted_cones``, builds both; the zero cone,
+    One pass over the fan's cone order, ``fan.cones``, builds both; the zero cone,
     first, has no ray and so no row.  With Z z the truncation scaled to integers, the
     integers num = adj_sigma (Z z)_sigma have the signs of c_sigma(z): the report is
     the first negative num, else the first zero, in that order, else cubical.  And
@@ -448,11 +448,11 @@ class _Table(dict):
         self.scale, zz = scaled_to_int(z)
         lcms = ctx.dim_lcms()
         boundary: tuple[Cone, str] | None = None
-        for cone, rids in ctx.fan.sorted_cones:
+        for cone in ctx.fan.cones:
             adj = ctx.cone_gram_inverse(cone)[1]
-            support = [(j, zz[rid]) for j, rid in enumerate(rids) if zz[rid]]
+            support = [(j, zz[rid]) for j, rid in enumerate(cone) if zz[rid]]
             nums = [sum(row[j] * v for j, v in support) for row in adj]
-            for rid, v in zip(rids, nums):
+            for rid, v in zip(cone, nums):
                 if v < 0:
                     self.report = CubReport(OUTSIDE, cone, rid)
                     return
@@ -588,9 +588,9 @@ def vol_polynomial(ctx: Context) -> MultiPoly:
     """
     if ctx._vol_poly is None:
         forms: dict[int, dict[Cone, tuple[MultiPoly, ...]]] = {}
-        for cone, rids in ctx.fan.sorted_cones:
+        for cone in ctx.fan.cones:
             forms.setdefault(len(cone), {})[cone] = tuple(
-                MultiPoly.linear({t: Fraction(v, row[i]) for t, v in zip(rids, row)})
+                MultiPoly.linear({t: Fraction(v, row[i]) for t, v in zip(cone, row)})
                 for i, row in enumerate(ctx.cone_gram_inverse(cone)[1])
             )
         zero = MultiPoly.zero()
@@ -608,23 +608,22 @@ def star_hessians(ctx: Context) -> dict[Cone, Mat]:
 
     Each pair a < b of rays of a maximal cone sigma adds 2 w_sigma to H_ab
     and H_ba, 2 w_sigma adj_ab / adj_bb to H_aa and 2 w_sigma adj_ab / adj_aa
-    to H_bb at tau = sigma - {a, b}, adj the adjugate of sigma's Gram block:
+    to H_bb at tau, sigma without a and b, adj the adjugate of sigma's Gram block:
     the dynamic program above tau has two layers (``af.check_reduce_conditions``).
     No polynomial and no star fan is built.
     """
     fan = ctx.fan
     sums: dict[Cone, list[list[Fraction]]] = {}
     for sigma in fan.max_cones:
-        rids = sorted(sigma)
         adj = ctx.cone_gram_inverse(sigma)[1]
         w2 = 2 * fan.weights[sigma]
-        for i, j in combinations(range(len(rids)), 2):
-            tau = sigma - {rids[i], rids[j]}
+        for i, j in combinations(range(len(sigma)), 2):
+            tau = sigma[:i] + sigma[i + 1 : j] + sigma[j + 1 :]
             link = fan.link(tau)
             h = sums.get(tau)
             if h is None:
                 h = sums[tau] = [[ZERO] * len(link) for _ in link]
-            a, b = link.index(rids[i]), link.index(rids[j])
+            a, b = link.index(sigma[i]), link.index(sigma[j])
             h[a][b] += w2
             h[b][a] += w2
             h[a][a] += w2 * Fraction(adj[i][j], adj[j][j])
@@ -660,8 +659,8 @@ def geometric_volume_oracle(
         return ONE  # the empty chain
     shared: dict[tuple[Cone, ...], tuple[int, ...]] = {}
     total = ZERO
-    for order in permutations(sorted(sigma)):
-        chain = [frozenset(order[:i]) for i in range(1, len(order) + 1)]
+    for order in permutations(sigma):
+        chain = [tuple(sorted(order[:i])) for i in range(1, len(order) + 1)]
         above = tuple(chain[1:])
         if above not in shared:
             shared[above] = cofactors([faces[tau][1] for tau in above])

@@ -24,6 +24,11 @@ from normalvol.linalg import ZERO, ONE, dot, identity, mat_vec, qmat, qvec, zero
 from normalvol.normalcx import Context, mixed_volumes
 
 
+def cone_of(*rids):
+    """The cone with these ray ids: the sorted tuple, built without ``normalvol.fan``."""
+    return tuple(sorted(rids))
+
+
 def mat_mul(a, b):
     """Reference matrix product; the library has none."""
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
@@ -94,28 +99,31 @@ def reference_geometric_volume(ctx, sigma, z):
     principles: w_tau(z) = sum_theta c_theta u_theta with c solving the Gram block of
     tau against z_tau (``_reference_solve``), vertex coordinates <w_tau(z), u_rho>
     through the Gram matrix, and the |det| of each chain by ``_reference_det``.  It
-    refuses what the oracle refuses, in the same order and with the same messages,
-    and shares no arithmetic with ``normalvol.normalcx``.
+    refuses what the oracle refuses, in the same order and with the same messages
+    (ray ids that are not a sorted tuple first), and shares no arithmetic with
+    ``normalvol.normalcx``.
     """
     if len(sigma) > 3:
         raise DimTooLarge("geometric oracle supports dimension <= 3 only")
     if set(z) != set(ctx.fan.rays):
         raise DimensionMismatch("z-values must be indexed by exactly the fan's rays")
-    rays, gram, rids = ctx.fan.rays, ctx.gram, sorted(sigma)
+    if sigma != cone_of(*sigma):  # a frozenset, or ids out of order
+        raise DimensionMismatch(f"{sorted(sigma)} is not a cone of the fan")
+    rays, gram, rids = ctx.fan.rays, ctx.gram, sigma
     w = {}
     for k in range(1, len(rids) + 1):
         for sub in combinations(rids, k):
-            if frozenset(sub) not in ctx.fan.cones:
+            if sub not in ctx.fan.cones:
                 raise DimensionMismatch(f"{list(sub)} is not a cone of the fan")
             block = [[dot(rays[a], mat_vec(gram, rays[b])) for b in sub] for a in sub]
             c = _reference_solve(block, [z[a] for a in sub], range(k))
             if any(x < 0 for x in c):
                 raise NotPseudocubical(f"z is outside the pseudocubical cone at {list(sub)}")
             coords = zip(*(rays[a] for a in sub))
-            w[frozenset(sub)] = [sum(x * u for x, u in zip(c, col)) for col in coords]
+            w[sub] = [sum(x * u for x, u in zip(c, col)) for col in coords]
     vertex = {tau: [dot(v, mat_vec(gram, rays[rho])) for rho in rids] for tau, v in w.items()}
     return sum(
-        abs(_reference_det([vertex[frozenset(order[:i])] for i in range(1, len(order) + 1)]))
+        abs(_reference_det([vertex[cone_of(*order[:i])] for i in range(1, len(order) + 1)]))
         for order in permutations(rids)
     )
 
@@ -175,9 +183,9 @@ def reference_balancing_report(fan):
     for tau in fan.cones_of_dim(fan.d - 1):
         total = [Fraction(0)] * fan.ambient_dim
         for eta in fan.link(tau):
-            weight = fan.weights[tau | {eta}]
+            weight = fan.weights[cone_of(*tau, eta)]
             total = [t + weight * u for t, u in zip(total, fan.rays[eta])]
-        rows = [list(fan.rays[rid]) for rid in sorted(tau)] + [total]
+        rows = [list(fan.rays[rid]) for rid in tau] + [total]
         if len(_reference_eliminate(rows, range(fan.ambient_dim))) != len(tau):
             failing.append(tau)
     return TropicalReport(not failing, tuple(failing))
@@ -199,8 +207,8 @@ class ChowClass:
         items = [(c, v) for c, v in weights.items() if v != 0]
         for cone, _ in items:
             if len(cone) != grade:
-                raise WrongGrade(f"cone {sorted(cone)} has dimension {len(cone)}, not {grade}")
-        items.sort(key=lambda cv: sorted(cv[0]))
+                raise WrongGrade(f"cone {list(cone)} has dimension {len(cone)}, not {grade}")
+        items.sort()
         return cls(grade, tuple(items))
 
     @classmethod
@@ -219,16 +227,15 @@ def reference_multiply(fan, cls, z):
         raise GradeOverflow(f"cannot raise grade {cls.grade} on a {fan.d}-dimensional fan")
     out = {}
     for sigma, c in cls.weights:
-        rids = sorted(sigma)
         for eta in fan.link(sigma):
-            out[sigma | {eta}] = out.get(sigma | {eta}, Fraction(0)) + c * z[eta]
-        for rho in rids:
+            out[cone_of(*sigma, eta)] = out.get(cone_of(*sigma, eta), Fraction(0)) + c * z[eta]
+        for rho in sigma:
             if not z[rho]:
                 continue
-            rhs = qvec([1 if rid == rho else 0 for rid in rids])
-            v = _reference_solve(tuple(fan.rays[rid] for rid in rids), rhs, range(fan.ambient_dim))
+            rhs = qvec([1 if rid == rho else 0 for rid in sigma])
+            v = _reference_solve(tuple(fan.rays[rid] for rid in sigma), rhs, range(fan.ambient_dim))
             for eta in fan.link(sigma):
-                out[sigma | {eta}] -= c * z[rho] * dot(v, fan.rays[eta])
+                out[cone_of(*sigma, eta)] -= c * z[rho] * dot(v, fan.rays[eta])
     return ChowClass.build(cls.grade + 1, out)
 
 

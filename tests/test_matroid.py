@@ -16,7 +16,7 @@ from normalvol.errors import (
 from normalvol.linalg import dot, mat_vec, qvec, zeros
 from normalvol.matroid import char_poly, flat_ray_id, matroid_from_json
 
-from conftest import K4_EDGES, MATROID_NAMES, bergman, flats_of_rank, make_matroid
+from conftest import K4_EDGES, MATROID_NAMES, bergman, cone_of, flats_of_rank, make_matroid
 
 
 # -- axioms and constructors ------------------------------------------------
@@ -158,7 +158,7 @@ def _assert_cover_map_matches_scans(m):
     ]
     if m.rank >= 2:
         flags = _scan_flags(m, rank)
-        cones = [frozenset(flat_ray_id(m, f) for f in chain) for chain in flags]
+        cones = [cone_of(*(flat_ray_id(m, f) for f in chain)) for chain in flags]
         assert list(nv.bergman_fan(m, m.ground[0]).max_cones) == cones
 
 
@@ -260,6 +260,24 @@ def test_bergman_unknown_e0():
         nv.e0_inner_product(make_matroid("U23"), "zz")
     with pytest.raises(UnknownElement):
         nv.alpha_beta_z(make_matroid("U23"), "zz")
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        nv.bergman_fan,
+        nv.e0_inner_product,
+        nv.alpha_beta_z,
+        nv.hrw_verify,
+        matroid.require_bergman_input,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_every_e0_reader_refuses_an_unknown_e0_with_one_message(refuse):
+    for e0 in ("zz", "A", 0):
+        with pytest.raises(UnknownElement) as raised:
+            refuse(make_matroid("U23"), e0)
+        assert str(raised.value) == f"{e0!r} is not a ground set element"
 
 
 def test_bergman_u23_geometry():

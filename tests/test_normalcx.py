@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +16,7 @@ from normalvol.errors import (
     NotPseudocubical,
     NotSymmetric,
 )
-from normalvol.fan import ZERO_CONE
+from normalvol.fan import ZERO_CONE, star, star_connected_minus_origin
 from normalvol.linalg import dot, identity, mat_vec, qmat, qvec
 from normalvol import normalcx
 from normalvol.normalcx import (
@@ -60,14 +64,14 @@ def test_gram_must_be_positive_definite():
 
 
 def test_w_vector_zero_z(quadrant_ctx):
-    w = w_vector(quadrant_ctx, frozenset({"r1", "r2"}), zmap(r1=0, r2=0, r3=0, r4=0))
+    w = w_vector(quadrant_ctx, ("r1", "r2"), zmap(r1=0, r2=0, r3=0, r4=0))
     assert w.coords == qvec([0, 0])
     assert all(c == 0 for _, c in w.coefficients)
 
 
 def test_w_vector_orthonormal_cone(quadrant_ctx):
     z = zmap(r1=3, r2=5, r3=0, r4=0)
-    w = w_vector(quadrant_ctx, frozenset({"r1", "r2"}), z)
+    w = w_vector(quadrant_ctx, ("r1", "r2"), z)
     assert w.coords == qvec([3, 5])
     assert dict(w.coefficients)["r1"] == 3 and dict(w.coefficients)["r2"] == 5
 
@@ -76,7 +80,7 @@ def test_w_vector_single_ray_formula():
     # w = (z / (u*u)) u for a single ray
     fan = nv.MarkedFan(2, {"a": qvec([2, 1]), "b": qvec([-1, 0])}, [(("a",), 1), (("b",), 1)])
     ctx = Context(fan, identity(2))
-    w = w_vector(ctx, frozenset({"a"}), {"a": F(10), "b": F(0)})
+    w = w_vector(ctx, ("a",), {"a": F(10), "b": F(0)})
     assert w.coords == qvec([4, 2])  # (10/5) * (2,1)
     assert dict(w.coefficients)["a"] == 2
 
@@ -148,7 +152,7 @@ def test_restrict_zero_cone_identity(quadrant_ctx):
 
 def test_restrict_orthogonal_rays_unchanged(quadrant_ctx):
     z = zmap(r1=1, r2=2, r3=3, r4=4)
-    restricted = restrict_z(quadrant_ctx, frozenset({"r1"}), z)
+    restricted = restrict_z(quadrant_ctx, ("r1",), z)
     assert restricted == {"r2": F(2), "r4": F(4)}
 
 
@@ -158,7 +162,7 @@ def test_restrict_single_ray_formula():
     fan = nv.MarkedFan(2, rays, [(("a", "b"), 1), (("b", "c"), 1), (("c", "d"), 1), (("d", "a"), 1)])
     ctx = Context(fan, identity(2))
     z = zmap(a=2, b=3, c=5, d=7)
-    restricted = restrict_z(ctx, frozenset({"b"}), z)
+    restricted = restrict_z(ctx, ("b",), z)
     assert restricted["a"] == z["a"] - F(1, 2) * z["b"]
     assert restricted["c"] == z["c"] + F(1, 2) * z["b"]
 
@@ -168,17 +172,17 @@ def test_restrict_single_ray_formula():
 
 def test_vertices_rectangle(quadrant_ctx):
     z = zmap(r1=3, r2=5, r3=1, r4=1)
-    sigma = frozenset({"r1", "r2"})
+    sigma = ("r1", "r2")
     verts = polytope_vertices(quadrant_ctx, sigma, z)
     assert verts[ZERO_CONE] == qvec([0, 0])
-    assert verts[frozenset({"r1"})] == qvec([3, 0])
-    assert verts[frozenset({"r2"})] == qvec([0, 5])
+    assert verts[("r1",)] == qvec([3, 0])
+    assert verts[("r2",)] == qvec([0, 5])
     assert verts[sigma] == qvec([3, 5])
 
 
 def test_vertices_require_pseudocubical(quadrant_ctx):
     with pytest.raises(NotPseudocubical):
-        polytope_vertices(quadrant_ctx, frozenset({"r1", "r2"}), zmap(r1=-1, r2=1, r3=1, r4=1))
+        polytope_vertices(quadrant_ctx, ("r1", "r2"), zmap(r1=-1, r2=1, r3=1, r4=1))
 
 
 def test_vertices_read_only_the_faces_of_their_cone(monkeypatch):
@@ -193,11 +197,11 @@ def test_vertices_read_only_the_faces_of_their_cone(monkeypatch):
         raise AssertionError("polytope_vertices must not classify the whole fan")
 
     monkeypatch.setattr(normalcx, "classify_z", no_classification)
-    verts = polytope_vertices(ctx, frozenset({"b", "c"}), z)
-    assert set(verts) == {ZERO_CONE, frozenset("b"), frozenset("c"), frozenset("bc")}
-    assert verts[frozenset("bc")] == qvec([F(-8, 3), F(8, 3)])
+    verts = polytope_vertices(ctx, ("b", "c"), z)
+    assert set(verts) == {ZERO_CONE, ("b",), ("c",), ("b", "c")}
+    assert verts[("b", "c")] == qvec([F(-8, 3), F(8, 3)])
     with pytest.raises(NotPseudocubical, match=r"\['a'\]"):
-        polytope_vertices(ctx, frozenset({"a", "b"}), z)
+        polytope_vertices(ctx, ("a", "b"), z)
 
 
 def test_vertex_linearity(quadrant_ctx):
@@ -261,17 +265,17 @@ def test_vol_polynomial_homogeneous(quadrant_ctx):
     for ctx in (quadrant_ctx, bergman("K4").ctx):
         f = vol_polynomial(ctx)
         assert all(sum(e for _, e in mono) == ctx.fan.d for mono in f.terms)
-        assert all(frozenset(v for v, _ in mono) in ctx.fan.cones for mono in f.terms)
+        assert all(tuple(v for v, _ in mono) in ctx.fan.cones for mono in f.terms)
 
 
 def test_geometric_oracle_segment(pm1_ctx):
-    assert geometric_volume_oracle(pm1_ctx, frozenset({"p"}), {"p": F(3), "m": F(1)}) == 3
+    assert geometric_volume_oracle(pm1_ctx, ("p",), {"p": F(3), "m": F(1)}) == 3
 
 
 def test_geometric_oracle_rectangle(quadrant_ctx):
     z = zmap(r1=3, r2=5, r3=1, r4=1)
     # normalized volume of the a x b rectangle is 2ab
-    assert geometric_volume_oracle(quadrant_ctx, frozenset({"r1", "r2"}), z) == 30
+    assert geometric_volume_oracle(quadrant_ctx, ("r1", "r2"), z) == 30
 
 
 def test_geometric_oracle_rejects_negative_face():
@@ -279,7 +283,7 @@ def test_geometric_oracle_rejects_negative_face():
     rays = {"a": qvec([1, 0]), "b": qvec([0, 1])}
     ctx = Context(nv.MarkedFan(2, rays, [(("a", "b"), 1)]), qmat([[1, F(-1, 2)], [F(-1, 2), 1]]))
     z = {"a": F(-1), "b": F(4)}
-    sigma = frozenset(rays)
+    sigma = tuple(rays)
     assert all(c > 0 for _, c in w_vector(ctx, sigma, z).coefficients)
     with pytest.raises(NotPseudocubical, match=r"^z is outside the pseudocubical cone at \['a'\]$"):
         geometric_volume_oracle(ctx, sigma, z)
@@ -288,9 +292,9 @@ def test_geometric_oracle_rejects_negative_face():
 def test_geometric_oracle_refuses_a_non_cone_and_foreign_z(quadrant_ctx):
     z = zmap(r1=1, r2=2, r3=3, r4=4)
     with pytest.raises(DimensionMismatch, match=r"^\['r1', 'r3'\] is not a cone of the fan$"):
-        geometric_volume_oracle(quadrant_ctx, frozenset({"r1", "r3"}), z)
+        geometric_volume_oracle(quadrant_ctx, ("r1", "r3"), z)
     with pytest.raises(DimensionMismatch, match="indexed by exactly the fan's rays"):
-        geometric_volume_oracle(quadrant_ctx, frozenset({"r1", "r2"}), zmap(r1=1, r2=2))
+        geometric_volume_oracle(quadrant_ctx, ("r1", "r2"), zmap(r1=1, r2=2))
 
 
 def test_geometric_oracle_dim_cap():
@@ -298,7 +302,7 @@ def test_geometric_oracle_dim_cap():
     fan = nv.MarkedFan(4, rays, [(tuple(rays), 1)], validate_geometry=False)
     ctx = Context(fan, identity(4))
     with pytest.raises(DimTooLarge):
-        geometric_volume_oracle(ctx, frozenset(rays), {r: F(1) for r in rays})
+        geometric_volume_oracle(ctx, tuple(rays), {r: F(1) for r in rays})
 
 
 def test_geometric_oracle_3d_box():
@@ -307,7 +311,7 @@ def test_geometric_oracle_3d_box():
     ctx = Context(fan, identity(3))
     z = zmap(x=2, y=3, z=5)
     # box 2x3x5 has normalized volume 3! * 30
-    assert geometric_volume_oracle(ctx, frozenset(rays), z) == 180
+    assert geometric_volume_oracle(ctx, tuple(rays), z) == 180
     assert vol_recursive(ctx, z) == 180
 
 
@@ -395,11 +399,11 @@ def test_face_complex_zero_cone(quadrant_ctx):
 
 def test_face_of_face_composition(quadrant_ctx):
     z = zmap(r1=1, r2=2, r3=3, r4=4)
-    tau = frozenset({"r1"})
-    pi = frozenset({"r1", "r2"})
+    tau = ("r1",)
+    pi = ("r1", "r2")
     ctx_tau, z_tau = face_complex(quadrant_ctx, tau, z)
     ctx_pi_direct, z_pi_direct = face_complex(quadrant_ctx, pi, z)
-    ctx_pi_iter, z_pi_iter = face_complex(ctx_tau, frozenset({"r2"}), z_tau)
+    ctx_pi_iter, z_pi_iter = face_complex(ctx_tau, ("r2",), z_tau)
     assert z_pi_iter == z_pi_direct
     assert ctx_pi_iter.fan.rays == ctx_pi_direct.fan.rays
 
@@ -407,8 +411,8 @@ def test_face_of_face_composition(quadrant_ctx):
 def test_projecting_ws_identity(quadrant_ctx):
     # w_sigma(z) - w_tau(z) = w_{sigma^tau}(z^tau)
     z = zmap(r1=1, r2=2, r3=3, r4=4)
-    tau = frozenset({"r1"})
-    sigma = frozenset({"r1", "r2"})
+    tau = ("r1",)
+    sigma = ("r1", "r2")
     star_ctx, z_tau = face_complex(quadrant_ctx, tau, z)
     lhs = tuple(
         a - b
@@ -416,5 +420,68 @@ def test_projecting_ws_identity(quadrant_ctx):
             w_vector(quadrant_ctx, sigma, z).coords, w_vector(quadrant_ctx, tau, z).coords
         )
     )
-    rhs = w_vector(star_ctx, frozenset({"r2"}), z_tau).coords
+    rhs = w_vector(star_ctx, ("r2",), z_tau).coords
     assert lhs == rhs
+
+
+# -- cone arguments -----------------------------------------------------------------------------
+
+# Every function that takes a cone, called on the quadrant with the Gram I and z = 1.
+_QUADRANT = Context(make_quadrant_fan(), identity(2))
+_ONES = zmap(r1=1, r2=1, r3=1, r4=1)
+CONE_ENTRY_POINTS = {
+    "link": lambda cone: _QUADRANT.fan.link(cone),
+    "w_vector": lambda cone: w_vector(_QUADRANT, cone, _ONES),
+    "restrict_z": lambda cone: restrict_z(_QUADRANT, cone, _ONES),
+    "face_complex": lambda cone: face_complex(_QUADRANT, cone, _ONES),
+    "star": lambda cone: star(_QUADRANT.fan, cone, _QUADRANT.gram),
+    "star_connected_minus_origin": lambda cone: star_connected_minus_origin(_QUADRANT.fan, cone),
+    "polytope_vertices": lambda cone: polytope_vertices(_QUADRANT, cone, _ONES),
+    "geometric_volume_oracle": lambda cone: geometric_volume_oracle(_QUADRANT, cone, _ONES),
+}
+# A cone is the sorted tuple of its ray ids: a set of ray ids, even the empty set or
+# the rays of a cone, and ids out of order are no cone.
+NOT_CONES = {
+    "set of a cone's rays": (frozenset({"r1", "r2"}), "['r1', 'r2']"),
+    "empty set": (frozenset(), "[]"),
+    "unsorted tuple": (("r2", "r1"), "['r1', 'r2']"),
+    "non-cone": (("r1", "r3"), "['r1', 'r3']"),
+}
+
+
+@pytest.mark.parametrize("entry", list(CONE_ENTRY_POINTS))
+@pytest.mark.parametrize("form", list(NOT_CONES))
+def test_only_a_cone_of_the_fan_is_a_cone_argument(entry, form):
+    cone, shown = NOT_CONES[form]
+    with pytest.raises(DimensionMismatch) as raised:
+        CONE_ENTRY_POINTS[entry](cone)
+    assert str(raised.value) == f"{shown} is not a cone of the fan"
+    CONE_ENTRY_POINTS[entry](("r1", "r2"))  # the cone itself is taken
+
+
+# Run in a child process: every entry point's outcome on every form, one line each.
+OUTCOMES = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+from test_normalcx import CONE_ENTRY_POINTS, NOT_CONES
+for form, (cone, _) in NOT_CONES.items():
+    for entry, call in CONE_ENTRY_POINTS.items():
+        try:
+            call(cone)
+            print(form, entry, "taken")
+        except Exception as exc:
+            print(form, entry, type(exc).__name__, exc)
+"""
+
+
+def test_cone_arguments_do_not_depend_on_the_hash_seed():
+    """The set forms iterate in an order set by the hash seed; no outcome may follow it."""
+    tests, src = Path(__file__).resolve().parent, Path(nv.__file__).resolve().parents[1]
+    outs = []
+    for seed in ("0", "1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        command = [sys.executable, "-c", OUTCOMES, str(src), str(tests)]
+        done = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
+        outs.append(done.stdout)
+    assert outs == [outs[0]] * 4
+    assert outs[0].count("DimensionMismatch") == len(NOT_CONES) * len(CONE_ENTRY_POINTS)
