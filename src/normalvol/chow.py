@@ -20,8 +20,9 @@ of its covectors' p and multiplies the denominator by Z L.
 
 The last divisor needs no covector.  The degree of D(z) X_tau, for a cone
 tau of dimension d - 1, is sum_eta w_{tau eta} (z_eta - <v, u_eta>), with
-w_{tau eta} the weight of join(tau, eta), and the balancing check of
-``fan.is_tropical`` leaves integers (a, p) with
+w_{tau eta} the weight of join(tau, eta), and the balancing check, run
+once when the fan is built and read through ``fan.is_tropical``, leaves
+integers (a, p) with
 p s_tau + sum_i a_i u~_i = 0, s_tau = sum_eta w~_{tau eta} u~_eta and
 w~ = W w the weights over the lcm W of their denominators.  Since
 <v, u~_i> = p_v zz_i on tau's rays, the v-terms sum to -a . zz_tau / p, and
@@ -38,7 +39,7 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import GradeOverflow, NotTropical, WrongGrade
-from .fan import Cone, MarkedFan, ZERO_CONE, is_tropical, join
+from .fan import Cone, MarkedFan, ZERO_CONE, check_keys, is_tropical, join
 from .linalg import scaled_rows, scaled_to_int, solve
 
 # sum_sigma nums[sigma] X_sigma / den, zero numerators pruned
@@ -124,8 +125,9 @@ def deg_products(
 ) -> list[Fraction]:
     """deg(D(z_1) ... D(z_d)) for each tuple; the z_i need not be cubical.
 
-    The count of divisors of every tuple, then the balancing condition, are
-    checked before any product.  Truncations are told apart by value, and
+    The count of divisors of every tuple, then the balancing condition, then
+    the keys of each truncation (``fan.check_keys``) are checked before any
+    product.  Truncations are told apart by value, and
     the class of each prefix of length k < d is built once, from the class
     of its own prefix, all of length k before any of length k + 1; a step
     solves for one covector per (cone, truncation) of its layer.  The last
@@ -149,6 +151,7 @@ def deg_products(
     for zs in tuples:
         key = []
         for z in zs:
+            check_keys(fan, z)
             value = tuple(z[rid] for rid in rays)
             if value not in index:
                 index[value] = len(zzs)
@@ -176,6 +179,7 @@ def deg_products(
 def deg_product(fan: MarkedFan, zs: Sequence[Mapping[str, Fraction]]) -> Fraction:
     """deg(D(z_1) ... D(z_d)); the z_i need not be cubical.
 
-    The count of divisors, then the balancing condition, are checked before any product.
+    The count of divisors, then the balancing condition, then the keys of each
+    truncation are checked before any product.
     """
     return deg_products(fan, [zs])[0]

@@ -14,6 +14,11 @@ A fan scales its rays to integers once: ``int_rays`` holds M u, with M =
 A fan also fixes the one order of its cones, once: ``cones`` lists every
 cone lexicographically, so the zero cone comes first.  Every ordered scan or
 report over the cones reads it.
+
+A fan is checked and certified in one pass, when it is built: one
+fraction-free echelon walk over ``cones`` refuses a cone whose rays are
+dependent and leaves the balancing report, with its certificates, on the
+fan (``_balancing_report``, read by ``is_tropical``).
 """
 
 from __future__ import annotations
@@ -53,13 +58,31 @@ def join(cone: Cone, rid: str) -> Cone:
 
 
 def check_sorted(rids: Cone) -> None:
-    """Refuse ray ids that are not a sorted tuple, a set say, as no cone of the fan."""
-    if rids != tuple(sorted(rids)):
-        raise DimensionMismatch(f"{sorted(rids)} is not a cone of the fan")
+    """Refuse ray ids that are not a sorted tuple, a set or a list say, naming their form.
+
+    A set's ids are shown sorted, so the message does not follow the hash seed.
+    """
+    if type(rids) is not tuple or list(rids) != sorted(rids):
+        shown = list(rids) if isinstance(rids, (tuple, list)) else sorted(rids)
+        raise DimensionMismatch(f"{type(rids).__name__} {shown} is not a sorted tuple of ray ids")
+
+
+def check_keys(fan: MarkedFan, z: Mapping[str, Fraction]) -> None:
+    """Refuse truncation values that are not indexed by exactly the fan's rays."""
+    if set(z) != set(fan.rays):
+        raise DimensionMismatch("z-values must be indexed by exactly the fan's rays")
 
 
 class MarkedFan:
-    """A pure simplicial fan with marked ray generators and weighted top cones."""
+    """A pure simplicial fan with marked ray generators and weighted top cones.
+
+    The constructor refuses, in this order: a ray of the wrong length or zero,
+    a cone with an unknown ray, a weight <= 0 or a cone listed twice, no cone or
+    cones of different dimensions, dependent rays in a cone (the echelon walk of
+    ``_balancing_report``, run once here after the faces and links are built),
+    a ray in no cone and, for d <= 3 when ``validate_geometry``, cones that do
+    not meet along a common face.
+    """
 
     def __init__(
         self,
@@ -97,13 +120,6 @@ class MarkedFan:
         if any(len(c) != self.d for c in cones):
             raise NotPure("maximal cones have different numbers of rays")
         self.max_cones: tuple[Cone, ...] = tuple(cones)
-        for cone in self.max_cones:
-            if rank(tuple(self.int_rays[rid] for rid in cone)) != len(cone):
-                raise NotSimplicial(f"cone {list(cone)} has dependent generators")
-        used = set().union(*self.max_cones)
-        unused = self.rays.keys() - used
-        if unused:
-            raise NotPure(f"rays {sorted(unused)} lie in no maximal cone")
         # Faces layer by layer, downward: sigma gives each face without one ray,
         # and a face joins the next layer, to give its own faces, once.
         links: dict[Cone, list[str]] = {cone: [] for cone in self.max_cones}
@@ -122,7 +138,11 @@ class MarkedFan:
             cone: tuple(sorted(links[cone])) for cone in sorted(links)
         }
         self.cones: KeysView[Cone] = self._links.keys()
-        self._tropical: TropicalReport | None = None  # filled by is_tropical
+        # one walk: refuses a cone with dependent rays, before the unused-ray check below
+        self._tropical: TropicalReport = _balancing_report(self)
+        unused = self.rays.keys() - set().union(*self.max_cones)
+        if unused:
+            raise NotPure(f"rays {sorted(unused)} lie in no maximal cone")
         # Whether cones were checked to meet face to face: the check runs for d <= 3 only.
         self.faces_meet_checked = validate_geometry and self.d <= 3
         if self.faces_meet_checked:
@@ -139,13 +159,14 @@ class MarkedFan:
     def link(self, tau: Cone) -> tuple[str, ...]:
         """Sorted ids of the rays eta not in tau for which join(tau, eta) is a cone.
 
-        Refuses anything but a cone of the fan, a set or an unsorted tuple of ray
-        ids included, by DimensionMismatch; the functions that take a cone check it here.
+        Refuses anything but a cone of the fan by DimensionMismatch: ray ids that
+        are not a sorted tuple by ``check_sorted``, naming their form, and any other
+        tuple as no cone of the fan.  The functions that take a cone check it here.
         """
-        try:
+        if type(tau) is tuple and tau in self._links:
             return self._links[tau]
-        except KeyError:
-            raise DimensionMismatch(f"{sorted(tau)} is not a cone of the fan") from None
+        check_sorted(tau)
+        raise DimensionMismatch(f"{list(tau)} is not a cone of the fan")
 
     # -- validation ----------------------------------------------------
 
@@ -334,29 +355,36 @@ class TropicalReport:
 
 
 def is_tropical(fan: MarkedFan) -> TropicalReport:
-    """Check the weighted balancing condition at every codimension-1 cone.
+    """The weighted balancing condition at every codimension-1 cone.
 
-    The report is computed once per fan and kept on it.
+    The report is computed once per fan and kept on it: ``MarkedFan`` runs
+    ``_balancing_report`` when it is built, so this call does no work.
     """
-    if fan._tropical is None:
-        fan._tropical = _balancing_report(fan)
     return fan._tropical
 
 
 def _balancing_report(fan: MarkedFan) -> TropicalReport:
     """Cones tau whose weighted link sum s_tau leaves span(tau), and certificates for the rest.
 
-    The sums are integers: s_tau = sum_eta w~_{tau eta} u~_eta, with w~_{tau eta}
+    The fan's one echelon walk, which ``MarkedFan`` runs once when it is
+    built; it also refuses a cone with dependent rays.  The sums are
+    integers: s_tau = sum_eta w~_{tau eta} u~_eta, with w~_{tau eta}
     the weight of join(tau, eta) scaled by the lcm W of the weights'
-    denominators and u~ the ``int_rays``.  One loop reads the cones of
-    dimension below d in ``fan.cones`` order, so the cones tau come in
-    ``cones_of_dim`` order.  Each ray of a cone is a fraction-free echelon row,
+    denominators and u~ the ``int_rays``.  One loop reads the cones in
+    ``fan.cones`` order, so the cones tau come in ``cones_of_dim`` order.
+    Each ray of a cone is a fraction-free echelon row,
     reduced by ``reduce_row`` against the rays before it and augmented by a unit vector
     that records its combination of the rays.  In lexicographic order a
     cone's face without its last ray is the last earlier cone of one
     dimension less, so cutting the echelon stack to that dimension leaves
-    the face's rows, and the cone adds the row of its last ray.  At tau,
-    s_tau reduced against these rows is p s_tau + sum_i a_i u~_i in its first
+    the face's rows, and every nonzero cone, maximal ones included, reduces
+    the row of its last ray against them and pushes it.  A cone's rays
+    are independent exactly when no prefix's last ray has a residual that is
+    zero in the ray coordinates, and every prefix of a maximal cone is a
+    cone the loop reads, so a zero residual is the only refusal:
+    NotSimplicial, naming the first maximal cone, in input order, that
+    ``rank`` finds dependent (the one call of ``rank``, on this error path).
+    At tau, s_tau reduced against these rows is p s_tau + sum_i a_i u~_i in its first
     n entries and a in the rest, p the last pivot (1 at the zero cone).
     tau's rays are independent, so the residual is zero exactly when s_tau
     lies in span(tau), and then (a, p) certifies it.  A row whose pivot is
@@ -372,13 +400,14 @@ def _balancing_report(fan: MarkedFan) -> TropicalReport:
     echelon: list[tuple[int, list[int]]] = []
     for cone in fan.cones:
         k = len(cone)
-        if k > top:
-            continue
         if k:
             del echelon[k - 1 :]
             unit = [int(i == k - 1) for i in range(top)]
             row = reduce_row([*fan.int_rays[cone[-1]], *unit], echelon)
-            c = next(i for i in range(n) if row[i])
+            c = next((i for i in range(n) if row[i]), None)
+            if c is None:
+                bad = next(s for s in fan.max_cones if rank([fan.int_rays[r] for r in s]) < len(s))
+                raise NotSimplicial(f"cone {list(bad)} has dependent generators")
             echelon.append((c, row if row[c] > 0 else [-v for v in row]))
         if k == top:
             total = [0] * n

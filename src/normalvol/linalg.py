@@ -8,11 +8,13 @@ Gauss-Jordan elimination, dividing by the pivots only at the end; their
 results equal those of rational elimination.  ``solve`` returns one
 solution as integer numerators over one denominator, the last pivot, with
 its free coordinates zero; the Chow covectors use it, star fans use
-``inverse`` and the simpliciality and sign-certificate checks of fans use
-``rank``, and the geometric oracle expands its integer determinants along
-``cofactors``.  ``reduce_row`` is one row's part of a Bareiss forward
-elimination, against rows already in fraction-free echelon form; the
-balancing check builds those rows one ray at a time, without ``rank``.
+``inverse``, fan validation's sign certificates, linear matroids and a fan's
+refusal of a cone with dependent rays (to name that cone) use ``rank``, and
+the geometric oracle expands its integer determinants along ``cofactors``.
+``reduce_row`` is one row's part of a Bareiss forward elimination, against
+rows already in fraction-free echelon form; a fan's one echelon walk, when
+it is built, builds those rows one ray at a time and reads both its
+simpliciality and its balancing certificates off them, without ``rank``.
 The four eliminating routines take integer rows as well as rational ones,
 and a row that is all ``int`` is eliminated as it is, with no scaling.  ``signature``
 reads inertia off a symmetric Bareiss elimination with one pivot rule, over

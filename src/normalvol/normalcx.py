@@ -85,7 +85,7 @@ from .errors import (
     NotPseudocubical,
     NormalVolError,
 )
-from .fan import Cone, MarkedFan, ZERO_CONE, check_sorted, star
+from .fan import Cone, MarkedFan, ZERO_CONE, check_keys, check_sorted, star
 from .linalg import (
     Mat,
     Vec,
@@ -214,13 +214,8 @@ def zvalues_from_json(raw: Mapping, fan: MarkedFan) -> ZValues:
         z = {rid: parse_rat(v) for rid, v in raw["z"].items()}
     except (KeyError, TypeError, AttributeError):
         raise InputError('a truncation file must hold {"z": {ray id: value}}') from None
-    _check_keys(fan, z)
+    check_keys(fan, z)
     return z
-
-
-def _check_keys(fan: MarkedFan, z: Mapping[str, Fraction]) -> None:
-    if set(z) != set(fan.rays):
-        raise DimensionMismatch("z-values must be indexed by exactly the fan's rays")
 
 
 # -- w-vectors and the cubical classification -----------------------------
@@ -234,6 +229,7 @@ class WVector:
 
 def w_vector(ctx: Context, cone: Cone, z: Mapping[str, Fraction]) -> WVector:
     """The unique vector of span(cone) pairing to z_rho against every marked ray."""
+    check_keys(ctx.fan, z)
     ctx.fan.link(cone)  # refuses a non-cone
     scale, zz = scaled_to_int(z)
     d, c, _ = _face_pairings(ctx, cone, zz, ())
@@ -267,7 +263,7 @@ class CubReport:
 def classify_z(ctx: Context, z: Mapping[str, Fraction]) -> CubReport:
     """Exact classification by the w-vectors' barycentric coefficients (``_Table``): the
     first negative, else the first zero, with the cones in lexicographic order."""
-    _check_keys(ctx.fan, z)
+    check_keys(ctx.fan, z)
     return _Table(ctx, z).report
 
 
@@ -312,6 +308,7 @@ def find_cubical(ctx: Context) -> tuple[ZValues, Fraction] | None:
 def restrict_z(ctx: Context, tau: Cone, z: Mapping[str, Fraction]) -> ZValues:
     """Truncation values z^tau on the rays of ``fan.link(tau)``, the star's rays:
     z^tau_eta = z_eta - <w_tau(z), u_eta>."""
+    check_keys(ctx.fan, z)
     rids = ctx.fan.link(tau)
     scale, zz = scaled_to_int(z)
     d, _, pairings = _face_pairings(ctx, tau, zz, rids)
@@ -324,9 +321,10 @@ def face_complex(
     """The face of the normal complex at tau, as a normal complex of the star.
 
     Raises MismatchError when the restriction weakens the classification of z.
+    ``restrict_z`` refuses a foreign z or a non-cone tau before any star is built.
     """
-    star_ctx = ctx.star_context(tau)
     z_tau = restrict_z(ctx, tau, z)
+    star_ctx = ctx.star_context(tau)
     before = classify_z(ctx, z).classification
     after = classify_z(star_ctx, z_tau).classification
     order = {CUBICAL: 2, PSEUDOCUBICAL_BOUNDARY: 1, OUTSIDE: 0}
@@ -358,15 +356,14 @@ def _checked_faces(
     rays.  Ray ids that are not a sorted tuple are refused first; then faces come by size,
     then sorted, each refused as it comes: DimensionMismatch if it is not a cone,
     NotPseudocubical if w_tau(z) has a negative coefficient."""
-    _check_keys(ctx.fan, z)
+    check_keys(ctx.fan, z)
     check_sorted(sigma)
     rids = [rid for rid in sigma if rid in z]  # any other id fails its face's check
     scale, zz = scaled_to_int({rid: z[rid] for rid in rids})
     faces = {}
     for k in range(1, len(sigma) + 1):
         for tau in combinations(sigma, k):
-            if tau not in ctx.fan.cones:
-                raise DimensionMismatch(f"{list(tau)} is not a cone of the fan")
+            ctx.fan.link(tau)  # refuses a non-cone
             d, c, p = _face_pairings(ctx, tau, zz, rids)
             if min(c) < 0:
                 raise NotPseudocubical(f"z is outside the pseudocubical cone at {list(tau)}")
@@ -487,7 +484,7 @@ class TruncationTables:
         self._backward: dict[tuple[int, ...], dict[Cone, int]] = {(): weights}
 
     def _lookup(self, z: Mapping[str, Fraction]) -> int:
-        _check_keys(self.ctx.fan, z)
+        check_keys(self.ctx.fan, z)
         key = tuple(z[rid] for rid in self._rays)
         t = self._index.get(key)
         if t is None:

@@ -61,6 +61,17 @@ def _reference_eliminate(rows, col_order):
     return pivots
 
 
+def reference_dependent_cones(rays, cones):
+    """The cones whose rays are dependent, in the order given: one rank per cone by
+    ``_reference_eliminate``.  A fan's refusal names the first of its maximal cones."""
+    dependent = []
+    for cone in cones:
+        rows = [list(rays[rid]) for rid in cone]
+        if len(_reference_eliminate(rows, range(len(rows[0])))) < len(cone):
+            dependent.append(cone)
+    return dependent
+
+
 def _reference_solve(a, b, col_order):
     """x with zero free coordinates, or None when A x = b is inconsistent."""
     n = len(a[0])
@@ -107,8 +118,9 @@ def reference_geometric_volume(ctx, sigma, z):
         raise DimTooLarge("geometric oracle supports dimension <= 3 only")
     if set(z) != set(ctx.fan.rays):
         raise DimensionMismatch("z-values must be indexed by exactly the fan's rays")
-    if sigma != cone_of(*sigma):  # a frozenset, or ids out of order
-        raise DimensionMismatch(f"{sorted(sigma)} is not a cone of the fan")
+    if type(sigma) is not tuple or sigma != cone_of(*sigma):  # a set, a list, ids out of order
+        shown = list(sigma) if isinstance(sigma, (tuple, list)) else sorted(sigma)
+        raise DimensionMismatch(f"{type(sigma).__name__} {shown} is not a sorted tuple of ray ids")
     rays, gram, rids = ctx.fan.rays, ctx.gram, sigma
     w = {}
     for k in range(1, len(rids) + 1):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import normalvol as nv
 from normalvol import af, chow, normalcx
-from normalvol.errors import NormalVolError
+from normalvol.errors import NormalVolError, NotSimplicial
 from normalvol.fan import ZERO_CONE, join, star_connected_minus_origin
 from normalvol.linalg import dot, identity, inverse, mat_vec, qmat, signature
 from normalvol.normalcx import (
@@ -48,6 +48,7 @@ from conftest import (
     make_quadrant_fan,
     mat_mul,
     product_fan,
+    reference_dependent_cones,
     reference_geometric_volume,
     transpose,
 )
@@ -429,6 +430,34 @@ def test_drawn_product_fans_own_one_lexicographic_cone_order(factors, data):
     rids = sorted(fan.rays)
     labels = data.draw(st.permutations([f"r{i}" for i in range(len(rids))] + ["a", "ab", "b"]))
     _check_cone_order(_relabeled(fan, dict(zip(rids, labels))))
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from(sorted(FACTORS)), min_size=2, max_size=3), st.data())
+def test_drawn_dependent_cones_are_named_as_by_a_rank_scan(factors, data):
+    """A drawn product fan, its maximal cones listed in a drawn order, with one ray of
+    one cone moved to an integer combination of that cone's other rays: the build
+    refuses it, naming the cone that a scan of the maximal cones by rank finds first."""
+    fan = FACTORS[factors[0]]
+    for name in factors[1:]:
+        fan = product_fan(fan, FACTORS[name])
+    cones = data.draw(st.permutations(fan.max_cones))
+    sigma = data.draw(st.sampled_from(cones))
+    moved = data.draw(st.sampled_from(sigma))
+    others = [rid for rid in sigma if rid != moved]
+    # nonzero coefficients of independent rays: u is no zero ray, refused for itself
+    nonzero = st.sampled_from([-2, -1, 1, 2])
+    coefficients = data.draw(st.lists(nonzero, min_size=len(others), max_size=len(others)))
+    u = [sum(c * fan.rays[rid][i] for c, rid in zip(coefficients, others))
+         for i in range(fan.ambient_dim)]
+    rays = {**fan.rays, moved: tuple(u)}
+    dependent = reference_dependent_cones(rays, cones)
+    named = dependent[0]
+    event("lexicographically first" if named == min(dependent) else "not lexicographically first")
+    with pytest.raises(NotSimplicial) as raised:
+        nv.MarkedFan(fan.ambient_dim, rays, [(c, fan.weights[c]) for c in cones],
+                     validate_geometry=False)
+    assert str(raised.value) == f"cone {list(named)} has dependent generators"
 
 
 @st.composite

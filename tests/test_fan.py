@@ -16,6 +16,7 @@ from normalvol.errors import (
     NotSimplicial,
     RayProjectionCollision,
 )
+from normalvol import fan as fan_module
 from normalvol.fan import (
     ZERO_CONE,
     _balancing_report,
@@ -61,6 +62,72 @@ def test_dependent_generators_rejected():
     rays = {"a": qvec([1, 0]), "b": qvec([2, 0])}
     with pytest.raises(NotSimplicial):
         nv.MarkedFan(2, rays, [(("a", "b"), 1)])
+
+
+# (ambient_dim, rays, maximal cones in input order, the cone the refusal names): the
+# first maximal cone in input order whose generators are dependent, whichever cone the
+# build meets the dependency at first
+DEPENDENT = {
+    "the dependency first shows at a face": (
+        3,
+        {"a": qvec([1, 0, 0]), "b": qvec([2, 0, 0]), "c": qvec([0, 0, 1]),
+         "d": qvec([0, 1, 0]), "e": qvec([1, 1, 1])},
+        [("c", "d", "e"), ("b", "a", "c")],
+        "['a', 'b', 'c']",
+    ),
+    "two dependent cones listed against lexicographic order": (
+        2,
+        {"a": qvec([1, 0]), "b": qvec([-1, 0]), "c": qvec([0, 1]), "d": qvec([0, -1])},
+        [("c", "d"), ("a", "b")],
+        "['c', 'd']",
+    ),
+    "a dependent cone and an unused ray": (
+        2,
+        {"a": qvec([1, 0]), "b": qvec([2, 0]), "e": qvec([0, 1])},
+        [("a", "b")],
+        "['a', 'b']",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(DEPENDENT))
+def test_dependent_generators_refusal_names_the_first_cone_in_input_order(case):
+    n, rays, cones, named = DEPENDENT[case]
+    with pytest.raises(NotSimplicial) as raised:
+        nv.MarkedFan(n, rays, [(c, 1) for c in cones], validate_geometry=False)
+    assert str(raised.value) == f"cone {named} has dependent generators"
+
+
+def test_a_valid_fan_is_built_and_certified_without_rank(monkeypatch):
+    """Simpliciality is read off the echelon walk that certifies balancing; on a
+    valid fan only the sign certificates of the face-to-face check call ``rank``."""
+    fans = {name: bergman(name).fan for name in ("U45", "K4")}
+    reports = {name: nv.is_tropical(fan) for name, fan in fans.items()}
+
+    def refused(*args):
+        raise AssertionError("rank called")
+
+    monkeypatch.setattr(fan_module, "rank", refused)
+    for name, fan in fans.items():
+        again = nv.MarkedFan(
+            fan.ambient_dim, fan.rays, [(c, fan.weights[c]) for c in fan.max_cones],
+            validate_geometry=False,
+        )
+        report = nv.is_tropical(again)
+        assert report == reports[name] and report.certificates == reports[name].certificates
+
+
+def test_is_tropical_reads_the_report_kept_at_build(monkeypatch):
+    fans = _certificate_fans()
+
+    def refused(*args):
+        raise AssertionError("reduce_row called")
+
+    monkeypatch.setattr(fan_module, "reduce_row", refused)
+    for name, fan in fans.items():
+        report = nv.is_tropical(fan)
+        assert report == reference_balancing_report(fan), name
+        assert nv.is_tropical(fan) is report, name
 
 
 def test_mixed_dimensions_rejected():

@@ -18,7 +18,7 @@ from normalvol.errors import (
 )
 from normalvol.fan import ZERO_CONE, star, star_connected_minus_origin
 from normalvol.linalg import dot, identity, mat_vec, qmat, qvec
-from normalvol import normalcx
+from normalvol import chow, normalcx
 from normalvol.normalcx import (
     OUTSIDE,
     Context,
@@ -440,23 +440,56 @@ CONE_ENTRY_POINTS = {
     "geometric_volume_oracle": lambda cone: geometric_volume_oracle(_QUADRANT, cone, _ONES),
 }
 # A cone is the sorted tuple of its ray ids: a set of ray ids, even the empty set or
-# the rays of a cone, and ids out of order are no cone.
+# the rays of a cone, a list and ids out of order are refused for their form, and a
+# sorted tuple that is no cone for that.
 NOT_CONES = {
-    "set of a cone's rays": (frozenset({"r1", "r2"}), "['r1', 'r2']"),
-    "empty set": (frozenset(), "[]"),
-    "unsorted tuple": (("r2", "r1"), "['r1', 'r2']"),
-    "non-cone": (("r1", "r3"), "['r1', 'r3']"),
+    "set of a cone's rays": (
+        frozenset({"r1", "r2"}),
+        "frozenset ['r1', 'r2'] is not a sorted tuple of ray ids",
+    ),
+    "empty set": (frozenset(), "frozenset [] is not a sorted tuple of ray ids"),
+    "unsorted tuple": (("r2", "r1"), "tuple ['r2', 'r1'] is not a sorted tuple of ray ids"),
+    "list of a cone's rays": (["r1", "r2"], "list ['r1', 'r2'] is not a sorted tuple of ray ids"),
+    "non-cone": (("r1", "r3"), "['r1', 'r3'] is not a cone of the fan"),
 }
 
 
 @pytest.mark.parametrize("entry", list(CONE_ENTRY_POINTS))
 @pytest.mark.parametrize("form", list(NOT_CONES))
 def test_only_a_cone_of_the_fan_is_a_cone_argument(entry, form):
-    cone, shown = NOT_CONES[form]
+    cone, message = NOT_CONES[form]
     with pytest.raises(DimensionMismatch) as raised:
         CONE_ENTRY_POINTS[entry](cone)
-    assert str(raised.value) == f"{shown} is not a cone of the fan"
+    assert str(raised.value) == message
     CONE_ENTRY_POINTS[entry](("r1", "r2"))  # the cone itself is taken
+
+
+# Every function that takes a truncation, called on the quadrant; z must be indexed by
+# exactly the fan's rays, and the degrees check that after the balancing condition.
+Z_ENTRY_POINTS = {
+    "w_vector": lambda z: w_vector(_QUADRANT, ("r1", "r2"), z),
+    "restrict_z": lambda z: restrict_z(_QUADRANT, ("r1",), z),
+    "face_complex": lambda z: face_complex(_QUADRANT, ("r1",), z),
+    "classify_z": lambda z: classify_z(_QUADRANT, z),
+    "vol_recursive": lambda z: vol_recursive(_QUADRANT, z),
+    "polytope_vertices": lambda z: polytope_vertices(_QUADRANT, ("r1", "r2"), z),
+    "geometric_volume_oracle": lambda z: geometric_volume_oracle(_QUADRANT, ("r1", "r2"), z),
+    "deg_product": lambda z: chow.deg_product(_QUADRANT.fan, [z] * 2),
+    "deg_products": lambda z: chow.deg_products(_QUADRANT.fan, [[_ONES] * 2, [_ONES, z]]),
+}
+WRONG_KEYS = {
+    "missing key": zmap(r1=1, r2=1, r3=1),
+    "extra key": zmap(r1=1, r2=1, r3=1, r4=1, r5=1),
+}
+
+
+@pytest.mark.parametrize("entry", list(Z_ENTRY_POINTS))
+@pytest.mark.parametrize("keys", list(WRONG_KEYS))
+def test_only_the_fans_rays_index_a_truncation(entry, keys):
+    with pytest.raises(DimensionMismatch) as raised:
+        Z_ENTRY_POINTS[entry](WRONG_KEYS[keys])
+    assert str(raised.value) == "z-values must be indexed by exactly the fan's rays"
+    Z_ENTRY_POINTS[entry](_ONES)  # the fan's own rays are taken
 
 
 # Run in a child process: every entry point's outcome on every form, one line each.
