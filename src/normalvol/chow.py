@@ -40,7 +40,7 @@ from typing import Mapping, Sequence
 
 from .errors import GradeOverflow, NotTropical, WrongGrade
 from .fan import Cone, MarkedFan, ZERO_CONE, check_keys, is_tropical, join
-from .linalg import scaled_rows, scaled_to_int, solve
+from .linalg import scaled_to_int, solve
 
 # sum_sigma nums[sigma] X_sigma / den, zero numerators pruned
 Numerators = dict[Cone, int]
@@ -89,15 +89,15 @@ def _multiply(
 
 def _pairings(
     fan: MarkedFan,
-    weights: Mapping[Cone, int],
     classes: Mapping[tuple[int, ...], Numerators],
     pairs: Sequence[tuple[tuple[int, ...], int]],
     zzs: Sequence[Mapping[str, int]],
 ) -> tuple[dict[tuple[tuple[int, ...], int], int], int]:
-    """(T, P): deg(classes[c] * D(zzs[t])) is T[c, t] / (Z_t W P) over c's denominator.
+    """(T, W P): deg(classes[c] * D(zzs[t])) is T[c, t] / (Z_t W P) over c's denominator.
 
     Each cone tau of the classes pairs once with each divisor, as
-    P sum_eta w~_{tau eta} zz_eta + (P / p) a . zz_tau, P the lcm of the p.
+    P sum_eta w~_{tau eta} zz_eta + (P / p) a . zz_tau, P the lcm of the p
+    and w~ the fan's ``int_weights``, over W = ``weight_scale``.
     """
     certificates = is_tropical(fan).certificates
     lasts = dict.fromkeys(t for _, t in pairs)
@@ -106,7 +106,7 @@ def _pairings(
     totals = dict.fromkeys(pairs, 0)
     for tau in cones:
         a, p = certificates[tau]
-        link = [(eta, weights[join(tau, eta)]) for eta in fan.link(tau)]
+        link = [(eta, fan.int_weights[join(tau, eta)]) for eta in fan.link(tau)]
         rays = list(zip(tau, a))
         values = {
             t: big * sum(w * zzs[t][eta] for eta, w in link)
@@ -117,7 +117,7 @@ def _pairings(
             num = classes[c].get(tau)
             if num:
                 totals[c, t] += num * values[t]
-    return totals, big
+    return totals, fan.weight_scale * big
 
 
 def deg_products(
@@ -155,9 +155,9 @@ def deg_products(
             value = tuple(z[rid] for rid in rays)
             if value not in index:
                 index[value] = len(zzs)
-                scale, (ints,) = scaled_rows([value])
+                scale, zz = scaled_to_int(z)
                 scales.append(scale)
-                zzs.append(dict(zip(rays, ints)))
+                zzs.append(zz)
             key.append(index[value])
         keys.append(tuple(key))
     layer: dict[tuple[int, ...], tuple[Numerators, int]] = {(): ({ZERO_CONE: 1}, 1)}
@@ -170,10 +170,9 @@ def deg_products(
             nums, big = _multiply(fan, nums, zzs[t], solved[t])
             layer[prefix] = nums, den * scales[t] * big
     pairs = [(key[:-1], key[-1]) for key in keys]
-    weight_scale, weights = scaled_to_int(fan.weights)
     classes = {c: nums for c, (nums, _) in layer.items()}
-    totals, big = _pairings(fan, weights, classes, list(dict.fromkeys(pairs)), zzs)
-    return [Fraction(totals[c, t], layer[c][1] * scales[t] * weight_scale * big) for c, t in pairs]
+    totals, big = _pairings(fan, classes, list(dict.fromkeys(pairs)), zzs)
+    return [Fraction(totals[c, t], layer[c][1] * scales[t] * big) for c, t in pairs]
 
 
 def deg_product(fan: MarkedFan, zs: Sequence[Mapping[str, Fraction]]) -> Fraction:

@@ -8,8 +8,10 @@ cone): one value is both its key and its place in the order below.  The face
 of a cone without its i-th ray is ``cone[:i] + cone[i + 1:]``, and ``join``
 adds a ray.
 
-A fan scales its rays to integers once: ``int_rays`` holds M u, with M =
-``ray_scale`` the lcm of their denominators; every integer computation reads them.
+A fan scales its rays and its weights to integers once: ``int_rays`` holds
+M u, with M = ``ray_scale`` the lcm of the rays' denominators, and
+``int_weights`` holds W w, with W = ``weight_scale`` the lcm of the weights'
+denominators; every integer computation reads them.
 
 A fan also fixes the one order of its cones, once: ``cones`` lists every
 cone lexicographically, so the zero cone comes first.  Every ordered scan or
@@ -58,13 +60,18 @@ def join(cone: Cone, rid: str) -> Cone:
 
 
 def check_sorted(rids: Cone) -> None:
-    """Refuse ray ids that are not a sorted tuple, a set or a list say, naming their form.
+    """Refuse anything but a sorted tuple of string ray ids, naming its form.
 
-    A set's ids are shown sorted, so the message does not follow the hash seed.
+    A tuple or a list is shown as a list, and a set with its ids sorted (by their
+    repr when they are not all strings), so the message does not follow the hash
+    seed; anything else, None or a number say, is shown as it is.
     """
-    if type(rids) is not tuple or list(rids) != sorted(rids):
-        shown = list(rids) if isinstance(rids, (tuple, list)) else sorted(rids)
-        raise DimensionMismatch(f"{type(rids).__name__} {shown} is not a sorted tuple of ray ids")
+    if type(rids) is tuple and all(type(r) is str for r in rids) and list(rids) == sorted(rids):
+        return
+    shown = list(rids) if isinstance(rids, (tuple, list)) else rids
+    if isinstance(rids, (set, frozenset)):
+        shown = sorted(rids, key=None if all(type(r) is str for r in rids) else repr)
+    raise DimensionMismatch(f"{type(rids).__name__} {shown!r} is not a sorted tuple of ray ids")
 
 
 def check_keys(fan: MarkedFan, z: Mapping[str, Fraction]) -> None:
@@ -120,6 +127,7 @@ class MarkedFan:
         if any(len(c) != self.d for c in cones):
             raise NotPure("maximal cones have different numbers of rays")
         self.max_cones: tuple[Cone, ...] = tuple(cones)
+        self.weight_scale, self.int_weights = scaled_to_int(self.weights)
         # Faces layer by layer, downward: sigma gives each face without one ray,
         # and a face joins the next layer, to give its own faces, once.
         links: dict[Cone, list[str]] = {cone: [] for cone in self.max_cones}
@@ -159,12 +167,16 @@ class MarkedFan:
     def link(self, tau: Cone) -> tuple[str, ...]:
         """Sorted ids of the rays eta not in tau for which join(tau, eta) is a cone.
 
-        Refuses anything but a cone of the fan by DimensionMismatch: ray ids that
-        are not a sorted tuple by ``check_sorted``, naming their form, and any other
-        tuple as no cone of the fan.  The functions that take a cone check it here.
+        Refuses anything but a cone of the fan by DimensionMismatch: an argument
+        that is not a sorted tuple of string ray ids by ``check_sorted``, naming its
+        form, and any other tuple as no cone of the fan.  The functions that take a
+        cone check it here.
         """
-        if type(tau) is tuple and tau in self._links:
-            return self._links[tau]
+        try:
+            if type(tau) is tuple:
+                return self._links[tau]
+        except (KeyError, TypeError):  # no cone of the fan, or an id with no hash
+            pass
         check_sorted(tau)
         raise DimensionMismatch(f"{list(tau)} is not a cone of the fan")
 
@@ -368,10 +380,10 @@ def _balancing_report(fan: MarkedFan) -> TropicalReport:
 
     The fan's one echelon walk, which ``MarkedFan`` runs once when it is
     built; it also refuses a cone with dependent rays.  The sums are
-    integers: s_tau = sum_eta w~_{tau eta} u~_eta, with w~_{tau eta}
-    the weight of join(tau, eta) scaled by the lcm W of the weights'
-    denominators and u~ the ``int_rays``.  One loop reads the cones in
-    ``fan.cones`` order, so the cones tau come in ``cones_of_dim`` order.
+    integers: s_tau = sum_eta w~_{tau eta} u~_eta, with w~_{tau eta} the
+    ``int_weights`` entry of join(tau, eta) and u~ the ``int_rays``.  One
+    loop reads the cones in ``fan.cones`` order, so the cones tau come in
+    ``cones_of_dim`` order.
     Each ray of a cone is a fraction-free echelon row,
     reduced by ``reduce_row`` against the rays before it and augmented by a unit vector
     that records its combination of the rays.  In lexicographic order a
@@ -392,7 +404,6 @@ def _balancing_report(fan: MarkedFan) -> TropicalReport:
     is positive and none costs a rescaling by -1.
     """
     n, top = fan.ambient_dim, fan.d - 1
-    weights = scaled_to_int(fan.weights)[1]
     failing: list[Cone] = []
     certificates: dict[Cone, tuple[tuple[int, ...], int]] = {}
     # equal certificates kept once: on U(7,8), 57120 cones share 20 certificates
@@ -412,7 +423,7 @@ def _balancing_report(fan: MarkedFan) -> TropicalReport:
         if k == top:
             total = [0] * n
             for eta in fan.link(cone):
-                w = weights[join(cone, eta)]
+                w = fan.int_weights[join(cone, eta)]
                 total = [t + w * x for t, x in zip(total, fan.int_rays[eta])]
             row = reduce_row([*total, *[0] * top], echelon)
             if any(row[:n]):

@@ -2,25 +2,27 @@
 
 Vectors are tuples of Fraction, matrices are tuples of row tuples.  Every
 routine here is exact: there is no floating point anywhere, so results can
-be compared with ``==``.  Elimination is fraction-free: ``solve``, ``rank``,
-``inverse`` and ``det`` scale each row to integers and read one Bareiss
-Gauss-Jordan elimination, dividing by the pivots only at the end; their
-results equal those of rational elimination.  ``solve`` returns one
-solution as integer numerators over one denominator, the last pivot, with
-its free coordinates zero; the Chow covectors use it, star fans use
-``inverse``, fan validation's sign certificates, linear matroids and a fan's
-refusal of a cone with dependent rays (to name that cone) use ``rank``, and
-the geometric oracle expands its integer determinants along ``cofactors``.
-``reduce_row`` is one row's part of a Bareiss forward elimination, against
-rows already in fraction-free echelon form; a fan's one echelon walk, when
-it is built, builds those rows one ray at a time and reads both its
-simpliciality and its balancing certificates off them, without ``rank``.
-The four eliminating routines take integer rows as well as rational ones,
-and a row that is all ``int`` is eliminated as it is, with no scaling.  ``signature``
-reads inertia off a symmetric Bareiss elimination with one pivot rule, over
-the whole matrix scaled to integers by one factor.  ``scaled_rows`` is that
-one scaling, of a matrix by the lcm of all its denominators; fans scale
-their rays, contexts their Gram and ``scaled_to_int`` a truncation with it.
+be compared with ``==``.  Elimination is fraction-free, with one row step:
+``reduce_row`` reduces a row against rows already in fraction-free echelon
+form, by one Bareiss step per row.  ``rank``, ``solve``, ``det`` and
+``inverse`` scale their rows to integers and push them, in input order,
+through ``_echelon``, a forward pass of that step; their results equal
+those of rational elimination.  ``solve`` back-substitutes exactly and
+returns one solution as integer numerators over one denominator, the last
+pivot, with its free coordinates zero; the Chow covectors use it, star fans
+use ``inverse``, fan validation's sign certificates, linear matroids and a
+fan's refusal of a cone with dependent rays (to name that cone) use
+``rank``, and the geometric oracle expands its integer determinants along
+``cofactors``.  A fan's one echelon walk, when it is built, builds its
+rows one ray at a time with ``reduce_row`` and reads both its simpliciality
+and its balancing certificates off them, without ``rank``.  The four
+eliminating routines take integer rows as well as rational ones, and a row
+that is all ``int`` is eliminated as it is, with no scaling.
+``signature`` stays separate: it reads inertia off a symmetric Bareiss
+elimination with its own pivot rule, over the whole matrix scaled to
+integers by one factor.  ``scaled_rows`` is that one scaling, of a matrix
+by the lcm of all its denominators; fans scale their rays and weights,
+contexts their Gram and ``scaled_to_int`` a truncation with it.
 """
 
 from __future__ import annotations
@@ -104,49 +106,6 @@ def _integer_rows(rows: Iterable[Sequence]) -> list[Sequence[int]]:
     return [row if all(type(x) is int for x in row) else scaled_rows([row])[1][0] for row in rows]
 
 
-def _eliminate(rows: list[Sequence[int]], ncols: int) -> tuple[list[tuple[int, int]], int]:
-    """Bareiss's fraction-free Gauss-Jordan elimination; returns (pivots, signed last pivot).
-
-    Each pivot is a (row index, column index) pair.  The first ``ncols``
-    columns are taken in order, and the pivot is the first nonzero entry of
-    the column at or below the current row.  With p that pivot and prev the
-    one before it (1 at first), every other row becomes
-    (p * row - row[c] * pivot_row) // prev, an exact division by Sylvester's
-    identity; a row with row[c] == 0 is only rescaled by p / prev.  After
-    the call every pivot entry is the last pivot, every other entry of a
-    pivot column is zero, and a pivot row divided by its pivot entry is a
-    row of the reduced echelon form.  The signed last pivot carries one sign
-    flip per row swap; for a square matrix of full rank it is the
-    determinant.
-    """
-    pivots: list[tuple[int, int]] = []
-    sign, prev = 1, 1
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            sign = -sign
-        prow = rows[r]
-        p = prow[c]
-        for i, row in enumerate(rows):
-            if i == r:
-                continue
-            f = row[c]
-            if f:
-                rows[i] = [(p * v - f * w) // prev for v, w in zip(row, prow)]
-            elif p != prev:
-                rows[i] = [p * v // prev for v in row]
-        pivots.append((r, c))
-        prev = p
-        r += 1
-        if r == len(rows):
-            break
-    return pivots, sign * prev
-
-
 def reduce_row(row: Sequence[int], echelon: Sequence[tuple[int, Sequence[int]]]) -> list[int]:
     """``row`` reduced against fraction-free echelon rows by one Bareiss step each.
 
@@ -154,10 +113,10 @@ def reduce_row(row: Sequence[int], echelon: Sequence[tuple[int, Sequence[int]]])
     against those before it, so its entries in the earlier pivot columns are
     zero.  With p the pivot and prev the one before it (1 at first), the row
     becomes (p * row - row[c] * pivot_row) // prev, exact by Sylvester's
-    identity as in ``_eliminate``, and only rescaled by p / prev when
-    row[c] == 0.  The result is p_k row + sum_j m_j r_j over the original
-    rows r_j, p_k the last pivot, with integers m_j; it is zero in every pivot
-    column, and zero everywhere exactly when row lies in their span.
+    identity, and only rescaled by p / prev when row[c] == 0.  The result is
+    p_k row + sum_j m_j r_j over the original rows r_j, p_k the last pivot,
+    with integers m_j; it is zero in every pivot column, and zero everywhere
+    exactly when row lies in their span.
     """
     row = list(row)
     prev = 1
@@ -171,45 +130,62 @@ def reduce_row(row: Sequence[int], echelon: Sequence[tuple[int, Sequence[int]]])
     return row
 
 
+def _echelon(
+    rows: Iterable[Sequence[int]], ncols: int
+) -> tuple[list[tuple[int, list[int]]], list[list[int]]]:
+    """(echelon, residual): ``rows`` pushed in input order, each reduced by ``reduce_row``
+    against those already pushed; a row's pivot is its first nonzero entry among the
+    first ``ncols``, and a row with none there is residual."""
+    echelon, residual = [], []
+    for row in rows:
+        row = reduce_row(row, echelon)
+        c = next((j for j in range(ncols) if row[j]), None)
+        if c is None:
+            residual.append(row)
+        else:
+            echelon.append((c, row))
+    return echelon, residual
+
+
 def solve(a: Mat, b: Vec) -> tuple[tuple[int, ...], int]:
     """One solution of A x = b, exactly, as (x, p): integer numerators x over p != 0.
 
-    Raises :class:`NoSolution` when the system is inconsistent.  Pivots are
-    taken in column order, and coordinates in non-pivot columns are zero,
-    so the solution x / p is deterministic.  After the elimination every
-    pivot entry is the last pivot p, so with the free coordinates zero the
-    pivot row of column c reads p X_c = its right-hand side, which is x_c.
+    Raises :class:`NoSolution` when the system is inconsistent, which is when
+    a residual row of (A | b) has a nonzero right-hand side.  Sorted by pivot
+    column the echelon rows are a staircase, so their pivot columns are those
+    of the reduced echelon form; coordinates in the other columns are zero,
+    so the solution x / p is deterministic.  p is the last pivot, +- a minor
+    of A on the echelon's rows and pivot columns, so by Cramer's rule p times
+    the solution is integral, and back substitution from the last pivot
+    column reads it exactly: x_c = (p rhs - sum_j row[j] x_j) // row[c].
     """
-    m = len(a)
-    n = len(a[0]) if a else 0
+    m, n = len(a), len(a[0]) if a else 0
     if len(b) != m:
         raise DimensionMismatch(f"matrix has {m} rows, rhs has {len(b)}")
-    rows = _integer_rows((*row, rhs) for row, rhs in zip(a, b))
-    pivots, _ = _eliminate(rows, n)
-    if any(rows[i][n] for i in range(len(pivots), m)):
+    echelon, residual = _echelon(_integer_rows((*row, rhs) for row, rhs in zip(a, b)), n)
+    if any(row[n] for row in residual):
         raise NoSolution("inconsistent linear system")
+    p = echelon[-1][1][echelon[-1][0]] if echelon else 1
     x = [0] * n
-    for r, c in pivots:
-        x[c] = rows[r][n]
-    p = rows[pivots[-1][0]][pivots[-1][1]] if pivots else 1
+    for c, row in sorted(echelon, reverse=True):
+        x[c] = (p * row[n] - sum(row[j] * x[j] for j in range(c + 1, n))) // row[c]
     return tuple(x), p
 
 
 def rank(a: Mat) -> int:
-    if not a:
-        return 0
-    return len(_eliminate(_integer_rows(a), len(a[0]))[0])
+    return len(_echelon(_integer_rows(a), len(a[0]))[0]) if a else 0
 
 
 def inverse(a: Mat) -> Mat:
+    """A^-1, column by column: ``solve`` on the columns of the identity."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise DimensionMismatch("inverse needs a square matrix")
-    rows = _integer_rows((*row, *ident_row) for row, ident_row in zip(a, identity(n)))
-    pivots, _ = _eliminate(rows, n)
-    if len(pivots) < n:
-        raise NoSolution("matrix is singular")
-    return tuple(tuple(Fraction(v, rows[r][c]) for v in rows[r][n:]) for r, c in pivots)
+    try:
+        columns = [solve(a, e) for e in identity(n)]
+    except NoSolution:
+        raise NoSolution("matrix is singular") from None
+    return tuple(zip(*(tuple(Fraction(v, p) for v in x) for x, p in columns)))
 
 
 def cofactors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -221,17 +197,16 @@ def cofactors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 
 def det(a: Mat) -> Fraction:
-    """Determinant: each row is scaled to integers by the lcm s_i of its
-    denominators, and det(A) is the signed last pivot of the elimination
-    over the product of the s_i, or zero when a pivot is missing."""
-    scale = 1
-    rows = []
-    for row in a:
-        s, (ints,) = scaled_rows([row])
-        rows.append(ints)
-        scale *= s
-    pivots, last = _eliminate(rows, len(rows))
-    return Fraction(last, scale) if len(pivots) == len(a) else ZERO
+    """Determinant: A is scaled to integers once, by the lcm s of its denominators,
+    and det(A) is the last pivot of ``_echelon``, signed by the parity of the
+    order in which the pivot columns came, over s^n; zero when a row leaves no pivot."""
+    s, rows = scaled_rows(a)
+    echelon, residual = _echelon(rows, len(rows))
+    if residual:
+        return ZERO
+    cols = [c for c, _ in echelon]
+    sign = (-1) ** sum(x > y for i, x in enumerate(cols) for y in cols[i + 1 :])
+    return Fraction(sign * echelon[-1][1][cols[-1]] if echelon else 1, s ** len(rows))
 
 
 @dataclass(frozen=True)

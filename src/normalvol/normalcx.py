@@ -353,11 +353,12 @@ def _checked_faces(
     ctx: Context, sigma: Cone, z: Mapping[str, Fraction]
 ) -> dict[Cone, tuple[int, list[int]]]:
     """(Z D_tau, p) of ``_face_pairings`` for each nonzero face tau of sigma, on sigma's
-    rays.  Ray ids that are not a sorted tuple are refused first; then faces come by size,
-    then sorted, each refused as it comes: DimensionMismatch if it is not a cone,
-    NotPseudocubical if w_tau(z) has a negative coefficient."""
-    check_keys(ctx.fan, z)
+    rays.  Ray ids that are not a sorted tuple of strings are refused first, then a z not
+    indexed by the fan's rays; then faces come by size, then sorted, each refused as it
+    comes: DimensionMismatch if it is not a cone, NotPseudocubical if w_tau(z) has a
+    negative coefficient."""
     check_sorted(sigma)
+    check_keys(ctx.fan, z)
     rids = [rid for rid in sigma if rid in z]  # any other id fails its face's check
     scale, zz = scaled_to_int({rid: z[rid] for rid in rids})
     faces = {}
@@ -480,8 +481,7 @@ class TruncationTables:
         self._index: dict[tuple[Fraction, ...], int] = {}
         self._tables: list[_Table] = []
         self._forward: dict[tuple[int, ...], dict[Cone, int]] = {(): {ZERO_CONE: 1}}
-        self._weight_scale, weights = scaled_to_int(ctx.fan.weights)
-        self._backward: dict[tuple[int, ...], dict[Cone, int]] = {(): weights}
+        self._backward: dict[tuple[int, ...], dict[Cone, int]] = {(): ctx.fan.int_weights}
 
     def _lookup(self, z: Mapping[str, Fraction]) -> int:
         check_keys(self.ctx.fan, z)
@@ -530,7 +530,7 @@ class TruncationTables:
         forward, backward = self._forward_layer(key[:k]), self._backward_layer(key[k:])
         total = sum(v * backward[c] for c, v in forward.items() if c in backward)
         scales = prod(self._tables[t].scale for t in ts)
-        return Fraction(total, self._weight_scale * scales * prod(self.ctx.dim_lcms()))
+        return Fraction(total, self.ctx.fan.weight_scale * scales * prod(self.ctx.dim_lcms()))
 
 
 def mixed_volumes(
@@ -647,8 +647,10 @@ def geometric_volume_oracle(
     z_rho, so the w-vectors are checked too), and a chain's |det| is
     |p_rho_1 . v| / (Z^k D_rho_1 ... D_sigma), v the ``cofactors`` of the rows
     above p_rho_1, built once per facet and shared by its orderings.  Limited
-    to cones of dimension <= 3.
+    to cones of dimension <= 3; ray ids that are not a sorted tuple of strings
+    are refused before that limit is checked.
     """
+    check_sorted(sigma)
     if len(sigma) > 3:
         raise DimTooLarge("geometric oracle supports dimension <= 3 only")
     faces = _checked_faces(ctx, sigma, z)

@@ -114,13 +114,19 @@ def reference_geometric_volume(ctx, sigma, z):
     (ray ids that are not a sorted tuple first), and shares no arithmetic with
     ``normalvol.normalcx``.
     """
+    # a set, a list, ids out of order or not strings, or no collection at all
+    if not (type(sigma) is tuple and {type(r) for r in sigma} <= {str} and sigma == cone_of(*sigma)):
+        if isinstance(sigma, (tuple, list)):
+            shown = list(sigma)
+        elif isinstance(sigma, (set, frozenset)):
+            shown = sorted(sigma, key=repr if {type(r) for r in sigma} - {str} else None)
+        else:
+            shown = sigma
+        raise DimensionMismatch(f"{type(sigma).__name__} {shown!r} is not a sorted tuple of ray ids")
     if len(sigma) > 3:
         raise DimTooLarge("geometric oracle supports dimension <= 3 only")
     if set(z) != set(ctx.fan.rays):
         raise DimensionMismatch("z-values must be indexed by exactly the fan's rays")
-    if type(sigma) is not tuple or sigma != cone_of(*sigma):  # a set, a list, ids out of order
-        shown = list(sigma) if isinstance(sigma, (tuple, list)) else sorted(sigma)
-        raise DimensionMismatch(f"{type(sigma).__name__} {shown} is not a sorted tuple of ray ids")
     rays, gram, rids = ctx.fan.rays, ctx.gram, sigma
     w = {}
     for k in range(1, len(rids) + 1):

@@ -345,6 +345,13 @@ def test_balancing_with_non_integral_rays_and_weights():
     assert len(_balancing_report(fans["U34 mapped, one weight 1/3"][0]).failing) == 2
 
 
+def test_the_fan_scales_its_weights_to_integers_once():
+    fan = make_pm1_fan((1, Fraction(2, 3)))
+    assert fan.weight_scale == 3
+    assert fan.int_weights == {("p",): 3, ("m",): 2}
+    assert all(type(w) is int for w in fan.int_weights.values())
+
+
 def _certificate_fans():
     """Balanced and unbalanced fans: Bergman fans and their reversals, a product
     with a 1-dimensional factor, mapped fans with ray_scale > 1 and weights

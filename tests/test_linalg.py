@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normalvol import linalg
 from normalvol.errors import DimensionMismatch, NoSolution, NotSymmetric
 from normalvol.linalg import (
     Signature,
@@ -297,3 +298,65 @@ def square_matrices(draw):
 @given(square_matrices())
 def test_det_matches_rational_elimination(a):
     assert det(a) == _reference_det(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices().flatmap(lambda a: st.tuples(st.just(a), st.permutations(range(len(a))))))
+def test_det_changes_sign_with_each_row_swap(case):
+    """det(P A) = sign(P) det(A) for a row permutation P: the pivot columns of P A
+    come in another order, and ``det`` reads the sign off that order."""
+    a, order = case
+    sign = (-1) ** sum(x > y for i, x in enumerate(order) for y in order[i + 1 :])
+    permuted = tuple(a[i] for i in order)
+    assert det(permuted) == sign * det(a) == sign * _reference_det(a)
+    assert det(permuted) == _reference_det(permuted)
+
+
+# Rows that leave no pivot when they come first: a zero row, a repeated row and a
+# combination of the rows after it, each with a consistent and an inconsistent b.
+LEADING_DEPENDENT_ROWS = {
+    "zero first row": ([[0, 0, 0], [1, 2, 3], [0, 1, 1]], [0, 4, 1], [1, 4, 1]),
+    "repeated first row": ([[1, 2, 0], [1, 2, 0], [0, 1, 1]], [3, 3, 2], [3, 4, 2]),
+    "first row a combination": (
+        [[Fraction(1, 2), 3, 2], [Fraction(1, 2), 1, 0], [0, 1, 1]],
+        [7, 3, 2],
+        [8, 3, 2],
+    ),
+    "first row a combination, one free column": (
+        [[2, 4, 6, 0], [1, 1, 1, 0], [0, 1, 2, 0]],
+        [4, 1, 1],
+        [5, 1, 1],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(LEADING_DEPENDENT_ROWS))
+def test_solve_with_a_dependent_first_row(name):
+    rows, consistent, inconsistent = LEADING_DEPENDENT_ROWS[name]
+    a = qmat(rows)
+    expected = _reference_solve(a, qvec(consistent), range(len(a[0])))
+    assert expected is not None
+    assert solution(a, qvec(consistent)) == expected
+    assert _reference_solve(a, qvec(inconsistent), range(len(a[0]))) is None
+    with pytest.raises(NoSolution):
+        solve(a, qvec(inconsistent))
+
+
+ELIMINATING = {
+    "rank": rank,
+    "solve": lambda a: solve(a, qvec([1, 1])),
+    "det": det,
+    "inverse": inverse,
+}
+
+
+@pytest.mark.parametrize("name", list(ELIMINATING))
+def test_every_eliminating_routine_reads_the_one_row_step(name, monkeypatch):
+    """``rank``, ``solve``, ``det`` and ``inverse`` all eliminate through ``reduce_row``."""
+
+    def boom(row, echelon):
+        raise RuntimeError("reduce_row")
+
+    monkeypatch.setattr(linalg, "reduce_row", boom)
+    with pytest.raises(RuntimeError, match="reduce_row"):
+        ELIMINATING[name](qmat([[2, 1], [1, 1]]))

@@ -440,8 +440,9 @@ CONE_ENTRY_POINTS = {
     "geometric_volume_oracle": lambda cone: geometric_volume_oracle(_QUADRANT, cone, _ONES),
 }
 # A cone is the sorted tuple of its ray ids: a set of ray ids, even the empty set or
-# the rays of a cone, a list and ids out of order are refused for their form, and a
-# sorted tuple that is no cone for that.
+# the rays of a cone, a list, ids out of order, an id that is not a string and an
+# argument of any other type are refused for their form, and a sorted tuple that is
+# no cone for that.
 NOT_CONES = {
     "set of a cone's rays": (
         frozenset({"r1", "r2"}),
@@ -451,6 +452,11 @@ NOT_CONES = {
     "unsorted tuple": (("r2", "r1"), "tuple ['r2', 'r1'] is not a sorted tuple of ray ids"),
     "list of a cone's rays": (["r1", "r2"], "list ['r1', 'r2'] is not a sorted tuple of ray ids"),
     "non-cone": (("r1", "r3"), "['r1', 'r3'] is not a cone of the fan"),
+    "None": (None, "NoneType None is not a sorted tuple of ray ids"),
+    "int": (5, "int 5 is not a sorted tuple of ray ids"),
+    "tuple with an int id": (("r1", 1), "tuple ['r1', 1] is not a sorted tuple of ray ids"),
+    "set with an int id": ({"r1", 1}, "set ['r1', 1] is not a sorted tuple of ray ids"),
+    "tuple with a list id": (("r1", ["r2"]), "tuple ['r1', ['r2']] is not a sorted tuple of ray ids"),
 }
 
 
@@ -462,6 +468,14 @@ def test_only_a_cone_of_the_fan_is_a_cone_argument(entry, form):
         CONE_ENTRY_POINTS[entry](cone)
     assert str(raised.value) == message
     CONE_ENTRY_POINTS[entry](("r1", "r2"))  # the cone itself is taken
+
+
+@pytest.mark.parametrize("entry", ["polytope_vertices", "geometric_volume_oracle"])
+def test_the_form_of_a_cone_is_refused_before_its_size_and_the_keys(entry):
+    call = {"polytope_vertices": polytope_vertices, "geometric_volume_oracle": geometric_volume_oracle}
+    with pytest.raises(DimensionMismatch) as raised:
+        call[entry](_QUADRANT, ("r4", "r3", "r2", "r1"), {"r1": 1})
+    assert str(raised.value) == "tuple ['r4', 'r3', 'r2', 'r1'] is not a sorted tuple of ray ids"
 
 
 # Every function that takes a truncation, called on the quadrant; z must be indexed by
