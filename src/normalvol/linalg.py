@@ -200,6 +200,8 @@ def det(a: Mat) -> Fraction:
     """Determinant: A is scaled to integers once, by the lcm s of its denominators,
     and det(A) is the last pivot of ``_echelon``, signed by the parity of the
     order in which the pivot columns came, over s^n; zero when a row leaves no pivot."""
+    if any(len(row) != len(a) for row in a):
+        raise DimensionMismatch("det needs a square matrix")
     s, rows = scaled_rows(a)
     echelon, residual = _echelon(rows, len(rows))
     if residual:

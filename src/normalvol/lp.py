@@ -1,8 +1,17 @@
 """Exact linear programming by the simplex method.
 
-Bland's rule is used throughout, so the solver never cycles.  Everything is
-rational and desk-scale.  ``simplex_max`` runs the textbook two phases; the
-cubical search, ``max_min_slack``, solves a dual that needs no phase 1.
+Bland's rule is used throughout, so the solver never cycles, and ``_bland``
+picks every pivot: the first improving column, then the least ratio by
+cross-multiplication, ties to the least basic index.  ``simplex_max`` runs
+the textbook two phases on a ``Fraction`` tableau.  The cubical search,
+``max_min_slack``, solves a dual that needs no phase 1, fraction-free: its
+tableau holds integers over one positive denominator, the last pivot, and
+each row update is one Bareiss step, exact by Sylvester's identity (as in
+lrs, Avis 2000).  Scaling a column or the objective row by a positive
+factor changes no sign and no ratio order, so Bland's rule takes the same
+pivots as on the rational tableau.  ``simplex_max`` and fan validation stay
+on ``Fraction`` rows until the benchmark's peak RSS stops growing with the
+number of set-up repeats (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -24,28 +33,29 @@ def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) 
     basis[row] = col
 
 
-def _run_simplex(tableau: list[list[Fraction]], basis: list[int], ncols: int) -> None:
-    """Iterate on a tableau whose last row is the (maximization) objective."""
+def _bland(tableau: list[list], basis: list[int], ncols: int) -> tuple[int, int] | None:
+    """Bland's (row, col) on a tableau whose last row is the (maximization)
+    objective, or None at the optimum.  Rows share one positive denominator."""
     obj = tableau[-1]
-    while True:
-        col = next((j for j in range(ncols) if obj[j] > 0), None)  # Bland: first improving
-        if col is None:
-            return
-        best_row = None
-        best_ratio = None
-        for i in range(len(tableau) - 1):
-            if tableau[i][col] > 0:
-                ratio = tableau[i][ncols] / tableau[i][col]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[best_row])
-                ):
-                    best_row, best_ratio = i, ratio
-        if best_row is None:
-            raise Unbounded("objective unbounded above")
-        _pivot(tableau, basis, best_row, col)
-        obj = tableau[-1]
+    col = next((j for j in range(ncols) if obj[j] > 0), None)  # first improving
+    if col is None:
+        return None
+    best = None
+    for i, row in enumerate(tableau[:-1]):
+        if row[col] > 0 and (
+            best is None
+            or (row[ncols] * tableau[best][col], basis[i])
+            < (tableau[best][ncols] * row[col], basis[best])
+        ):
+            best = i
+    if best is None:
+        raise Unbounded("objective unbounded above")
+    return best, col
+
+
+def _run_simplex(tableau: list[list[Fraction]], basis: list[int], ncols: int) -> None:
+    while (step := _bland(tableau, basis, ncols)) is not None:
+        _pivot(tableau, basis, *step)
 
 
 def simplex_max(a: Sequence[Vec], b: Vec, c: Vec) -> tuple[Vec, Fraction]:
@@ -107,27 +117,39 @@ def feasible_nonneg(a: Sequence[Vec], b: Vec) -> Vec | None:
     return x
 
 
-def max_min_slack(rows: Sequence[Vec]) -> tuple[Vec, Fraction] | None:
-    """Maximize t subject to row.z >= t for every row, sum(z) = 1 and z >= 0.
+def max_min_slack(
+    rows: Sequence[Sequence[int]], dens: Sequence[int]
+) -> tuple[Vec, Fraction] | None:
+    """Maximize t subject to rows[k].z >= dens[k] t, sum(z) = 1 and z >= 0.
 
-    Returns (z, t) with t > 0, or None when no z >= 0 has every row.z > 0.
-    By homogeneity 1/t = min sum(z) subject to row.z >= 1 and z >= 0.  Its
-    dual, max sum(y) subject to sum_k y_k row_k <= 1 and y >= 0, is solved
-    from the feasible slack basis, one tableau row per coordinate of z.  An
-    unbounded dual means an infeasible primal.  At the optimum v, the
-    reduced cost of slack column j is -v z_j, and t = 1/v.
+    Integer rows, dens[k] > 0.  Returns (z, t) with t > 0, or None when no
+    z >= 0 has every rows[k].z > 0.  By homogeneity 1/t = min sum(z) subject
+    to rows[k].z >= dens[k] and z >= 0.  Its dual, max sum_k dens[k] y_k
+    subject to sum_k y_k rows[k] <= 1 and y >= 0, is solved from the feasible
+    slack basis, one tableau row per coordinate of z; an unbounded dual means
+    an infeasible primal.  The tableau is its integers over den, the last
+    pivot, and a pivot on (r, c) with p = T[r][c] updates every other row to
+    (p T[i] - T[i][c] T[r]) // den.  At the optimum v, the reduced cost of
+    slack column j is -v z_j, and t = 1/v.
     """
     m, n = len(rows), len(rows[0])
-    tableau = [
-        [row[j] for row in rows] + [ONE if i == j else ZERO for i in range(n)] + [ONE]
-        for j in range(n)
-    ]
-    tableau.append([ONE] * m + [ZERO] * (n + 1))
+    tableau = [[row[j] for row in rows] + [int(i == j) for i in range(n)] + [1] for j in range(n)]
+    tableau.append(list(dens) + [0] * (n + 1))
     basis = list(range(m, m + n))
+    den = 1
     try:
-        _run_simplex(tableau, basis, m + n)
+        while (step := _bland(tableau, basis, m + n)) is not None:
+            r, c = step
+            prow = tableau[r]
+            p = prow[c]
+            for i, trow in enumerate(tableau):
+                f = trow[c]
+                if i != r and f:
+                    tableau[i] = [(p * v - f * w) // den for v, w in zip(trow, prow)]
+                elif i != r and p != den:  # the step with f = 0
+                    tableau[i] = [p * v // den for v in trow]
+            basis[r], den = c, p
     except Unbounded:
         return None
-    obj = tableau[-1]
-    value = -obj[m + n]
-    return tuple(-obj[m + j] / value for j in range(n)), ONE / value
+    obj = tableau[-1]  # obj[m + n] = -v den < 0
+    return tuple(Fraction(obj[m + j], obj[m + n]) for j in range(n)), Fraction(-den, obj[m + n])

@@ -71,7 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from itertools import combinations, permutations
 from typing import Mapping, Sequence, TypeVar
 
@@ -277,29 +277,33 @@ def find_cubical(ctx: Context) -> tuple[ZValues, Fraction] | None:
 
     Maximizes the minimum barycentric coefficient over all (cone, ray) pairs
     subject to sum(z) = 1 and z >= 0, which loses nothing: the coefficient
-    of the 1-cone {rho} is z_rho / <u_rho, u_rho>.  ``lp.max_min_slack``
-    solves the dual; the witness it recovers is re-classified exactly before
+    of the 1-cone {rho} is z_rho / <u_rho, u_rho>.  The coefficient of rho in
+    sigma is adj_rho . z / (D pair_scale), so with g = gcd(D, adj_rho) the LP
+    reads the integer row adj_rho / g over D / g, deduplicated on that key
+    (equal exactly when the rational rows are) in first-seen order.
+    ``lp.max_min_slack`` solves the dual in integers and returns the slack
+    times pair_scale; the witness it recovers is re-classified exactly before
     it is returned with its positive slack.
     """
     ray_order = ctx.fan.ray_ids()
     index = {rid: i for i, rid in enumerate(ray_order)}
-    rows: dict[Vec, None] = {}  # coefficient rows repeat across shared faces
+    keys: dict[tuple[int, tuple[int, ...]], None] = {}  # rows repeat across shared faces
     for cone in ctx.fan.cones:
         d, adj = ctx.cone_gram_inverse(cone)
-        scale = ONE / (d * ctx.pair_scale)
         for adj_row in adj:
-            row = [ZERO] * len(ray_order)
+            g = gcd(d, *adj_row)
+            row = [0] * len(ray_order)
             for rid, v in zip(cone, adj_row):
-                row[index[rid]] = scale * v
-            rows.setdefault(tuple(row))
-    found = lp.max_min_slack(list(rows))
+                row[index[rid]] = v // g
+            keys.setdefault((d // g, tuple(row)))
+    found = lp.max_min_slack([row for _, row in keys], [den for den, _ in keys])
     if found is None:
         return None
     zvec, slack = found
     z = dict(zip(ray_order, zvec))
     if not classify_z(ctx, z).is_cubical:
         raise MismatchError("the LP witness is not cubical")
-    return z, slack
+    return z, slack / ctx.pair_scale
 
 
 # -- restriction to star fans ---------------------------------------------

@@ -272,6 +272,42 @@ def reference_deg_product(fan, zs):
     return reference_degree(fan, cls)
 
 
+def reference_max_min_slack(rows):
+    """The rational LP that ``lp.max_min_slack`` solves in integers: maximize t subject
+    to row.z >= t, sum(z) = 1 and z >= 0, by the dual over Fraction from the slack
+    basis, with Bland's rule and its ratio test by division; (z, t) or None.
+
+    Rows over Fraction, with 1 in every objective entry; ``max_min_slack(rows, dens)``
+    is this LP on the rows rows[k] / dens[k].  Shares no code with ``normalvol.lp``.
+    """
+    m, n = len(rows), len(rows[0])
+    tableau = [[row[j] for row in rows] + [ONE if i == j else ZERO for i in range(n)] + [ONE]
+               for j in range(n)]
+    tableau.append([ONE] * m + [ZERO] * (n + 1))
+    basis = list(range(m, m + n))
+    while True:
+        obj = tableau[-1]
+        col = next((j for j in range(m + n) if obj[j] > 0), None)
+        if col is None:
+            break
+        best = None
+        for i in range(n):
+            if tableau[i][col] > 0:
+                ratio = tableau[i][m + n] / tableau[i][col]
+                if best is None or ratio < best[1] or (ratio == best[1] and basis[i] < basis[best[0]]):
+                    best = (i, ratio)
+        if best is None:
+            return None  # the dual is unbounded
+        row = best[0]
+        tableau[row] = [v / tableau[row][col] for v in tableau[row]]
+        for i, trow in enumerate(tableau):
+            if i != row and trow[col] != 0:
+                tableau[i] = [v - trow[col] * w for v, w in zip(trow, tableau[row])]
+        basis[row] = col
+    value = -tableau[-1][m + n]
+    return tuple(-tableau[-1][m + j] / value for j in range(n)), ONE / value
+
+
 def total_degree(poly):
     """The largest degree of a monomial of a ``MultiPoly``; 0 for the zero polynomial."""
     return max((sum(e for _, e in mono) for mono in poly.terms), default=0)

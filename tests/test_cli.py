@@ -428,6 +428,39 @@ def test_reduce_check_output_is_byte_identical_to_the_recorded_one(name, tmp_pat
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of the whole `cubical-find` stdout on a Bergman fan with the identity Gram,
+# e0 the first ground element.  Recorded while the LP still pivoted a Fraction tableau.
+CUBICAL_GOLDEN = {
+    "U45": (
+        lambda: matroid.uniform(4, 5),
+        "56b15bd0a43eb0f70d060148929abf165f36a303257abb18129ce4e5a8361b66",
+    ),
+    "K5": (
+        lambda: matroid.graphic(list(itertools.combinations("12345", 2))),
+        "0bb96b9fcf0bf6cdabfbee0f255887c2ed40e13e2077ebb9b231c31dafc1f60b",
+    ),
+    "U56": (
+        lambda: matroid.uniform(5, 6),
+        "c729c6870f7e6e3ce06408fea954c862810a9964729d352f657959b8a71f7c5c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CUBICAL_GOLDEN))
+def test_cubical_find_output_is_byte_identical_to_the_recorded_one(name, tmp_path, capsys):
+    build, digest = CUBICAL_GOLDEN[name]
+    m = build()
+    fan = matroid.bergman_fan(m, m.ground[0])
+    n = fan.ambient_dim
+    gram = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+    (tmp_path / "fan.json").write_text(json.dumps(fan_to_json(fan)))
+    (tmp_path / "gram.json").write_text(json.dumps({"gram": gram}))
+    argv = ["cubical-find", "--fan", str(tmp_path / "fan.json"), "--gram", str(tmp_path / "gram.json")]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def _k4_e0():
     """K4's Bergman fan with the e0 Gram and its ``find_cubical`` witness."""
     fx = bergman("K4")

@@ -57,6 +57,13 @@ def test_inverse_and_det():
         inverse(qmat([[1, 2], [2, 4]]))
 
 
+@pytest.mark.parametrize("rows", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]]])
+def test_det_refuses_a_non_square_matrix(rows):
+    # a 2x3 matrix once gave -3, and a 3x2 one a bare IndexError
+    with pytest.raises(DimensionMismatch, match="square"):
+        det(qmat(rows))
+
+
 def test_rank_and_transpose():
     a = qmat([[1, 0, 1], [0, 1, 1], [1, 1, 2]])
     assert rank(a) == 2

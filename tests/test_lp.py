@@ -1,10 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from normalvol.errors import Infeasible, Unbounded
 from normalvol.lp import feasible_nonneg, max_min_slack, simplex_max
 from normalvol.linalg import qmat, qvec
+
+from conftest import reference_max_min_slack
 
 
 def test_simplex_max_known_optimum():
@@ -37,12 +41,37 @@ def test_feasible_nonneg():
 
 
 def test_max_min_slack_symmetric():
-    # maximize min(z1, z2) subject to z1 + z2 = 1
-    z, slack = max_min_slack([qvec([1, 0]), qvec([0, 1])])
+    # maximize t subject to z1 >= t, 2 z2 >= 2 t and z1 + z2 = 1
+    z, slack = max_min_slack([(1, 0), (0, 2)], [1, 2])
     assert slack == Fraction(1, 2)
     assert z == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_max_min_slack_empty():
-    # z > 0 and -z > 0 cannot both hold
-    assert max_min_slack([qvec([1]), qvec([-1])]) is None
+    # z > 0 and -2z > 0 cannot both hold
+    assert max_min_slack([(1,), (-2,)], [1, 3]) is None
+
+
+@st.composite
+def slack_lps(draw):
+    """Integer rows over positive dens: 1-4 coordinates, 1-6 rows, entries in [-3, 3]."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=6))
+    dens = draw(st.lists(st.integers(1, 5), min_size=len(rows), max_size=len(rows)))
+    return rows, dens
+
+
+@settings(max_examples=200, deadline=None)
+@given(slack_lps())
+def test_max_min_slack_matches_the_rational_reference(lp_case):
+    # same Bland pivots on the integer tableau, so the same (z, t) or both None
+    rows, dens = lp_case
+    found = max_min_slack(rows, dens)
+    assert found == reference_max_min_slack(
+        [tuple(Fraction(v, d) for v in row) for row, d in zip(rows, dens)]
+    )
+    event("infeasible" if found is None else "feasible")
+    if found is not None:
+        z, t = found
+        assert sum(z) == 1 and min(z) >= 0 and t > 0
+        assert min(sum(x * v for x, v in zip(z, row)) / d for row, d in zip(rows, dens)) == t
