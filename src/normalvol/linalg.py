@@ -4,7 +4,8 @@ Vectors are tuples of Fraction, matrices are tuples of row tuples.  Every
 routine here is exact: there is no floating point anywhere, so results can
 be compared with ``==``.  Elimination is fraction-free, with one row step:
 ``reduce_row`` reduces a row against rows already in fraction-free echelon
-form, by one Bareiss step per row.  ``rank``, ``solve``, ``det`` and
+form, by one Bareiss step per row, over the pivot that came before them.
+It is the library's one row update.  ``rank``, ``solve``, ``det`` and
 ``inverse`` scale their rows to integers and push them, in input order,
 through ``_echelon``, a forward pass of that step; their results equal
 those of rational elimination.  ``solve`` back-substitutes exactly and
@@ -15,14 +16,19 @@ fan's refusal of a cone with dependent rays (to name that cone) use
 ``rank``, and the geometric oracle expands its integer determinants along
 ``cofactors``.  A fan's one echelon walk, when it is built, builds its
 rows one ray at a time with ``reduce_row`` and reads both its simpliciality
-and its balancing certificates off them, without ``rank``.  The four
-eliminating routines take integer rows as well as rational ones, and a row
-that is all ``int`` is eliminated as it is, with no scaling.
-``signature`` stays separate: it reads inertia off a symmetric Bareiss
-elimination with its own pivot rule, over the whole matrix scaled to
-integers by one factor.  ``scaled_rows`` is that one scaling, of a matrix
-by the lcm of all its denominators; fans scale their rays and weights,
-contexts their Gram and ``scaled_to_int`` a truncation with it.
+and its balancing certificates off them, without ``rank``; the cubical LP
+(``lp.max_min_slack``) updates each tableau row with it, over its last
+pivot.  The four eliminating routines take integer rows as well as
+rational ones, and a row that is all ``int`` is eliminated as it is, with
+no scaling.  ``signature`` keeps its own symmetric pivot rule, over the
+whole matrix scaled to integers by one factor, but not its own step: it
+updates each active row with ``reduce_row``.  ``border_adjugate`` borders
+an integer determinant and adjugate by one row and column, the one step
+of each cone's Gram adjugate (``normalcx.Context.cone_gram_inverse``).  So
+only this module divides by a previous pivot or minor.  ``scaled_rows`` is
+the one scaling of a matrix by the lcm of all its denominators; fans scale
+their rays and weights, contexts their Gram and ``scaled_to_int`` a
+truncation with it.
 """
 
 from __future__ import annotations
@@ -106,20 +112,23 @@ def _integer_rows(rows: Iterable[Sequence]) -> list[Sequence[int]]:
     return [row if all(type(x) is int for x in row) else scaled_rows([row])[1][0] for row in rows]
 
 
-def reduce_row(row: Sequence[int], echelon: Sequence[tuple[int, Sequence[int]]]) -> list[int]:
+def reduce_row(
+    row: Sequence[int], echelon: Sequence[tuple[int, Sequence[int]]], prev: int = 1
+) -> Sequence[int]:
     """``row`` reduced against fraction-free echelon rows by one Bareiss step each.
 
     ``echelon`` holds (pivot column, row) pairs, each row already reduced
     against those before it, so its entries in the earlier pivot columns are
-    zero.  With p the pivot and prev the one before it (1 at first), the row
-    becomes (p * row - row[c] * pivot_row) // prev, exact by Sylvester's
-    identity, and only rescaled by p / prev when row[c] == 0.  The result is
-    p_k row + sum_j m_j r_j over the original rows r_j, p_k the last pivot,
-    with integers m_j; it is zero in every pivot column, and zero everywhere
-    exactly when row lies in their span.
+    zero, and ``prev`` is the pivot that came before the first of them (1 at
+    the start of an elimination).  With p the pivot, the row becomes
+    (p * row - row[c] * pivot_row) // prev, exact by Sylvester's identity,
+    and only rescaled by p / prev when row[c] == 0; then p is the next prev.
+    A row that no step changes (row[c] == 0 and p == prev at every step) is
+    returned as the same object.  The result is p_k row + sum_j m_j r_j over
+    the original rows r_j, p_k the last pivot, with integers m_j; it is zero
+    in every pivot column, and zero everywhere exactly when row lies in
+    their span.
     """
-    row = list(row)
-    prev = 1
     for c, prow in echelon:
         p, f = prow[c], row[c]
         if f:
@@ -130,9 +139,30 @@ def reduce_row(row: Sequence[int], echelon: Sequence[tuple[int, Sequence[int]]])
     return row
 
 
+def border_adjugate(
+    d: int, adj: Sequence[Sequence[int]], b: Sequence[int], c: int
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D', adj') of the symmetric integer matrix [[G, b], [b^T, c]], from (D, adj) of G.
+
+    D = det G != 0 and adj its adjugate, with (1, ()) for the empty matrix.
+    With a = adj b, D' = c D - b.a and adj' = [[(D' adj + a a^T) / D, -a], [-a^T, D]].
+    The division by D, the previous minor, is exact: its quotient is the
+    block of adj', and the adjugate of an integer matrix is integral
+    (Sylvester's identity, as in ``reduce_row``).
+    """
+    a = [sum(x * y for x, y in zip(row, b)) for row in adj]
+    d_new = c * d - sum(x * y for x, y in zip(a, b))
+    rows = [
+        tuple((d_new * v + ai * aj) // d for v, aj in zip(row, a)) + (-ai,)
+        for row, ai in zip(adj, a)
+    ]
+    rows.append(tuple(-x for x in a) + (d,))
+    return d_new, tuple(rows)
+
+
 def _echelon(
     rows: Iterable[Sequence[int]], ncols: int
-) -> tuple[list[tuple[int, list[int]]], list[list[int]]]:
+) -> tuple[list[tuple[int, Sequence[int]]], list[Sequence[int]]]:
     """(echelon, residual): ``rows`` pushed in input order, each reduced by ``reduce_row``
     against those already pushed; a row's pivot is its first nonzero entry among the
     first ``ncols``, and a row with none there is residual."""
@@ -229,8 +259,11 @@ def signature(s: Mat) -> Signature:
     The matrix is scaled to integers by one positive factor.  A pivot is any
     active w_kk != 0; with prev the pivot before it (1 at first), w_kk / prev
     is the next diagonal entry of an LDL^T factorisation, positive when
-    w_kk * prev > 0, and every other active entry becomes
-    (w_kk w_ij - w_ik w_kj) // prev, exact because each entry is a minor.
+    w_kk * prev > 0, and every other active row becomes
+    ``reduce_row(w_i, ((k, w_k),), prev)``, (w_kk w_i - w_ik w_k) // prev,
+    exact because each entry is a minor.  The step runs over whole rows: an
+    eliminated column is zero in every active row, and stays zero, so the
+    active block is the one of the elimination over active entries alone.
     When the active diagonal is zero but some w_ij is not, adding row and
     column j to row and column i is a congruence that puts 2 w_ij there; by
     Sylvester's law of inertia it keeps the counts.  The active entries left
@@ -259,15 +292,13 @@ def signature(s: Mat) -> Signature:
             for t in active:
                 w[t][i] += w[t][j]
             continue
-        p, wk = w[k][k], w[k]
+        p = w[k][k]
         if p * prev > 0:
             n_plus += 1
         else:
             n_minus += 1
         active.remove(k)
         for i in active:
-            wi, f = w[i], w[i][k]
-            for j in active:
-                wi[j] = (p * wi[j] - f * wk[j]) // prev
+            w[i] = reduce_row(w[i], ((k, w[k]),), prev)
         prev = p
     return Signature(n_plus, n_minus, len(active))

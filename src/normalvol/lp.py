@@ -6,12 +6,13 @@ cross-multiplication, ties to the least basic index.  ``simplex_max`` runs
 the textbook two phases on a ``Fraction`` tableau.  The cubical search,
 ``max_min_slack``, solves a dual that needs no phase 1, fraction-free: its
 tableau holds integers over one positive denominator, the last pivot, and
-each row update is one Bareiss step, exact by Sylvester's identity (as in
-lrs, Avis 2000).  Scaling a column or the objective row by a positive
-factor changes no sign and no ratio order, so Bland's rule takes the same
-pivots as on the rational tableau.  ``simplex_max`` and fan validation stay
-on ``Fraction`` rows until the benchmark's peak RSS stops growing with the
-number of set-up repeats (ROADMAP item 1).
+each row update is ``linalg.reduce_row`` over that pivot, one Bareiss step,
+exact by Sylvester's identity (as in lrs, Avis 2000); this module does no
+row arithmetic of its own for it.  Scaling a column or the objective row by
+a positive factor changes no sign and no ratio order, so Bland's rule takes
+the same pivots as on the rational tableau.  ``simplex_max`` and fan
+validation stay on ``Fraction`` rows until the benchmark's peak RSS stops
+growing with the number of set-up repeats (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import Infeasible, Unbounded
-from .linalg import Vec, ZERO, ONE
+from .linalg import Vec, ZERO, ONE, reduce_row
 
 
 def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
@@ -128,8 +129,10 @@ def max_min_slack(
     subject to sum_k y_k rows[k] <= 1 and y >= 0, is solved from the feasible
     slack basis, one tableau row per coordinate of z; an unbounded dual means
     an infeasible primal.  The tableau is its integers over den, the last
-    pivot, and a pivot on (r, c) with p = T[r][c] updates every other row to
-    (p T[i] - T[i][c] T[r]) // den.  At the optimum v, the reduced cost of
+    pivot, and a pivot on (r, c) updates every other row by
+    ``reduce_row(T[i], ((c, T[r]),), den)``, to (p T[i] - T[i][c] T[r]) // den
+    with p = T[r][c]; a row with T[i][c] == 0 is only rescaled by p / den,
+    and kept as it is when p == den.  At the optimum v, the reduced cost of
     slack column j is -v z_j, and t = 1/v.
     """
     m, n = len(rows), len(rows[0])
@@ -140,15 +143,11 @@ def max_min_slack(
     try:
         while (step := _bland(tableau, basis, m + n)) is not None:
             r, c = step
-            prow = tableau[r]
-            p = prow[c]
-            for i, trow in enumerate(tableau):
-                f = trow[c]
-                if i != r and f:
-                    tableau[i] = [(p * v - f * w) // den for v, w in zip(trow, prow)]
-                elif i != r and p != den:  # the step with f = 0
-                    tableau[i] = [p * v // den for v in trow]
-            basis[r], den = c, p
+            pivot = ((c, tableau[r]),)
+            tableau = [
+                row if i == r else reduce_row(row, pivot, den) for i, row in enumerate(tableau)
+            ]
+            basis[r], den = c, tableau[r][c]
     except Unbounded:
         return None
     obj = tableau[-1]  # obj[m + n] = -v den < 0

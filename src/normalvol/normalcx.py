@@ -38,8 +38,9 @@ every ray pairing is an integer, <u_a, u_b> / pair_scale with
 pair_scale = 1 / (g M^2).
 Each cone keeps the integer determinant D > 0 and adjugate of its Gram block
 in these pairings, so G_sigma^-1 = adj / (D pair_scale), bordered from the face
-without its last ray; the one division in a bordering step is exact by
-Sylvester's identity (the step of Bareiss's elimination).  A table scales z
+without its last ray by ``linalg.border_adjugate``, whose one division is
+exact by Sylvester's identity (the step of Bareiss's elimination); this
+module divides by no previous pivot or minor itself.  A table scales z
 by the lcm Z of its denominators and holds the integers num = adj (Z z), which
 have the signs of c_sigma(z); the factor of (sigma, rho) is num_rho / (Z D_{sigma - rho}),
 since adj_{rho rho} = D_{sigma - rho}.  With Lambda_j the lcm of D_tau over the
@@ -91,6 +92,7 @@ from .linalg import (
     Vec,
     ZERO,
     ONE,
+    border_adjugate,
     cofactors,
     scaled_rows,
     scaled_to_int,
@@ -163,26 +165,15 @@ class Context:
 
         Rows and columns are in the cone's ray order, and G_cone^-1 = adj / (D pair_scale);
         the zero cone's is (1, ()).  Computed on first use and cached, bordered onto
-        (D, A) of the face ``cone[:-1]`` without the last ray r: with
-        b = ray_pair(face, r) and a = A b,
-        D' = ray_pair(r, r) D - b.a and adj' = [[(D' A + a a^T) / D, -a], [-a^T, D]].
-        The division by D is exact: its quotient is the block of adj', and the
-        adjugate of an integer matrix is integral (Sylvester's identity, the
-        step of Bareiss's elimination).
+        (D, A) of the face ``cone[:-1]`` without the last ray r by
+        ``linalg.border_adjugate``, with the pairings b = ray_pair(face, r) and
+        c = ray_pair(r, r).
         """
         entry = self._gram_inv.get(cone)
         if entry is None:
             head, last = cone[:-1], cone[-1]
-            d, adj = self.cone_gram_inverse(head)
             b = [self.ray_pair(rid, last) for rid in head]
-            a = [sum(x * y for x, y in zip(row, b)) for row in adj]
-            d_new = self.ray_pair(last, last) * d - sum(x * y for x, y in zip(a, b))
-            rows = [
-                tuple((d_new * v + ai * aj) // d for v, aj in zip(row, a)) + (-ai,)
-                for row, ai in zip(adj, a)
-            ]
-            rows.append(tuple(-x for x in a) + (d,))
-            entry = (d_new, tuple(rows))
+            entry = border_adjugate(*self.cone_gram_inverse(head), b, self.ray_pair(last, last))
             self._gram_inv[cone] = entry
         return entry
 

@@ -461,6 +461,109 @@ def test_cubical_find_output_is_byte_identical_to_the_recorded_one(name, tmp_pat
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def two_cones_files(tmp_path, d, truncations=()):
+    """argv of the fan of two d-cones {e_1..e_d} and {e_d+1..e_2d} on R^2d, meeting
+    only at the origin, with weight 1 and the identity Gram, and of each truncation
+    (values in ray order).  The rays are a, b, c, ... in that order."""
+    n = 2 * d
+    ids = "abcdef"[:n]
+    rays = [{"id": r, "u": [str(int(i == j)) for j in range(n)]} for i, r in enumerate(ids)]
+    cones = [{"rays": list(ids[:d]), "weight": "1"}, {"rays": list(ids[d:]), "weight": "1"}]
+    (tmp_path / "fan.json").write_text(json.dumps({"ambient_dim": n, "rays": rays, "max_cones": cones}))
+    gram = [[str(int(i == j)) for j in range(n)] for i in range(n)]
+    (tmp_path / "gram.json").write_text(json.dumps({"gram": gram}))
+    argv = ["--fan", str(tmp_path / "fan.json"), "--gram", str(tmp_path / "gram.json")]
+    for t, values in enumerate(truncations):
+        path = tmp_path / f"z{t}.json"
+        path.write_text(json.dumps({"z": dict(zip(ids, values))}))
+        argv += ["--z", str(path)]
+    return argv
+
+
+# Two cones meeting at the origin break the main theorem's hypotheses, and AF fails
+# there.  SHA-256 of each run's stdout, all exit 2, recorded before `lp`, `signature`
+# and the cone adjugates shared one fraction-free row step.
+FAIL_GOLDEN = {
+    "d2-reduce-check": (
+        2, "reduce-check", [], (),
+        "87b5fb6480115122fc630755c27be5412b90e8c8e19e5ac608497721eed64c43",
+    ),
+    "d2-af-check-z": (
+        2, "af-check", [], (("2", "2", "1", "1"), ("1", "1", "3", "3")),
+        "61c05c2df03af93dbc5e19e8c1fcbc25c78d19866f70f43fa7500005383149ea",
+    ),
+    "d2-af-check-samples": (
+        2, "af-check", ["--samples", "5"], (),
+        "9f11ffe15e1ba5613ba2575777180789bea6b7375c22efed4f5bb3793c09395b",
+    ),
+    "d3-reduce-check": (
+        3, "reduce-check", [], (),
+        "c9019491bf4690d6a57905c1088aca2f7fc3cb0b9b891cf4d7362cc5954b1264",
+    ),
+    "d3-af-check-z": (
+        3, "af-check", [], (("4", "4", "4", "1", "1", "1"), ("1", "1", "1", "4", "4", "4"), ("1",) * 6),
+        "f960cd3c54a7966b7391132fc2bed5b6d35f66f0d89e5a7fc70a6d147274d591",
+    ),
+}
+
+
+def run_two_cones(capsys, tmp_path, name):
+    d, command, extra, truncations, _ = FAIL_GOLDEN[name]
+    return run(capsys, [command, *two_cones_files(tmp_path, d, truncations), *extra])
+
+
+@pytest.mark.parametrize("name", list(FAIL_GOLDEN))
+def test_fail_verdicts_are_byte_identical_to_the_recorded_ones(name, tmp_path, capsys):
+    code, out, err = run_two_cones(capsys, tmp_path, name)
+    assert (code, err) == (2, "")
+    assert json.loads(out)["verdict"] == "fail"
+    assert hashlib.sha256(out.encode()).hexdigest() == FAIL_GOLDEN[name][-1]
+
+
+def test_reduce_check_fails_condition_ii_on_two_2_cones(tmp_path, capsys):
+    report = json.loads(run_two_cones(capsys, tmp_path, "d2-reduce-check")[1])
+    assert report["condition_i"] == {"failing_cones": [], "pass": True}
+    assert report["condition_ii"] == {
+        "pass": False,
+        "signatures": [{"cone": [], "n_plus": 2, "n_minus": 2, "n_zero": 0}],
+    }
+    assert report["cubical_witness"] == dict.fromkeys("abcd", "1/4")
+
+
+def test_af_check_fails_on_two_2_cones(tmp_path, capsys):
+    report = json.loads(run_two_cones(capsys, tmp_path, "d2-af-check-z")[1])
+    assert report["margins"] == ["-100"] and not report["sampled"]
+    report = json.loads(run_two_cones(capsys, tmp_path, "d2-af-check-samples")[1])
+    assert report["sampled"] and report["seed"] == 0
+    assert sum(Fraction(m) < 0 for m in report["margins"]) == 3 and len(report["margins"]) == 5
+
+
+def test_fan_validate_fails_the_balancing_of_two_2_cones(tmp_path, capsys):
+    two_cones_files(tmp_path, 2)
+    code, out, err = run(capsys, ["fan-validate", "--fan", str(tmp_path / "fan.json")])
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    assert report["valid"] and report["tropical"] is False
+    assert report["failing_cones"] == [["a"], ["b"], ["c"], ["d"]]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "67b1735ab74eea32fb38035d55567b8526b87c7eab67f425f67cfe6e7269f4a1"
+    )
+
+
+def test_reduce_check_fails_condition_i_on_two_3_cones(tmp_path, capsys):
+    report = json.loads(run_two_cones(capsys, tmp_path, "d3-reduce-check")[1])
+    assert report["condition_i"] == {"failing_cones": [[]], "pass": False}
+    assert report["condition_ii"]["pass"]
+    assert report["condition_ii"]["signatures"] == [
+        {"cone": [r], "n_plus": 1, "n_minus": 1, "n_zero": 0} for r in "abcdef"
+    ]
+
+
+def test_af_check_fails_on_two_3_cones_at_an_explicit_tuple(tmp_path, capsys):
+    report = json.loads(run_two_cones(capsys, tmp_path, "d3-af-check-z")[1])
+    assert report["margins"] == ["-8100"] and not report["sampled"]
+
+
 def _k4_e0():
     """K4's Bergman fan with the e0 Gram and its ``find_cubical`` witness."""
     fx = bergman("K4")

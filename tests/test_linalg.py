@@ -10,7 +10,9 @@ from normalvol import linalg
 from normalvol.errors import DimensionMismatch, NoSolution, NotSymmetric
 from normalvol.linalg import (
     Signature,
+    _echelon,
     _integer_rows,
+    border_adjugate,
     cofactors,
     det,
     dot,
@@ -20,6 +22,7 @@ from normalvol.linalg import (
     qmat,
     qvec,
     rank,
+    reduce_row,
     signature,
     solve,
 )
@@ -354,16 +357,66 @@ ELIMINATING = {
     "solve": lambda a: solve(a, qvec([1, 1])),
     "det": det,
     "inverse": inverse,
+    "signature": signature,
 }
 
 
 @pytest.mark.parametrize("name", list(ELIMINATING))
 def test_every_eliminating_routine_reads_the_one_row_step(name, monkeypatch):
-    """``rank``, ``solve``, ``det`` and ``inverse`` all eliminate through ``reduce_row``."""
+    """``rank``, ``solve``, ``det``, ``inverse`` and ``signature`` all eliminate through ``reduce_row``."""
 
-    def boom(row, echelon):
+    def boom(*args):
         raise RuntimeError("reduce_row")
 
     monkeypatch.setattr(linalg, "reduce_row", boom)
     with pytest.raises(RuntimeError, match="reduce_row"):
         ELIMINATING[name](qmat([[2, 1], [1, 1]]))
+
+
+# -- the row step over a previous pivot, and the bordering of adjugates -------
+
+
+def test_reduce_row_divides_one_step_by_the_previous_pivot():
+    prow, prev = [0, 6, 4, 2], 3
+    row = [3, 9, -3, 12]
+    assert reduce_row(row, ((1, prow),), prev) == [(6 * v - 9 * w) // prev for v, w in zip(row, prow)]
+    assert reduce_row(row, ((1, prow),), prev) == [6, 0, -18, 18]
+    # f = 0: the row is only rescaled by p / prev
+    assert reduce_row([3, 0, 6, 9], ((1, prow),), prev) == [6, 0, 12, 18]
+    untouched = [3, 0, 6, 9]
+    assert reduce_row(untouched, ((1, [0, 3, 4, 2]),), prev) is untouched
+    assert reduce_row(untouched, ()) is untouched
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=2, max_size=6
+)))
+def test_reduce_row_resumes_an_elimination_from_its_previous_pivot(rows):
+    """Reducing against a tail of the echelon, from the pivot before it, gives the
+    same row as reducing against the whole echelon at once."""
+    *pushed, row = rows
+    echelon, _ = _echelon(pushed, len(row))
+    whole = reduce_row(row, echelon)
+    for j in range(1, len(echelon)):
+        c, prow = echelon[j - 1]
+        assert reduce_row(reduce_row(row, echelon[:j]), echelon[j:], prow[c]) == whole
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=0, max_size=4
+).map(lambda a: (n, a))))
+def test_border_adjugate_builds_the_determinant_and_adjugate_row_by_row(case):
+    """G = A^T A + I is a symmetric positive-definite integer matrix; bordered from
+    (1, ()) one row at a time, each step gives the leading block's D and adjugate."""
+    n, a = case
+    g = [[sum(r[i] * r[j] for r in a) + (i == j) for j in range(n)] for i in range(n)]
+    d, adj = 1, ()
+    for k in range(n):
+        d, adj = border_adjugate(d, adj, g[k][:k], g[k][k])
+        block = [row[: k + 1] for row in g[: k + 1]]
+        assert d == det(qmat(block))
+        assert all(type(v) is int for row in adj for v in row)
+        product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*adj)] for row in block]
+        assert product == [[d * (i == j) for j in range(k + 1)] for i in range(k + 1)]

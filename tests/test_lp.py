@@ -4,6 +4,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from normalvol import lp
 from normalvol.errors import Infeasible, Unbounded
 from normalvol.lp import feasible_nonneg, max_min_slack, simplex_max
 from normalvol.linalg import qmat, qvec
@@ -75,3 +76,14 @@ def test_max_min_slack_matches_the_rational_reference(lp_case):
         z, t = found
         assert sum(z) == 1 and min(z) >= 0 and t > 0
         assert min(sum(x * v for x, v in zip(z, row)) / d for row, d in zip(rows, dens)) == t
+
+
+def test_the_cubical_lp_updates_its_rows_with_the_one_row_step(monkeypatch):
+    """Every row update of ``max_min_slack`` is ``linalg.reduce_row``."""
+
+    def boom(*args):
+        raise RuntimeError("reduce_row")
+
+    monkeypatch.setattr(lp, "reduce_row", boom)
+    with pytest.raises(RuntimeError, match="reduce_row"):
+        max_min_slack([(1, 0), (0, 2)], [1, 2])

@@ -49,6 +49,19 @@ def zmap(**kwargs):
 # -- context validation -----------------------------------------------------
 
 
+def test_cone_gram_inverse_borders_through_linalg(monkeypatch):
+    """Each cone's (D, adj) comes from ``linalg.border_adjugate``; the zero cone's is (1, ())."""
+
+    def boom(*args):
+        raise RuntimeError("border_adjugate")
+
+    monkeypatch.setattr(normalcx, "border_adjugate", boom)
+    ctx = Context(make_quadrant_fan(), identity(2))
+    assert ctx.cone_gram_inverse(ZERO_CONE) == (1, ())
+    with pytest.raises(RuntimeError, match="border_adjugate"):
+        ctx.cone_gram_inverse(("r1",))
+
+
 def test_gram_must_be_symmetric():
     with pytest.raises(NotSymmetric):
         Context(make_quadrant_fan(), qmat([[1, 1], [0, 1]]))
