@@ -22,6 +22,7 @@ from .matroid import (
     Matroid,
     alpha_beta_z,
     bergman_fan,
+    bergman_symmetries,
     char_poly,
     e0_inner_product,
     require_bergman_input,
@@ -195,7 +196,7 @@ def hrw_verify(m: Matroid, e0: str) -> HRWReport:
     cp = char_poly(m)
     mubar_char = cp.mubar
     fan = bergman_fan(m, e0)
-    ctx = Context(fan, e0_inner_product(m, e0))
+    ctx = Context(fan, e0_inner_product(m, e0), bergman_symmetries(m, e0))
     z_alpha, z_beta = alpha_beta_z(m, e0)
     d = fan.d
     tuples = [[z_alpha] * (d - a) + [z_beta] * a for a in range(d + 1)]

@@ -73,6 +73,11 @@ class NotCubical(NormalVolError):
     pass
 
 
+class NotInvariant(NormalVolError):
+    """A ray permutation is not a symmetry of a context, or a truncation is not
+    constant on the context's orbits."""
+
+
 class DimTooLarge(NormalVolError):
     pass
 

@@ -374,6 +374,44 @@ def bergman_fan(m: Matroid, e0: str) -> MarkedFan:
     return MarkedFan(len(coords), rays, max_cones, validate_geometry=False)
 
 
+def bergman_symmetries(m: Matroid, e0: str) -> list[dict[str, str]]:
+    """Ray permutations of ``bergman_fan(m, e0)`` that generate the symmetric group of
+    each transposition class of E minus e0.
+
+    Elements e and f of E minus e0 are in one class when swapping them maps flats
+    to flats.  The swaps form an equivalence relation, as (a c) = (a b)(b c)(a b),
+    so each element is tested against the first element of each class so far:
+    at most C(n - 1, 2) tests of one pass over the flats each.  A class of two or
+    more elements gives a transposition and a cycle of its elements.  Each fixes
+    e0 and maps flats to flats, so it maps flags to flags, keeps whether a flat
+    holds e0, and permutes the coordinates of the identity e0 Gram.
+    """
+    e0_bit, flats = m.element_bit(e0), set(m.flats)
+    classes: list[list[int]] = []
+    for i in range(m.n):
+        bit = 1 << i
+        if bit == e0_bit:
+            continue
+        for c in classes:
+            pair = bit | 1 << c[0]
+            if all((f ^ pair if (f & pair) in (bit, pair ^ bit) else f) in flats for f in flats):
+                c.append(i)
+                break
+        else:
+            classes.append([i])
+    perms = []
+    for c in classes:
+        for cycle in dict.fromkeys((tuple(c[:2]), tuple(c))) if len(c) > 1 else ():
+            p = list(range(m.n))
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                p[a] = b
+            perms.append({
+                flat_ray_id(m, f): flat_ray_id(m, sum(1 << p[i] for i in range(m.n) if f >> i & 1))
+                for f in m.proper_flats()
+            })
+    return perms
+
+
 def e0_inner_product(m: Matroid, e0: str) -> Mat:
     """The inner product making {u_e | e != e0} orthonormal: the identity Gram."""
     m.element_bit(e0)

@@ -51,6 +51,23 @@ lcm denominator W.  So every layer is integers, and a mixed volume builds one
 Fraction: sum F B / (W prod_k Z_k Lambda_{k-1}).  Every public value stays a
 Fraction.
 
+A context may carry a group of ray permutations, given by generators
+(``Context(fan, gram, symmetries)``), each checked when the context is built:
+a bijection of the rays that maps every maximal cone to one of equal weight
+and keeps the pairing of every ray and 2-cone, so every D and adjugate is
+constant on an orbit of cones, up to the order of its rays.  For truncations
+constant on the orbits of the rays (refused otherwise), every table row and
+forward value is constant on orbits too, and the program runs over the
+orbits' representatives alone (``Context.orbits``): the table pass walks the
+representatives, a face is read at its representative, and the backward
+layers hold orbit sums B~(O) = |O| B(rep O), starting from each orbit's sum
+of weights, so the meet sum F B~ runs over representatives unchanged.  The
+trivial group is the same code with the map of non-representatives empty.
+``hrw`` runs its mixed volumes over the matroid's transposition classes
+(``matroid.bergman_symmetries``) and checks them against the Chow degrees,
+which stay full-size, as do the fan's balancing walk and every other reader
+of the context.
+
 The Hessians of the volume quadratics of the stars at the cones of
 dimension d - 2, which condition (ii) of ``reduce-check`` reads, come in
 closed form from the maximal cones' adjugates (``star_hessians``), so no star
@@ -83,6 +100,7 @@ from .errors import (
     DimTooLarge,
     InputError,
     MismatchError,
+    NotInvariant,
     NotPseudocubical,
     NormalVolError,
 )
@@ -133,9 +151,13 @@ class Context:
     <u_a, u_b> / pair_scale, where pair_scale = 1 / (g M^2).  A cone's Gram
     block in these pairings has an integer determinant D > 0 and adjugate,
     and G_sigma^-1 = adj / (D pair_scale).
+
+    ``symmetries`` generate a group of ray permutations, checked here; the volume
+    program runs over its orbits (module docstring), and every other reader of the
+    context reads every cone.
     """
 
-    def __init__(self, fan: MarkedFan, gram: Mat):
+    def __init__(self, fan: MarkedFan, gram: Mat, symmetries: Sequence[Mapping[str, str]] = ()):
         check_gram(gram, fan.ambient_dim)
         self.fan = fan
         self.gram = gram
@@ -147,9 +169,63 @@ class Context:
         }
         self._ray_pairs: dict[tuple[str, str], int] = {}
         self._gram_inv: dict[Cone, tuple[int, tuple[tuple[int, ...], ...]]] = {ZERO_CONE: (1, ())}
-        self._dim_lcms: tuple[int, ...] | None = None
+        self._dim_lcms: list[int | None] = [None] * fan.d
         self._stars: dict[Cone, "Context"] = {}
         self._vol_poly: MultiPoly | None = None
+        self.symmetries = tuple(map(dict, symmetries))
+        for perm in self.symmetries:
+            self._check_symmetry(perm)
+        self._orbits = None if self.symmetries else (fan.cones, {}, fan.int_weights)
+
+    def _check_symmetry(self, perm: Mapping[str, str]) -> None:
+        """Refuse a ray permutation that moves a number the volume program reads: it must
+        be a bijection of the rays, map each maximal cone to one of equal weight, and keep
+        the pairing of every ray and 2-cone, the only pairings an adjugate reads."""
+        fan = self.fan
+        if perm.keys() != fan.rays.keys() or set(perm.values()) != fan.rays.keys():
+            raise NotInvariant("a symmetry must be a bijection of the fan's rays")
+        for sigma, w in fan.int_weights.items():
+            image = tuple(sorted(perm[rid] for rid in sigma))
+            if fan.int_weights.get(image) != w:
+                raise NotInvariant(
+                    f"a symmetry maps the maximal cone {list(sigma)} to {list(image)}, "
+                    "which is not a maximal cone of the same weight"
+                )
+        for a in fan.rays:
+            for b in (a, *fan.link((a,))):
+                if a <= b and self.ray_pair(perm[a], perm[b]) != self.ray_pair(a, b):
+                    raise NotInvariant(f"a symmetry changes the pairing of {a!r} and {b!r}")
+
+    def orbits(self) -> tuple[Sequence[Cone], dict[Cone, Cone], Mapping[Cone, int]]:
+        """(order, rep, weights) of the group the symmetries generate, on first need.
+
+        ``order`` lists the representatives, each the least cone of its orbit, in the
+        order of ``fan.cones``; ``rep`` maps every other cone to its representative; and
+        ``weights`` maps each maximal representative to the sum of ``int_weights`` over
+        its orbit.  The trivial group's are ``fan.cones``, {} and ``int_weights``.
+        """
+        if self._orbits is None:
+            order: list[Cone] = []
+            rep: dict[Cone, Cone] = {}
+            weights: dict[Cone, int] = {}
+            for cone in self.fan.cones:
+                if cone in rep:
+                    continue
+                order.append(cone)
+                orbit, todo = {cone}, [cone]
+                while todo:
+                    c = todo.pop()
+                    for perm in self.symmetries:
+                        image = tuple(sorted([perm[rid] for rid in c]))
+                        if image not in orbit:
+                            orbit.add(image)
+                            todo.append(image)
+                if len(cone) == self.fan.d:
+                    weights[cone] = len(orbit) * self.fan.int_weights[cone]
+                orbit.remove(cone)
+                rep.update(dict.fromkeys(orbit, cone))
+            self._orbits = (order, rep, weights)
+        return self._orbits
 
     def ray_pair(self, a: str, b: str) -> int:
         """The integer <u~_a, G~ u~_b> = <u_a, u_b> / pair_scale, cached per unordered pair."""
@@ -177,19 +253,21 @@ class Context:
             self._gram_inv[cone] = entry
         return entry
 
-    def dim_lcms(self) -> tuple[int, ...]:
-        """(Lambda_0, ..., Lambda_{d-1}): Lambda_j the lcm of D over the cones of dimension j.
+    def dim_lcm(self, j: int) -> int:
+        """Lambda_j, the lcm of D over the cones of dimension j, on first need.
 
-        Lambda_0 = 1, the determinant of the empty cone.  Computed once per context.
+        D is constant on an orbit, so the lcm runs over the representatives; Lambda_0 = 1,
+        the determinant of the empty cone.
         """
-        if self._dim_lcms is None:
-            lcms = [1] * self.fan.d
-            for cone in self.fan.cones:
-                k = len(cone)
-                if k < self.fan.d:
-                    lcms[k] = lcm(lcms[k], self.cone_gram_inverse(cone)[0])
-            self._dim_lcms = tuple(lcms)
-        return self._dim_lcms
+        lam = self._dim_lcms[j]
+        if lam is None:
+            dets = (self.cone_gram_inverse(c)[0] for c in self.orbits()[0] if len(c) == j)
+            lam = self._dim_lcms[j] = lcm(*dets)
+        return lam
+
+    def dim_lcms(self) -> tuple[int, ...]:
+        """(Lambda_0, ..., Lambda_{d-1})."""
+        return tuple(map(self.dim_lcm, range(self.fan.d)))
 
     def star_context(self, tau: Cone) -> "Context":
         ctx = self._stars.get(tau)
@@ -385,9 +463,12 @@ def polytope_vertices(
 T = TypeVar("T", int, MultiPoly)
 
 
-def _climb(layer: Mapping[Cone, T], rows: Mapping[Cone, Sequence[T]], zero: T) -> dict[Cone, T]:
+def _climb(
+    layer: Mapping[Cone, T], rows: Mapping[Cone, Sequence[T]], zero: T, rep: Mapping[Cone, Cone]
+) -> dict[Cone, T]:
     """Forward: F(sigma) = sum_{rho in sigma} layer(sigma - rho) * rows[sigma][rho], over the
-    k-cones sigma of ``rows``, with sigma - rho the face without rho.
+    k-cones sigma of ``rows``, with sigma - rho the face without rho, read at its
+    representative ``rep.get(face, face)`` (``Context.orbits``).
 
     A row holds (z_k)^{sigma - rho}_rho in the cone's ray order, as integer numerators over
     one denominator per dimension (``_Table``) or as linear forms (``vol_polynomial``); a
@@ -398,7 +479,8 @@ def _climb(layer: Mapping[Cone, T], rows: Mapping[Cone, Sequence[T]], zero: T) -
         total = zero
         for i, f in enumerate(row):
             if f:
-                prev = layer.get(cone[:i] + cone[i + 1 :])
+                face = cone[:i] + cone[i + 1 :]
+                prev = layer.get(rep.get(face, face))
                 if prev is not None:
                     total = total + prev * f
         if total:
@@ -406,17 +488,23 @@ def _climb(layer: Mapping[Cone, T], rows: Mapping[Cone, Sequence[T]], zero: T) -
     return nxt
 
 
-def _descend(layer: Mapping[Cone, int], rows: Mapping[Cone, Sequence[int]]) -> dict[Cone, int]:
+def _descend(
+    layer: Mapping[Cone, int], rows: Mapping[Cone, Sequence[int]], rep: Mapping[Cone, Cone]
+) -> dict[Cone, int]:
     """Backward: B(tau) = sum_{rho in link(tau)} layer(sigma) * rows[sigma][rho], sigma = tau + rho.
 
     ``rows`` are the rows of the layer's cones, in integer numerators as for ``_climb``.
     Pseudocubical factors are >= 0 and weights > 0, so no sum of nonzero terms cancels.
+    Over orbits a layer holds orbit sums B~(O) = |O| B(rep O): each cone of O pushes
+    the same terms into the same orbits, so the representative's terms, times B~(O),
+    pushed into ``rep.get(face, face)``, give the orbit sums of the next layer.
     """
     nxt: dict[Cone, int] = {}
     for cone, value in layer.items():
         for i, f in enumerate(rows.get(cone, ())):
             if f:
                 face = cone[:i] + cone[i + 1 :]
+                face = rep.get(face, face)
                 nxt[face] = nxt.get(face, 0) + value * f
     return nxt
 
@@ -426,24 +514,35 @@ class _Table(dict):
     k-cone with a nonzero factor to its row, whose i-th entry is the factor of the
     cone's i-th ray rho, over the face ``cone[:i] + cone[i + 1:]`` = sigma - rho.
 
-    One pass over the fan's cone order, ``fan.cones``, builds both; the zero cone,
-    first, has no ray and so no row.  With Z z the truncation scaled to integers, the
-    integers num = adj_sigma (Z z)_sigma have the signs of c_sigma(z): the report is
+    One pass over the representatives in the fan's cone order (``Context.orbits``; every
+    cone for the trivial group) builds both; the zero cone, first, has no ray and so no
+    row, and a cone with z = 0 on all its rays has every num 0, so it reads no adjugate.
+    The first negative (or zero) num of the pass is that of the whole fan, since the
+    first cone with one is the least of its orbit.  With Z z the truncation scaled to
+    integers, the integers num = adj_sigma (Z z)_sigma have the signs of c_sigma(z): the report is
     the first negative num, else the first zero, in that order, else cubical.  And
     z^{sigma - rho}_rho = c_sigma(z)_rho / (G_sigma^-1)_{rho rho} = num_rho / (Z D_{sigma - rho}),
     as adj_{rho rho} = D_{sigma - rho} > 0, so the row of a k-cone sigma holds the integers
     num_rho (Lambda_{k-1} // D_{sigma - rho}), all over Z Lambda_{k-1} (``Context.dim_lcms``).
-    The pass stops at a negative num, which refuses z for every volume.
+    The pass stops at a negative num, which refuses z for every volume, and reads
+    Lambda_{k-1} only when it keeps a row of a k-cone.  A z that is not constant on the
+    orbits of the context's symmetries is refused first, by NotInvariant.
     """
 
     def __init__(self, ctx: Context, z: Mapping[str, Fraction]):
         super().__init__((k, {}) for k in range(1, ctx.fan.d + 1))
+        for perm in ctx.symmetries:
+            if any(z[perm[rid]] != v for rid, v in z.items()):
+                raise NotInvariant("z must be constant on the orbits of the context's symmetries")
         self.scale, zz = scaled_to_int(z)
-        lcms = ctx.dim_lcms()
         boundary: tuple[Cone, str] | None = None
-        for cone in ctx.fan.cones:
-            adj = ctx.cone_gram_inverse(cone)[1]
+        for cone in ctx.orbits()[0]:
             support = [(j, zz[rid]) for j, rid in enumerate(cone) if zz[rid]]
+            if not support:  # every num is 0: no adjugate and no row
+                if boundary is None and cone:
+                    boundary = (cone, cone[0])
+                continue
+            adj = ctx.cone_gram_inverse(cone)[1]
             nums = [sum(row[j] * v for j, v in support) for row in adj]
             for rid, v in zip(cone, nums):
                 if v < 0:
@@ -452,7 +551,7 @@ class _Table(dict):
                 if v == 0 and boundary is None:
                     boundary = (cone, rid)
             if any(nums):
-                lam = lcms[len(cone) - 1]
+                lam = ctx.dim_lcm(len(cone) - 1)
                 self[len(cone)][cone] = tuple(v * (lam // adj[i][i]) for i, v in enumerate(nums))
         self.report = (
             CubReport(PSEUDOCUBICAL_BOUNDARY, *boundary) if boundary else CubReport(CUBICAL)
@@ -467,7 +566,8 @@ class TruncationTables:
     the suffix.  Layers hold integer numerators: the forward layer of
     z_1..z_k is over prod_{j <= k} Z_j Lambda_{j-1}, and the backward layer
     of z_{k+1}..z_d over W prod_{j > k} Z_j Lambda_{j-1}, W the lcm of the
-    weights' denominators.  The context keeps only ``dim_lcms``.
+    weights' denominators.  The context keeps only ``dim_lcms``.  Over a group, every
+    table and layer is keyed by representatives, and backward layers hold orbit sums.
     """
 
     def __init__(self, ctx: Context):
@@ -476,15 +576,16 @@ class TruncationTables:
         self._index: dict[tuple[Fraction, ...], int] = {}
         self._tables: list[_Table] = []
         self._forward: dict[tuple[int, ...], dict[Cone, int]] = {(): {ZERO_CONE: 1}}
-        self._backward: dict[tuple[int, ...], dict[Cone, int]] = {(): ctx.fan.int_weights}
+        _, self._rep, weights = ctx.orbits()
+        self._backward: dict[tuple[int, ...], Mapping[Cone, int]] = {(): weights}
 
     def _lookup(self, z: Mapping[str, Fraction]) -> int:
         check_keys(self.ctx.fan, z)
         key = tuple(z[rid] for rid in self._rays)
         t = self._index.get(key)
         if t is None:
-            t = self._index[key] = len(self._tables)
             self._tables.append(_Table(self.ctx, z))
+            t = self._index[key] = len(self._tables) - 1
         return t
 
     def classify(self, z: Mapping[str, Fraction]) -> CubReport:
@@ -495,14 +596,14 @@ class TruncationTables:
         if prefix not in self._forward:
             below = self._forward_layer(prefix[:-1])
             rows = self._tables[prefix[-1]][len(prefix)]
-            self._forward[prefix] = _climb(below, rows, 0)
+            self._forward[prefix] = _climb(below, rows, 0, self._rep)
         return self._forward[prefix]
 
-    def _backward_layer(self, suffix: tuple[int, ...]) -> dict[Cone, int]:
+    def _backward_layer(self, suffix: tuple[int, ...]) -> Mapping[Cone, int]:
         if suffix not in self._backward:
             above = self._backward_layer(suffix[1:])
             rows = self._tables[suffix[0]][self.ctx.fan.d + 1 - len(suffix)]
-            self._backward[suffix] = _descend(above, rows)
+            self._backward[suffix] = _descend(above, rows, self._rep)
         return self._backward[suffix]
 
     def mvol(self, zs: Sequence[Mapping[str, Fraction]]) -> Fraction:
@@ -588,7 +689,7 @@ def vol_polynomial(ctx: Context) -> MultiPoly:
         zero = MultiPoly.zero()
         layer = {ZERO_CONE: MultiPoly.constant(ONE)}
         for k in range(1, ctx.fan.d + 1):
-            layer = _climb(layer, forms[k], zero)
+            layer = _climb(layer, forms[k], zero, {})
         weights = ctx.fan.weights
         ctx._vol_poly = sum((weights[s] * layer[s] for s in ctx.fan.max_cones if s in layer), zero)
     return ctx._vol_poly

@@ -270,6 +270,7 @@ def test_bergman_unknown_e0():
         nv.alpha_beta_z,
         nv.hrw_verify,
         matroid.require_bergman_input,
+        matroid.bergman_symmetries,
     ],
     ids=lambda f: f.__name__,
 )

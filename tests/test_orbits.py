@@ -1,0 +1,285 @@
+"""Contexts over a group of ray permutations: the matroid's generators, the checks of a
+generator and of a truncation, the orbits, and the grouped volume program against the
+trivial group's."""
+
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+import normalvol as nv
+from normalvol import normalcx
+from normalvol.errors import NormalVolError, NotInvariant
+from normalvol.linalg import identity, qmat
+from normalvol.matroid import bergman_symmetries
+from normalvol.normalcx import (
+    OUTSIDE,
+    PSEUDOCUBICAL_BOUNDARY,
+    Context,
+    CubReport,
+    TruncationTables,
+    classify_z,
+    mvol_recursive,
+    vol_polynomial,
+)
+
+from conftest import (
+    VAMOS_FLATS,
+    VAMOS_GROUND,
+    make_pm1_fan,
+    make_quadrant_fan,
+    sparse_paving_flats,
+    sparse_paving_matroids,
+)
+
+K5_EDGES = [(str(a), str(b)) for a, b in combinations(range(1, 6), 2)]
+UNIFORM = [(r, n) for n in range(3, 7) for r in range(2, min(n, 5) + 1)]
+ROTATION = {"r1": "r2", "r2": "r3", "r3": "r4", "r4": "r1"}  # a quarter turn of the quadrant
+
+
+def grouped(m, e0):
+    fan = nv.bergman_fan(m, e0)
+    gram = nv.e0_inner_product(m, e0)
+    return Context(fan, gram), Context(fan, gram, bergman_symmetries(m, e0))
+
+
+def ray_orbits(fan, perms):
+    """The orbits of the rays under the permutations, by closure."""
+    orbits, seen = [], set()
+    for rid in fan.ray_ids():
+        if rid not in seen:
+            orbit, todo = {rid}, [rid]
+            while todo:
+                r = todo.pop()
+                for perm in perms:
+                    if perm[r] not in orbit:
+                        orbit.add(perm[r])
+                        todo.append(perm[r])
+            seen |= orbit
+            orbits.append(sorted(orbit))
+    return orbits
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except NormalVolError as exc:
+        return type(exc), str(exc)
+
+
+# -- the matroid's generators ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("r, cones, orbits", [(3, 23, 8), (4, 166, 20), (5, 1437, 48)])
+def test_uniform_matroids_get_the_symmetric_group_of_the_other_elements(r, cones, orbits):
+    m = nv.uniform(r, r + 1)
+    perms = bergman_symmetries(m, "a")
+    assert len(perms) == 2  # a transposition and a cycle of b, c, ...
+    ctx = Context(nv.bergman_fan(m, "a"), nv.e0_inner_product(m, "a"), perms)
+    order, rep, weights = ctx.orbits()
+    assert (len(ctx.fan.cones), len(order)) == (cones, orbits)
+    assert list(order) == [c for c in ctx.fan.cones if c not in rep]
+    assert sum(weights.values()) == len(ctx.fan.max_cones)
+    # the ray orbits: the flats by their size and by whether they hold e0
+    assert len(ray_orbits(ctx.fan, perms)) == 2 * (r - 1)
+
+
+def test_orbits_match_the_whole_group_on_u45():
+    m = nv.uniform(4, 5)
+    _, ctx = grouped(m, "c")
+    unit = {rid: rid for rid in ctx.fan.rays}
+    group, todo = {tuple(sorted(unit.items())): unit}, [unit]
+    while todo:  # the closure of the generators under composition
+        g = todo.pop()
+        for perm in ctx.symmetries:
+            h = {rid: perm[g[rid]] for rid in g}
+            if group.setdefault(tuple(sorted(h.items())), h) is h:
+                todo.append(h)
+    assert len(group) == 24  # Sym of the four elements other than e0
+    _, rep, weights = ctx.orbits()
+    for cone in ctx.fan.cones:
+        orbit = {tuple(sorted(g[rid] for rid in cone)) for g in group.values()}
+        assert rep.get(cone, cone) == min(orbit)
+        if cone in weights:
+            assert weights[cone] == len(orbit)
+
+
+def test_k5_gets_no_generator_and_vamos_one_per_pair():
+    # no swap of two edges of K5 maps flats to flats
+    assert bergman_symmetries(nv.graphic(K5_EDGES), "0") == []
+    # the swaps of Vamos that fix a are those within bB, cC and dD; a class of two
+    # elements gives its transposition once
+    perms = bergman_symmetries(nv.from_flats(VAMOS_GROUND, VAMOS_FLATS), "a")
+    assert [perm["b"] for perm in perms] == ["B", "b", "b"]
+    assert [perm["c"] for perm in perms] == ["c", "C", "c"]
+
+
+# -- the checks of a generator and of a truncation --------------------------------------
+
+
+def test_a_symmetry_must_be_a_bijection_of_the_rays():
+    for perm in ({"r1": "r2", "r2": "r2", "r3": "r3", "r4": "r4"}, {"r1": "r1"},
+                 {**ROTATION, "r5": "r5"}):
+        with pytest.raises(NotInvariant, match="bijection"):
+            Context(make_quadrant_fan(), identity(2), [perm])
+
+
+def test_a_symmetry_must_map_a_maximal_cone_to_a_cone():
+    swap = {"r1": "r2", "r2": "r1", "r3": "r3", "r4": "r4"}  # r2 r3 goes to r1 r3
+    with pytest.raises(NotInvariant, match=r"\['r1', 'r3'\], which is not a maximal cone"):
+        Context(make_quadrant_fan(), identity(2), [swap])
+
+
+def test_a_symmetry_must_keep_the_weights():
+    flip = {"p": "m", "m": "p"}
+    Context(make_pm1_fan(), identity(1), [flip])
+    with pytest.raises(NotInvariant, match="same weight"):
+        Context(make_pm1_fan(weights=(1, 2)), identity(1), [flip])
+
+
+def test_a_symmetry_must_keep_the_pairing_of_each_two_cone():
+    Context(make_quadrant_fan(), identity(2), [ROTATION])
+    # every ray keeps its length 1, but <e1, e2> = 1/2 goes to <e2, -e1> = -1/2
+    gram = qmat([[1, Fraction(1, 2)], [Fraction(1, 2), 1]])
+    with pytest.raises(NotInvariant, match="pairing of 'r1' and 'r2'"):
+        Context(make_quadrant_fan(), gram, [ROTATION])
+    # the reflection in the diagonal keeps every 2-cone's pairing 0, but not |e1|^2 = 2
+    reflection = {"r1": "r2", "r2": "r1", "r3": "r4", "r4": "r3"}
+    with pytest.raises(NotInvariant, match="pairing of 'r1' and 'r1'"):
+        Context(make_quadrant_fan(), qmat([[2, 0], [0, 1]]), [reflection])
+
+
+def test_a_grouped_context_refuses_a_truncation_not_constant_on_orbits():
+    m = nv.uniform(4, 5)
+    _, ctx = grouped(m, "a")
+    z_alpha, z_beta = nv.alpha_beta_z(m, "a")
+    z = dict(z_alpha, b=Fraction(1))  # the flat {b} and the flat {c} are in one orbit
+    for refuse in (
+        lambda: classify_z(ctx, z),
+        lambda: mvol_recursive(ctx, [z_alpha, z_beta, z]),
+        lambda: TruncationTables(ctx).classify(z),
+    ):
+        with pytest.raises(NotInvariant, match="constant on the orbits"):
+            refuse()
+    tables = TruncationTables(ctx)  # a refused truncation leaves the batch usable
+    for _ in range(2):
+        with pytest.raises(NotInvariant):
+            tables.mvol([z] * 3)
+    assert tables.mvol([z_alpha, z_alpha, z_beta]) == 4
+
+
+def test_the_quadrant_under_its_rotation_gives_the_trivial_group_values():
+    fan = make_quadrant_fan()
+    trivial, turned = Context(fan, identity(2)), Context(fan, identity(2), [ROTATION])
+    assert len(turned.orbits()[0]) == 3  # the zero cone, the rays, the quadrants
+    zs = [{rid: Fraction(value) for rid in ROTATION} for value in (1, 2, 0, -1)]
+    for z in zs:
+        assert classify_z(turned, z) == classify_z(trivial, z)
+    # [z, z] climbs two layers; [z, z'] meets one forward and one backward layer, which
+    # pushes the quadrant r1 r2 into the ray r2, whose representative is r1
+    for tuple_ in ([zs[0], zs[0]], [zs[0], zs[1]], [zs[1], zs[2]], [zs[3], zs[0]]):
+        assert outcome(mvol_recursive, turned, tuple_) == outcome(mvol_recursive, trivial, tuple_)
+
+
+# -- the table pass: Lambda on first need, and no adjugate for an all-zero cone ---------------
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["trivial", "grouped"])
+def test_a_truncation_refused_at_its_first_cone_borders_one_adjugate(symmetric, monkeypatch):
+    m = nv.uniform(5, 6)
+    ctx = grouped(m, "a")[symmetric]
+    z = dict(nv.alpha_beta_z(m, "a")[0])
+    first = ctx.fan.ray_ids()[0]
+    z[first] = Fraction(-1)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return border(*args)
+
+    border = normalcx.border_adjugate
+    monkeypatch.setattr(normalcx, "border_adjugate", counted)
+    assert classify_z(ctx, z) == CubReport(OUTSIDE, (first,), first)
+    assert len(calls) == 1
+
+
+def test_a_cone_with_no_nonzero_truncation_value_reads_no_adjugate():
+    m = nv.uniform(4, 5)
+    ctx, _ = grouped(m, "a")
+    read = []
+    cone_gram_inverse = ctx.cone_gram_inverse
+
+    def recorded(cone):
+        read.append(cone)
+        return cone_gram_inverse(cone)
+
+    ctx.cone_gram_inverse = recorded  # the bordering's own recursion reads it too
+    zero = {rid: Fraction(0) for rid in ctx.fan.rays}
+    first = ctx.fan.ray_ids()[0]
+    assert classify_z(ctx, zero) == CubReport(PSEUDOCUBICAL_BOUNDARY, (first,), first)
+    assert read == []
+    z_alpha = nv.alpha_beta_z(m, "a")[0]
+    classify_z(ctx, z_alpha)
+    some = {s for s in ctx.fan.max_cones if any(z_alpha[rid] for rid in s)}
+    assert 0 < len(some) < len(ctx.fan.max_cones)
+    assert set(read) & set(ctx.fan.max_cones) == some
+
+
+# -- the grouped program against the trivial group ------------------------------------------
+
+
+@st.composite
+def bergman_with_symmetries(draw):
+    """(matroid, e0): uniform U(r, n) with n <= 6, or a drawn sparse paving matroid."""
+    if draw(st.booleans()):
+        m = nv.uniform(*draw(st.sampled_from(UNIFORM)))
+    else:
+        ground, r, hyperplanes = draw(sparse_paving_matroids(sizes=[5, 6], ranks=[3, 4]))
+        m = nv.from_flats(ground, sparse_paving_flats(ground, r, hyperplanes))
+    return m, draw(st.sampled_from(m.ground))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bergman_with_symmetries(), st.data())
+def test_the_grouped_program_gives_the_trivial_groups_values(case, data):
+    m, e0 = case
+    fan, perms = nv.bergman_fan(m, e0), bergman_symmetries(m, e0)
+    z_alpha, z_beta = nv.alpha_beta_z(m, e0)
+    if data.draw(st.booleans()):  # other ray ids, so that a representative's face need not be one
+        name = dict(zip(fan.ray_ids(), data.draw(st.permutations(fan.ray_ids()))))
+        rays = {name[rid]: u for rid, u in fan.rays.items()}
+        cones = [([name[rid] for rid in s], w) for s, w in fan.weights.items()]
+        fan = nv.MarkedFan(fan.ambient_dim, rays, cones, validate_geometry=False)
+        perms = [{name[a]: name[b] for a, b in perm.items()} for perm in perms]
+        z_alpha, z_beta = ({name[rid]: v for rid, v in z.items()} for z in (z_alpha, z_beta))
+    gram = nv.e0_inner_product(m, e0)
+    trivial, ctx = Context(fan, gram), Context(fan, gram, perms)
+    order, rep, _ = ctx.orbits()
+    off = any(c[:i] + c[i + 1 :] in rep for c in order for i in range(len(c)))
+    event(f"{len(perms)} generators, d = {fan.d}, a face of a representative is not one: {off}")
+    orbits = ray_orbits(ctx.fan, ctx.symmetries)
+    zs = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        low = data.draw(st.sampled_from([None, 0, -1]))
+        if low is None:  # a pseudocubical a alpha + b beta
+            a, b = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+            zs.append({rid: a * z_alpha[rid] + b * z_beta[rid] for rid in z_alpha})
+        else:  # constant on each ray orbit, of any sign when low = -1
+            value = st.fractions(min_value=low, max_value=3, max_denominator=3)
+            zs.append({rid: v for orbit in orbits for v in [data.draw(value)] for rid in orbit})
+    reports = [classify_z(ctx, z) for z in zs]
+    assert reports == [classify_z(trivial, z) for z in zs]
+    for report in reports:
+        event(report.classification)
+    d = ctx.fan.d
+    picks = st.lists(st.integers(0, len(zs) - 1), min_size=d, max_size=d)
+    tuples = [[zs[i] for i in data.draw(picks)] for _ in range(3)]
+    tuples.append([z_alpha] * (d - 1) + [z_beta])
+    values = [TruncationTables(c) for c in (ctx, trivial)]
+    grouped_values, trivial_values = ([outcome(t.mvol, zs) for zs in tuples] for t in values)
+    assert grouped_values == trivial_values  # the values themselves, not their ratios
+    assert not any(c in rep for table in values[0]._tables for k in table for c in table[k])
+    if d <= 3:
+        assert vol_polynomial(ctx) == vol_polynomial(trivial)
