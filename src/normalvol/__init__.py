@@ -7,7 +7,7 @@ log-concavity properties with rational arithmetic throughout.
 """
 
 from .errors import NormalVolError
-from .fan import MarkedFan, build_fan, fan_to_json, is_tropical, star
+from .fan import MarkedFan, build_fan, fan_to_json, is_tropical
 from .normalcx import (
     Context,
     classify_z,
@@ -38,7 +38,6 @@ __all__ = [
     "build_fan",
     "fan_to_json",
     "is_tropical",
-    "star",
     "Context",
     "classify_z",
     "find_cubical",

@@ -52,10 +52,12 @@ Fraction: sum F B / (W prod_k Z_k Lambda_{k-1}).  Every public value stays a
 Fraction.
 
 A context may carry a group of ray permutations, given by generators
-(``Context(fan, gram, symmetries)``), each checked when the context is built:
-a bijection of the rays that maps every maximal cone to one of equal weight
-and keeps the pairing of every ray and 2-cone, so every D and adjugate is
-constant on an orbit of cones, up to the order of its rays.  For truncations
+(``Context(fan, gram, symmetries)``).  When the context is built, each must be
+a bijection of the rays, and then one search finds the orbits of the cones and
+checks each generator on the images it computes, each cone imaged once by each
+generator: every maximal cone must go to one of equal weight, and every ray and
+2-cone must keep its pairing.  So every D and adjugate is constant on an orbit
+of cones, up to the order of its rays.  For truncations
 constant on the orbits of the rays (refused otherwise), every table row and
 forward value is constant on orbits too, and the program runs over the
 orbits' representatives alone (``Context.orbits``): the table pass walks the
@@ -152,9 +154,9 @@ class Context:
     block in these pairings has an integer determinant D > 0 and adjugate,
     and G_sigma^-1 = adj / (D pair_scale).
 
-    ``symmetries`` generate a group of ray permutations, checked here; the volume
-    program runs over its orbits (module docstring), and every other reader of the
-    context reads every cone.
+    ``symmetries`` generate a group of ray permutations.  The one pass that finds its
+    orbits, here, also checks the generators; the volume program runs over the orbits
+    (module docstring), and every other reader of the context reads every cone.
     """
 
     def __init__(self, fan: MarkedFan, gram: Mat, symmetries: Sequence[Mapping[str, str]] = ()):
@@ -174,57 +176,62 @@ class Context:
         self._vol_poly: MultiPoly | None = None
         self.symmetries = tuple(map(dict, symmetries))
         for perm in self.symmetries:
-            self._check_symmetry(perm)
-        self._orbits = None if self.symmetries else (fan.cones, {}, fan.int_weights)
+            if perm.keys() != fan.rays.keys() or set(perm.values()) != fan.rays.keys():
+                raise NotInvariant("a symmetry must be a bijection of the fan's rays")
+        trivial = (fan.cones, {}, fan.int_weights)
+        self._orbits = self._search_orbits() if self.symmetries else trivial
 
-    def _check_symmetry(self, perm: Mapping[str, str]) -> None:
-        """Refuse a ray permutation that moves a number the volume program reads: it must
-        be a bijection of the rays, map each maximal cone to one of equal weight, and keep
-        the pairing of every ray and 2-cone, the only pairings an adjugate reads."""
-        fan = self.fan
-        if perm.keys() != fan.rays.keys() or set(perm.values()) != fan.rays.keys():
-            raise NotInvariant("a symmetry must be a bijection of the fan's rays")
-        for sigma, w in fan.int_weights.items():
-            image = tuple(sorted(perm[rid] for rid in sigma))
-            if fan.int_weights.get(image) != w:
-                raise NotInvariant(
-                    f"a symmetry maps the maximal cone {list(sigma)} to {list(image)}, "
-                    "which is not a maximal cone of the same weight"
-                )
-        for a in fan.rays:
-            for b in (a, *fan.link((a,))):
-                if a <= b and self.ray_pair(perm[a], perm[b]) != self.ray_pair(a, b):
-                    raise NotInvariant(f"a symmetry changes the pairing of {a!r} and {b!r}")
+    def _search_orbits(self) -> tuple[list[Cone], dict[Cone, Cone], dict[Cone, int]]:
+        """The orbits of the group the symmetries generate, each generator checked on the
+        images the search computes: each maximal cone must go to one of equal weight, and
+        each ray and 2-cone must keep its pairing, the only pairings an adjugate reads.
+
+        The search takes each cone not yet met, in the order of ``fan.cones``, as the
+        representative of its orbit and applies every generator once to every cone of
+        the orbit.  An image that is not a cone of the fan is searched on too: the
+        maximal cones over its preimage fail their check, so its generator is refused.
+        """
+        fan, int_weights = self.fan, self.fan.int_weights
+        order: list[Cone] = []
+        rep: dict[Cone, Cone] = {}
+        weights: dict[Cone, int] = {}
+        for cone in fan.cones:
+            if cone in rep:
+                continue
+            order.append(cone)
+            orbit, todo = {cone}, [cone]
+            while todo:
+                c = todo.pop()
+                pair = self.ray_pair(c[0], c[-1]) if 0 < len(c) <= 2 else None
+                for perm in self.symmetries:
+                    image = tuple(sorted([perm[rid] for rid in c]))
+                    if len(c) == fan.d and int_weights.get(image) != int_weights[c]:
+                        raise NotInvariant(
+                            f"a symmetry maps the maximal cone {list(c)} to {list(image)}, "
+                            "which is not a maximal cone of the same weight"
+                        )
+                    if pair is not None and self.ray_pair(image[0], image[-1]) != pair:
+                        raise NotInvariant(
+                            f"a symmetry changes the pairing of {c[0]!r} and {c[-1]!r}"
+                        )
+                    if image not in orbit:
+                        orbit.add(image)
+                        todo.append(image)
+            if len(cone) == fan.d:
+                weights[cone] = len(orbit) * int_weights[cone]
+            orbit.remove(cone)
+            rep.update(dict.fromkeys(orbit, cone))
+        return order, rep, weights
 
     def orbits(self) -> tuple[Sequence[Cone], dict[Cone, Cone], Mapping[Cone, int]]:
-        """(order, rep, weights) of the group the symmetries generate, on first need.
+        """(order, rep, weights) of the group the symmetries generate, found when the
+        context is built.
 
         ``order`` lists the representatives, each the least cone of its orbit, in the
         order of ``fan.cones``; ``rep`` maps every other cone to its representative; and
         ``weights`` maps each maximal representative to the sum of ``int_weights`` over
         its orbit.  The trivial group's are ``fan.cones``, {} and ``int_weights``.
         """
-        if self._orbits is None:
-            order: list[Cone] = []
-            rep: dict[Cone, Cone] = {}
-            weights: dict[Cone, int] = {}
-            for cone in self.fan.cones:
-                if cone in rep:
-                    continue
-                order.append(cone)
-                orbit, todo = {cone}, [cone]
-                while todo:
-                    c = todo.pop()
-                    for perm in self.symmetries:
-                        image = tuple(sorted([perm[rid] for rid in c]))
-                        if image not in orbit:
-                            orbit.add(image)
-                            todo.append(image)
-                if len(cone) == self.fan.d:
-                    weights[cone] = len(orbit) * self.fan.int_weights[cone]
-                orbit.remove(cone)
-                rep.update(dict.fromkeys(orbit, cone))
-            self._orbits = (order, rep, weights)
         return self._orbits
 
     def ray_pair(self, a: str, b: str) -> int:

@@ -16,6 +16,7 @@ from normalvol.errors import (
     DimensionMismatch,
     DimTooLarge,
     GradeOverflow,
+    NotInvariant,
     NotPseudocubical,
     WrongGrade,
 )
@@ -306,6 +307,47 @@ def reference_max_min_slack(rows):
         basis[row] = col
     value = -tableau[-1][m + n]
     return tuple(-tableau[-1][m + j] / value for j in range(n)), ONE / value
+
+
+def reference_check_symmetry(ctx, perm):
+    """A generator's check as a pass of its own, before any orbit search: it must be a
+    bijection of the rays, map every maximal cone to one of equal weight, and keep the
+    pairing of every ray and 2-cone.  Raises NotInvariant; reads only ``ctx.ray_pair``."""
+    fan = ctx.fan
+    if perm.keys() != fan.rays.keys() or set(perm.values()) != fan.rays.keys():
+        raise NotInvariant("a symmetry must be a bijection of the fan's rays")
+    for sigma, w in fan.int_weights.items():
+        image = tuple(sorted(perm[rid] for rid in sigma))
+        if fan.int_weights.get(image) != w:
+            raise NotInvariant(f"a symmetry maps the maximal cone {list(sigma)} to {list(image)}")
+    for a in fan.rays:
+        for b in (a, *fan.link((a,))):
+            if a <= b and ctx.ray_pair(perm[a], perm[b]) != ctx.ray_pair(a, b):
+                raise NotInvariant(f"a symmetry changes the pairing of {a!r} and {b!r}")
+
+
+def reference_orbits(fan, perms):
+    """(order, rep, weights) of ``Context.orbits`` by a search of its own over checked
+    generators: each cone not yet met, in ``fan.cones`` order, is its orbit's
+    representative, and its orbit is the closure under the generators."""
+    order, rep, weights = [], {}, {}
+    for cone in fan.cones:
+        if cone in rep:
+            continue
+        order.append(cone)
+        orbit, todo = {cone}, [cone]
+        while todo:
+            c = todo.pop()
+            for perm in perms:
+                image = tuple(sorted([perm[rid] for rid in c]))
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        if len(cone) == fan.d:
+            weights[cone] = len(orbit) * fan.int_weights[cone]
+        orbit.remove(cone)
+        rep.update(dict.fromkeys(orbit, cone))
+    return order, rep, weights
 
 
 def total_degree(poly):

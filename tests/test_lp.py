@@ -41,6 +41,28 @@ def test_feasible_nonneg():
     assert feasible_nonneg(qmat([[1, 1], [-1, -1]]), qvec([1, 1])) is None
 
 
+def test_simplex_max_negates_a_row_with_a_negative_right_hand_side():
+    # -x - y = -2 is read as x + y = 2; maximize x
+    x, value = simplex_max(qmat([[-1, -1]]), qvec([-2]), qvec([1, 0]))
+    assert (x, value) == ((2, 0), 2)
+
+
+def test_simplex_max_drives_an_artificial_out_of_the_basis_after_phase_1(monkeypatch):
+    # x + y = 0 and x - y = 0: phase 1 pivots x in for the first artificial and stops at
+    # value 0 with the second artificial basic at level 0, which y then replaces
+    pivots = []
+    pivot = lp._pivot
+
+    def recorded(tableau, basis, row, col):
+        pivots.append((row, col))
+        pivot(tableau, basis, row, col)
+
+    monkeypatch.setattr(lp, "_pivot", recorded)
+    x, value = simplex_max(qmat([[1, 1], [1, -1]]), qvec([0, 0]), qvec([1, 1]))
+    assert (x, value) == ((0, 0), 0)
+    assert pivots == [(0, 0), (1, 1)]
+
+
 def test_max_min_slack_symmetric():
     # maximize t subject to z1 >= t, 2 z2 >= 2 t and z1 + z2 = 1
     z, slack = max_min_slack([(1, 0), (0, 2)], [1, 2])

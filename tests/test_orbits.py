@@ -3,10 +3,11 @@ generator and of a truncation, the orbits, and the grouped volume program agains
 trivial group's."""
 
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import normalvol as nv
@@ -30,6 +31,9 @@ from conftest import (
     VAMOS_GROUND,
     make_pm1_fan,
     make_quadrant_fan,
+    product_fan,
+    reference_check_symmetry,
+    reference_orbits,
     sparse_paving_flats,
     sparse_paving_matroids,
 )
@@ -127,8 +131,9 @@ def test_a_symmetry_must_be_a_bijection_of_the_rays():
 
 
 def test_a_symmetry_must_map_a_maximal_cone_to_a_cone():
-    swap = {"r1": "r2", "r2": "r1", "r3": "r3", "r4": "r4"}  # r2 r3 goes to r1 r3
-    with pytest.raises(NotInvariant, match=r"\['r1', 'r3'\], which is not a maximal cone"):
+    # r1 r2 goes to itself, and r1 r4, the next maximal cone the search meets, to r2 r4
+    swap = {"r1": "r2", "r2": "r1", "r3": "r3", "r4": "r4"}
+    with pytest.raises(NotInvariant, match=r"\['r1', 'r4'\] to \['r2', 'r4'\], which is not"):
         Context(make_quadrant_fan(), identity(2), [swap])
 
 
@@ -181,6 +186,89 @@ def test_the_quadrant_under_its_rotation_gives_the_trivial_group_values():
     # pushes the quadrant r1 r2 into the ray r2, whose representative is r1
     for tuple_ in ([zs[0], zs[0]], [zs[0], zs[1]], [zs[1], zs[2]], [zs[3], zs[0]]):
         assert outcome(mvol_recursive, turned, tuple_) == outcome(mvol_recursive, trivial, tuple_)
+
+
+# -- the one pass that finds the orbits and checks the generators -------------------------
+
+
+def signed_permutations(fan):
+    """The ray permutations of the signed permutations of the coordinates, on a fan whose
+    rays are the vectors +-e_i: symmetries of its cones, whatever its weights and Gram."""
+    ids = {u: rid for rid, u in fan.rays.items()}
+    n = fan.ambient_dim
+    return [
+        {rid: ids[tuple(signs[i] * u[order[i]] for i in range(n))] for rid, u in fan.rays.items()}
+        for order in permutations(range(n))
+        for signs in product((1, -1), repeat=n)
+    ]
+
+
+@cache
+def bergman_group(name):
+    """(fan, e0 Gram, bergman_symmetries) of U(3,4), U(4,5) or Vamos."""
+    m = nv.from_flats(VAMOS_GROUND, VAMOS_FLATS) if name == "vamos" else nv.uniform(*name)
+    e0 = m.ground[0]
+    return nv.bergman_fan(m, e0), nv.e0_inner_product(m, e0), bergman_symmetries(m, e0)
+
+
+@st.composite
+def fans_with_generators(draw):
+    """(fan, Gram, generators): true symmetries mixed with drawn ray permutations.
+
+    The fans are the quadrant and products of pm1 factors with drawn weights, under their
+    signed coordinate permutations and a drawn Gram L L^T, and U(3,4), U(4,5) and Vamos
+    under ``bergman_symmetries`` and the e0 Gram."""
+    kind = draw(st.sampled_from(["quadrant", "pm1^k", "bergman"]))
+    if kind == "bergman":
+        fan, gram, symmetries = bergman_group(draw(st.sampled_from([(3, 4), (4, 5), "vamos"])))
+    else:
+        if kind == "quadrant":
+            fan = make_quadrant_fan()
+        else:
+            factors = [make_pm1_fan(draw(st.sampled_from([(1, 1), (1, 2), (2, 2)])))
+                       for _ in range(draw(st.integers(1, 3)))]
+            fan = factors[0]
+            for factor in factors[1:]:
+                fan = product_fan(fan, factor)
+        n, off = fan.ambient_dim, st.integers(-1, 1) if draw(st.booleans()) else st.just(0)
+        low = [[Fraction(int(i == k)) if k >= i else Fraction(draw(off)) for k in range(n)]
+               for i in range(n)]
+        gram = qmat([[sum(a * b for a, b in zip(low[i], low[j])) for j in range(n)]
+                     for i in range(n)])
+        symmetries = signed_permutations(fan)
+    ids = fan.ray_ids()
+    drawn = st.permutations(ids).map(lambda image: dict(zip(ids, image)))
+    swaps = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).map(
+        lambda ab: {**{rid: rid for rid in ids}, ab[0]: ab[1], ab[1]: ab[0]}
+    )
+    choices = [st.sampled_from(symmetries)] * 2 + [drawn, swaps]  # half are true symmetries
+    return fan, gram, draw(st.lists(st.one_of(choices), min_size=1, max_size=3))
+
+
+# the flip of the left factor keeps every weight, and the swap of the factors keeps the
+# representative L.m R.m but takes L.p R.m, of weight 2, to L.m R.p, of weight 1
+_UNEQUAL = product_fan(make_pm1_fan(), make_pm1_fan((1, 2)))
+_FLIP = {"L.p": "L.m", "L.m": "L.p", "R.p": "R.p", "R.m": "R.m"}
+_SWAP = {"L.p": "R.p", "R.p": "L.p", "L.m": "R.m", "R.m": "L.m"}
+
+
+@settings(max_examples=150, deadline=None)
+@example((_UNEQUAL, identity(2), [_FLIP, _SWAP]))
+@given(fans_with_generators())
+def test_the_one_pass_refuses_and_finds_what_the_separate_check_and_search_do(case):
+    fan, gram, perms = case
+    try:
+        checker = Context(fan, gram)
+        for perm in perms:
+            reference_check_symmetry(checker, perm)
+    except NotInvariant:
+        event("refused")
+        with pytest.raises(NotInvariant):
+            Context(fan, gram, perms)
+        return
+    order, rep, weights = Context(fan, gram, perms).orbits()
+    event("accepted, trivial group" if len(order) == len(fan.cones) else "accepted, orbits merge")
+    assert (list(order), rep, weights) == reference_orbits(fan, perms)
 
 
 # -- the table pass: Lambda on first need, and no adjugate for an all-zero cone ---------------
