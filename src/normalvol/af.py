@@ -189,14 +189,17 @@ def hrw_verify(m: Matroid, e0: str) -> HRWReport:
     alpha^(d-a) beta^a and the mixed volumes of the corresponding
     (z_alpha, z_beta) tuples, or MismatchError is raised, and the resulting
     sequence must be log-concave and unimodal (as must the unreduced one).
-    A rank below 2 or an e0 outside the ground set is refused before
-    ``char_poly``'s pass over the 2^|E| subsets.
+    The Bergman fan carries the matroid's transposition classes
+    (``bergman_symmetries``), so its balancing walk, the Chow degrees and the
+    mixed volumes all run over orbit representatives; ``char_poly`` never reads
+    the fan, so it checks them independently.  A rank below 2 or an e0 outside
+    the ground set is refused before ``char_poly``'s pass over the 2^|E| subsets.
     """
     require_bergman_input(m, e0)
     cp = char_poly(m)
     mubar_char = cp.mubar
-    fan = bergman_fan(m, e0)
-    ctx = Context(fan, e0_inner_product(m, e0), bergman_symmetries(m, e0))
+    fan = bergman_fan(m, e0, bergman_symmetries(m, e0))
+    ctx = Context(fan, e0_inner_product(m, e0))
     z_alpha, z_beta = alpha_beta_z(m, e0)
     d = fan.d
     tuples = [[z_alpha] * (d - a) + [z_beta] * a for a in range(d + 1)]

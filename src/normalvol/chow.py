@@ -11,6 +11,16 @@ link(sigma) of (z_eta - <v, u_eta>) X_{join(sigma, eta)}: products stay in the
 X_sigma basis at one linear solve per (cone, divisor).  This path never
 touches volumes, which makes it an independent check of the volume algorithms.
 
+On a fan with symmetries (``MarkedFan.orbits``) the divisors must be constant
+on the orbits of the rays (refused otherwise).  The symmetries are linear, so
+every class is constant on orbits of cones, and a class is held by its orbit
+sums C~(O) = |O| C(rep O) on the representatives, as ``normalcx._descend``
+holds B~: each cone of O pushes the same terms into the same orbits, so the
+representative's products, times C~(O), folded into the representative of
+join(sigma, eta), give the orbit sums of the next grade.  So there is one
+covector per (representative, divisor), and the top grade pairs the
+representatives with their certificates.  The trivial group is the same code.
+
 The pairings are taken in integers.  A divisor is scaled once to zz = Z z,
 Z the lcm of its denominators, and each covector is an integer vector v
 over one denominator p on the fan's integer rays u~ = M u, so the
@@ -39,7 +49,7 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import GradeOverflow, NotTropical, WrongGrade
-from .fan import Cone, MarkedFan, ZERO_CONE, check_keys, is_tropical, join
+from .fan import Cone, MarkedFan, ZERO_CONE, check_invariant, check_keys, is_tropical, join
 from .linalg import scaled_to_int, solve
 
 # sum_sigma nums[sigma] X_sigma / den, zero numerators pruned
@@ -67,7 +77,9 @@ def _multiply(
     ``solved`` holds zz's covectors by cone, and gains one for each cone of
     nums on which zz is not zero and which it lacks.  L is the lcm of the p
     of those cones' covectors; a cone where zz is zero takes v = 0, p = 1.
+    nums and N are orbit sums on representatives (module docstring).
     """
+    rep = fan.orbits()[1]
     vs = {}
     for sigma in nums:
         if any(zz[rho] for rho in sigma):
@@ -83,6 +95,7 @@ def _multiply(
             num = p * zz[eta] - sum(map(mul, v, fan.int_rays[eta]))
             if num:
                 bigger = join(sigma, eta)
+                bigger = rep.get(bigger, bigger)
                 out[bigger] = out.get(bigger, 0) + c * num
     return {cone: c for cone, c in out.items() if c}, big
 
@@ -95,7 +108,7 @@ def _pairings(
 ) -> tuple[dict[tuple[tuple[int, ...], int], int], int]:
     """(T, W P): deg(classes[c] * D(zzs[t])) is T[c, t] / (Z_t W P) over c's denominator.
 
-    Each cone tau of the classes pairs once with each divisor, as
+    Each cone tau of the classes, a representative, pairs once with each divisor, as
     P sum_eta w~_{tau eta} zz_eta + (P / p) a . zz_tau, P the lcm of the p
     and w~ the fan's ``int_weights``, over W = ``weight_scale``.
     """
@@ -126,12 +139,13 @@ def deg_products(
     """deg(D(z_1) ... D(z_d)) for each tuple; the z_i need not be cubical.
 
     The count of divisors of every tuple, then the balancing condition, then
-    the keys of each truncation (``fan.check_keys``) are checked before any
+    the keys of each truncation (``fan.check_keys``) and its invariance under the
+    fan's symmetries (``fan.check_invariant``) are checked before any
     product.  Truncations are told apart by value, and
     the class of each prefix of length k < d is built once, from the class
     of its own prefix, all of length k before any of length k + 1; a step
-    solves for one covector per (cone, truncation) of its layer.  The last
-    divisor is paired with the certificates (module docstring).
+    solves for one covector per (representative, truncation) of its layer.  The
+    last divisor is paired with the representatives' certificates (module docstring).
     """
     d = fan.d
     for zs in tuples:
@@ -154,6 +168,7 @@ def deg_products(
             check_keys(fan, z)
             value = tuple(z[rid] for rid in rays)
             if value not in index:
+                check_invariant(fan, z)
                 index[value] = len(zzs)
                 scale, zz = scaled_to_int(z)
                 scales.append(scale)
@@ -179,6 +194,6 @@ def deg_product(fan: MarkedFan, zs: Sequence[Mapping[str, Fraction]]) -> Fractio
     """deg(D(z_1) ... D(z_d)); the z_i need not be cubical.
 
     The count of divisors, then the balancing condition, then the keys of each
-    truncation are checked before any product.
+    truncation and its invariance are checked before any product.
     """
     return deg_products(fan, [zs])[0]

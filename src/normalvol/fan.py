@@ -17,10 +17,20 @@ A fan also fixes the one order of its cones, once: ``cones`` lists every
 cone lexicographically, so the zero cone comes first.  Every ordered scan or
 report over the cones reads it.
 
+A fan may carry a group of ray permutations, given by generators
+(``MarkedFan(..., symmetries)``).  When the fan is built, each must be a
+bijection of the rays; then one search finds the orbits of the cones
+(``MarkedFan.orbits``) and checks that each generator maps every maximal cone
+to one of equal weight, on the images it computes; and each must be induced
+by a linear map, which is what makes simpliciality, the balancing condition
+and the Chow classes constant on orbits.  The trivial group is the same code
+with the map of non-representatives empty.
+
 A fan is checked and certified in one pass, when it is built: one
-fraction-free echelon walk over ``cones`` refuses a cone whose rays are
-dependent and leaves the balancing report, with its certificates, on the
-fan (``_balancing_report``, read by ``is_tropical``).
+fraction-free echelon walk over the orbit representatives (every cone for
+the trivial group) refuses a cone whose rays are dependent and leaves the
+balancing report, with its certificates, on the fan (``_balancing_report``,
+read by ``is_tropical``).  Faces, links and ``fan_to_json`` stay full-size.
 """
 
 from __future__ import annotations
@@ -30,7 +40,9 @@ from collections.abc import Callable, KeysView
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, Mapping
+from math import lcm
+from operator import mul
+from typing import Iterable, Mapping, Sequence
 
 from . import lp
 from .errors import (
@@ -38,13 +50,14 @@ from .errors import (
     FacesDontMeet,
     InputError,
     NonpositiveWeight,
+    NotInvariant,
     NotPure,
     NotSimplicial,
     RayProjectionCollision,
 )
 from .linalg import (
     Mat, Vec, ZERO, ONE, dot, inverse, mat_vec, qvec, rank, reduce_row, scaled_rows,
-    scaled_to_int, vec_scale, vec_sub,
+    scaled_to_int, solve, vec_scale, vec_sub,
 )
 from .serialize import format_rat, parse_int, parse_list, parse_rat, read_field
 
@@ -80,15 +93,24 @@ def check_keys(fan: MarkedFan, z: Mapping[str, Fraction]) -> None:
         raise DimensionMismatch("z-values must be indexed by exactly the fan's rays")
 
 
+def check_invariant(fan: MarkedFan, z: Mapping[str, Fraction]) -> None:
+    """Refuse truncation values that are not constant on the orbits of the fan's rays."""
+    for perm in fan.symmetries:
+        if any(z[perm[rid]] != v for rid, v in z.items()):
+            raise NotInvariant("z must be constant on the orbits of the fan's symmetries")
+
+
 class MarkedFan:
     """A pure simplicial fan with marked ray generators and weighted top cones.
 
     The constructor refuses, in this order: a ray of the wrong length or zero,
     a cone with an unknown ray, a weight <= 0 or a cone listed twice, no cone or
-    cones of different dimensions, dependent rays in a cone (the echelon walk of
-    ``_balancing_report``, run once here after the faces and links are built),
-    a ray in no cone and, for d <= 3 when ``validate_geometry``, cones that do
-    not meet along a common face.
+    cones of different dimensions, a symmetry that is not a bijection of the
+    rays, that maps a maximal cone to no maximal cone of equal weight or that no
+    linear map induces (NotInvariant), dependent rays in a cone (the echelon walk
+    of ``_balancing_report``, run once here after the faces, links and orbits
+    are built), a ray in no cone and, for d <= 3 when ``validate_geometry``,
+    cones that do not meet along a common face.
     """
 
     def __init__(
@@ -97,6 +119,7 @@ class MarkedFan:
         rays: Mapping[str, Vec],
         max_cones: Iterable[tuple[Iterable[str], Fraction]],
         validate_geometry: bool = True,
+        symmetries: Sequence[Mapping[str, str]] = (),
     ):
         self.ambient_dim = ambient_dim
         self.rays: dict[str, Vec] = {rid: qvec(u) for rid, u in rays.items()}
@@ -145,7 +168,11 @@ class MarkedFan:
         self._links: dict[Cone, tuple[str, ...]] = {
             cone: tuple(sorted(links[cone])) for cone in sorted(links)
         }
+        del links, layer  # freed before the orbit search allocates
         self.cones: KeysView[Cone] = self._links.keys()
+        self.symmetries = tuple(map(dict, symmetries))
+        trivial = (self.cones, {}, self.int_weights)
+        self._orbits = self._search_orbits() if self.symmetries else trivial
         # one walk: refuses a cone with dependent rays, before the unused-ray check below
         self._tropical: TropicalReport = _balancing_report(self)
         unused = self.rays.keys() - set().union(*self.max_cones)
@@ -180,7 +207,93 @@ class MarkedFan:
         check_sorted(tau)
         raise DimensionMismatch(f"{list(tau)} is not a cone of the fan")
 
+    def orbits(self) -> tuple[Sequence[Cone], dict[Cone, Cone], Mapping[Cone, int]]:
+        """(order, rep, weights) of the group the symmetries generate, found when the
+        fan is built.
+
+        ``order`` lists the representatives, each the least cone of its orbit, in the
+        order of ``cones``; ``rep`` maps every other cone to its representative; and
+        ``weights`` maps each maximal representative to the sum of ``int_weights`` over
+        its orbit.  The trivial group's are ``cones``, {} and ``int_weights``.
+        """
+        return self._orbits
+
     # -- validation ----------------------------------------------------
+
+    def _search_orbits(self) -> tuple[list[Cone], dict[Cone, Cone], dict[Cone, int]]:
+        """The orbits of the group the symmetries generate, each generator checked: it
+        must be a bijection of the rays, then, on the images the search computes, map each
+        maximal cone to one of equal weight, and then be linear (``_check_linear``).
+
+        The search takes each cone not yet met, in the order of ``cones``, as the
+        representative of its orbit and applies every generator once to every cone of
+        the orbit.  An image that is not a cone of the fan is searched on too: the
+        maximal cones over its preimage fail their check, so its generator is refused.
+        """
+        for perm in self.symmetries:
+            if perm.keys() != self.rays.keys() or set(perm.values()) != self.rays.keys():
+                raise NotInvariant("a symmetry must be a bijection of the fan's rays")
+        int_weights = self.int_weights
+        order: list[Cone] = []
+        rep: dict[Cone, Cone] = {}
+        met: dict[Cone, Cone] = {}  # images not yet reached in ``cones``, to their representative
+        weights: dict[Cone, int] = {}
+        for cone in self.cones:
+            if cone in met:
+                rep[cone] = met.pop(cone)  # keyed by the fan's own tuple; the image is freed
+                continue
+            order.append(cone)
+            orbit, todo = {cone}, [cone]
+            while todo:
+                c = todo.pop()
+                for perm in self.symmetries:
+                    image = tuple(sorted([perm[rid] for rid in c]))
+                    if len(c) == self.d and int_weights.get(image) != int_weights[c]:
+                        raise NotInvariant(
+                            f"a symmetry maps the maximal cone {list(c)} to {list(image)}, "
+                            "which is not a maximal cone of the same weight"
+                        )
+                    if image not in orbit:
+                        orbit.add(image)
+                        todo.append(image)
+            if len(cone) == self.d:
+                weights[cone] = len(orbit) * int_weights[cone]
+            orbit.remove(cone)
+            met.update(dict.fromkeys(orbit, cone))
+        self._check_linear()
+        return order, rep, weights
+
+    def _check_linear(self) -> None:
+        """Refuse a symmetry that no linear map induces.
+
+        A basis B of the rays' span is picked greedily in ``ray_ids`` order, by
+        ``reduce_row``, and ``solve`` gives integers (v_b, p_b) with
+        <v_b, u~_c> = p_b [b == c] on B.  With P the lcm of the p_b, every ray is
+        P u~ = sum_b c_b u~_b, c_b = (P / p_b) <v_b, u~>, and a map is induced by a
+        linear map of the span exactly when it takes each ray to the same
+        combination of the images of B: P u~_g(r) = sum_b c_b u~_g(b).
+        """
+        n, rays, echelon, basis = self.ambient_dim, self.int_rays, [], []
+        for rid in self.ray_ids():
+            row = reduce_row(rays[rid], echelon)
+            c = next((i for i in range(n) if row[i]), None)
+            if c is not None:
+                echelon.append((c, row))
+                basis.append(rid)
+        duals = [solve([rays[b] for b in basis], [int(b == c) for c in basis]) for b in basis]
+        big = lcm(*(p for _, p in duals))
+        coefficients = {
+            rid: [big // p * sum(map(mul, v, u)) for v, p in duals] for rid, u in rays.items()
+        }
+        for perm in self.symmetries:
+            columns = list(zip(*(rays[perm[b]] for b in basis)))
+            for rid, cs in coefficients.items():
+                image = [sum(map(mul, cs, col)) for col in columns]
+                if image != [big * x for x in rays[perm[rid]]]:
+                    raise NotInvariant(
+                        f"a symmetry maps the ray {rid!r} to {perm[rid]!r}, but the "
+                        "linear map it induces on a basis of the rays does not"
+                    )
 
     def _check_meet_along_faces(self) -> None:
         """Exact pairwise check that maximal cones intersect in their common face.
@@ -355,9 +468,12 @@ def fan_to_json(fan: MarkedFan) -> dict:
 
 @dataclass(frozen=True)
 class TropicalReport:
-    """The cones tau of dimension d - 1 that fail the balancing condition, and
-    ``certificates``, neither compared nor printed: (a, p) for every other tau,
-    integers with p != 0 and p s_tau + sum_i a_i u~_i = 0 (``_balancing_report``)."""
+    """The cones tau of dimension d - 1 that fail the balancing condition, every cone of
+    each failing orbit in ``cones_of_dim`` order, and ``certificates``, neither compared
+    nor printed: (a, p) for every other tau that is an orbit representative
+    (``MarkedFan.orbits``; every tau for the trivial group), integers with p != 0 and
+    p s_tau + sum_i a_i u~_i = 0 (``_balancing_report``).  A linear symmetry maps a
+    representative's certificate to one of each cone of its orbit."""
 
     is_tropical: bool
     failing: tuple[Cone, ...]
@@ -382,18 +498,24 @@ def _balancing_report(fan: MarkedFan) -> TropicalReport:
     built; it also refuses a cone with dependent rays.  The sums are
     integers: s_tau = sum_eta w~_{tau eta} u~_eta, with w~_{tau eta} the
     ``int_weights`` entry of join(tau, eta) and u~ the ``int_rays``.  One
-    loop reads the cones in ``fan.cones`` order, so the cones tau come in
-    ``cones_of_dim`` order.
+    loop reads the orbit representatives in ``fan.cones`` order
+    (``MarkedFan.orbits``; every cone for the trivial group).  The fan's
+    symmetries are linear, so a cone's rays are independent, and s_tau lies
+    in span(tau), exactly when those of its representative are and do.
     Each ray of a cone is a fraction-free echelon row,
     reduced by ``reduce_row`` against the rays before it and augmented by a unit vector
-    that records its combination of the rays.  In lexicographic order a
-    cone's face without its last ray is the last earlier cone of one
-    dimension less, so cutting the echelon stack to that dimension leaves
-    the face's rows, and every nonzero cone, maximal ones included, reduces
-    the row of its last ray against them and pushes it.  A cone's rays
+    that records its combination of the rays.  A representative's face without its
+    last ray is a representative too: were an image g(face) less than the face,
+    the image g(cone), whose i-th least ray is at most that of g(face), would be
+    less than the cone.  Other faces need not be (the quadrant under its quarter
+    turn).  So in lexicographic order the face without the last ray is the last
+    representative read of one dimension less but for the face's own extensions,
+    cutting the echelon stack to that dimension leaves the face's rows, and every
+    nonzero representative, maximal ones included, reduces the row of its last ray
+    against them and pushes it.  A cone's rays
     are independent exactly when no prefix's last ray has a residual that is
-    zero in the ray coordinates, and every prefix of a maximal cone is a
-    cone the loop reads, so a zero residual is the only refusal:
+    zero in the ray coordinates, and every prefix of a maximal representative is a
+    representative the loop reads, so a zero residual is the only refusal:
     NotSimplicial, naming the first maximal cone, in input order, that
     ``rank`` finds dependent (the one call of ``rank``, on this error path).
     At tau, s_tau reduced against these rows is p s_tau + sum_i a_i u~_i in its first
@@ -401,15 +523,17 @@ def _balancing_report(fan: MarkedFan) -> TropicalReport:
     tau's rays are independent, so the residual is zero exactly when s_tau
     lies in span(tau), and then (a, p) certifies it.  A row whose pivot is
     negative is negated, as its ray and unit vector would be, so every pivot
-    is positive and none costs a rescaling by -1.
+    is positive and none costs a rescaling by -1.  A failing representative
+    fails with its whole orbit, and ``failing`` lists every such cone.
     """
     n, top = fan.ambient_dim, fan.d - 1
-    failing: list[Cone] = []
+    order, rep, _ = fan.orbits()
+    failing: set[Cone] = set()
     certificates: dict[Cone, tuple[tuple[int, ...], int]] = {}
     # equal certificates kept once: on U(7,8), 57120 cones share 20 certificates
     shared: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
     echelon: list[tuple[int, list[int]]] = []
-    for cone in fan.cones:
+    for cone in order:
         k = len(cone)
         if k:
             del echelon[k - 1 :]
@@ -427,12 +551,14 @@ def _balancing_report(fan: MarkedFan) -> TropicalReport:
                 total = [t + w * x for t, x in zip(total, fan.int_rays[eta])]
             row = reduce_row([*total, *[0] * top], echelon)
             if any(row[:n]):
-                failing.append(cone)
+                failing.add(cone)
             else:
                 c, prow = echelon[-1] if echelon else (0, [1])
                 certificate = tuple(row[n:]), prow[c]
                 certificates[cone] = shared.setdefault(certificate, certificate)
-    return TropicalReport(not failing, tuple(failing), certificates)
+    if failing:  # every cone of each failing orbit
+        failing = {tau for tau in fan.cones_of_dim(top) if rep.get(tau, tau) in failing}
+    return TropicalReport(not failing, tuple(sorted(failing)), certificates)
 
 
 # -- star fans ------------------------------------------------------------

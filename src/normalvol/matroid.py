@@ -3,8 +3,10 @@
 A matroid is stored by its flats, bitsets over the ordered ground set, and
 by the covers that the axiom check finds; ranks, closures and Bergman flags
 all read the covers.  Constructors from other encodings (uniform, graphic,
-linear over the rationals) build the flats by closure search from a rank
-oracle, one closure per cover, and then run the same axiom validation.
+linear over the rationals) build the flats by closure search, one closure per
+cover, and then run the same axiom validation.  Each gives the search its own
+closure: a uniform matroid's in closed form, a graphic one's by one
+union-find pass, and a linear one's from its rank.
 """
 
 from __future__ import annotations
@@ -125,29 +127,22 @@ def from_flats(
     return Matroid(labels, masks)
 
 
-def _flats_from_rank_oracle(
-    ground: Sequence[str], rank_of, check_fan: CheckFan | None = None
+def _flats_from_closure(
+    ground: Sequence[str],
+    closure: Callable[[int], int],
+    rank: int,
+    check_fan: CheckFan | None = None,
 ) -> set[int]:
-    """Closure search: the flats are the closed sets of the rank function.
+    """Closure search: the flats are the closed sets of the closure, of a matroid of
+    this rank.
 
-    ``check_fan`` sees rank(E) - 1 before the search and a lower bound on
+    ``check_fan`` sees rank - 1 before the search and a lower bound on
     the number of proper flats at each new flat, so a cap stops the search.
     """
-    n = len(ground)
+    n, d = len(ground), rank - 1
     full = (1 << n) - 1
-    d = rank_of(full) - 1
     if check_fan:
         check_fan(0, d)
-
-    def closure(mask: int) -> int:
-        r = rank_of(mask)
-        out = mask
-        for i in range(n):
-            bit = 1 << i
-            if not mask & bit and rank_of(mask | bit) == r:
-                out |= bit
-        return out
-
     flats = {closure(0)}
     frontier = deque(flats)  # breadth first, so a cap on the flats stops it early
     while frontier:
@@ -175,7 +170,11 @@ def uniform(r: int, ground: int | Sequence[str]) -> Matroid:
     n = len(labels)
     if not 0 < r <= n:
         raise RankTooSmall(f"uniform matroid needs 0 < r <= {n}, got {r}")
-    return Matroid(labels, _flats_from_rank_oracle(labels, lambda m: min(m.bit_count(), r)))
+
+    def closure(mask: int) -> int:  # every set of fewer than r elements is a flat
+        return mask if mask.bit_count() < r else (1 << n) - 1
+
+    return Matroid(labels, _flats_from_closure(labels, closure, r))
 
 
 def graphic(
@@ -193,7 +192,8 @@ def graphic(
         if u == v:
             raise LoopDetected(f"edge ({u},{v}) is a loop")
 
-    def rank_of(mask: int) -> int:
+    def union_find(mask: int) -> Callable[[str], str]:
+        """The root of each vertex's component under the edges of mask."""
         parent: dict[str, str] = {}
 
         def find(x: str) -> str:
@@ -203,16 +203,19 @@ def graphic(
                 x = parent[x]
             return x
 
-        r = 0
         for i, (u, v) in enumerate(pairs):
             if mask >> i & 1:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-                    r += 1
-        return r
+                parent[find(u)] = find(v)
+        return find
 
-    return Matroid(labels, _flats_from_rank_oracle(labels, rank_of, check_fan))
+    def closure(mask: int) -> int:
+        """Every edge whose ends the edges of mask connect: one union-find pass."""
+        find = union_find(mask)
+        return sum(1 << i for i, (u, v) in enumerate(pairs) if find(u) == find(v))
+
+    vertices, find = {x for e in pairs for x in e}, union_find((1 << len(pairs)) - 1)
+    rank = len(vertices) - len(set(map(find, vertices)))
+    return Matroid(labels, _flats_from_closure(labels, closure, rank, check_fan))
 
 
 def linear(
@@ -231,11 +234,22 @@ def linear(
         if all(x == 0 for x in v):
             raise LoopDetected(f"column {e!r} is zero")
 
+    n = len(vecs)
+
     def rank_of(mask: int) -> int:
         rows = tuple(v for i, v in enumerate(vecs) if mask >> i & 1)
         return matrix_rank(rows)
 
-    return Matroid(labels, _flats_from_rank_oracle(labels, rank_of, check_fan))
+    def closure(mask: int) -> int:
+        r = rank_of(mask)
+        out = mask
+        for i in range(n):
+            bit = 1 << i
+            if not mask & bit and rank_of(mask | bit) == r:
+                out |= bit
+        return out
+
+    return Matroid(labels, _flats_from_closure(labels, closure, rank_of((1 << n) - 1), check_fan))
 
 
 def matroid_from_json(
@@ -345,12 +359,16 @@ def require_bergman_input(m: Matroid, e0: str) -> None:
     m.element_bit(e0)
 
 
-def bergman_fan(m: Matroid, e0: str) -> MarkedFan:
+def bergman_fan(
+    m: Matroid, e0: str, symmetries: Sequence[Mapping[str, str]] = ()
+) -> MarkedFan:
     """Bergman fan on flags of proper flats, realized in R^(E minus e0).
 
     The quotient by the all-ones vector is realized by deleting the e0
     coordinate, so the e0 inner product is the identity matrix.  All cone
-    weights are 1, and the fan has dimension rank(m) - 1.
+    weights are 1, and the fan has dimension rank(m) - 1.  ``symmetries``,
+    ray permutations such as ``bergman_symmetries``, go to the fan, which
+    checks them and runs its balancing walk over their orbits.
     """
     require_bergman_input(m, e0)
     coords = [e for e in m.ground if e != e0]
@@ -371,7 +389,7 @@ def bergman_fan(m: Matroid, e0: str) -> MarkedFan:
             for g in dict.fromkeys(m._cover[chain[-1] if chain else 0].values())
         ]
     max_cones = [([flat_ray_id(m, f) for f in chain], ONE) for chain in flags]
-    return MarkedFan(len(coords), rays, max_cones, validate_geometry=False)
+    return MarkedFan(len(coords), rays, max_cones, validate_geometry=False, symmetries=symmetries)
 
 
 def bergman_symmetries(m: Matroid, e0: str) -> list[dict[str, str]]:

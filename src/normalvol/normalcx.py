@@ -51,24 +51,24 @@ lcm denominator W.  So every layer is integers, and a mixed volume builds one
 Fraction: sum F B / (W prod_k Z_k Lambda_{k-1}).  Every public value stays a
 Fraction.
 
-A context may carry a group of ray permutations, given by generators
-(``Context(fan, gram, symmetries)``).  When the context is built, each must be
-a bijection of the rays, and then one search finds the orbits of the cones and
-checks each generator on the images it computes, each cone imaged once by each
-generator: every maximal cone must go to one of equal weight, and every ray and
-2-cone must keep its pairing.  So every D and adjugate is constant on an orbit
+The fan may carry a group of ray permutations (``MarkedFan(..., symmetries)``),
+which it checks and whose orbits of cones it finds when it is built
+(``MarkedFan.orbits``).  A context checks that the group keeps its Gram: every
+ray and 2-cone must keep its pairing, read as the pairing being constant on
+the cone's orbit.  So every D and adjugate is constant on an orbit
 of cones, up to the order of its rays.  For truncations
 constant on the orbits of the rays (refused otherwise), every table row and
 forward value is constant on orbits too, and the program runs over the
-orbits' representatives alone (``Context.orbits``): the table pass walks the
+orbits' representatives alone: the table pass walks the
 representatives, a face is read at its representative, and the backward
 layers hold orbit sums B~(O) = |O| B(rep O), starting from each orbit's sum
 of weights, so the meet sum F B~ runs over representatives unchanged.  The
 trivial group is the same code with the map of non-representatives empty.
-``hrw`` runs its mixed volumes over the matroid's transposition classes
-(``matroid.bergman_symmetries``) and checks them against the Chow degrees,
-which stay full-size, as do the fan's balancing walk and every other reader
-of the context.
+``hrw`` builds its Bergman fan over the matroid's transposition classes
+(``matroid.bergman_symmetries``), so its mixed volumes, the fan's balancing
+walk and the Chow degrees all run over orbits; ``char_poly``, which never
+reads the fan, is the check independent of them.  Every other reader of the
+context reads every cone.
 
 The Hessians of the volume quadratics of the stars at the cones of
 dimension d - 2, which condition (ii) of ``reduce-check`` reads, come in
@@ -106,7 +106,7 @@ from .errors import (
     NotPseudocubical,
     NormalVolError,
 )
-from .fan import Cone, MarkedFan, ZERO_CONE, check_keys, check_sorted, star
+from .fan import Cone, MarkedFan, ZERO_CONE, check_invariant, check_keys, check_sorted, star
 from .linalg import (
     Mat,
     Vec,
@@ -154,12 +154,14 @@ class Context:
     block in these pairings has an integer determinant D > 0 and adjugate,
     and G_sigma^-1 = adj / (D pair_scale).
 
-    ``symmetries`` generate a group of ray permutations.  The one pass that finds its
-    orbits, here, also checks the generators; the volume program runs over the orbits
-    (module docstring), and every other reader of the context reads every cone.
+    The fan's symmetries (``MarkedFan.orbits``) must keep the Gram: the pairing of
+    each ray and of each 2-cone, the only pairings an adjugate reads, must be constant
+    on its orbit, which is each generator keeping it.  The volume program runs over
+    the orbits (module docstring), and every other reader of the context reads every
+    cone.
     """
 
-    def __init__(self, fan: MarkedFan, gram: Mat, symmetries: Sequence[Mapping[str, str]] = ()):
+    def __init__(self, fan: MarkedFan, gram: Mat):
         check_gram(gram, fan.ambient_dim)
         self.fan = fan
         self.gram = gram
@@ -174,65 +176,9 @@ class Context:
         self._dim_lcms: list[int | None] = [None] * fan.d
         self._stars: dict[Cone, "Context"] = {}
         self._vol_poly: MultiPoly | None = None
-        self.symmetries = tuple(map(dict, symmetries))
-        for perm in self.symmetries:
-            if perm.keys() != fan.rays.keys() or set(perm.values()) != fan.rays.keys():
-                raise NotInvariant("a symmetry must be a bijection of the fan's rays")
-        trivial = (fan.cones, {}, fan.int_weights)
-        self._orbits = self._search_orbits() if self.symmetries else trivial
-
-    def _search_orbits(self) -> tuple[list[Cone], dict[Cone, Cone], dict[Cone, int]]:
-        """The orbits of the group the symmetries generate, each generator checked on the
-        images the search computes: each maximal cone must go to one of equal weight, and
-        each ray and 2-cone must keep its pairing, the only pairings an adjugate reads.
-
-        The search takes each cone not yet met, in the order of ``fan.cones``, as the
-        representative of its orbit and applies every generator once to every cone of
-        the orbit.  An image that is not a cone of the fan is searched on too: the
-        maximal cones over its preimage fail their check, so its generator is refused.
-        """
-        fan, int_weights = self.fan, self.fan.int_weights
-        order: list[Cone] = []
-        rep: dict[Cone, Cone] = {}
-        weights: dict[Cone, int] = {}
-        for cone in fan.cones:
-            if cone in rep:
-                continue
-            order.append(cone)
-            orbit, todo = {cone}, [cone]
-            while todo:
-                c = todo.pop()
-                pair = self.ray_pair(c[0], c[-1]) if 0 < len(c) <= 2 else None
-                for perm in self.symmetries:
-                    image = tuple(sorted([perm[rid] for rid in c]))
-                    if len(c) == fan.d and int_weights.get(image) != int_weights[c]:
-                        raise NotInvariant(
-                            f"a symmetry maps the maximal cone {list(c)} to {list(image)}, "
-                            "which is not a maximal cone of the same weight"
-                        )
-                    if pair is not None and self.ray_pair(image[0], image[-1]) != pair:
-                        raise NotInvariant(
-                            f"a symmetry changes the pairing of {c[0]!r} and {c[-1]!r}"
-                        )
-                    if image not in orbit:
-                        orbit.add(image)
-                        todo.append(image)
-            if len(cone) == fan.d:
-                weights[cone] = len(orbit) * int_weights[cone]
-            orbit.remove(cone)
-            rep.update(dict.fromkeys(orbit, cone))
-        return order, rep, weights
-
-    def orbits(self) -> tuple[Sequence[Cone], dict[Cone, Cone], Mapping[Cone, int]]:
-        """(order, rep, weights) of the group the symmetries generate, found when the
-        context is built.
-
-        ``order`` lists the representatives, each the least cone of its orbit, in the
-        order of ``fan.cones``; ``rep`` maps every other cone to its representative; and
-        ``weights`` maps each maximal representative to the sum of ``int_weights`` over
-        its orbit.  The trivial group's are ``fan.cones``, {} and ``int_weights``.
-        """
-        return self._orbits
+        for cone, r in fan.orbits()[1].items():
+            if len(cone) <= 2 and self.ray_pair(cone[0], cone[-1]) != self.ray_pair(r[0], r[-1]):
+                raise NotInvariant(f"a symmetry changes the pairing of {r[0]!r} and {r[-1]!r}")
 
     def ray_pair(self, a: str, b: str) -> int:
         """The integer <u~_a, G~ u~_b> = <u_a, u_b> / pair_scale, cached per unordered pair."""
@@ -268,7 +214,7 @@ class Context:
         """
         lam = self._dim_lcms[j]
         if lam is None:
-            dets = (self.cone_gram_inverse(c)[0] for c in self.orbits()[0] if len(c) == j)
+            dets = (self.cone_gram_inverse(c)[0] for c in self.fan.orbits()[0] if len(c) == j)
             lam = self._dim_lcms[j] = lcm(*dets)
         return lam
 
@@ -475,7 +421,7 @@ def _climb(
 ) -> dict[Cone, T]:
     """Forward: F(sigma) = sum_{rho in sigma} layer(sigma - rho) * rows[sigma][rho], over the
     k-cones sigma of ``rows``, with sigma - rho the face without rho, read at its
-    representative ``rep.get(face, face)`` (``Context.orbits``).
+    representative ``rep.get(face, face)`` (``MarkedFan.orbits``).
 
     A row holds (z_k)^{sigma - rho}_rho in the cone's ray order, as integer numerators over
     one denominator per dimension (``_Table``) or as linear forms (``vol_polynomial``); a
@@ -521,7 +467,7 @@ class _Table(dict):
     k-cone with a nonzero factor to its row, whose i-th entry is the factor of the
     cone's i-th ray rho, over the face ``cone[:i] + cone[i + 1:]`` = sigma - rho.
 
-    One pass over the representatives in the fan's cone order (``Context.orbits``; every
+    One pass over the representatives in the fan's cone order (``MarkedFan.orbits``; every
     cone for the trivial group) builds both; the zero cone, first, has no ray and so no
     row, and a cone with z = 0 on all its rays has every num 0, so it reads no adjugate.
     The first negative (or zero) num of the pass is that of the whole fan, since the
@@ -533,17 +479,15 @@ class _Table(dict):
     num_rho (Lambda_{k-1} // D_{sigma - rho}), all over Z Lambda_{k-1} (``Context.dim_lcms``).
     The pass stops at a negative num, which refuses z for every volume, and reads
     Lambda_{k-1} only when it keeps a row of a k-cone.  A z that is not constant on the
-    orbits of the context's symmetries is refused first, by NotInvariant.
+    orbits of the fan's symmetries is refused first, by NotInvariant (``fan.check_invariant``).
     """
 
     def __init__(self, ctx: Context, z: Mapping[str, Fraction]):
         super().__init__((k, {}) for k in range(1, ctx.fan.d + 1))
-        for perm in ctx.symmetries:
-            if any(z[perm[rid]] != v for rid, v in z.items()):
-                raise NotInvariant("z must be constant on the orbits of the context's symmetries")
+        check_invariant(ctx.fan, z)
         self.scale, zz = scaled_to_int(z)
         boundary: tuple[Cone, str] | None = None
-        for cone in ctx.orbits()[0]:
+        for cone in ctx.fan.orbits()[0]:
             support = [(j, zz[rid]) for j, rid in enumerate(cone) if zz[rid]]
             if not support:  # every num is 0: no adjugate and no row
                 if boundary is None and cone:
@@ -583,7 +527,7 @@ class TruncationTables:
         self._index: dict[tuple[Fraction, ...], int] = {}
         self._tables: list[_Table] = []
         self._forward: dict[tuple[int, ...], dict[Cone, int]] = {(): {ZERO_CONE: 1}}
-        _, self._rep, weights = ctx.orbits()
+        _, self._rep, weights = ctx.fan.orbits()
         self._backward: dict[tuple[int, ...], Mapping[Cone, int]] = {(): weights}
 
     def _lookup(self, z: Mapping[str, Fraction]) -> int:

@@ -147,8 +147,9 @@ def reference_geometric_volume(ctx, sigma, z):
     )
 
 
-def make_quadrant_fan():
-    """Rays +-e1, +-e2 in the plane, four orthant cones, weights 1."""
+def make_quadrant_fan(symmetries=()):
+    """Rays +-e1, +-e2 in the plane, four orthant cones, weights 1, and the given
+    ray permutations as the fan's symmetries."""
     rays = {
         "r1": (Fraction(1), Fraction(0)),
         "r2": (Fraction(0), Fraction(1)),
@@ -156,7 +157,7 @@ def make_quadrant_fan():
         "r4": (Fraction(0), Fraction(-1)),
     }
     cones = [(("r1", "r2"), 1), (("r2", "r3"), 1), (("r3", "r4"), 1), (("r4", "r1"), 1)]
-    return nv.MarkedFan(2, rays, cones)
+    return nv.MarkedFan(2, rays, cones, symmetries=symmetries)
 
 
 def reversed_coordinates(fan):
@@ -311,8 +312,10 @@ def reference_max_min_slack(rows):
 
 def reference_check_symmetry(ctx, perm):
     """A generator's check as a pass of its own, before any orbit search: it must be a
-    bijection of the rays, map every maximal cone to one of equal weight, and keep the
-    pairing of every ray and 2-cone.  Raises NotInvariant; reads only ``ctx.ray_pair``."""
+    bijection of the rays, map every maximal cone to one of equal weight, be induced by
+    a linear map and keep the pairing of every ray and 2-cone.  Raises NotInvariant;
+    reads only ``ctx.ray_pair`` and, for linearity, ``_reference_solve``: each row m_i
+    of a matrix M with M u = u_perm(u) on every ray solves a system over all the rays."""
     fan = ctx.fan
     if perm.keys() != fan.rays.keys() or set(perm.values()) != fan.rays.keys():
         raise NotInvariant("a symmetry must be a bijection of the fan's rays")
@@ -320,6 +323,12 @@ def reference_check_symmetry(ctx, perm):
         image = tuple(sorted(perm[rid] for rid in sigma))
         if fan.int_weights.get(image) != w:
             raise NotInvariant(f"a symmetry maps the maximal cone {list(sigma)} to {list(image)}")
+    rids = fan.ray_ids()
+    rays = [fan.rays[rid] for rid in rids]
+    for i in range(fan.ambient_dim):
+        targets = [fan.rays[perm[rid]][i] for rid in rids]
+        if _reference_solve(rays, targets, range(fan.ambient_dim)) is None:
+            raise NotInvariant("no linear map induces a symmetry")
     for a in fan.rays:
         for b in (a, *fan.link((a,))):
             if a <= b and ctx.ray_pair(perm[a], perm[b]) != ctx.ray_pair(a, b):
@@ -327,7 +336,7 @@ def reference_check_symmetry(ctx, perm):
 
 
 def reference_orbits(fan, perms):
-    """(order, rep, weights) of ``Context.orbits`` by a search of its own over checked
+    """(order, rep, weights) of ``MarkedFan.orbits`` by a search of its own over checked
     generators: each cone not yet met, in ``fan.cones`` order, is its orbit's
     representative, and its orbit is the closure under the generators."""
     order, rep, weights = [], {}, {}
@@ -394,10 +403,19 @@ def product_fan(a, b):
     return nv.MarkedFan(a.ambient_dim + b.ambient_dim, rays, cones, validate_geometry=False)
 
 
-def make_pm1_fan(weights=(1, 1)):
-    """The 1-dimensional fan with rays at +1 and -1."""
+def make_pm1_fan(weights=(1, 1), symmetries=()):
+    """The 1-dimensional fan with rays at +1 and -1, and the given symmetries."""
     rays = {"p": (Fraction(1),), "m": (Fraction(-1),)}
-    return nv.MarkedFan(1, rays, [(("p",), weights[0]), (("m",), weights[1])])
+    cones = [(("p",), weights[0]), (("m",), weights[1])]
+    return nv.MarkedFan(1, rays, cones, symmetries=symmetries)
+
+
+def with_symmetries(fan, symmetries):
+    """The same fan, with the given ray permutations as its symmetries."""
+    cones = [(cone, fan.weights[cone]) for cone in fan.max_cones]
+    return nv.MarkedFan(
+        fan.ambient_dim, fan.rays, cones, validate_geometry=False, symmetries=symmetries
+    )
 
 
 QUADRANT_JSON = {
@@ -438,6 +456,37 @@ def make_matroid(name):
 
 
 MATROID_NAMES = ("U23", "U34", "U35", "U45", "K4", "K4e")
+
+
+def reference_graphic_flats(edges):
+    """The flats of a multigraph's cycle matroid, as edge bitsets, from a rank oracle:
+    a set S is a flat when adding any edge outside it raises the rank, the number of
+    vertices its edges touch less the number of components they form (by depth-first
+    search).  Reads every subset of the edges."""
+
+    def rank(mask):
+        chosen = [e for i, e in enumerate(edges) if mask >> i & 1]
+        vertices = {x for e in chosen for x in e}
+        seen, components = set(), 0
+        for start in vertices:
+            if start not in seen:
+                components += 1
+                seen.add(start)
+                todo = [start]
+                while todo:
+                    x = todo.pop()
+                    for u, v in chosen:
+                        for a, b in ((u, v), (v, u)):
+                            if a == x and b not in seen:
+                                seen.add(b)
+                                todo.append(b)
+        return len(vertices) - components
+
+    masks = range(1 << len(edges))
+    return {
+        s for s in masks
+        if all(rank(s | 1 << i) > rank(s) for i in range(len(edges)) if not s >> i & 1)
+    }
 
 
 def flats_of_rank(m, k):

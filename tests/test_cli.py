@@ -814,7 +814,7 @@ def _refuse(*args, **kwargs):
 )
 def test_hrw_caps_a_uniform_bergman_fan_before_any_flat(r, n, caps, tmp_path, capsys, monkeypatch):
     # U(8,9) has 501 proper flats and d = 7; U(10,20) has 431909 proper flats.
-    monkeypatch.setattr(matroid, "_flats_from_rank_oracle", _refuse)
+    monkeypatch.setattr(matroid, "_flats_from_closure", _refuse)
     monkeypatch.setattr(matroid, "Matroid", _refuse)
     monkeypatch.setenv("NORMALVOL_CAPS", caps)
     path = tmp_path / "matroid.json"

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import normalvol as nv
@@ -16,7 +16,15 @@ from normalvol.errors import (
 from normalvol.linalg import dot, mat_vec, qvec, zeros
 from normalvol.matroid import char_poly, flat_ray_id, matroid_from_json
 
-from conftest import K4_EDGES, MATROID_NAMES, bergman, cone_of, flats_of_rank, make_matroid
+from conftest import (
+    K4_EDGES,
+    MATROID_NAMES,
+    bergman,
+    cone_of,
+    flats_of_rank,
+    make_matroid,
+    reference_graphic_flats,
+)
 
 
 # -- axioms and constructors ------------------------------------------------
@@ -193,6 +201,31 @@ def test_flat_search_makes_one_closure_per_cover(monkeypatch):
     m = nv.linear([[1, i, i * i] for i in range(20)])
     assert len(m.flats) == 212 and m.rank == 3
     assert calls <= 12000
+
+
+_K5_EDGES = [(str(a), str(b)) for a in range(1, 6) for b in range(a + 1, 6)]
+
+
+@pytest.mark.parametrize("edges", [K4_EDGES, _K5_EDGES], ids=["K4", "K5"])
+def test_graphic_flats_by_closure_match_the_rank_oracle(edges):
+    assert set(nv.graphic(edges).flats) == reference_graphic_flats(edges)
+
+
+# multigraphs on at most 5 vertices with up to 8 edges, parallel edges included
+_MULTIGRAPHS = st.lists(
+    st.tuples(st.integers(1, 5), st.integers(1, 5)).filter(lambda e: e[0] != e[1]).map(
+        lambda e: tuple(map(str, sorted(e)))
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@example([("1", "2"), ("1", "2"), ("2", "3"), ("1", "3"), ("3", "4")])
+@given(_MULTIGRAPHS)
+def test_graphic_flats_of_multigraphs_match_the_rank_oracle(edges):
+    assert set(nv.graphic(edges).flats) == reference_graphic_flats(edges)
 
 
 def test_ground_set_cap():

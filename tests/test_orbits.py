@@ -1,6 +1,7 @@
-"""Contexts over a group of ray permutations: the matroid's generators, the checks of a
-generator and of a truncation, the orbits, and the grouped volume program against the
-trivial group's."""
+"""Fans over a group of ray permutations: the matroid's generators, the checks of a
+generator (by the fan, and of its Gram by the context) and of a truncation, the orbits,
+and the grouped volume program, balancing walk and Chow degrees against the trivial
+group's."""
 
 from fractions import Fraction
 from functools import cache
@@ -11,7 +12,8 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import normalvol as nv
-from normalvol import normalcx
+from normalvol import chow, normalcx
+from normalvol.chow import covector, deg_products
 from normalvol.errors import NormalVolError, NotInvariant
 from normalvol.linalg import identity, qmat
 from normalvol.matroid import bergman_symmetries
@@ -36,6 +38,7 @@ from conftest import (
     reference_orbits,
     sparse_paving_flats,
     sparse_paving_matroids,
+    with_symmetries,
 )
 
 K5_EDGES = [(str(a), str(b)) for a, b in combinations(range(1, 6), 2)]
@@ -44,9 +47,9 @@ ROTATION = {"r1": "r2", "r2": "r3", "r3": "r4", "r4": "r1"}  # a quarter turn of
 
 
 def grouped(m, e0):
-    fan = nv.bergman_fan(m, e0)
     gram = nv.e0_inner_product(m, e0)
-    return Context(fan, gram), Context(fan, gram, bergman_symmetries(m, e0))
+    fans = nv.bergman_fan(m, e0), nv.bergman_fan(m, e0, bergman_symmetries(m, e0))
+    return tuple(Context(fan, gram) for fan in fans)
 
 
 def ray_orbits(fan, perms):
@@ -81,8 +84,8 @@ def test_uniform_matroids_get_the_symmetric_group_of_the_other_elements(r, cones
     m = nv.uniform(r, r + 1)
     perms = bergman_symmetries(m, "a")
     assert len(perms) == 2  # a transposition and a cycle of b, c, ...
-    ctx = Context(nv.bergman_fan(m, "a"), nv.e0_inner_product(m, "a"), perms)
-    order, rep, weights = ctx.orbits()
+    ctx = Context(nv.bergman_fan(m, "a", perms), nv.e0_inner_product(m, "a"))
+    order, rep, weights = ctx.fan.orbits()
     assert (len(ctx.fan.cones), len(order)) == (cones, orbits)
     assert list(order) == [c for c in ctx.fan.cones if c not in rep]
     assert sum(weights.values()) == len(ctx.fan.max_cones)
@@ -97,12 +100,12 @@ def test_orbits_match_the_whole_group_on_u45():
     group, todo = {tuple(sorted(unit.items())): unit}, [unit]
     while todo:  # the closure of the generators under composition
         g = todo.pop()
-        for perm in ctx.symmetries:
+        for perm in ctx.fan.symmetries:
             h = {rid: perm[g[rid]] for rid in g}
             if group.setdefault(tuple(sorted(h.items())), h) is h:
                 todo.append(h)
     assert len(group) == 24  # Sym of the four elements other than e0
-    _, rep, weights = ctx.orbits()
+    _, rep, weights = ctx.fan.orbits()
     for cone in ctx.fan.cones:
         orbit = {tuple(sorted(g[rid] for rid in cone)) for g in group.values()}
         assert rep.get(cone, cone) == min(orbit)
@@ -127,33 +130,45 @@ def test_a_symmetry_must_be_a_bijection_of_the_rays():
     for perm in ({"r1": "r2", "r2": "r2", "r3": "r3", "r4": "r4"}, {"r1": "r1"},
                  {**ROTATION, "r5": "r5"}):
         with pytest.raises(NotInvariant, match="bijection"):
-            Context(make_quadrant_fan(), identity(2), [perm])
+            make_quadrant_fan([perm])
 
 
 def test_a_symmetry_must_map_a_maximal_cone_to_a_cone():
     # r1 r2 goes to itself, and r1 r4, the next maximal cone the search meets, to r2 r4
     swap = {"r1": "r2", "r2": "r1", "r3": "r3", "r4": "r4"}
     with pytest.raises(NotInvariant, match=r"\['r1', 'r4'\] to \['r2', 'r4'\], which is not"):
-        Context(make_quadrant_fan(), identity(2), [swap])
+        make_quadrant_fan([swap])
 
 
 def test_a_symmetry_must_keep_the_weights():
     flip = {"p": "m", "m": "p"}
-    Context(make_pm1_fan(), identity(1), [flip])
+    make_pm1_fan(symmetries=[flip])
     with pytest.raises(NotInvariant, match="same weight"):
-        Context(make_pm1_fan(weights=(1, 2)), identity(1), [flip])
+        make_pm1_fan(weights=(1, 2), symmetries=[flip])
+
+
+def test_a_symmetry_must_be_induced_by_a_linear_map():
+    rays = {"r1": (1, 0), "r2": (1, 1), "r3": (0, 1), "r4": (-1, 0), "r5": (0, -1)}
+    ids = sorted(rays)
+    cones = [((a, b), 1) for a, b in zip(ids, ids[1:] + ids[:1])]
+    cycle = dict(zip(ids, ids[1:] + ids[:1]))
+    assert nv.is_tropical(nv.MarkedFan(2, rays, cones)).is_tropical  # a complete fan
+    # the 5-cycle maps each cone to the next, of equal weight, but the linear map that
+    # takes r1, r2 to r2, r3 takes r4 = -r1 to -r2 = (-1, -1), which is not r5
+    with pytest.raises(NotInvariant, match="ray 'r4' to 'r5', but the linear map"):
+        nv.MarkedFan(2, rays, cones, symmetries=[cycle])
 
 
 def test_a_symmetry_must_keep_the_pairing_of_each_two_cone():
-    Context(make_quadrant_fan(), identity(2), [ROTATION])
+    Context(make_quadrant_fan([ROTATION]), identity(2))
     # every ray keeps its length 1, but <e1, e2> = 1/2 goes to <e2, -e1> = -1/2
     gram = qmat([[1, Fraction(1, 2)], [Fraction(1, 2), 1]])
     with pytest.raises(NotInvariant, match="pairing of 'r1' and 'r2'"):
-        Context(make_quadrant_fan(), gram, [ROTATION])
+        Context(make_quadrant_fan([ROTATION]), gram)
     # the reflection in the diagonal keeps every 2-cone's pairing 0, but not |e1|^2 = 2
     reflection = {"r1": "r2", "r2": "r1", "r3": "r4", "r4": "r3"}
     with pytest.raises(NotInvariant, match="pairing of 'r1' and 'r1'"):
-        Context(make_quadrant_fan(), qmat([[2, 0], [0, 1]]), [reflection])
+        Context(make_quadrant_fan([reflection]), qmat([[2, 0], [0, 1]]))
 
 
 def test_a_grouped_context_refuses_a_truncation_not_constant_on_orbits():
@@ -176,9 +191,9 @@ def test_a_grouped_context_refuses_a_truncation_not_constant_on_orbits():
 
 
 def test_the_quadrant_under_its_rotation_gives_the_trivial_group_values():
-    fan = make_quadrant_fan()
-    trivial, turned = Context(fan, identity(2)), Context(fan, identity(2), [ROTATION])
-    assert len(turned.orbits()[0]) == 3  # the zero cone, the rays, the quadrants
+    trivial = Context(make_quadrant_fan(), identity(2))
+    turned = Context(make_quadrant_fan([ROTATION]), identity(2))
+    assert len(turned.fan.orbits()[0]) == 3  # the zero cone, the rays, the quadrants
     zs = [{rid: Fraction(value) for rid in ROTATION} for value in (1, 2, 0, -1)]
     for z in zs:
         assert classify_z(turned, z) == classify_z(trivial, z)
@@ -264,9 +279,9 @@ def test_the_one_pass_refuses_and_finds_what_the_separate_check_and_search_do(ca
     except NotInvariant:
         event("refused")
         with pytest.raises(NotInvariant):
-            Context(fan, gram, perms)
+            Context(with_symmetries(fan, perms), gram)
         return
-    order, rep, weights = Context(fan, gram, perms).orbits()
+    order, rep, weights = Context(with_symmetries(fan, perms), gram).fan.orbits()
     event("accepted, trivial group" if len(order) == len(fan.cones) else "accepted, orbits merge")
     assert (list(order), rep, weights) == reference_orbits(fan, perms)
 
@@ -343,11 +358,12 @@ def test_the_grouped_program_gives_the_trivial_groups_values(case, data):
         perms = [{name[a]: name[b] for a, b in perm.items()} for perm in perms]
         z_alpha, z_beta = ({name[rid]: v for rid, v in z.items()} for z in (z_alpha, z_beta))
     gram = nv.e0_inner_product(m, e0)
-    trivial, ctx = Context(fan, gram), Context(fan, gram, perms)
-    order, rep, _ = ctx.orbits()
+    trivial, ctx = Context(fan, gram), Context(with_symmetries(fan, perms), gram)
+    order, rep, _ = ctx.fan.orbits()
     off = any(c[:i] + c[i + 1 :] in rep for c in order for i in range(len(c)))
+    assert not any(c[:-1] in rep for c in order if c)  # the face the balancing walk reads
     event(f"{len(perms)} generators, d = {fan.d}, a face of a representative is not one: {off}")
-    orbits = ray_orbits(ctx.fan, ctx.symmetries)
+    orbits = ray_orbits(ctx.fan, ctx.fan.symmetries)
     zs = []
     for _ in range(data.draw(st.integers(1, 3))):
         low = data.draw(st.sampled_from([None, 0, -1]))
@@ -371,3 +387,67 @@ def test_the_grouped_program_gives_the_trivial_groups_values(case, data):
     assert not any(c in rep for table in values[0]._tables for k in table for c in table[k])
     if d <= 3:
         assert vol_polynomial(ctx) == vol_polynomial(trivial)
+
+
+# -- the balancing walk and the Chow degrees over orbits -------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(fans_with_generators(), st.data())
+def test_the_grouped_walk_and_degrees_give_the_trivial_groups(case, data):
+    fan, _, perms = case
+    perms = [perm for perm in perms if not isinstance(outcome(with_symmetries, fan, [perm]), tuple)]
+    grouped_fan = with_symmetries(fan, perms)
+    order, rep, _ = grouped_fan.orbits()
+    off = any(c[:i] + c[i + 1 :] in rep for c in order for i in range(len(c)))
+    # a representative's face without its last ray is one, so the walk's stack holds it
+    assert not any(c[:-1] in rep for c in order if c)
+    report, trivial = nv.is_tropical(grouped_fan), nv.is_tropical(fan)
+    event(f"{len(perms)} generators, tropical: {trivial.is_tropical}, a face of a "
+          f"representative is not one: {off}")
+    assert (report.is_tropical, report.failing) == (trivial.is_tropical, trivial.failing)
+    top = [tau for tau in order if len(tau) == fan.d - 1 and tau not in report.failing]
+    assert report.certificates == {tau: trivial.certificates[tau] for tau in top}
+    orbits = ray_orbits(fan, perms)
+    value = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    zs = [{rid: v for orbit in orbits for v in [data.draw(value)] for rid in orbit}
+          for _ in range(data.draw(st.integers(1, 3)))]
+    picks = st.lists(st.sampled_from(zs), min_size=fan.d, max_size=fan.d)
+    tuples = [data.draw(picks) for _ in range(3)]
+    degrees = outcome(deg_products, grouped_fan, tuples)
+    assert degrees == outcome(deg_products, fan, tuples)
+    event("degrees" if isinstance(degrees, list) else degrees[0].__name__)
+
+
+def test_every_cone_of_a_failing_orbit_fails():
+    # R.p and R.m each see L.p and L.m with weights 1 and 2, so both fail; the flip of the
+    # right factor puts them in one orbit, and the walk reads only its representative R.m
+    fan = product_fan(make_pm1_fan((1, 2)), make_pm1_fan())
+    flip = {"L.p": "L.p", "L.m": "L.m", "R.p": "R.m", "R.m": "R.p"}
+    report = nv.is_tropical(with_symmetries(fan, [flip]))
+    assert report == nv.is_tropical(fan) and report.failing == (("R.m",), ("R.p",))
+    assert report.certificates == nv.is_tropical(fan).certificates  # L.m and L.p, both fixed
+
+
+def test_u67_grouped_fan_gives_the_trivial_walk_and_degrees(monkeypatch):
+    m = nv.uniform(6, 7)
+    trivial = nv.bergman_fan(m, "a")
+    grouped_fan = nv.bergman_fan(m, "a", bergman_symmetries(m, "a"))
+    order, _, _ = grouped_fan.orbits()
+    report = nv.is_tropical(grouped_fan)
+    assert report == nv.is_tropical(trivial) and report.is_tropical
+    assert report.certificates == {
+        tau: c for tau, c in nv.is_tropical(trivial).certificates.items() if tau in set(order)
+    }
+    z_alpha, z_beta = nv.alpha_beta_z(m, "a")
+    z_mixed = {rid: z_alpha[rid] + 2 * z_beta[rid] for rid in z_alpha}
+    d = trivial.d
+    tuples = [[z_alpha] * (d - a) + [z_beta] * a for a in range(d + 1)]
+    tuples.append([z_mixed, z_alpha, z_beta, z_mixed, z_beta])
+    solved = []
+    monkeypatch.setattr(chow, "covector", lambda *args: solved.append(args) or covector(*args))
+    grouped_degrees = deg_products(grouped_fan, tuples)
+    grouped_solves = len(solved)
+    assert grouped_degrees == deg_products(trivial, tuples)
+    assert grouped_degrees[: d + 1] == [1, 6, 15, 20, 15, 6]  # mubar of U(6,7)
+    assert grouped_solves < len(solved) - grouped_solves
