@@ -22,8 +22,9 @@ covector per (representative, divisor), and the top grade pairs the
 representatives with their certificates.  The trivial group is the same code.
 
 The pairings are taken in integers.  A divisor is scaled once to zz = Z z,
-Z the lcm of its denominators, and each covector is an integer vector v
-over one denominator p on the fan's integer rays u~ = M u, so the
+Z the lcm of its denominators, by the batch's ``fan.Truncations``, which also
+tells the batch's divisors apart; each covector is an integer vector v over
+one denominator p on the fan's integer rays u~ = M u, so the
 coefficient of X_{join(sigma, eta)} is (p zz_eta - <v, u~_eta>) / (Z p).  A
 class is integer numerators over one denominator: a step takes the lcm L
 of its covectors' p and multiplies the denominator by Z L.
@@ -49,8 +50,8 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import GradeOverflow, NotTropical, WrongGrade
-from .fan import Cone, MarkedFan, ZERO_CONE, check_invariant, check_keys, is_tropical, join
-from .linalg import scaled_to_int, solve
+from .fan import Cone, MarkedFan, Truncations, ZERO_CONE, is_tropical, join
+from .linalg import solve
 
 # sum_sigma nums[sigma] X_sigma / den, zero numerators pruned
 Numerators = dict[Cone, int]
@@ -139,9 +140,9 @@ def deg_products(
     """deg(D(z_1) ... D(z_d)) for each tuple; the z_i need not be cubical.
 
     The count of divisors of every tuple, then the balancing condition, then
-    the keys of each truncation (``fan.check_keys``) and its invariance under the
-    fan's symmetries (``fan.check_invariant``) are checked before any
-    product.  Truncations are told apart by value, and
+    the keys of each truncation and, once per distinct value, its invariance
+    under the fan's symmetries are checked before any product.  Truncations are
+    told apart, and scaled to integers, by the fan (``fan.Truncations``), and
     the class of each prefix of length k < d is built once, from the class
     of its own prefix, all of length k before any of length k + 1; a step
     solves for one covector per (representative, truncation) of its layer.  The
@@ -157,37 +158,22 @@ def deg_products(
         raise NotTropical("degree is only well defined on tropical fans")
     if not d:
         return [fan.weights[ZERO_CONE]] * len(tuples)
-    rays = fan.ray_ids()
-    index: dict[tuple[Fraction, ...], int] = {}
-    scales: list[int] = []
-    zzs: list[dict[str, int]] = []
-    keys = []
-    for zs in tuples:
-        key = []
-        for z in zs:
-            check_keys(fan, z)
-            value = tuple(z[rid] for rid in rays)
-            if value not in index:
-                check_invariant(fan, z)
-                index[value] = len(zzs)
-                scale, zz = scaled_to_int(z)
-                scales.append(scale)
-                zzs.append(zz)
-            key.append(index[value])
-        keys.append(tuple(key))
+    truncations = Truncations(fan)
+    keys = [tuple(map(truncations.index, zs)) for zs in tuples]
+    scaled = truncations.scaled
     layer: dict[tuple[int, ...], tuple[Numerators, int]] = {(): ({ZERO_CONE: 1}, 1)}
     for k in range(1, d):
-        solved: list[dict[Cone, Covector]] = [{} for _ in zzs]  # the covectors of this layer
+        solved: list[dict[Cone, Covector]] = [{} for _ in scaled]  # the covectors of this layer
         below, layer = layer, {}
         for prefix in dict.fromkeys(key[:k] for key in keys):
             t = prefix[-1]
             nums, den = below[prefix[:-1]]
-            nums, big = _multiply(fan, nums, zzs[t], solved[t])
-            layer[prefix] = nums, den * scales[t] * big
+            nums, big = _multiply(fan, nums, scaled[t][1], solved[t])
+            layer[prefix] = nums, den * scaled[t][0] * big
     pairs = [(key[:-1], key[-1]) for key in keys]
     classes = {c: nums for c, (nums, _) in layer.items()}
-    totals, big = _pairings(fan, classes, list(dict.fromkeys(pairs)), zzs)
-    return [Fraction(totals[c, t], layer[c][1] * scales[t] * big) for c, t in pairs]
+    totals, big = _pairings(fan, classes, list(dict.fromkeys(pairs)), [zz for _, zz in scaled])
+    return [Fraction(totals[c, t], layer[c][1] * scaled[t][0] * big) for c, t in pairs]
 
 
 def deg_product(fan: MarkedFan, zs: Sequence[Mapping[str, Fraction]]) -> Fraction:

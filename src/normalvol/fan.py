@@ -31,6 +31,11 @@ fraction-free echelon walk over the orbit representatives (every cone for
 the trivial group) refuses a cone whose rays are dependent and leaves the
 balancing report, with its certificates, on the fan (``_balancing_report``,
 read by ``is_tropical``).  Faces, links and ``fan_to_json`` stay full-size.
+
+A batch of truncation values, the z of the divisors D(z) and of the mixed
+volumes, is told apart here, once for both engines that read it
+(``Truncations``): keys checked on every value, integer keys (Z, Z z), and one
+invariance check and one scaled copy per distinct value.
 """
 
 from __future__ import annotations
@@ -93,11 +98,39 @@ def check_keys(fan: MarkedFan, z: Mapping[str, Fraction]) -> None:
         raise DimensionMismatch("z-values must be indexed by exactly the fan's rays")
 
 
-def check_invariant(fan: MarkedFan, z: Mapping[str, Fraction]) -> None:
-    """Refuse truncation values that are not constant on the orbits of the fan's rays."""
-    for perm in fan.symmetries:
-        if any(z[perm[rid]] != v for rid, v in z.items()):
-            raise NotInvariant("z must be constant on the orbits of the fan's symmetries")
+class Truncations:
+    """The distinct truncations of one batch, numbered as they first come.
+
+    The one place where truncations are told apart and scaled to integers: the
+    Chow degrees (``chow.deg_products``) and the volume tables
+    (``normalcx.TruncationTables``) both read it.  ``index(z)`` refuses z's keys
+    (``check_keys``) on every call, and keys z by integers: Z, the lcm of its
+    denominators, and Z z in the order of the fan's rays.  They are equal exactly
+    when the values are, and Z is part of the key: (1/2, 1) and (1, 2) have one
+    Z z.  A value met for the first time must be constant on the orbits of the
+    fan's rays (NotInvariant otherwise) and is then numbered t = len(scaled),
+    with ``scaled[t]`` = (Z, Z z); a refused value is not numbered, so the
+    batch stays usable.
+    """
+
+    def __init__(self, fan: MarkedFan):
+        self.fan = fan
+        self.scaled: list[tuple[int, dict[str, int]]] = []
+        self._index: dict[tuple[int, ...], int] = {}
+
+    def index(self, z: Mapping[str, Fraction]) -> int:
+        check_keys(self.fan, z)
+        scale, (ints,) = scaled_rows([[z[rid] for rid in self.fan.rays]])
+        key = (scale, *ints)
+        t = self._index.get(key)
+        if t is None:
+            zz = dict(zip(self.fan.rays, ints))
+            for perm in self.fan.symmetries:
+                if any(zz[perm[rid]] != v for rid, v in zz.items()):
+                    raise NotInvariant("z must be constant on the orbits of the fan's symmetries")
+            t = self._index[key] = len(self.scaled)
+            self.scaled.append((scale, zz))
+        return t
 
 
 class MarkedFan:

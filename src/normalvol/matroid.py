@@ -6,7 +6,9 @@ all read the covers.  Constructors from other encodings (uniform, graphic,
 linear over the rationals) build the flats by closure search, one closure per
 cover, and then run the same axiom validation.  Each gives the search its own
 closure: a uniform matroid's in closed form, a graphic one's by one
-union-find pass, and a linear one's from its rank.
+union-find pass, and a linear one's by one fraction-free elimination of the
+set's columns (``linalg.reduce_row``), against which each other column is
+reduced once.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from .errors import (
     UnknownElement,
 )
 from .fan import MarkedFan
-from .linalg import Mat, Vec, ONE, ZERO, identity, qmat
-from .linalg import rank as matrix_rank
+from .linalg import Mat, Vec, ONE, ZERO, identity, qmat, reduce_row, scaled_rows
 from .serialize import parse_int, parse_list, parse_rat, read_field
 
 GROUND_SET_CAP = 20
@@ -234,22 +235,28 @@ def linear(
         if all(x == 0 for x in v):
             raise LoopDetected(f"column {e!r} is zero")
 
-    n = len(vecs)
+    n, ints = len(vecs), scaled_rows(vecs)[1]
 
-    def rank_of(mask: int) -> int:
-        rows = tuple(v for i, v in enumerate(vecs) if mask >> i & 1)
-        return matrix_rank(rows)
+    def echelon(mask: int) -> list[tuple[int, Sequence[int]]]:
+        """The columns of mask, each reduced against those before it, as echelon rows."""
+        rows: list[tuple[int, Sequence[int]]] = []
+        for i in range(n):
+            if mask >> i & 1:
+                row = reduce_row(ints[i], rows)
+                c = next((j for j, x in enumerate(row) if x), None)
+                if c is not None:
+                    rows.append((c, row))
+        return rows
 
     def closure(mask: int) -> int:
-        r = rank_of(mask)
-        out = mask
-        for i in range(n):
-            bit = 1 << i
-            if not mask & bit and rank_of(mask | bit) == r:
-                out |= bit
-        return out
+        """mask and every column in the span of its echelon rows: one elimination of
+        mask, then one reduction of each column outside it."""
+        rows = echelon(mask)
+        spanned = (i for i in range(n) if not mask >> i & 1 and not any(reduce_row(ints[i], rows)))
+        return mask | sum(1 << i for i in spanned)
 
-    return Matroid(labels, _flats_from_closure(labels, closure, rank_of((1 << n) - 1), check_fan))
+    rank = len(echelon((1 << n) - 1))
+    return Matroid(labels, _flats_from_closure(labels, closure, rank, check_fan))
 
 
 def matroid_from_json(
@@ -349,6 +356,7 @@ def char_poly(m: Matroid) -> CharPoly:
 
 
 def flat_ray_id(m: Matroid, flat: int) -> str:
+    """The ray id of a flat, its labels joined by commas: the one place the format is set."""
     return ",".join(m.labels(flat))
 
 
@@ -373,13 +381,12 @@ def bergman_fan(
     require_bergman_input(m, e0)
     coords = [e for e in m.ground if e != e0]
     e0_bit = m.element_bit(e0)
+    ids = {f: flat_ray_id(m, f) for f in m.proper_flats()}
 
     rays: dict[str, Vec] = {}
-    for f in m.proper_flats():
+    for f, rid in ids.items():
         shift = ONE if f & e0_bit else ZERO
-        rays[flat_ray_id(m, f)] = tuple(
-            (ONE if f >> m.index[e] & 1 else ZERO) - shift for e in coords
-        )
+        rays[rid] = tuple((ONE if f >> m.index[e] & 1 else ZERO) - shift for e in coords)
 
     flags: list[list[int]] = [[]]
     for _ in range(1, m.rank):  # each chain grows by each cover of its end, in m.flats order
@@ -388,7 +395,7 @@ def bergman_fan(
             for chain in flags
             for g in dict.fromkeys(m._cover[chain[-1] if chain else 0].values())
         ]
-    max_cones = [([flat_ray_id(m, f) for f in chain], ONE) for chain in flags]
+    max_cones = [([ids[f] for f in chain], ONE) for chain in flags]
     return MarkedFan(len(coords), rays, max_cones, validate_geometry=False, symmetries=symmetries)
 
 
@@ -405,6 +412,7 @@ def bergman_symmetries(m: Matroid, e0: str) -> list[dict[str, str]]:
     holds e0, and permutes the coordinates of the identity e0 Gram.
     """
     e0_bit, flats = m.element_bit(e0), set(m.flats)
+    ids = {f: flat_ray_id(m, f) for f in m.proper_flats()}
     classes: list[list[int]] = []
     for i in range(m.n):
         bit = 1 << i
@@ -424,8 +432,7 @@ def bergman_symmetries(m: Matroid, e0: str) -> list[dict[str, str]]:
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 p[a] = b
             perms.append({
-                flat_ray_id(m, f): flat_ray_id(m, sum(1 << p[i] for i in range(m.n) if f >> i & 1))
-                for f in m.proper_flats()
+                rid: ids[sum(1 << p[i] for i in range(m.n) if f >> i & 1)] for f, rid in ids.items()
             })
     return perms
 

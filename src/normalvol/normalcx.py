@@ -19,11 +19,12 @@ with sigma - rho the face of sigma without rho and tau + rho the cone
 ``fan.join(tau, rho)``.  It meets the forward pass at any dimension k (both
 expand over chains of cones):
 MVol(z_1, ..., z_d) = sum_{dim tau = k} F_k(tau; z_1..z_k) B_k(tau; z_{k+1}..z_d).
-A batch (``TruncationTables``) keeps every layer it builds and meets each tuple
-at the k that needs the fewest new layers, ties going to the end of the leading
-run of z_1 (so no forward layer passes that run): a constant tuple climbs all
-d layers, and the d + 1 tuples alpha^(d-a) beta^a of ``hrw`` need 2d layers in
-all, not d(d + 1).
+A batch (``TruncationTables``) tells its truncations apart, and scales each to
+integers, through the fan's ``fan.Truncations``, as the Chow degrees do.  It
+keeps every layer it builds and meets each tuple at the k that needs the
+fewest new layers, ties going to the end of the leading run of z_1 (so no
+forward layer passes that run): a constant tuple climbs all d layers, and the
+d + 1 tuples alpha^(d-a) beta^a of ``hrw`` need 2d layers in all, not d(d + 1).
 
 The factors come from the barycentric coefficients c_sigma(z) = G_sigma^-1 z_sigma
 of the w-vectors, the same numbers the classification reads: restriction is
@@ -40,11 +41,12 @@ Each cone keeps the integer determinant D > 0 and adjugate of its Gram block
 in these pairings, so G_sigma^-1 = adj / (D pair_scale), bordered from the face
 without its last ray by ``linalg.border_adjugate``, whose one division is
 exact by Sylvester's identity (the step of Bareiss's elimination); this
-module divides by no previous pivot or minor itself.  A table scales z
-by the lcm Z of its denominators and holds the integers num = adj (Z z), which
-have the signs of c_sigma(z); the factor of (sigma, rho) is num_rho / (Z D_{sigma - rho}),
-since adj_{rho rho} = D_{sigma - rho}.  With Lambda_j the lcm of D_tau over the
-cones tau of dimension j (``Context.dim_lcms``), a row of a k-cone holds the
+module divides by no previous pivot or minor itself.  A table reads z scaled by
+the lcm Z of its denominators (``fan.Truncations``) and holds the integers
+num = adj (Z z), which have the signs of c_sigma(z); the factor of (sigma, rho)
+is num_rho / (Z D_{sigma - rho}), since adj_{rho rho} = D_{sigma - rho}.  With
+Lambda_j the lcm of D_tau over the cones tau of dimension j
+(``Context.dim_lcms``), a row of a k-cone holds the
 integers num_rho (Lambda_{k-1} // D_{sigma - rho}) over the one denominator
 Z Lambda_{k-1}, and the backward layers start from the weights times their
 lcm denominator W.  So every layer is integers, and a mixed volume builds one
@@ -106,7 +108,7 @@ from .errors import (
     NotPseudocubical,
     NormalVolError,
 )
-from .fan import Cone, MarkedFan, ZERO_CONE, check_invariant, check_keys, check_sorted, star
+from .fan import Cone, MarkedFan, Truncations, ZERO_CONE, check_keys, check_sorted, star
 from .linalg import (
     Mat,
     Vec,
@@ -285,8 +287,7 @@ class CubReport:
 def classify_z(ctx: Context, z: Mapping[str, Fraction]) -> CubReport:
     """Exact classification by the w-vectors' barycentric coefficients (``_Table``): the
     first negative, else the first zero, with the cones in lexicographic order."""
-    check_keys(ctx.fan, z)
-    return _Table(ctx, z).report
+    return TruncationTables(ctx).classify(z)
 
 
 def require_pseudocubical(report: CubReport) -> None:
@@ -478,14 +479,12 @@ class _Table(dict):
     as adj_{rho rho} = D_{sigma - rho} > 0, so the row of a k-cone sigma holds the integers
     num_rho (Lambda_{k-1} // D_{sigma - rho}), all over Z Lambda_{k-1} (``Context.dim_lcms``).
     The pass stops at a negative num, which refuses z for every volume, and reads
-    Lambda_{k-1} only when it keeps a row of a k-cone.  A z that is not constant on the
-    orbits of the fan's symmetries is refused first, by NotInvariant (``fan.check_invariant``).
+    Lambda_{k-1} only when it keeps a row of a k-cone.  It takes zz = Z z, checked and
+    scaled by the batch's ``fan.Truncations``.
     """
 
-    def __init__(self, ctx: Context, z: Mapping[str, Fraction]):
+    def __init__(self, ctx: Context, zz: Mapping[str, int]):
         super().__init__((k, {}) for k in range(1, ctx.fan.d + 1))
-        check_invariant(ctx.fan, z)
-        self.scale, zz = scaled_to_int(z)
         boundary: tuple[Cone, str] | None = None
         for cone in ctx.fan.orbits()[0]:
             support = [(j, zz[rid]) for j, rid in enumerate(cone) if zz[rid]]
@@ -512,31 +511,28 @@ class _Table(dict):
 class TruncationTables:
     """The tables and dynamic-program layers of one batch of mixed volumes.
 
-    Truncations are told apart by value and numbered as they come; forward
-    layers are memoized by the prefix of those numbers, backward layers by
-    the suffix.  Layers hold integer numerators: the forward layer of
-    z_1..z_k is over prod_{j <= k} Z_j Lambda_{j-1}, and the backward layer
-    of z_{k+1}..z_d over W prod_{j > k} Z_j Lambda_{j-1}, W the lcm of the
-    weights' denominators.  The context keeps only ``dim_lcms``.  Over a group, every
-    table and layer is keyed by representatives, and backward layers hold orbit sums.
+    Truncations are told apart, numbered and scaled to integers by the fan
+    (``fan.Truncations``), one table per number; forward layers are memoized
+    by the prefix of those numbers, backward layers by the suffix.  Layers hold
+    integer numerators: the forward layer of z_1..z_k is over
+    prod_{j <= k} Z_j Lambda_{j-1}, and the backward layer of z_{k+1}..z_d over
+    W prod_{j > k} Z_j Lambda_{j-1}, W the lcm of the weights' denominators.
+    The context keeps only ``dim_lcms``.  Over a group, every table and layer is
+    keyed by representatives, and backward layers hold orbit sums.
     """
 
     def __init__(self, ctx: Context):
         self.ctx = ctx
-        self._rays = ctx.fan.ray_ids()
-        self._index: dict[tuple[Fraction, ...], int] = {}
+        self._truncations = Truncations(ctx.fan)
         self._tables: list[_Table] = []
         self._forward: dict[tuple[int, ...], dict[Cone, int]] = {(): {ZERO_CONE: 1}}
         _, self._rep, weights = ctx.fan.orbits()
         self._backward: dict[tuple[int, ...], Mapping[Cone, int]] = {(): weights}
 
     def _lookup(self, z: Mapping[str, Fraction]) -> int:
-        check_keys(self.ctx.fan, z)
-        key = tuple(z[rid] for rid in self._rays)
-        t = self._index.get(key)
-        if t is None:
-            self._tables.append(_Table(self.ctx, z))
-            t = self._index[key] = len(self._tables) - 1
+        t = self._truncations.index(z)
+        if t == len(self._tables):
+            self._tables.append(_Table(self.ctx, self._truncations.scaled[t][1]))
         return t
 
     def classify(self, z: Mapping[str, Fraction]) -> CubReport:
@@ -576,7 +572,7 @@ class TruncationTables:
         k = min(range(d + 1), key=new_layers)
         forward, backward = self._forward_layer(key[:k]), self._backward_layer(key[k:])
         total = sum(v * backward[c] for c, v in forward.items() if c in backward)
-        scales = prod(self._tables[t].scale for t in ts)
+        scales = prod(self._truncations.scaled[t][0] for t in ts)
         return Fraction(total, self.ctx.fan.weight_scale * scales * prod(self.ctx.dim_lcms()))
 
 

@@ -180,19 +180,33 @@ def test_deg_products_match_per_ray_reference(name, data):
 
 
 @pytest.mark.parametrize("name", ["U45", "K4"])
-def test_deg_products_of_a_batch_equal_its_degrees_one_by_one(name):
-    # mixed batches: the hrw pencil, its reversal, repeated tuples and a random truncation
+def test_deg_products_of_a_batch_equal_its_degrees_one_by_one(name, monkeypatch):
+    # mixed batches: the hrw pencil, its reversal, repeated tuples, a random truncation,
+    # and alpha halved, whose Z z = alpha over Z = 2 is alpha's own Z z over Z = 1
     fx = bergman(name)
     fan, a, b = fx.fan, fx.z_alpha, fx.z_beta
     rng = random.Random(3)
     c = {r: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for r in fan.ray_ids()}
+    half = {r: v / 2 for r, v in a.items()}
     d = fan.d
     pencil = [[a] * (d - k) + [b] * k for k in range(d + 1)]
     tuples = pencil + [zs[::-1] for zs in pencil] + [[c] + [a] * (d - 1), [a] * (d - 1) + [c]]
     tuples += [[dict(z) for z in zs] for zs in tuples[:2]]  # equal by value, not by identity
+    tuples += [[half] * d, [half] + [b] * (d - 1)]
     values = chow.deg_products(fan, tuples)
     assert values == [chow.deg_product(fan, zs) for zs in tuples]
     assert tuple(values[: d + 1]) == nv.char_poly(fx.matroid).mubar
+    assert values[-2:] == [values[0] / 2**d, values[d - 1] / 2] and values[-2] != values[0]
+    assert chow.deg_products(fan, []) == []
+    # alpha as 1, Fraction(1) and Fraction(2, 2): one truncation, one covector per cone
+    kinds = (int, Fraction, lambda v: Fraction(2 * v, 2))
+    copies = [{r: kind(v) for r, v in a.items()} for kind in kinds]
+    solved = []
+    monkeypatch.setattr(chow, "covector", lambda *args: solved.append(args[1]) or covector(*args))
+    assert chow.deg_products(fan, [[a] * d]) == [1]
+    once, solved[:] = list(solved), []
+    assert chow.deg_products(fan, [[z] * d for z in copies]) == [1, 1, 1]
+    assert solved == once and len(set(once)) == len(once)
 
 
 @pytest.mark.parametrize("name", ["U34", "K4"])

@@ -18,7 +18,7 @@ import normalvol as nv
 from normalvol import af, chow, normalcx
 from normalvol.errors import NormalVolError, NotSimplicial
 from normalvol.fan import ZERO_CONE, join, star_connected_minus_origin
-from normalvol.linalg import dot, identity, inverse, mat_vec, qmat, signature
+from normalvol.linalg import dot, identity, inverse, mat_vec, qmat, scaled_to_int, signature
 from normalvol.normalcx import (
     CUBICAL,
     OUTSIDE,
@@ -176,6 +176,23 @@ def test_memoized_layers_match_chow_and_slot_permutations(case, rng):
     assert mixed_volumes(ctx, permuted) == values
 
 
+@pytest.mark.parametrize("name", ["U45", "K4"])
+def test_a_batch_shares_a_table_by_value_and_tells_scales_apart(name, monkeypatch):
+    # alpha as 1, Fraction(1) and Fraction(2, 2) is one truncation with one table; alpha
+    # halved has alpha's Z z = alpha, over Z = 2, and a table of its own
+    fx = bergman(name)
+    a, d = fx.z_alpha, fx.fan.d
+    kinds = (int, Fraction, lambda v: Fraction(2 * v, 2))
+    copies = [{r: kind(v) for r, v in a.items()} for kind in kinds]
+    half = {r: v / 2 for r, v in a.items()}
+    built, table = [], normalcx._Table
+    monkeypatch.setattr(normalcx, "_Table", lambda *args: built.append(args[1]) or table(*args))
+    assert mixed_volumes(fx.ctx, []) == [] and not built
+    values = mixed_volumes(fx.ctx, [[z] * d for z in [*copies, half]])
+    assert values == [1, 1, 1, Fraction(1, 2**d)]
+    assert built == [a, a]  # Z z of alpha, then of its half
+
+
 def _count_layers(monkeypatch):
     """Count the forward and backward layers built, by wrapping the two step functions."""
     counts = Counter()
@@ -307,7 +324,8 @@ def _reference_scan(ctx, z):
 @given(context_and_any_truncation())
 def test_table_rows_are_scaled_restrictions_and_its_report_is_the_scan(case):
     ctx, z = case
-    table = normalcx._Table(ctx, z)
+    scale, zz = scaled_to_int(z)
+    table = normalcx._Table(ctx, zz)
     report = _reference_scan(ctx, z)
     event(report.classification)
     assert classify_z(ctx, z) == table.report == report
@@ -322,8 +340,7 @@ def test_table_rows_are_scaled_restrictions_and_its_report_is_the_scan(case):
         faces = [sigma[:i] + sigma[i + 1 :] for i in range(k)]
         factors = [restrict_z(ctx, face, z)[rho] for face, rho in zip(faces, sigma)]
         if any(factors):
-            scale = table.scale * ctx.dim_lcms()[k - 1]
-            expected[k][sigma] = tuple(f * scale for f in factors)
+            expected[k][sigma] = tuple(f * scale * ctx.dim_lcms()[k - 1] for f in factors)
     assert table == expected
 
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import normalvol as nv
-from normalvol import linalg, matroid
+from normalvol import matroid
 from normalvol.errors import (
     AxiomViolation,
     GroundSetTooLarge,
@@ -189,18 +190,28 @@ def test_cover_map_matches_scans_on_linear_matroids(columns):
 
 
 def test_flat_search_makes_one_closure_per_cover(monkeypatch):
-    # the 212 flats of a linear U(3,20); n closures per flat took 69202 rank-oracle calls
-    calls = 0
+    # the 212 flats of a linear U(3,20) take 591 closures; each is one elimination, one
+    # row reduction per column, where up to n + 1 rank probes per closure took 11062 calls
+    calls = Counter()
+    reduce_row, search = matroid.reduce_row, matroid._flats_from_closure
 
-    def counting_rank(rows):
-        nonlocal calls
-        calls += 1
-        return linalg.rank(rows)
+    def counting_reduce(*args):
+        calls["rows"] += 1
+        return reduce_row(*args)
 
-    monkeypatch.setattr(matroid, "matrix_rank", counting_rank)
+    def counting_search(ground, closure, *args):
+        def counted(mask):
+            calls["closures"] += 1
+            return closure(mask)
+
+        return search(ground, counted, *args)
+
+    monkeypatch.setattr(matroid, "reduce_row", counting_reduce)
+    monkeypatch.setattr(matroid, "_flats_from_closure", counting_search)
     m = nv.linear([[1, i, i * i] for i in range(20)])
     assert len(m.flats) == 212 and m.rank == 3
-    assert calls <= 12000
+    assert calls["closures"] <= 600
+    assert calls["rows"] == 20 * (calls["closures"] + 1)  # and one elimination for the rank
 
 
 _K5_EDGES = [(str(a), str(b)) for a in range(1, 6) for b in range(a + 1, 6)]

@@ -180,6 +180,7 @@ def test_a_grouped_context_refuses_a_truncation_not_constant_on_orbits():
         lambda: classify_z(ctx, z),
         lambda: mvol_recursive(ctx, [z_alpha, z_beta, z]),
         lambda: TruncationTables(ctx).classify(z),
+        lambda: deg_products(ctx.fan, [[z_alpha, z_beta, z_alpha], [z_beta, z_alpha, z]]),
     ):
         with pytest.raises(NotInvariant, match="constant on the orbits"):
             refuse()
