@@ -14,12 +14,14 @@ touches volumes, which makes it an independent check of the volume algorithms.
 On a fan with symmetries (``MarkedFan.orbits``) the divisors must be constant
 on the orbits of the rays (refused otherwise).  The symmetries are linear, so
 every class is constant on orbits of cones, and a class is held by its orbit
-sums C~(O) = |O| C(rep O) on the representatives, as ``normalcx._descend``
-holds B~: each cone of O pushes the same terms into the same orbits, so the
-representative's products, times C~(O), folded into the representative of
-join(sigma, eta), give the orbit sums of the next grade.  So there is one
-covector per (representative, divisor), and the top grade pairs the
-representatives with their certificates.  The trivial group is the same code.
+sums C~(O) = |O| C(rep O) on the representatives: each cone of O pushes the
+same terms into the same orbits, so the representative's products, times
+C~(O), folded into the representative of join(sigma, eta), give the orbit sums
+of the next grade.  So there is one covector per (representative, divisor),
+and the top grade pairs the representatives with their certificates.  The
+mixed volumes (``normalcx.TruncationTables``) hold forward values, constant on
+orbits, instead, and pair their top layer with each orbit's sum of weights.
+The trivial group is the same code.
 
 The pairings are taken in integers.  A divisor is scaled once to zz = Z z,
 Z the lcm of its denominators, by the batch's ``fan.Truncations``, which also

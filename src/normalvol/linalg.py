@@ -7,14 +7,14 @@ be compared with ``==``.  Elimination is fraction-free, with one row step:
 form, by one Bareiss step per row, over the pivot that came before them.
 It is the library's one row update.  ``rank``, ``solve``, ``det`` and
 ``inverse`` scale their rows to integers and push them, in input order,
-through ``_echelon``, a forward pass of that step; their results equal
+through ``echelon``, a forward pass of that step; their results equal
 those of rational elimination.  ``solve`` back-substitutes exactly and
 returns one solution as integer numerators over one denominator, the last
 pivot, with its free coordinates zero; the Chow covectors use it, star fans
-use ``inverse``, fan validation's sign certificates, linear matroids and a
-fan's refusal of a cone with dependent rays (to name that cone) use
-``rank``, and the geometric oracle expands its integer determinants along
-``cofactors``.  A fan's one echelon walk, when it is built, builds its
+use ``inverse``, fan validation's sign certificates and a fan's refusal of a
+cone with dependent rays (to name that cone) use ``rank``, linear matroids
+find each closure and their rank with ``echelon`` itself, and the geometric
+oracle expands its integer determinants along ``cofactors``.  A fan's one echelon walk, when it is built, builds its
 rows one ray at a time with ``reduce_row`` and reads both its simpliciality
 and its balancing certificates off them, without ``rank``; the cubical LP
 (``lp.max_min_slack``) updates each tableau row with it, over its last
@@ -160,7 +160,7 @@ def border_adjugate(
     return d_new, tuple(rows)
 
 
-def _echelon(
+def echelon(
     rows: Iterable[Sequence[int]], ncols: int
 ) -> tuple[list[tuple[int, Sequence[int]]], list[Sequence[int]]]:
     """(echelon, residual): ``rows`` pushed in input order, each reduced by ``reduce_row``
@@ -192,18 +192,18 @@ def solve(a: Mat, b: Vec) -> tuple[tuple[int, ...], int]:
     m, n = len(a), len(a[0]) if a else 0
     if len(b) != m:
         raise DimensionMismatch(f"matrix has {m} rows, rhs has {len(b)}")
-    echelon, residual = _echelon(_integer_rows((*row, rhs) for row, rhs in zip(a, b)), n)
+    pivot_rows, residual = echelon(_integer_rows((*row, rhs) for row, rhs in zip(a, b)), n)
     if any(row[n] for row in residual):
         raise NoSolution("inconsistent linear system")
-    p = echelon[-1][1][echelon[-1][0]] if echelon else 1
+    p = pivot_rows[-1][1][pivot_rows[-1][0]] if pivot_rows else 1
     x = [0] * n
-    for c, row in sorted(echelon, reverse=True):
+    for c, row in sorted(pivot_rows, reverse=True):
         x[c] = (p * row[n] - sum(row[j] * x[j] for j in range(c + 1, n))) // row[c]
     return tuple(x), p
 
 
 def rank(a: Mat) -> int:
-    return len(_echelon(_integer_rows(a), len(a[0]))[0]) if a else 0
+    return len(echelon(_integer_rows(a), len(a[0]))[0]) if a else 0
 
 
 def inverse(a: Mat) -> Mat:
@@ -228,17 +228,17 @@ def cofactors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 def det(a: Mat) -> Fraction:
     """Determinant: A is scaled to integers once, by the lcm s of its denominators,
-    and det(A) is the last pivot of ``_echelon``, signed by the parity of the
+    and det(A) is the last pivot of ``echelon``, signed by the parity of the
     order in which the pivot columns came, over s^n; zero when a row leaves no pivot."""
     if any(len(row) != len(a) for row in a):
         raise DimensionMismatch("det needs a square matrix")
     s, rows = scaled_rows(a)
-    echelon, residual = _echelon(rows, len(rows))
+    pivot_rows, residual = echelon(rows, len(rows))
     if residual:
         return ZERO
-    cols = [c for c, _ in echelon]
+    cols = [c for c, _ in pivot_rows]
     sign = (-1) ** sum(x > y for i, x in enumerate(cols) for y in cols[i + 1 :])
-    return Fraction(sign * echelon[-1][1][cols[-1]] if echelon else 1, s ** len(rows))
+    return Fraction(sign * pivot_rows[-1][1][cols[-1]] if pivot_rows else 1, s ** len(rows))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .errors import (
     UnknownElement,
 )
 from .fan import MarkedFan
-from .linalg import Mat, Vec, ONE, ZERO, identity, qmat, reduce_row, scaled_rows
+from .linalg import Mat, Vec, ONE, ZERO, echelon, identity, qmat, reduce_row, scaled_rows
 from .serialize import parse_int, parse_list, parse_rat, read_field
 
 GROUND_SET_CAP = 20
@@ -236,26 +236,16 @@ def linear(
             raise LoopDetected(f"column {e!r} is zero")
 
     n, ints = len(vecs), scaled_rows(vecs)[1]
-
-    def echelon(mask: int) -> list[tuple[int, Sequence[int]]]:
-        """The columns of mask, each reduced against those before it, as echelon rows."""
-        rows: list[tuple[int, Sequence[int]]] = []
-        for i in range(n):
-            if mask >> i & 1:
-                row = reduce_row(ints[i], rows)
-                c = next((j for j, x in enumerate(row) if x), None)
-                if c is not None:
-                    rows.append((c, row))
-        return rows
+    dim = len(ints[0]) if ints else 0
 
     def closure(mask: int) -> int:
         """mask and every column in the span of its echelon rows: one elimination of
         mask, then one reduction of each column outside it."""
-        rows = echelon(mask)
+        rows = echelon((ints[i] for i in range(n) if mask >> i & 1), dim)[0]
         spanned = (i for i in range(n) if not mask >> i & 1 and not any(reduce_row(ints[i], rows)))
         return mask | sum(1 << i for i in spanned)
 
-    rank = len(echelon((1 << n) - 1))
+    rank = len(echelon(ints, dim)[0])
     return Matroid(labels, _flats_from_closure(labels, closure, rank, check_fan))
 
 

@@ -9,22 +9,14 @@ Volumes, mixed volumes and the volume polynomial come from one dynamic
 program over the cones of the fan, grouped by dimension:
 
     F_0(0) = 1,  F_k(sigma) = sum_{rho in sigma} F_{k-1}(sigma - rho) * (z_k)^{sigma - rho}_rho,
-    MVol(z_1, ..., z_d) = sum_sigma w_sigma F_d(sigma).
+    MVol(z_1, ..., z_d) = sum_sigma w_sigma F_d(sigma),
 
-Run backward from the weighted maximal cones with the same factors,
-
-    B_d(sigma) = w_sigma,  B_{k-1}(tau) = sum_{rho in link(tau)} B_k(tau + rho) * (z_k)^tau_rho,
-
-with sigma - rho the face of sigma without rho and tau + rho the cone
-``fan.join(tau, rho)``.  It meets the forward pass at any dimension k (both
-expand over chains of cones):
-MVol(z_1, ..., z_d) = sum_{dim tau = k} F_k(tau; z_1..z_k) B_k(tau; z_{k+1}..z_d).
-A batch (``TruncationTables``) tells its truncations apart, and scales each to
-integers, through the fan's ``fan.Truncations``, as the Chow degrees do.  It
-keeps every layer it builds and meets each tuple at the k that needs the
-fewest new layers, ties going to the end of the leading run of z_1 (so no
-forward layer passes that run): a constant tuple climbs all d layers, and the
-d + 1 tuples alpha^(d-a) beta^a of ``hrw`` need 2d layers in all, not d(d + 1).
+with sigma - rho the face of sigma without rho.  A batch (``TruncationTables``)
+tells its truncations apart, and scales each to integers, through the fan's
+``fan.Truncations``, as the Chow degrees do.  It keeps the layer of every
+prefix z_1..z_k it climbs, so its layers are a trie of the batch's tuples: the
+d + 1 tuples alpha^(d-a) beta^a of ``hrw`` share the prefixes alpha^k and need
+d + d(d + 1)/2 layers in all.
 
 The factors come from the barycentric coefficients c_sigma(z) = G_sigma^-1 z_sigma
 of the w-vectors, the same numbers the classification reads: restriction is
@@ -48,10 +40,10 @@ is num_rho / (Z D_{sigma - rho}), since adj_{rho rho} = D_{sigma - rho}.  With
 Lambda_j the lcm of D_tau over the cones tau of dimension j
 (``Context.dim_lcms``), a row of a k-cone holds the
 integers num_rho (Lambda_{k-1} // D_{sigma - rho}) over the one denominator
-Z Lambda_{k-1}, and the backward layers start from the weights times their
-lcm denominator W.  So every layer is integers, and a mixed volume builds one
-Fraction: sum F B / (W prod_k Z_k Lambda_{k-1}).  Every public value stays a
-Fraction.
+Z Lambda_{k-1}, and the top layer pairs with the weights times their lcm
+denominator W (``int_weights``).  So every layer is integers, and a mixed volume
+builds one Fraction: sum_sigma F_d(sigma) W w_sigma / (W prod_k Z_k Lambda_{k-1}).
+Every public value stays a Fraction.
 
 The fan may carry a group of ray permutations (``MarkedFan(..., symmetries)``),
 which it checks and whose orbits of cones it finds when it is built
@@ -61,11 +53,10 @@ the cone's orbit.  So every D and adjugate is constant on an orbit
 of cones, up to the order of its rays.  For truncations
 constant on the orbits of the rays (refused otherwise), every table row and
 forward value is constant on orbits too, and the program runs over the
-orbits' representatives alone: the table pass walks the
-representatives, a face is read at its representative, and the backward
-layers hold orbit sums B~(O) = |O| B(rep O), starting from each orbit's sum
-of weights, so the meet sum F B~ runs over representatives unchanged.  The
-trivial group is the same code with the map of non-representatives empty.
+orbits' representatives alone: the table pass walks the representatives, a
+face is read at its representative, and the top layer pairs with each orbit's
+sum of weights (``MarkedFan.orbits``).  The trivial group is the same code with
+the map of non-representatives empty.
 ``hrw`` builds its Bergman fan over the matroid's transposition classes
 (``matroid.bergman_symmetries``), so its mixed volumes, the fan's balancing
 walk and the Chow degrees all run over orbits; ``char_poly``, which never
@@ -442,27 +433,6 @@ def _climb(
     return nxt
 
 
-def _descend(
-    layer: Mapping[Cone, int], rows: Mapping[Cone, Sequence[int]], rep: Mapping[Cone, Cone]
-) -> dict[Cone, int]:
-    """Backward: B(tau) = sum_{rho in link(tau)} layer(sigma) * rows[sigma][rho], sigma = tau + rho.
-
-    ``rows`` are the rows of the layer's cones, in integer numerators as for ``_climb``.
-    Pseudocubical factors are >= 0 and weights > 0, so no sum of nonzero terms cancels.
-    Over orbits a layer holds orbit sums B~(O) = |O| B(rep O): each cone of O pushes
-    the same terms into the same orbits, so the representative's terms, times B~(O),
-    pushed into ``rep.get(face, face)``, give the orbit sums of the next layer.
-    """
-    nxt: dict[Cone, int] = {}
-    for cone, value in layer.items():
-        for i, f in enumerate(rows.get(cone, ())):
-            if f:
-                face = cone[:i] + cone[i + 1 :]
-                face = rep.get(face, face)
-                nxt[face] = nxt.get(face, 0) + value * f
-    return nxt
-
-
 class _Table(dict):
     """One truncation's classification, and its factor rows: ``self[k]`` maps each
     k-cone with a nonzero factor to its row, whose i-th entry is the factor of the
@@ -512,13 +482,11 @@ class TruncationTables:
     """The tables and dynamic-program layers of one batch of mixed volumes.
 
     Truncations are told apart, numbered and scaled to integers by the fan
-    (``fan.Truncations``), one table per number; forward layers are memoized
-    by the prefix of those numbers, backward layers by the suffix.  Layers hold
-    integer numerators: the forward layer of z_1..z_k is over
-    prod_{j <= k} Z_j Lambda_{j-1}, and the backward layer of z_{k+1}..z_d over
-    W prod_{j > k} Z_j Lambda_{j-1}, W the lcm of the weights' denominators.
-    The context keeps only ``dim_lcms``.  Over a group, every table and layer is
-    keyed by representatives, and backward layers hold orbit sums.
+    (``fan.Truncations``), one table per number; layers are memoized by the
+    prefix of those numbers, a trie of the batch's tuples.  The layer of
+    z_1..z_k holds integer numerators over prod_{j <= k} Z_j Lambda_{j-1}.  The
+    context keeps only ``dim_lcms``.  Over a group, every table and layer is keyed
+    by representatives, and the top layer pairs with the orbits' sums of weights.
     """
 
     def __init__(self, ctx: Context):
@@ -526,8 +494,7 @@ class TruncationTables:
         self._truncations = Truncations(ctx.fan)
         self._tables: list[_Table] = []
         self._forward: dict[tuple[int, ...], dict[Cone, int]] = {(): {ZERO_CONE: 1}}
-        _, self._rep, weights = ctx.fan.orbits()
-        self._backward: dict[tuple[int, ...], Mapping[Cone, int]] = {(): weights}
+        _, self._rep, self._weights = ctx.fan.orbits()
 
     def _lookup(self, z: Mapping[str, Fraction]) -> int:
         t = self._truncations.index(z)
@@ -546,15 +513,9 @@ class TruncationTables:
             self._forward[prefix] = _climb(below, rows, 0, self._rep)
         return self._forward[prefix]
 
-    def _backward_layer(self, suffix: tuple[int, ...]) -> Mapping[Cone, int]:
-        if suffix not in self._backward:
-            above = self._backward_layer(suffix[1:])
-            rows = self._tables[suffix[0]][self.ctx.fan.d + 1 - len(suffix)]
-            self._backward[suffix] = _descend(above, rows, self._rep)
-        return self._backward[suffix]
-
     def mvol(self, zs: Sequence[Mapping[str, Fraction]]) -> Fraction:
-        """MVol(zs), met at the split that needs the fewest new layers (module docstring)."""
+        """MVol(zs): the tuple's top layer, climbed through the memo of its prefixes, paired
+        with the orbits' sums of weights (module docstring)."""
         d = self.ctx.fan.d
         if len(zs) != d:
             raise ArityMismatch(f"need exactly {d} arguments, got {len(zs)}")
@@ -562,16 +523,8 @@ class TruncationTables:
         for z in zs:
             ts.append(self._lookup(z))
             require_pseudocubical(self._tables[ts[-1]].report)
-        key = tuple(ts)
-        run = next((k for k in range(d) if key[k] != key[0]), d)
-
-        def new_layers(k: int) -> tuple[int, int]:
-            new = sum(key[:j] not in self._forward for j in range(1, k + 1))
-            return new + sum(key[j:] not in self._backward for j in range(k, d)), abs(k - run)
-
-        k = min(range(d + 1), key=new_layers)
-        forward, backward = self._forward_layer(key[:k]), self._backward_layer(key[k:])
-        total = sum(v * backward[c] for c, v in forward.items() if c in backward)
+        top = self._forward_layer(tuple(ts))
+        total = sum(v * self._weights[c] for c, v in top.items())
         scales = prod(self._truncations.scaled[t][0] for t in ts)
         return Fraction(total, self.ctx.fan.weight_scale * scales * prod(self.ctx.dim_lcms()))
 

@@ -194,26 +194,27 @@ def test_a_batch_shares_a_table_by_value_and_tells_scales_apart(name, monkeypatc
 
 
 def _count_layers(monkeypatch):
-    """Count the forward and backward layers built, by wrapping the two step functions."""
+    """Count the layers built, by wrapping the one step function."""
     counts = Counter()
-    for name in ("_climb", "_descend"):
+    climb = normalcx._climb
 
-        def counted(*args, _step=getattr(normalcx, name), _name=name):
-            counts[_name] += 1
-            return _step(*args)
+    def counted(*args):
+        counts["_climb"] += 1
+        return climb(*args)
 
-        monkeypatch.setattr(normalcx, name, counted)
+    monkeypatch.setattr(normalcx, "_climb", counted)
     return counts
 
 
 @pytest.mark.parametrize("r", [4, 5])
-def test_hrw_pencil_builds_2d_layers(r, monkeypatch):
-    # d + 1 mixed volumes: alpha climbed d times, each later coefficient one new layer
+def test_hrw_pencil_builds_a_trie_of_its_prefixes(r, monkeypatch):
+    # d + 1 mixed volumes alpha^(d-a) beta^a: alpha climbed d times, and the a-th
+    # coefficient a new layers above the shared prefix alpha^(d-a)
     layers = _count_layers(monkeypatch)
     report = nv.hrw_verify(nv.uniform(r, r + 1), "a")
     d = report.fan.d
     assert d == r - 1
-    assert sum(layers.values()) == 2 * d
+    assert sum(layers.values()) == d + d * (d + 1) // 2
 
 
 def _three_cubical(fan):
@@ -227,8 +228,8 @@ def test_layer_counts_of_af_check_volume_and_polarization(monkeypatch):
     zs = _three_cubical(ctx.fan)
     layers = _count_layers(monkeypatch)
     af.af_check(ctx, zs)
-    # [z1, z2, z3] builds 3; [z1, z1, z3] and [z2, z2, z3] one each
-    assert sum(layers.values()) == 5
+    # [z1, z2, z3] builds 3; [z1, z1, z3] shares the prefix [z1] and builds 2; [z2, z2, z3] 3
+    assert sum(layers.values()) == 8
     layers.clear()
     vol_recursive(ctx, zs[0])
     assert dict(layers) == {"_climb": 3}
@@ -255,7 +256,7 @@ def test_layers_hold_integers_and_mvol_builds_one_fraction(monkeypatch):
     assert len(built) == 1
     assert _HALF.dim_lcms() == (1, 30, 30)
     assert value == chow.deg_product(_HALF.fan, _HALF_ZS)
-    layers = [*tables._forward.values(), *tables._backward.values()]
+    layers = tables._forward.values()
     assert all(type(v) is int for layer in layers for v in layer.values())
     rows = [row for table in tables._tables for by_dim in table.values() for row in by_dim.values()]
     assert rows and all(type(f) is int for row in rows for f in row)

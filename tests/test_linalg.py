@@ -10,12 +10,12 @@ from normalvol import linalg
 from normalvol.errors import DimensionMismatch, NoSolution, NotSymmetric
 from normalvol.linalg import (
     Signature,
-    _echelon,
     _integer_rows,
     border_adjugate,
     cofactors,
     det,
     dot,
+    echelon,
     identity,
     inverse,
     mat_vec,
@@ -396,11 +396,11 @@ def test_reduce_row_resumes_an_elimination_from_its_previous_pivot(rows):
     """Reducing against a tail of the echelon, from the pivot before it, gives the
     same row as reducing against the whole echelon at once."""
     *pushed, row = rows
-    echelon, _ = _echelon(pushed, len(row))
-    whole = reduce_row(row, echelon)
-    for j in range(1, len(echelon)):
-        c, prow = echelon[j - 1]
-        assert reduce_row(reduce_row(row, echelon[:j]), echelon[j:], prow[c]) == whole
+    stack, _ = echelon(pushed, len(row))
+    whole = reduce_row(row, stack)
+    for j in range(1, len(stack)):
+        c, prow = stack[j - 1]
+        assert reduce_row(reduce_row(row, stack[:j]), stack[j:], prow[c]) == whole
 
 
 @settings(max_examples=100, deadline=None)

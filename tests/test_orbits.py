@@ -198,8 +198,8 @@ def test_the_quadrant_under_its_rotation_gives_the_trivial_group_values():
     zs = [{rid: Fraction(value) for rid in ROTATION} for value in (1, 2, 0, -1)]
     for z in zs:
         assert classify_z(turned, z) == classify_z(trivial, z)
-    # [z, z] climbs two layers; [z, z'] meets one forward and one backward layer, which
-    # pushes the quadrant r1 r2 into the ray r2, whose representative is r1
+    # each tuple climbs from the ray r1 to the quadrant r1 r2, whose face r2 is read at
+    # its representative r1
     for tuple_ in ([zs[0], zs[0]], [zs[0], zs[1]], [zs[1], zs[2]], [zs[3], zs[0]]):
         assert outcome(mvol_recursive, turned, tuple_) == outcome(mvol_recursive, trivial, tuple_)
 
