@@ -33,7 +33,6 @@ from .normalcx import (
     ZValues,
     classify_z,
     find_cubical,
-    mixed_volumes,
     star_hessians,
 )
 
@@ -115,13 +114,10 @@ def af_check(ctx: Context, zs: Sequence[Mapping[str, Fraction]]) -> Fraction:
     if len(zs) != ctx.fan.d:
         raise ArityMismatch(f"need {ctx.fan.d} cubical arguments, got {len(zs)}")
     tables = TruncationTables(ctx)
-    for z in zs:
-        if not tables.classify(z).is_cubical:
-            raise NotCubical("every AF argument must be strictly cubical")
-    z1, z2, rest = zs[0], zs[1], list(zs[2:])
-    m12 = tables.mvol([z1, z2] + rest)
-    m11 = tables.mvol([z1, z1] + rest)
-    m22 = tables.mvol([z2, z2] + rest)
+    if not all(tables.classify(z).is_cubical for z in zs):
+        raise NotCubical("every AF argument must be strictly cubical")
+    t1, t2, *rest = map(tables.index, zs)
+    m12, m11, m22 = (tables.mvol_at((a, b, *rest)) for a, b in [(t1, t2), (t1, t1), (t2, t2)])
     return m12 * m12 - m11 * m22
 
 
@@ -192,7 +188,9 @@ def hrw_verify(m: Matroid, e0: str) -> HRWReport:
     The Bergman fan carries the matroid's transposition classes
     (``bergman_symmetries``), so its balancing walk, the Chow degrees and the
     mixed volumes all run over orbit representatives; ``char_poly`` never reads
-    the fan, so it checks them independently.  A rank below 2 or an e0 outside
+    the fan, so it checks them independently.  One index of truncations
+    (``TruncationTables.truncations``) numbers alpha and beta once, and both
+    engines read the d + 1 tuples as those numbers.  A rank below 2 or an e0 outside
     the ground set is refused before ``char_poly``'s pass over the 2^|E| subsets.
     """
     require_bergman_input(m, e0)
@@ -200,11 +198,11 @@ def hrw_verify(m: Matroid, e0: str) -> HRWReport:
     mubar_char = cp.mubar
     fan = bergman_fan(m, e0, bergman_symmetries(m, e0))
     ctx = Context(fan, e0_inner_product(m, e0))
-    z_alpha, z_beta = alpha_beta_z(m, e0)
-    d = fan.d
-    tuples = [[z_alpha] * (d - a) + [z_beta] * a for a in range(d + 1)]
-    mvols = mixed_volumes(ctx, tuples)
-    degs = chow.deg_products(fan, tuples)
+    tables = TruncationTables(ctx)
+    alpha, beta = map(tables.index, alpha_beta_z(m, e0))
+    keys = [(alpha,) * (fan.d - a) + (beta,) * a for a in range(fan.d + 1)]
+    mvols = list(map(tables.mvol_at, keys))
+    degs = chow.deg_products_at(fan, tables.truncations, keys)
     if any(v.denominator != 1 for v in degs + mvols):
         raise MismatchError("matroid degrees must be integers")
     mubar_deg, mubar_mvol = (tuple(map(int, vs)) for vs in (degs, mvols))

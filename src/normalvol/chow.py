@@ -158,13 +158,24 @@ def deg_products(
             raise GradeOverflow(f"cannot raise grade {d} on a {d}-dimensional fan")
     if not is_tropical(fan).is_tropical:
         raise NotTropical("degree is only well defined on tropical fans")
-    if not d:
-        return [fan.weights[ZERO_CONE]] * len(tuples)
     truncations = Truncations(fan)
     keys = [tuple(map(truncations.index, zs)) for zs in tuples]
-    scaled = truncations.scaled
+    return deg_products_at(fan, truncations, keys)
+
+
+def deg_products_at(fan: MarkedFan, batch: Truncations, keys: Sequence[tuple]) -> list[Fraction]:
+    """``deg_products`` of the tuples ``keys`` of truncation numbers in ``batch``, a
+    ``fan.Truncations`` of the fan, which must be tropical, each tuple of length d.
+
+    ``deg_products`` takes this path once it has checked and numbered its tuples;
+    ``af.hrw_verify`` takes it with the one index its mixed volumes also read
+    (``normalcx.TruncationTables.truncations``).
+    """
+    if not fan.d:
+        return [fan.weights[ZERO_CONE]] * len(keys)
+    scaled = batch.scaled
     layer: dict[tuple[int, ...], tuple[Numerators, int]] = {(): ({ZERO_CONE: 1}, 1)}
-    for k in range(1, d):
+    for k in range(1, fan.d):
         solved: list[dict[Cone, Covector]] = [{} for _ in scaled]  # the covectors of this layer
         below, layer = layer, {}
         for prefix in dict.fromkeys(key[:k] for key in keys):

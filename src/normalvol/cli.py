@@ -286,9 +286,10 @@ def cmd_hrw(args, caps: Caps) -> int:
         "mu_unimodal": report.mu_unimodal,
         "bergman_fan": fan_to_json(report.fan),
     }
+    text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        _write(args.out, json.dumps(payload, indent=2, sort_keys=True))
-    _emit(payload)
+        _write(args.out, text)  # the same bytes as stdout, without print's newline
+    print(text)
     return EXIT_PASS if report.verdict == "pass" else EXIT_FAIL
 
 

@@ -36,13 +36,18 @@ exact by Sylvester's identity (the step of Bareiss's elimination); this
 module divides by no previous pivot or minor itself.  A table reads z scaled by
 the lcm Z of its denominators (``fan.Truncations``) and holds the integers
 num = adj (Z z), which have the signs of c_sigma(z); the factor of (sigma, rho)
-is num_rho / (Z D_{sigma - rho}), since adj_{rho rho} = D_{sigma - rho}.  With
-Lambda_j the lcm of D_tau over the cones tau of dimension j
-(``Context.dim_lcms``), a row of a k-cone holds the
-integers num_rho (Lambda_{k-1} // D_{sigma - rho}) over the one denominator
-Z Lambda_{k-1}, and the top layer pairs with the weights times their lcm
-denominator W (``int_weights``).  So every layer is integers, and a mixed volume
-builds one Fraction: sum_sigma F_d(sigma) W w_sigma / (W prod_k Z_k Lambda_{k-1}).
+is num_rho / (Z D_{sigma - rho}), since adj_{rho rho} = D_{sigma - rho}.  A row
+keeps these raw integers, so the table pass divides nothing and reads no
+determinant but its own cone's.  The denominators D_{sigma - rho} are cleared on
+the layers instead, once per cone and not once per (cone, ray): with Lambda_j
+the lcm of D_tau over the cones tau of dimension j, a layer of k-cones below
+the top is multiplied, cone by cone, by the integer Lambda_k // D_sigma
+(``Context.dim_scales``, cached per context and dimension), so the climb
+L_k(sigma) = sum_i M_{k-1}(sigma - rho_i) num_sigma[i], with M_{k-1} the scaled
+layer below, holds the integers F_k(sigma) prod_{j <= k} Z_j Lambda_{j-1}.  The
+top layer is not scaled; it pairs with the weights times their lcm denominator
+W (``int_weights``).  So every layer is integers, and a mixed volume builds one
+Fraction: sum_sigma L_d(sigma) W w_sigma / (W prod_k Z_k Lambda_{k-1}).
 Every public value stays a Fraction.
 
 The fan may carry a group of ray permutations (``MarkedFan(..., symmetries)``),
@@ -85,6 +90,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
+from operator import mul
 from itertools import combinations, permutations
 from typing import Mapping, Sequence, TypeVar
 
@@ -166,7 +172,7 @@ class Context:
         }
         self._ray_pairs: dict[tuple[str, str], int] = {}
         self._gram_inv: dict[Cone, tuple[int, tuple[tuple[int, ...], ...]]] = {ZERO_CONE: (1, ())}
-        self._dim_lcms: list[int | None] = [None] * fan.d
+        self._dim_scales: list[tuple[int, dict[Cone, int]] | None] = [None] * fan.d
         self._stars: dict[Cone, "Context"] = {}
         self._vol_poly: MultiPoly | None = None
         for cone, r in fan.orbits()[1].items():
@@ -199,21 +205,19 @@ class Context:
             self._gram_inv[cone] = entry
         return entry
 
-    def dim_lcm(self, j: int) -> int:
-        """Lambda_j, the lcm of D over the cones of dimension j, on first need.
+    def dim_scales(self, j: int) -> tuple[int, dict[Cone, int]]:
+        """(Lambda_j, scales) on first need: Lambda_j is the lcm of D over the cones of
+        dimension j, and scales maps each representative j-cone tau to Lambda_j // D_tau.
 
         D is constant on an orbit, so the lcm runs over the representatives; Lambda_0 = 1,
         the determinant of the empty cone.
         """
-        lam = self._dim_lcms[j]
-        if lam is None:
-            dets = (self.cone_gram_inverse(c)[0] for c in self.fan.orbits()[0] if len(c) == j)
-            lam = self._dim_lcms[j] = lcm(*dets)
-        return lam
-
-    def dim_lcms(self) -> tuple[int, ...]:
-        """(Lambda_0, ..., Lambda_{d-1})."""
-        return tuple(map(self.dim_lcm, range(self.fan.d)))
+        entry = self._dim_scales[j]
+        if entry is None:
+            dets = {c: self.cone_gram_inverse(c)[0] for c in self.fan.orbits()[0] if len(c) == j}
+            lam = lcm(*dets.values())
+            entry = self._dim_scales[j] = lam, {c: lam // det for c, det in dets.items()}
+        return entry
 
     def star_context(self, tau: Cone) -> "Context":
         ctx = self._stars.get(tau)
@@ -415,9 +419,11 @@ def _climb(
     k-cones sigma of ``rows``, with sigma - rho the face without rho, read at its
     representative ``rep.get(face, face)`` (``MarkedFan.orbits``).
 
-    A row holds (z_k)^{sigma - rho}_rho in the cone's ray order, as integer numerators over
-    one denominator per dimension (``_Table``) or as linear forms (``vol_polynomial``); a
-    cone with no row has no nonzero factor.  Zero values of F are not stored.
+    A row holds (z_k)^{sigma - rho}_rho in the cone's ray order, as the integers
+    num_rho = (z_k)^{sigma - rho}_rho Z_k D_{sigma - rho} of ``_Table``, climbed from a layer
+    already multiplied by Lambda_{k-1} // D (``TruncationTables``), or as linear forms
+    (``vol_polynomial``); a cone with no row has no nonzero factor.  Zero values of F are
+    not stored.
     """
     nxt: dict[Cone, T] = {}
     for cone, row in rows.items():
@@ -434,45 +440,43 @@ def _climb(
 
 
 class _Table(dict):
-    """One truncation's classification, and its factor rows: ``self[k]`` maps each
-    k-cone with a nonzero factor to its row, whose i-th entry is the factor of the
-    cone's i-th ray rho, over the face ``cone[:i] + cone[i + 1:]`` = sigma - rho.
+    """One truncation's classification, and its rows: ``self[k]`` maps each k-cone with a
+    nonzero num to its row, whose i-th entry is the num of the cone's i-th ray rho, over
+    the face ``cone[:i] + cone[i + 1:]`` = sigma - rho.
 
     One pass over the representatives in the fan's cone order (``MarkedFan.orbits``; every
     cone for the trivial group) builds both; the zero cone, first, has no ray and so no
     row, and a cone with z = 0 on all its rays has every num 0, so it reads no adjugate.
     The first negative (or zero) num of the pass is that of the whole fan, since the
     first cone with one is the least of its orbit.  With Z z the truncation scaled to
-    integers, the integers num = adj_sigma (Z z)_sigma have the signs of c_sigma(z): the report is
-    the first negative num, else the first zero, in that order, else cubical.  And
+    integers, the integers num = adj_sigma (Z z)_sigma have the signs of c_sigma(z): the
+    report is the first negative num, else the first zero, in that order, else cubical.
+    A row holds the nums themselves, and the factor of (sigma, rho) is
     z^{sigma - rho}_rho = c_sigma(z)_rho / (G_sigma^-1)_{rho rho} = num_rho / (Z D_{sigma - rho}),
-    as adj_{rho rho} = D_{sigma - rho} > 0, so the row of a k-cone sigma holds the integers
-    num_rho (Lambda_{k-1} // D_{sigma - rho}), all over Z Lambda_{k-1} (``Context.dim_lcms``).
-    The pass stops at a negative num, which refuses z for every volume, and reads
-    Lambda_{k-1} only when it keeps a row of a k-cone.  It takes zz = Z z, checked and
-    scaled by the batch's ``fan.Truncations``.
+    as adj_{rho rho} = D_{sigma - rho} > 0; the layers, not the rows, clear the
+    D_{sigma - rho} (``TruncationTables``).  So the pass divides nothing and reads no Lambda.
+    It stops at a negative num, which refuses z for every volume.  Each num is one
+    C-level dot product of an adjugate row with the cone's values.  It takes zz = Z z,
+    checked and scaled by the batch's ``fan.Truncations``.
     """
 
     def __init__(self, ctx: Context, zz: Mapping[str, int]):
         super().__init__((k, {}) for k in range(1, ctx.fan.d + 1))
         boundary: tuple[Cone, str] | None = None
         for cone in ctx.fan.orbits()[0]:
-            support = [(j, zz[rid]) for j, rid in enumerate(cone) if zz[rid]]
-            if not support:  # every num is 0: no adjugate and no row
-                if boundary is None and cone:
-                    boundary = (cone, cone[0])
-                continue
-            adj = ctx.cone_gram_inverse(cone)[1]
-            nums = [sum(row[j] * v for j, v in support) for row in adj]
-            for rid, v in zip(cone, nums):
-                if v < 0:
-                    self.report = CubReport(OUTSIDE, cone, rid)
-                    return
-                if v == 0 and boundary is None:
-                    boundary = (cone, rid)
+            nums = vals = [zz[rid] for rid in cone]  # the nums, all 0, where every value is 0
+            if any(vals):
+                nums = [sum(map(mul, row, vals)) for row in ctx.cone_gram_inverse(cone)[1]]
+                if min(nums) > 0:
+                    self[len(cone)][cone] = nums
+                    continue
+            if min(nums, default=0) < 0:
+                self.report = CubReport(OUTSIDE, cone, next(r for r, v in zip(cone, nums) if v < 0))
+                return
+            if boundary is None and 0 in nums:
+                boundary = (cone, cone[nums.index(0)])
             if any(nums):
-                lam = ctx.dim_lcm(len(cone) - 1)
-                self[len(cone)][cone] = tuple(v * (lam // adj[i][i]) for i, v in enumerate(nums))
+                self[len(cone)][cone] = nums
         self.report = (
             CubReport(PSEUDOCUBICAL_BOUNDARY, *boundary) if boundary else CubReport(CUBICAL)
         )
@@ -482,51 +486,68 @@ class TruncationTables:
     """The tables and dynamic-program layers of one batch of mixed volumes.
 
     Truncations are told apart, numbered and scaled to integers by the fan
-    (``fan.Truncations``), one table per number; layers are memoized by the
-    prefix of those numbers, a trie of the batch's tuples.  The layer of
-    z_1..z_k holds integer numerators over prod_{j <= k} Z_j Lambda_{j-1}.  The
-    context keeps only ``dim_lcms``.  Over a group, every table and layer is keyed
-    by representatives, and the top layer pairs with the orbits' sums of weights.
+    (``fan.Truncations``, kept as ``truncations``), one table per number; layers are
+    memoized by the prefix of those numbers, a trie of the batch's tuples.  A layer
+    climbs the table's raw rows, L_k(sigma) = sum_i M_{k-1}(sigma - rho_i) num_sigma[i],
+    and holds the integers F_k(sigma) prod_{j <= k} Z_j Lambda_{j-1}; a layer of length
+    k < d is kept as M_k, each value times Lambda_k // D_sigma (``Context.dim_scales``,
+    z-independent and cached on the context), so that the next climb is over one
+    denominator.  The top layer is not scaled.  Over a group, every table and layer is
+    keyed by representatives, and the top layer pairs with the orbits' sums of weights.
+
+    ``mvol`` numbers and checks its arguments by ``index``; ``mvol_at`` takes the
+    numbers, so that ``af.hrw_verify`` numbers its pencil once for its mixed volumes
+    and its Chow degrees (``chow.deg_products_at``) alike.
     """
 
     def __init__(self, ctx: Context):
         self.ctx = ctx
-        self._truncations = Truncations(ctx.fan)
+        self.truncations = Truncations(ctx.fan)
         self._tables: list[_Table] = []
         self._forward: dict[tuple[int, ...], dict[Cone, int]] = {(): {ZERO_CONE: 1}}
         _, self._rep, self._weights = ctx.fan.orbits()
 
     def _lookup(self, z: Mapping[str, Fraction]) -> int:
-        t = self._truncations.index(z)
+        t = self.truncations.index(z)
         if t == len(self._tables):
-            self._tables.append(_Table(self.ctx, self._truncations.scaled[t][1]))
+            self._tables.append(_Table(self.ctx, self.truncations.scaled[t][1]))
         return t
 
     def classify(self, z: Mapping[str, Fraction]) -> CubReport:
         """Same report as ``classify_z``."""
         return self._tables[self._lookup(z)].report
 
+    def index(self, z: Mapping[str, Fraction]) -> int:
+        """z's number in ``truncations``, refused (NotPseudocubical) outside the
+        pseudocubical cone; ``mvol_at`` reads the numbers it gives."""
+        t = self._lookup(z)
+        require_pseudocubical(self._tables[t].report)
+        return t
+
     def _forward_layer(self, prefix: tuple[int, ...]) -> dict[Cone, int]:
         if prefix not in self._forward:
-            below = self._forward_layer(prefix[:-1])
-            rows = self._tables[prefix[-1]][len(prefix)]
-            self._forward[prefix] = _climb(below, rows, 0, self._rep)
+            below, k = self._forward_layer(prefix[:-1]), len(prefix)
+            layer = _climb(below, self._tables[prefix[-1]][k], 0, self._rep)
+            if k < self.ctx.fan.d:  # below the top: times Lambda_k // D_sigma
+                scales = self.ctx.dim_scales(k)[1]
+                layer = {cone: v * scales[cone] for cone, v in layer.items()}
+            self._forward[prefix] = layer
         return self._forward[prefix]
 
     def mvol(self, zs: Sequence[Mapping[str, Fraction]]) -> Fraction:
-        """MVol(zs): the tuple's top layer, climbed through the memo of its prefixes, paired
-        with the orbits' sums of weights (module docstring)."""
-        d = self.ctx.fan.d
-        if len(zs) != d:
-            raise ArityMismatch(f"need exactly {d} arguments, got {len(zs)}")
-        ts = []
-        for z in zs:
-            ts.append(self._lookup(z))
-            require_pseudocubical(self._tables[ts[-1]].report)
-        top = self._forward_layer(tuple(ts))
-        total = sum(v * self._weights[c] for c, v in top.items())
-        scales = prod(self._truncations.scaled[t][0] for t in ts)
-        return Fraction(total, self.ctx.fan.weight_scale * scales * prod(self.ctx.dim_lcms()))
+        """MVol(zs), each z numbered and checked by ``index`` in turn."""
+        if len(zs) != self.ctx.fan.d:
+            raise ArityMismatch(f"need exactly {self.ctx.fan.d} arguments, got {len(zs)}")
+        return self.mvol_at(tuple(map(self.index, zs)))
+
+    def mvol_at(self, ts: tuple[int, ...]) -> Fraction:
+        """MVol of the d truncations numbered ts by ``index``: the tuple's top layer,
+        climbed through the memo of its prefixes, paired with the orbits' sums of weights
+        (module docstring)."""
+        total = sum(v * self._weights[c] for c, v in self._forward_layer(ts).items())
+        scales = prod(self.truncations.scaled[t][0] for t in ts)
+        lams = prod(self.ctx.dim_scales(j)[0] for j in range(len(ts)))
+        return Fraction(total, self.ctx.fan.weight_scale * scales * lams)
 
 
 def mixed_volumes(

@@ -5,7 +5,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import normalvol as nv
-from normalvol import af
+from normalvol import af, chow, normalcx
 from normalvol.af import (
     FAIL,
     PASS,
@@ -161,29 +161,53 @@ def test_hrw_values(name):
 
 
 def test_hrw_refuses_a_mixed_volume_off_by_one(monkeypatch):
-    mixed_volumes = af.mixed_volumes
+    # U(3,4) has d = 2, and alpha and beta are the batch's truncations 0 and 1
+    mvol_at = af.TruncationTables.mvol_at
 
-    def shifted(ctx, tuples):
-        values = mixed_volumes(ctx, tuples)
-        values[1] += 1
-        return values
+    def shifted(tables, ts):
+        return mvol_at(tables, ts) + (ts == (0, 1))
 
-    monkeypatch.setattr(af, "mixed_volumes", shifted)
+    monkeypatch.setattr(af.TruncationTables, "mvol_at", shifted)
     with pytest.raises(MismatchError, match="mubar paths disagree"):
         nv.hrw_verify(bergman("U34").matroid, "a")
 
 
 def test_hrw_refuses_a_chow_degree_off_by_one(monkeypatch):
-    deg_products = af.chow.deg_products
+    deg_products_at = af.chow.deg_products_at
 
-    def shifted(fan, tuples):
-        values = deg_products(fan, tuples)
+    def shifted(fan, batch, keys):
+        values = deg_products_at(fan, batch, keys)
         values[1] += 1
         return values
 
-    monkeypatch.setattr(af.chow, "deg_products", shifted)
+    monkeypatch.setattr(af.chow, "deg_products_at", shifted)
     with pytest.raises(MismatchError, match="mubar paths disagree"):
         nv.hrw_verify(bergman("U34").matroid, "a")
+
+
+@pytest.mark.parametrize("name", ["U34", "K4"])
+def test_hrw_indexes_its_pencil_once(name, monkeypatch):
+    # the mixed volumes and the Chow degrees read one fan.Truncations, which numbers
+    # alpha and beta once each
+    built, indexed = [], []
+    truncations = normalcx.Truncations
+
+    class Counted(truncations):
+        def __init__(self, fan):
+            built.append(fan)
+            super().__init__(fan)
+
+        def index(self, z):
+            indexed.append(z)
+            return super().index(z)
+
+    for module in (chow, normalcx):
+        monkeypatch.setattr(module, "Truncations", Counted)
+    fx = bergman(name)
+    report = nv.hrw_verify(fx.matroid, fx.e0)
+    assert report.mubar_char == HRW_MUBAR[name]
+    assert len(built) == 1 and built[0] is report.fan
+    assert indexed == list(nv.alpha_beta_z(fx.matroid, fx.e0))
 
 
 def test_hrw_e0_independent():

@@ -1159,6 +1159,19 @@ BAD_GRAMS = {
 }
 
 
+def test_hrw_out_holds_the_printed_report_serialized_once(tmp_path, capsys, monkeypatch):
+    matroid = tmp_path / "m.json"
+    matroid.write_text(json.dumps({"kind": "uniform", "ground_set": ["a", "b", "c", "d"], "rank": 3}))
+    out_path = tmp_path / "report.json"
+    dumps, serialized = json.dumps, []
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: serialized.append(a) or dumps(*a, **k))
+    code, out, err = run(capsys, ["hrw", "--matroid", str(matroid), "--out", str(out_path)])
+    assert (code, err, len(serialized)) == (0, "", 1)
+    # the file has no trailing newline, and stdout is the file and one
+    assert out_path.read_bytes() + b"\n" == out.encode()
+    assert json.loads(out)["mubar"] == [1, 3, 3]
+
+
 @pytest.mark.parametrize(
     "case",
     [

@@ -5,6 +5,7 @@ random positive-definite rationals L D L^T close to diagonal, and truncations
 are random cubical points near the all-ones vector.  Every comparison is exact.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -166,8 +167,16 @@ def batch_of_tuples(draw):
     return ctx, draw(st.permutations(tuples))
 
 
+# _HALF's three truncations in a pencil, af_check's tuples and two more: memoized prefixes
+# of lengths 1 and 2 are scaled by Lambda_k // D_sigma with Lambda = (1, 30, 30) by dimension
+_A, _B, _C = _HALF_ZS
+_HALF_BATCH = [[_A] * (3 - a) + [_B] * a for a in range(4)]
+_HALF_BATCH += [[_A, _B, _C], [_A, _A, _C], [_B, _B, _C], [_C, _B, _A], [_C, _C, _C]]
+
+
 @PROPERTY
 @given(batch_of_tuples(), st.randoms(use_true_random=False))
+@example((_HALF, _HALF_BATCH), random.Random(0))
 def test_memoized_layers_match_chow_and_slot_permutations(case, rng):
     ctx, tuples = case
     values = mixed_volumes(ctx, tuples)
@@ -254,7 +263,7 @@ def test_layers_hold_integers_and_mvol_builds_one_fraction(monkeypatch):
         patch.setattr(Fraction, "__new__", counted)
         value = tables.mvol(_HALF_ZS)
     assert len(built) == 1
-    assert _HALF.dim_lcms() == (1, 30, 30)
+    assert [_HALF.dim_scales(j)[0] for j in range(3)] == [1, 30, 30]
     assert value == chow.deg_product(_HALF.fan, _HALF_ZS)
     layers = tables._forward.values()
     assert all(type(v) is int for layer in layers for v in layer.values())
@@ -274,17 +283,21 @@ def test_vol_polynomial_matches_dp(case):
 @PROPERTY
 @given(context_and_truncations())
 def test_table_factors_are_restrictions(case):
-    # z^{sigma - rho}_rho = c_sigma(z)_rho / (G_sigma^-1)_{rho rho}
+    # the factor of (sigma, rho) is num_rho / (Z D_{sigma - rho}) = z^{sigma - rho}_rho, and
+    # also c_sigma(z)_rho / (G_sigma^-1)_{rho rho} in the w-vector's coefficients
     ctx, zs = case
     z = zs[0]
-    for sigma in ctx.fan.cones:
-        if not sigma:
-            continue
+    scale, zz = scaled_to_int(z)
+    table = normalcx._Table(ctx, zz)
+    assert sum(map(len, table.values())) == len(ctx.fan.cones) - 1  # cubical: every cone
+    for sigma in (c for c in ctx.fan.cones if c):
         d, adj = ctx.cone_gram_inverse(sigma)
-        for i, (rho, c) in enumerate(w_vector(ctx, sigma, z).coefficients):
-            inv_rho_rho = adj[i][i] / (d * ctx.pair_scale)
-            restricted = restrict_z(ctx, sigma[:i] + sigma[i + 1 :], z)
-            assert c / inv_rho_rho == restricted[rho]
+        coefficients = w_vector(ctx, sigma, z).coefficients
+        for i, (rho, num) in enumerate(zip(sigma, table[len(sigma)][sigma])):
+            face = sigma[:i] + sigma[i + 1 :]
+            factor = Fraction(num, scale * ctx.cone_gram_inverse(face)[0])
+            assert factor == restrict_z(ctx, face, z)[rho]
+            assert factor == coefficients[i][1] / (adj[i][i] / (d * ctx.pair_scale))
 
 
 @st.composite
@@ -331,18 +344,37 @@ def test_table_rows_are_scaled_restrictions_and_its_report_is_the_scan(case):
     event(report.classification)
     assert classify_z(ctx, z) == table.report == report
     assert TruncationTables(ctx).classify(z) == report
-    # the pass builds the rows of the cones before an outside witness, and no others
+    # the pass builds the rows of the cones before an outside witness, and no others; a row
+    # is the integers num = adj_sigma (Z z)_sigma, the restrictions scaled by Z D_{sigma - rho}
     cones = sorted(c for c in ctx.fan.cones if c)
     if report.classification == OUTSIDE:
         cones = cones[: cones.index(report.witness_cone)]
     expected = {k: {} for k in range(1, ctx.fan.d + 1)}
     for sigma in cones:
-        k = len(sigma)
-        faces = [sigma[:i] + sigma[i + 1 :] for i in range(k)]
-        factors = [restrict_z(ctx, face, z)[rho] for face, rho in zip(faces, sigma)]
-        if any(factors):
-            expected[k][sigma] = tuple(f * scale * ctx.dim_lcms()[k - 1] for f in factors)
+        adj = ctx.cone_gram_inverse(sigma)[1]
+        nums = [sum(a * zz[t] for a, t in zip(row, sigma)) for row in adj]
+        for i, (rho, num) in enumerate(zip(sigma, nums)):
+            face = sigma[:i] + sigma[i + 1 :]
+            assert num == scale * ctx.cone_gram_inverse(face)[0] * restrict_z(ctx, face, z)[rho]
+        if any(nums):
+            expected[len(sigma)][sigma] = nums
     assert table == expected
+    assert all(type(v) is int for rows in table.values() for row in rows.values() for v in row)
+
+
+@settings(PROPERTY, max_examples=25)
+@given(context_and_any_truncation())
+def test_classifying_reads_no_lambda(case):
+    # Lambda_k // D_sigma scales the layers only: no classification reads it
+    ctx, z = case
+    fresh = Context(ctx.fan, ctx.gram)
+
+    def unread(j):
+        raise AssertionError(f"the classification read Lambda_{j}")
+
+    fresh.dim_scales = unread
+    assert classify_z(fresh, z) == classify_z(ctx, z)
+    assert TruncationTables(fresh).classify(z) == classify_z(ctx, z)
 
 
 @PROPERTY

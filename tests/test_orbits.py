@@ -287,7 +287,7 @@ def test_the_one_pass_refuses_and_finds_what_the_separate_check_and_search_do(ca
     assert (list(order), rep, weights) == reference_orbits(fan, perms)
 
 
-# -- the table pass: Lambda on first need, and no adjugate for an all-zero cone ---------------
+# -- the table pass: one adjugate before a refusal, and none for an all-zero cone ------------
 
 
 @pytest.mark.parametrize("symmetric", [False, True], ids=["trivial", "grouped"])
