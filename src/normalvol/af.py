@@ -29,7 +29,6 @@ from .matroid import (
 )
 from .normalcx import (
     Context,
-    TruncationTables,
     ZValues,
     classify_z,
     find_cubical,
@@ -108,16 +107,18 @@ def _require_af_dimension(fan: MarkedFan) -> None:
 def af_check(ctx: Context, zs: Sequence[Mapping[str, Fraction]]) -> Fraction:
     """Exact AF margin MVol(z1,z2,rest)^2 - MVol(z1,z1,rest)*MVol(z2,z2,rest).
 
-    All arguments must be cubical; a nonnegative margin is the inequality.
+    All arguments must be cubical; a nonnegative margin is the inequality.  The
+    arguments are numbered in the context's batch, opened once, so the numbers hold
+    for the three mixed volumes.
     """
     _require_af_dimension(ctx.fan)
     if len(zs) != ctx.fan.d:
         raise ArityMismatch(f"need {ctx.fan.d} cubical arguments, got {len(zs)}")
-    tables = TruncationTables(ctx)
-    if not all(tables.classify(z).is_cubical for z in zs):
+    ctx.open_batch()
+    if not all(ctx.classify(z).is_cubical for z in zs):
         raise NotCubical("every AF argument must be strictly cubical")
-    t1, t2, *rest = map(tables.index, zs)
-    m12, m11, m22 = (tables.mvol_at((a, b, *rest)) for a, b in [(t1, t2), (t1, t1), (t2, t2)])
+    t1, t2, *rest = map(ctx.index, zs)
+    m12, m11, m22 = (ctx.mvol_at((a, b, *rest)) for a, b in [(t1, t2), (t1, t1), (t2, t2)])
     return m12 * m12 - m11 * m22
 
 
@@ -188,9 +189,9 @@ def hrw_verify(m: Matroid, e0: str) -> HRWReport:
     The Bergman fan carries the matroid's transposition classes
     (``bergman_symmetries``), so its balancing walk, the Chow degrees and the
     mixed volumes all run over orbit representatives; ``char_poly`` never reads
-    the fan, so it checks them independently.  One index of truncations
-    (``TruncationTables.truncations``) numbers alpha and beta once, and both
-    engines read the d + 1 tuples as those numbers.  A rank below 2 or an e0 outside
+    the fan, so it checks them independently.  The context's index of truncations
+    (``Context.truncations``) numbers alpha and beta once, and both engines read the
+    d + 1 tuples as those numbers.  A rank below 2 or an e0 outside
     the ground set is refused before ``char_poly``'s pass over the 2^|E| subsets.
     """
     require_bergman_input(m, e0)
@@ -198,11 +199,10 @@ def hrw_verify(m: Matroid, e0: str) -> HRWReport:
     mubar_char = cp.mubar
     fan = bergman_fan(m, e0, bergman_symmetries(m, e0))
     ctx = Context(fan, e0_inner_product(m, e0))
-    tables = TruncationTables(ctx)
-    alpha, beta = map(tables.index, alpha_beta_z(m, e0))
+    alpha, beta = map(ctx.index, alpha_beta_z(m, e0))
     keys = [(alpha,) * (fan.d - a) + (beta,) * a for a in range(fan.d + 1)]
-    mvols = list(map(tables.mvol_at, keys))
-    degs = chow.deg_products_at(fan, tables.truncations, keys)
+    mvols = list(map(ctx.mvol_at, keys))
+    degs = chow.deg_products_at(fan, ctx.truncations, keys)
     if any(v.denominator != 1 for v in degs + mvols):
         raise MismatchError("matroid degrees must be integers")
     mubar_deg, mubar_mvol = (tuple(map(int, vs)) for vs in (degs, mvols))

@@ -19,7 +19,7 @@ same terms into the same orbits, so the representative's products, times
 C~(O), folded into the representative of join(sigma, eta), give the orbit sums
 of the next grade.  So there is one covector per (representative, divisor),
 and the top grade pairs the representatives with their certificates.  The
-mixed volumes (``normalcx.TruncationTables``) hold forward values, constant on
+mixed volumes (``normalcx.Context``'s batch) hold forward values, constant on
 orbits, instead, and pair their top layer with each orbit's sum of weights.
 The trivial group is the same code.
 
@@ -169,7 +169,7 @@ def deg_products_at(fan: MarkedFan, batch: Truncations, keys: Sequence[tuple]) -
 
     ``deg_products`` takes this path once it has checked and numbered its tuples;
     ``af.hrw_verify`` takes it with the one index its mixed volumes also read
-    (``normalcx.TruncationTables.truncations``).
+    (``normalcx.Context.truncations``).
     """
     if not fan.d:
         return [fan.weights[ZERO_CONE]] * len(keys)

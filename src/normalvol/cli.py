@@ -103,7 +103,10 @@ def _one_z_path(args) -> str:
 
 
 def _load_pseudocubical(paths: list[str], ctx: Context) -> list[ZValues]:
-    """The z of each path, classified once, so that every method refuses the same z."""
+    """The z of each path, classified once, so that every method refuses the same z.
+
+    Each is the first lookup of its z in the context's batch: the methods that follow
+    read the table it built."""
     zs = [_load_z(path, ctx.fan) for path in paths]
     for z in zs:
         normalcx.require_pseudocubical(normalcx.classify_z(ctx, z))

@@ -103,7 +103,7 @@ class Truncations:
 
     The one place where truncations are told apart and scaled to integers: the
     Chow degrees (``chow.deg_products``) and the volume tables
-    (``normalcx.TruncationTables``) both read it.  ``index(z)`` refuses z's keys
+    (``normalcx.Context``'s batch) both read it.  ``index(z)`` refuses z's keys
     (``check_keys``) on every call, and keys z by integers: Z, the lcm of its
     denominators, and Z z in the order of the fan's rays.  They are equal exactly
     when the values are, and Z is part of the key: (1/2, 1) and (1, 2) have one

@@ -11,12 +11,22 @@ program over the cones of the fan, grouped by dimension:
     F_0(0) = 1,  F_k(sigma) = sum_{rho in sigma} F_{k-1}(sigma - rho) * (z_k)^{sigma - rho}_rho,
     MVol(z_1, ..., z_d) = sum_sigma w_sigma F_d(sigma),
 
-with sigma - rho the face of sigma without rho.  A batch (``TruncationTables``)
-tells its truncations apart, and scales each to integers, through the fan's
-``fan.Truncations``, as the Chow degrees do.  It keeps the layer of every
-prefix z_1..z_k it climbs, so its layers are a trie of the batch's tuples: the
-d + 1 tuples alpha^(d-a) beta^a of ``hrw`` share the prefixes alpha^k and need
-d + d(d + 1)/2 layers in all.
+with sigma - rho the face of sigma without rho.  Each context keeps one batch
+of truncations for every volume call made on it: it tells them apart, and
+scales each to integers, through its ``fan.Truncations`` (``Context.truncations``),
+as the Chow degrees do, and keeps one table per truncation and the layer of
+every prefix z_1..z_k it climbs, so its layers are a trie of the batch's
+tuples: the d + 1 tuples alpha^(d-a) beta^a of ``hrw`` share the prefixes
+alpha^k and need d + d(d + 1)/2 layers in all.  So a classification, a volume,
+a mixed volume, a polarization and an AF margin on one context share the
+tables of their truncations: the four volume calls of one cross-check on
+three truncations (``vol_recursive``, ``mvol_recursive``,
+``mvol_polarization_oracle``, ``af_check``) table 7 truncations once each.
+The batch is bounded: as a public call starts (``Context.open_batch``), a
+context that holds ``TABLE_BOUND`` tables or more drops its tables, layers and
+numbering together, and within a call it never drops them, so the numbers a
+call holds stay valid until it returns.  The batch points at no context, so a
+context is freed by reference counting alone.
 
 The factors come from the barycentric coefficients c_sigma(z) = G_sigma^-1 z_sigma
 of the w-vectors, the same numbers the classification reads: restriction is
@@ -92,7 +102,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 from operator import mul
 from itertools import combinations, permutations
-from typing import Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 from . import lp
 from .errors import (
@@ -125,6 +135,8 @@ from .serialize import parse_rat
 
 ZValues = dict[str, Fraction]
 
+TABLE_BOUND = 8  # the tables a context's batch keeps from one public call to the next
+
 
 def check_gram(gram: Mat, n: int) -> None:
     """Validate a symmetric positive-definite Gram matrix, exactly.
@@ -139,7 +151,7 @@ def check_gram(gram: Mat, n: int) -> None:
 
 
 class Context:
-    """An immutable (fan, inner product) pair with per-cone caches.
+    """A (fan, inner product) pair with per-cone caches and one batch of truncation tables.
 
     Star contexts are realized inside the same ambient coordinates, so the
     restricted inner product is literally the same Gram matrix.  Every scan
@@ -158,6 +170,21 @@ class Context:
     on its orbit, which is each generator keeping it.  The volume program runs over
     the orbits (module docstring), and every other reader of the context reads every
     cone.
+
+    The context also holds the volume program's batch (module docstring): the index of
+    its truncations (``truncations``, a ``fan.Truncations``), one ``_Table`` per
+    truncation, and the layers memoized by the prefix of the truncations' numbers.  A
+    layer climbs a table's raw rows, L_k(sigma) = sum_i M_{k-1}(sigma - rho_i)
+    num_sigma[i], and holds the integers F_k(sigma) prod_{j <= k} Z_j Lambda_{j-1}; a
+    layer of length k < d is kept as M_k, each value times Lambda_k // D_sigma
+    (``dim_scales``), so that the next climb is over one denominator.  The top layer is
+    not scaled.  Over a group, every table and layer is keyed by representatives, and
+    the top layer pairs with the orbits' sums of weights.  ``classify_z``,
+    ``mixed_volumes``, ``mvol_polarization_oracle`` and ``af.af_check`` each open the
+    batch once (``open_batch``) and then read it by ``classify``, ``index``, ``mvol``
+    and ``mvol_at``; ``af.hrw_verify`` numbers its pencil once by ``index`` for its
+    mixed volumes and its Chow degrees (``chow.deg_products_at``) alike.  At
+    ``TABLE_BOUND`` tables or more, the next call to open the batch starts a new one.
     """
 
     def __init__(self, fan: MarkedFan, gram: Mat):
@@ -178,6 +205,60 @@ class Context:
         for cone, r in fan.orbits()[1].items():
             if len(cone) <= 2 and self.ray_pair(cone[0], cone[-1]) != self.ray_pair(r[0], r[-1]):
                 raise NotInvariant(f"a symmetry changes the pairing of {r[0]!r} and {r[-1]!r}")
+        self._new_batch()
+
+    def _new_batch(self) -> None:
+        self.truncations = Truncations(self.fan)
+        self._tables: list[_Table] = []
+        self._forward: dict[tuple[int, ...], dict[Cone, int]] = {(): {ZERO_CONE: 1}}
+
+    def open_batch(self) -> None:
+        """Start a public call on the batch: from ``TABLE_BOUND`` tables on, drop the
+        tables, the layers and the numbering together, so that no call's numbers go stale."""
+        if len(self._tables) >= TABLE_BOUND:
+            self._new_batch()
+
+    def _lookup(self, z: Mapping[str, Fraction]) -> int:
+        t = self.truncations.index(z)
+        if t == len(self._tables):
+            self._tables.append(_Table(self, self.truncations.scaled[t][1]))
+        return t
+
+    def classify(self, z: Mapping[str, Fraction]) -> CubReport:
+        """``classify_z`` within the call that has opened the batch."""
+        return self._tables[self._lookup(z)].report
+
+    def index(self, z: Mapping[str, Fraction]) -> int:
+        """z's number in ``truncations``, refused (NotPseudocubical) outside the
+        pseudocubical cone; ``mvol_at`` reads the numbers it gives."""
+        t = self._lookup(z)
+        require_pseudocubical(self._tables[t].report)
+        return t
+
+    def _forward_layer(self, prefix: tuple[int, ...]) -> dict[Cone, int]:
+        if prefix not in self._forward:
+            below, k = self._forward_layer(prefix[:-1]), len(prefix)
+            layer = _climb(below, self._tables[prefix[-1]][k], 0, self.fan.orbits()[1])
+            if k < self.fan.d:  # below the top: times Lambda_k // D_sigma
+                scales = self.dim_scales(k)[1]
+                layer = {cone: v * scales[cone] for cone, v in layer.items()}
+            self._forward[prefix] = layer
+        return self._forward[prefix]
+
+    def mvol(self, zs: Sequence[Mapping[str, Fraction]]) -> Fraction:
+        """MVol(zs), each z numbered and checked by ``index`` in turn."""
+        if len(zs) != self.fan.d:
+            raise ArityMismatch(f"need exactly {self.fan.d} arguments, got {len(zs)}")
+        return self.mvol_at(tuple(map(self.index, zs)))
+
+    def mvol_at(self, ts: tuple[int, ...]) -> Fraction:
+        """MVol of the d truncations numbered ts by ``index``: the tuple's top layer,
+        climbed through the memo of its prefixes, paired with the orbits' sums of weights
+        (module docstring)."""
+        weights = self.fan.orbits()[2]
+        total = sum(v * weights[c] for c, v in self._forward_layer(ts).items())
+        den = prod(self.truncations.scaled[t][0] * self.dim_scales(j)[0] for j, t in enumerate(ts))
+        return Fraction(total, self.fan.weight_scale * den)
 
     def ray_pair(self, a: str, b: str) -> int:
         """The integer <u~_a, G~ u~_b> = <u_a, u_b> / pair_scale, cached per unordered pair."""
@@ -281,8 +362,10 @@ class CubReport:
 
 def classify_z(ctx: Context, z: Mapping[str, Fraction]) -> CubReport:
     """Exact classification by the w-vectors' barycentric coefficients (``_Table``): the
-    first negative, else the first zero, with the cones in lexicographic order."""
-    return TruncationTables(ctx).classify(z)
+    first negative, else the first zero, with the cones in lexicographic order.  z is
+    tabled in the context's batch, where a volume call on it finds its table."""
+    ctx.open_batch()
+    return ctx.classify(z)
 
 
 def require_pseudocubical(report: CubReport) -> None:
@@ -333,7 +416,8 @@ def restrict_z(ctx: Context, tau: Cone, z: Mapping[str, Fraction]) -> ZValues:
     check_keys(ctx.fan, z)
     rids = ctx.fan.link(tau)
     scale, zz = scaled_to_int(z)
-    d, _, pairings = _face_pairings(ctx, tau, zz, rids)
+    cols = ([ctx.ray_pair(t, eta) for t in tau] for eta in rids)
+    d, _, pairings = _face_pairings(ctx, tau, zz, cols)
     return {eta: z[eta] - Fraction(p, scale * d) for eta, p in zip(rids, pairings)}
 
 
@@ -358,14 +442,16 @@ def face_complex(
 
 
 def _face_pairings(
-    ctx: Context, tau: Cone, zz: Mapping[str, int], rids: Sequence[str]
+    ctx: Context, tau: Cone, zz: Mapping[str, int], cols: Iterable[Sequence[int]]
 ) -> tuple[int, list[int], list[int]]:
     """(D_tau, c, p) for zz = Z z: c = adj_tau zz_tau has the signs of the barycentric
-    coefficients of w_tau(z), and p_rho = sum_theta c_theta ray_pair(theta, rho) for each
-    ray id rho of rids, so that <w_tau(z), u_rho> = p_rho / (Z D_tau)."""
+    coefficients of w_tau(z), and p_rho = c . col for each column col of cols, the
+    pairings ray_pair(theta, rho) of tau's rays theta with a ray rho, so that
+    <w_tau(z), u_rho> = p_rho / (Z D_tau).  Each entry is one C-level dot product."""
     d, adj = ctx.cone_gram_inverse(tau)
-    c = [sum(a * zz[t] for a, t in zip(row, tau)) for row in adj]
-    return d, c, [sum(x * ctx.ray_pair(t, rho) for t, x in zip(tau, c)) for rho in rids]
+    vals = [zz[t] for t in tau]
+    c = [sum(map(mul, row, vals)) for row in adj]
+    return d, c, [sum(map(mul, c, col)) for col in cols]
 
 
 # -- polytopes --------------------------------------------------------------
@@ -373,25 +459,27 @@ def _face_pairings(
 
 def _checked_faces(
     ctx: Context, sigma: Cone, z: Mapping[str, Fraction]
-) -> dict[Cone, tuple[int, list[int]]]:
-    """(Z D_tau, p) of ``_face_pairings`` for each nonzero face tau of sigma, on sigma's
-    rays.  Ray ids that are not a sorted tuple of strings are refused first, then a z not
-    indexed by the fan's rays; then faces come by size, then sorted, each refused as it
-    comes: DimensionMismatch if it is not a cone, NotPseudocubical if w_tau(z) has a
-    negative coefficient."""
+) -> tuple[int, dict[Cone, tuple[int, list[int]]]]:
+    """(Z, faces): Z scales z to integers on sigma's rays, and faces maps each nonzero face
+    tau of sigma to (D_tau, p) of ``_face_pairings`` on sigma's rays, read off sigma's
+    integer pairing block, built once.  Ray ids that are not a sorted tuple of strings are
+    refused first, then a z not indexed by the fan's rays; then faces come by size, then
+    sorted, each refused as it comes: DimensionMismatch if it is not a cone,
+    NotPseudocubical if w_tau(z) has a negative coefficient."""
     check_sorted(sigma)
     check_keys(ctx.fan, z)
     rids = [rid for rid in sigma if rid in z]  # any other id fails its face's check
     scale, zz = scaled_to_int({rid: z[rid] for rid in rids})
+    block = {a: [ctx.ray_pair(a, b) for b in rids] for a in rids}
     faces = {}
     for k in range(1, len(sigma) + 1):
         for tau in combinations(sigma, k):
             ctx.fan.link(tau)  # refuses a non-cone
-            d, c, p = _face_pairings(ctx, tau, zz, rids)
+            d, c, p = _face_pairings(ctx, tau, zz, zip(*(block[t] for t in tau)))
             if min(c) < 0:
                 raise NotPseudocubical(f"z is outside the pseudocubical cone at {list(tau)}")
-            faces[tau] = (scale * d, p)
-    return faces
+            faces[tau] = (d, p)
+    return scale, faces
 
 
 def polytope_vertices(
@@ -403,7 +491,7 @@ def polytope_vertices(
     w-vector of a face of sigma has a negative barycentric coefficient; no
     other cone is read.
     """
-    faces = [ZERO_CONE, *_checked_faces(ctx, sigma, z)]
+    faces = [ZERO_CONE, *_checked_faces(ctx, sigma, z)[1]]
     return {tau: w_vector(ctx, tau, z).coords for tau in faces}
 
 
@@ -421,7 +509,7 @@ def _climb(
 
     A row holds (z_k)^{sigma - rho}_rho in the cone's ray order, as the integers
     num_rho = (z_k)^{sigma - rho}_rho Z_k D_{sigma - rho} of ``_Table``, climbed from a layer
-    already multiplied by Lambda_{k-1} // D (``TruncationTables``), or as linear forms
+    already multiplied by Lambda_{k-1} // D (``Context._forward_layer``), or as linear forms
     (``vol_polynomial``); a cone with no row has no nonzero factor.  Zero values of F are
     not stored.
     """
@@ -454,7 +542,7 @@ class _Table(dict):
     A row holds the nums themselves, and the factor of (sigma, rho) is
     z^{sigma - rho}_rho = c_sigma(z)_rho / (G_sigma^-1)_{rho rho} = num_rho / (Z D_{sigma - rho}),
     as adj_{rho rho} = D_{sigma - rho} > 0; the layers, not the rows, clear the
-    D_{sigma - rho} (``TruncationTables``).  So the pass divides nothing and reads no Lambda.
+    D_{sigma - rho} (``Context._forward_layer``).  So the pass divides nothing and reads no Lambda.
     It stops at a negative num, which refuses z for every volume.  Each num is one
     C-level dot product of an adjugate row with the cone's values.  It takes zz = Z z,
     checked and scaled by the batch's ``fan.Truncations``.
@@ -482,80 +570,13 @@ class _Table(dict):
         )
 
 
-class TruncationTables:
-    """The tables and dynamic-program layers of one batch of mixed volumes.
-
-    Truncations are told apart, numbered and scaled to integers by the fan
-    (``fan.Truncations``, kept as ``truncations``), one table per number; layers are
-    memoized by the prefix of those numbers, a trie of the batch's tuples.  A layer
-    climbs the table's raw rows, L_k(sigma) = sum_i M_{k-1}(sigma - rho_i) num_sigma[i],
-    and holds the integers F_k(sigma) prod_{j <= k} Z_j Lambda_{j-1}; a layer of length
-    k < d is kept as M_k, each value times Lambda_k // D_sigma (``Context.dim_scales``,
-    z-independent and cached on the context), so that the next climb is over one
-    denominator.  The top layer is not scaled.  Over a group, every table and layer is
-    keyed by representatives, and the top layer pairs with the orbits' sums of weights.
-
-    ``mvol`` numbers and checks its arguments by ``index``; ``mvol_at`` takes the
-    numbers, so that ``af.hrw_verify`` numbers its pencil once for its mixed volumes
-    and its Chow degrees (``chow.deg_products_at``) alike.
-    """
-
-    def __init__(self, ctx: Context):
-        self.ctx = ctx
-        self.truncations = Truncations(ctx.fan)
-        self._tables: list[_Table] = []
-        self._forward: dict[tuple[int, ...], dict[Cone, int]] = {(): {ZERO_CONE: 1}}
-        _, self._rep, self._weights = ctx.fan.orbits()
-
-    def _lookup(self, z: Mapping[str, Fraction]) -> int:
-        t = self.truncations.index(z)
-        if t == len(self._tables):
-            self._tables.append(_Table(self.ctx, self.truncations.scaled[t][1]))
-        return t
-
-    def classify(self, z: Mapping[str, Fraction]) -> CubReport:
-        """Same report as ``classify_z``."""
-        return self._tables[self._lookup(z)].report
-
-    def index(self, z: Mapping[str, Fraction]) -> int:
-        """z's number in ``truncations``, refused (NotPseudocubical) outside the
-        pseudocubical cone; ``mvol_at`` reads the numbers it gives."""
-        t = self._lookup(z)
-        require_pseudocubical(self._tables[t].report)
-        return t
-
-    def _forward_layer(self, prefix: tuple[int, ...]) -> dict[Cone, int]:
-        if prefix not in self._forward:
-            below, k = self._forward_layer(prefix[:-1]), len(prefix)
-            layer = _climb(below, self._tables[prefix[-1]][k], 0, self._rep)
-            if k < self.ctx.fan.d:  # below the top: times Lambda_k // D_sigma
-                scales = self.ctx.dim_scales(k)[1]
-                layer = {cone: v * scales[cone] for cone, v in layer.items()}
-            self._forward[prefix] = layer
-        return self._forward[prefix]
-
-    def mvol(self, zs: Sequence[Mapping[str, Fraction]]) -> Fraction:
-        """MVol(zs), each z numbered and checked by ``index`` in turn."""
-        if len(zs) != self.ctx.fan.d:
-            raise ArityMismatch(f"need exactly {self.ctx.fan.d} arguments, got {len(zs)}")
-        return self.mvol_at(tuple(map(self.index, zs)))
-
-    def mvol_at(self, ts: tuple[int, ...]) -> Fraction:
-        """MVol of the d truncations numbered ts by ``index``: the tuple's top layer,
-        climbed through the memo of its prefixes, paired with the orbits' sums of weights
-        (module docstring)."""
-        total = sum(v * self._weights[c] for c, v in self._forward_layer(ts).items())
-        scales = prod(self.truncations.scaled[t][0] for t in ts)
-        lams = prod(self.ctx.dim_scales(j)[0] for j in range(len(ts)))
-        return Fraction(total, self.ctx.fan.weight_scale * scales * lams)
-
-
 def mixed_volumes(
     ctx: Context, tuples: Sequence[Sequence[Mapping[str, Fraction]]]
 ) -> list[Fraction]:
-    """MVol of each tuple by the dynamic program; shared truncations share a table."""
-    tables = TruncationTables(ctx)
-    return [tables.mvol(zs) for zs in tuples]
+    """MVol of each tuple by the dynamic program, in the context's batch: shared
+    truncations share a table, with each other and with earlier calls."""
+    ctx.open_batch()
+    return [ctx.mvol(zs) for zs in tuples]
 
 
 def vol_recursive(ctx: Context, z: Mapping[str, Fraction]) -> Fraction:
@@ -579,15 +600,15 @@ def mvol_polarization_oracle(
     d = ctx.fan.d
     if len(zs) != d:
         raise ArityMismatch(f"need exactly {d} arguments, got {len(zs)}")
-    tables = TruncationTables(ctx)
+    ctx.open_batch()
     for z in zs:
-        require_pseudocubical(tables.classify(z))
+        require_pseudocubical(ctx.classify(z))
     rays = ctx.fan.ray_ids()
     total = ZERO
     for r in range(1, d + 1):
         for subset in combinations(range(d), r):
             zsum = {rid: sum((zs[i][rid] for i in subset), ZERO) for rid in rays}
-            total += Fraction((-1) ** (d - r)) * tables.mvol([zsum] * d)
+            total += Fraction((-1) ** (d - r)) * ctx.mvol([zsum] * d)
     return total / factorial(d)
 
 
@@ -663,23 +684,24 @@ def geometric_volume_oracle(
     p_tau / (Z D_tau) (``_checked_faces``; p is computed even where it must give
     z_rho, so the w-vectors are checked too), and a chain's |det| is
     |p_rho_1 . v| / (Z^k D_rho_1 ... D_sigma), v the ``cofactors`` of the rows
-    above p_rho_1, built once per facet and shared by its orderings.  Limited
-    to cones of dimension <= 3; ray ids that are not a sorted tuple of strings
-    are refused before that limit is checked.
+    above p_rho_1 (at k <= 3 a few products, cheaper to redo than to share).  Every chain
+    has the factor Z^k D_sigma, so the chains are summed as integers over the lcm
+    L of their other factors D_rho_1 ... D_{sigma - rho_k}, and the volume builds
+    one Fraction: sum |det| (L / D_rho_1 ... D_{sigma - rho_k}) / (Z^k D_sigma L).
+    Limited to cones of dimension <= 3; ray ids that are not a sorted tuple of
+    strings are refused before that limit is checked.
     """
     check_sorted(sigma)
     if len(sigma) > 3:
         raise DimTooLarge("geometric oracle supports dimension <= 3 only")
-    faces = _checked_faces(ctx, sigma, z)
+    scale, faces = _checked_faces(ctx, sigma, z)
     if not sigma:
         return ONE  # the empty chain
-    shared: dict[tuple[Cone, ...], tuple[int, ...]] = {}
-    total = ZERO
+    chains = []  # (|det|, the chain's determinants below sigma)
     for order in permutations(sigma):
         chain = [tuple(sorted(order[:i])) for i in range(1, len(order) + 1)]
-        above = tuple(chain[1:])
-        if above not in shared:
-            shared[above] = cofactors([faces[tau][1] for tau in above])
-        det = sum(x * v for x, v in zip(faces[chain[0]][1], shared[above]))
-        total += Fraction(abs(det), prod(faces[tau][0] for tau in chain))
-    return total
+        det = sum(map(mul, faces[chain[0]][1], cofactors([faces[tau][1] for tau in chain[1:]])))
+        chains.append((abs(det), prod(faces[tau][0] for tau in chain[:-1])))
+    den = lcm(*(q for _, q in chains))
+    num = sum(a * (den // q) for a, q in chains)
+    return Fraction(num, scale ** len(sigma) * faces[sigma][0] * den)

@@ -162,12 +162,12 @@ def test_hrw_values(name):
 
 def test_hrw_refuses_a_mixed_volume_off_by_one(monkeypatch):
     # U(3,4) has d = 2, and alpha and beta are the batch's truncations 0 and 1
-    mvol_at = af.TruncationTables.mvol_at
+    mvol_at = af.Context.mvol_at
 
-    def shifted(tables, ts):
-        return mvol_at(tables, ts) + (ts == (0, 1))
+    def shifted(ctx, ts):
+        return mvol_at(ctx, ts) + (ts == (0, 1))
 
-    monkeypatch.setattr(af.TruncationTables, "mvol_at", shifted)
+    monkeypatch.setattr(af.Context, "mvol_at", shifted)
     with pytest.raises(MismatchError, match="mubar paths disagree"):
         nv.hrw_verify(bergman("U34").matroid, "a")
 
@@ -189,6 +189,7 @@ def test_hrw_refuses_a_chow_degree_off_by_one(monkeypatch):
 def test_hrw_indexes_its_pencil_once(name, monkeypatch):
     # the mixed volumes and the Chow degrees read one fan.Truncations, which numbers
     # alpha and beta once each
+    fx = bergman(name)  # its context is built before the count starts
     built, indexed = [], []
     truncations = normalcx.Truncations
 
@@ -203,7 +204,6 @@ def test_hrw_indexes_its_pencil_once(name, monkeypatch):
 
     for module in (chow, normalcx):
         monkeypatch.setattr(module, "Truncations", Counted)
-    fx = bergman(name)
     report = nv.hrw_verify(fx.matroid, fx.e0)
     assert report.mubar_char == HRW_MUBAR[name]
     assert len(built) == 1 and built[0] is report.fan

@@ -663,6 +663,23 @@ def test_volume_and_mixed_volume_outputs_are_byte_identical_to_the_recorded_ones
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("case", list(VOLUME_GOLDEN))
+def test_volume_and_mixed_volume_all_table_each_truncation_once(
+    case, tmp_path, capsys, monkeypatch
+):
+    # loading a z tables it in the context's batch, and every method after the load reads
+    # that table; the polarization adds one table for each sum of two or more z
+    build, _ = VOLUME_GOLDEN[case]
+    argv = _volume_golden_argv(build, case[1], tmp_path)
+    built, table = [], normalcx._Table
+    monkeypatch.setattr(normalcx, "_Table", lambda *args: built.append(args[1]) or table(*args))
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and json.loads(out)["agree"]
+    keys = [tuple(sorted(zz.items())) for zz in built]
+    d = build()[0].d
+    assert len(set(keys)) == len(keys) == (1 if case[1] == "volume" else 2**d - 1)
+
+
 @pytest.mark.parametrize("e0", ["zz", ""])
 def test_hrw_refuses_an_e0_outside_the_ground_set(e0, tmp_path, capsys):
     matroid = tmp_path / "m.json"

@@ -5,7 +5,9 @@ random positive-definite rationals L D L^T close to diagonal, and truncations
 are random cubical points near the all-ones vector.  Every comparison is exact.
 """
 
+import gc
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -26,7 +28,6 @@ from normalvol.normalcx import (
     PSEUDOCUBICAL_BOUNDARY,
     Context,
     CubReport,
-    TruncationTables,
     classify_z,
     face_complex,
     geometric_volume_oracle,
@@ -185,21 +186,31 @@ def test_memoized_layers_match_chow_and_slot_permutations(case, rng):
     assert mixed_volumes(ctx, permuted) == values
 
 
+def _count_tables(monkeypatch):
+    """The Z z of each table built, in order, by wrapping the table pass."""
+    built, table = [], normalcx._Table
+    monkeypatch.setattr(normalcx, "_Table", lambda *args: built.append(args[1]) or table(*args))
+    return built
+
+
 @pytest.mark.parametrize("name", ["U45", "K4"])
 def test_a_batch_shares_a_table_by_value_and_tells_scales_apart(name, monkeypatch):
     # alpha as 1, Fraction(1) and Fraction(2, 2) is one truncation with one table; alpha
     # halved has alpha's Z z = alpha, over Z = 2, and a table of its own
     fx = bergman(name)
+    ctx = Context(fx.fan, fx.gram)
     a, d = fx.z_alpha, fx.fan.d
     kinds = (int, Fraction, lambda v: Fraction(2 * v, 2))
     copies = [{r: kind(v) for r, v in a.items()} for kind in kinds]
     half = {r: v / 2 for r, v in a.items()}
-    built, table = [], normalcx._Table
-    monkeypatch.setattr(normalcx, "_Table", lambda *args: built.append(args[1]) or table(*args))
-    assert mixed_volumes(fx.ctx, []) == [] and not built
-    values = mixed_volumes(fx.ctx, [[z] * d for z in [*copies, half]])
+    built = _count_tables(monkeypatch)
+    assert mixed_volumes(ctx, []) == [] and not built
+    values = mixed_volumes(ctx, [[z] * d for z in [*copies, half]])
     assert values == [1, 1, 1, Fraction(1, 2**d)]
     assert built == [a, a]  # Z z of alpha, then of its half
+    # later calls on the context read the same two tables, and still tell the scales apart
+    assert [vol_recursive(ctx, z) for z in (half, copies[1])] == [Fraction(1, 2**d), 1]
+    assert built == [a, a]
 
 
 def _count_layers(monkeypatch):
@@ -233,41 +244,113 @@ def _three_cubical(fan):
 
 
 def test_layer_counts_of_af_check_volume_and_polarization(monkeypatch):
-    ctx = Context(FANS["pm1^3"], identity(3))
-    zs = _three_cubical(ctx.fan)
+    # each call on a fresh context, whose batch holds no layer yet
+    fan = FANS["pm1^3"]
+    zs = _three_cubical(fan)
     layers = _count_layers(monkeypatch)
-    af.af_check(ctx, zs)
+    af.af_check(Context(fan, identity(3)), zs)
     # [z1, z2, z3] builds 3; [z1, z1, z3] shares the prefix [z1] and builds 2; [z2, z2, z3] 3
     assert sum(layers.values()) == 8
     layers.clear()
-    vol_recursive(ctx, zs[0])
+    vol_recursive(Context(fan, identity(3)), zs[0])
     assert dict(layers) == {"_climb": 3}
     layers.clear()
-    mvol_polarization_oracle(ctx, zs)
+    mvol_polarization_oracle(Context(fan, identity(3)), zs)
     # one constant tuple per nonempty subset, climbed as vol_recursive climbs it
     assert dict(layers) == {"_climb": 3 * (2**3 - 1)}
 
 
-def test_layers_hold_integers_and_mvol_builds_one_fraction(monkeypatch):
-    tables = normalcx.TruncationTables(_HALF)
-    for z in _HALF_ZS:
-        tables.classify(z)
-    built = []
-    new = Fraction.__new__
+def test_the_volume_calls_of_a_crosscheck_job_share_its_seven_tables(monkeypatch):
+    # vol_recursive tables z1, mvol_recursive z2 and z3, the polarization the four sums of
+    # two or three, and af_check none: 7 tables on one context, where separate batches
+    # built 1 + 3 + 7 + 3 = 14
+    fan = FANS["pm1^3"]
+    zs = _three_cubical(fan)
+    calls = [
+        lambda c: vol_recursive(c, zs[0]),
+        lambda c: mvol_recursive(c, zs),
+        lambda c: mvol_polarization_oracle(c, zs),
+        lambda c: af.af_check(c, zs),
+    ]
+    expected = [call(Context(fan, identity(3))) for call in calls]
+    built = _count_tables(monkeypatch)
+    ctx = Context(fan, identity(3))
+    assert [call(ctx) for call in calls] == expected
+    assert len(built) == 7 and len(ctx._tables) == 7
+    assert len({tuple(zz.values()) for zz in built}) == 7
+
+
+def _filled(fan, count):
+    """A fresh identity-Gram context of the fan, its batch holding ``count`` tables."""
+    ctx = Context(fan, identity(fan.ambient_dim))
+    for k in range(count):
+        classify_z(ctx, {rid: Fraction(k + 10) for rid in fan.ray_ids()})
+    assert len(ctx._tables) == count
+    return ctx
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, normalcx.TABLE_BOUND])
+def test_a_call_that_starts_one_table_below_the_bound_keeps_its_numbers(bound, monkeypatch):
+    # the batch is dropped only as a call starts: a call that starts one table below the
+    # bound numbers its truncations past it, and each number holds until it returns
+    fan = FANS["pm1^3"]
+    zs = _three_cubical(fan)
+    margin = af.af_check(Context(fan, identity(3)), zs)
+    monkeypatch.setattr(normalcx, "TABLE_BOUND", bound)
+    ctx = _filled(fan, bound - 1)
+    assert af.af_check(ctx, zs) == margin
+    assert len(ctx._tables) == bound + 2
+    # past the bound, the next call drops the tables, layers and numbering together: then
+    # z1..z3 and the four sums, each climbed as a constant tuple
+    assert mvol_polarization_oracle(ctx, zs) == mvol_recursive(Context(fan, identity(3)), zs)
+    assert len(ctx._tables) == len(ctx.truncations.scaled) == 7
+    assert set(ctx._forward) == {(t,) * k for t in range(7) for k in range(4)}
+    # hrw_verify's fresh context starts at bound - 1 = 0 when the bound is 1
+    assert nv.hrw_verify(nv.uniform(4, 5), "a").mubar_char == (1, 4, 6, 4)
+
+
+def test_a_filled_context_is_freed_without_the_cycle_collector():
+    # the batch points at no context, so a context goes as its last reference does
+    fan = FANS["pm1^3"]
+    zs = _three_cubical(fan)
+    gc.disable()
+    try:
+        ctx = _filled(fan, 2)
+        af.af_check(ctx, zs)
+        mvol_polarization_oracle(ctx, zs)
+        assert ctx._tables and len(ctx._forward) > 1
+        ref = weakref.ref(ctx)
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def _count_fractions(patch):
+    """The arguments of each Fraction built while ``patch`` is in force."""
+    built, new = [], Fraction.__new__
 
     def counted(cls, *args, **kwargs):
         built.append(args)
         return new(cls, *args, **kwargs)
 
+    patch.setattr(Fraction, "__new__", counted)
+    return built
+
+
+def test_layers_hold_integers_and_mvol_builds_one_fraction(monkeypatch):
+    ctx = Context(_HALF.fan, _HALF.gram)
+    for z in _HALF_ZS:
+        classify_z(ctx, z)
     with monkeypatch.context() as patch:
-        patch.setattr(Fraction, "__new__", counted)
-        value = tables.mvol(_HALF_ZS)
+        built = _count_fractions(patch)
+        value = mvol_recursive(ctx, _HALF_ZS)
     assert len(built) == 1
-    assert [_HALF.dim_scales(j)[0] for j in range(3)] == [1, 30, 30]
+    assert [ctx.dim_scales(j)[0] for j in range(3)] == [1, 30, 30]
     assert value == chow.deg_product(_HALF.fan, _HALF_ZS)
-    layers = tables._forward.values()
+    layers = ctx._forward.values()
     assert all(type(v) is int for layer in layers for v in layer.values())
-    rows = [row for table in tables._tables for by_dim in table.values() for row in by_dim.values()]
+    rows = [row for table in ctx._tables for by_dim in table.values() for row in by_dim.values()]
     assert rows and all(type(f) is int for row in rows for f in row)
 
 
@@ -343,7 +426,7 @@ def test_table_rows_are_scaled_restrictions_and_its_report_is_the_scan(case):
     report = _reference_scan(ctx, z)
     event(report.classification)
     assert classify_z(ctx, z) == table.report == report
-    assert TruncationTables(ctx).classify(z) == report
+    assert classify_z(Context(ctx.fan, ctx.gram), z) == report  # a fresh batch and a used one
     # the pass builds the rows of the cones before an outside witness, and no others; a row
     # is the integers num = adj_sigma (Z z)_sigma, the restrictions scaled by Z D_{sigma - rho}
     cones = sorted(c for c in ctx.fan.cones if c)
@@ -374,7 +457,7 @@ def test_classifying_reads_no_lambda(case):
 
     fresh.dim_scales = unread
     assert classify_z(fresh, z) == classify_z(ctx, z)
-    assert TruncationTables(fresh).classify(z) == classify_z(ctx, z)
+    assert fresh.classify(z) == classify_z(ctx, z)
 
 
 @PROPERTY
@@ -571,6 +654,22 @@ def test_geometric_oracle_equals_the_rational_tiling(case):
     else:
         event("zero volume" if expected == 0 else "positive volume")
         assert geometric_volume_oracle(ctx, sigma, z) == expected
+
+
+@pytest.mark.parametrize("name", ["pm1^3", "quadrant x pm1"])
+def test_the_geometric_oracle_builds_one_fraction(name, monkeypatch):
+    # the chains of a cone sum as integers over one denominator, whatever its D and Z
+    ctx = Context(FANS[name], qmat([[2, 0, 0], [0, 3, 0], [0, 0, 5]]))
+    z = {rid: Fraction(i + 1, 2 + i % 3) for i, rid in enumerate(ctx.fan.ray_ids())}
+    values = {}
+    for sigma in ctx.fan.cones:
+        with monkeypatch.context() as patch:
+            built = _count_fractions(patch)
+            values[sigma] = geometric_volume_oracle(ctx, sigma, z)
+        assert len(built) == (1 if sigma else 0), sigma  # the zero cone's is the constant 1
+    assert values == {sigma: reference_geometric_volume(ctx, sigma, z) for sigma in values}
+    total = sum(ctx.fan.weights[s] * values[s] for s in ctx.fan.max_cones)
+    assert total == vol_recursive(ctx, z) > 0
 
 
 @st.composite

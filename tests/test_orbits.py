@@ -22,7 +22,6 @@ from normalvol.normalcx import (
     PSEUDOCUBICAL_BOUNDARY,
     Context,
     CubReport,
-    TruncationTables,
     classify_z,
     mvol_recursive,
     vol_polynomial,
@@ -179,16 +178,15 @@ def test_a_grouped_context_refuses_a_truncation_not_constant_on_orbits():
     for refuse in (
         lambda: classify_z(ctx, z),
         lambda: mvol_recursive(ctx, [z_alpha, z_beta, z]),
-        lambda: TruncationTables(ctx).classify(z),
+        lambda: ctx.classify(z),
         lambda: deg_products(ctx.fan, [[z_alpha, z_beta, z_alpha], [z_beta, z_alpha, z]]),
     ):
         with pytest.raises(NotInvariant, match="constant on the orbits"):
             refuse()
-    tables = TruncationTables(ctx)  # a refused truncation leaves the batch usable
-    for _ in range(2):
+    for _ in range(2):  # a refused truncation leaves the batch usable
         with pytest.raises(NotInvariant):
-            tables.mvol([z] * 3)
-    assert tables.mvol([z_alpha, z_alpha, z_beta]) == 4
+            ctx.mvol([z] * 3)
+    assert ctx.mvol([z_alpha, z_alpha, z_beta]) == 4
 
 
 def test_the_quadrant_under_its_rotation_gives_the_trivial_group_values():
@@ -382,10 +380,11 @@ def test_the_grouped_program_gives_the_trivial_groups_values(case, data):
     picks = st.lists(st.integers(0, len(zs) - 1), min_size=d, max_size=d)
     tuples = [[zs[i] for i in data.draw(picks)] for _ in range(3)]
     tuples.append([z_alpha] * (d - 1) + [z_beta])
-    values = [TruncationTables(c) for c in (ctx, trivial)]
-    grouped_values, trivial_values = ([outcome(t.mvol, zs) for zs in tuples] for t in values)
+    grouped_values, trivial_values = (
+        [outcome(c.mvol, zs) for zs in tuples] for c in (ctx, trivial)
+    )
     assert grouped_values == trivial_values  # the values themselves, not their ratios
-    assert not any(c in rep for table in values[0]._tables for k in table for c in table[k])
+    assert not any(c in rep for table in ctx._tables for k in table for c in table[k])
     if d <= 3:
         assert vol_polynomial(ctx) == vol_polynomial(trivial)
 
