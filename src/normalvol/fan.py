@@ -364,21 +364,10 @@ class MarkedFan:
                     )
 
     def _meets_outside_face(self, r1: Cone, r2: Cone, common: Cone) -> bool:
-        n = self.ambient_dim
-        ncols = len(r1) + len(r2)
-        rows = []
-        for coord in range(n):
-            rows.append(
-                qvec(
-                    [self.rays[rid][coord] for rid in r1]
-                    + [-self.rays[rid][coord] for rid in r2]
-                )
-            )
-        rows.append(
-            qvec([ONE if rid not in common else ZERO for rid in r1] + [ZERO] * len(r2))
-        )
-        b = qvec([ZERO] * n + [ONE])
-        return lp.feasible_nonneg(rows, b) is not None
+        columns = [self.rays[rid] for rid in r1] + [[-v for v in self.rays[rid]] for rid in r2]
+        off_face = [ONE if rid not in common else ZERO for rid in r1] + [ZERO] * len(r2)
+        b = [ZERO] * self.ambient_dim + [ONE]
+        return lp.feasible_nonneg([*zip(*columns), off_face], b) is not None
 
 
 def _sign_certificate(fan: MarkedFan) -> Callable[[Cone, Cone, Cone], bool]:

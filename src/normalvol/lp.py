@@ -2,17 +2,25 @@
 
 Bland's rule is used throughout, so the solver never cycles, and ``_bland``
 picks every pivot: the first improving column, then the least ratio by
-cross-multiplication, ties to the least basic index.  ``simplex_max`` runs
-the textbook two phases on a ``Fraction`` tableau.  The cubical search,
-``max_min_slack``, solves a dual that needs no phase 1, fraction-free: its
-tableau holds integers over one positive denominator, the last pivot, and
-each row update is ``linalg.reduce_row`` over that pivot, one Bareiss step,
-exact by Sylvester's identity (as in lrs, Avis 2000); this module does no
-row arithmetic of its own for it.  Scaling a column or the objective row by
-a positive factor changes no sign and no ratio order, so Bland's rule takes
-the same pivots as on the rational tableau.  ``simplex_max`` and fan
-validation stay on ``Fraction`` rows until the benchmark's peak RSS stops
-growing with the number of set-up repeats (ROADMAP item 1).
+cross-multiplication, ties to the least basic index.
+
+``simplex_max`` runs the textbook two phases on one ``Fraction`` tableau,
+built once: the rows of A x = b, each with its artificial column, then c's
+reduced costs, which every pivot updates, then the phase-1 objective,
+popped when phase 1 ends.  Phase 2 lets only the real columns enter, so an
+artificial left basic on a redundant row, whose real entries are all zero,
+stays in place and never wins a ratio test.
+
+The cubical search, ``max_min_slack``, solves a dual that needs no phase 1,
+fraction-free: its tableau holds integers over one positive denominator,
+the last pivot, and each row update is ``linalg.reduce_row`` over that
+pivot, one Bareiss step, exact by Sylvester's identity (as in lrs, Avis
+2000); this module does no row arithmetic of its own for it.  Scaling a
+column or the objective row by a positive factor changes no sign and no
+ratio order, so Bland's rule takes the same pivots as on the rational
+tableau.  ``simplex_max`` and fan validation stay on ``Fraction`` rows until
+the benchmark's peak RSS stops growing with the number of set-up repeats
+(ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -35,18 +43,21 @@ def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) 
 
 
 def _bland(tableau: list[list], basis: list[int], ncols: int) -> tuple[int, int] | None:
-    """Bland's (row, col) on a tableau whose last row is the (maximization)
-    objective, or None at the optimum.  Rows share one positive denominator."""
+    """Bland's (row, col), or None at the optimum, on a tableau whose first
+    ``len(basis)`` rows are the constraints and whose last row is the
+    (maximization) objective.  Each row's right-hand side is its last entry,
+    only the first ``ncols`` columns may enter, and rows share one positive
+    denominator."""
     obj = tableau[-1]
     col = next((j for j in range(ncols) if obj[j] > 0), None)  # first improving
     if col is None:
         return None
     best = None
-    for i, row in enumerate(tableau[:-1]):
+    for i, row in enumerate(tableau[: len(basis)]):
         if row[col] > 0 and (
             best is None
-            or (row[ncols] * tableau[best][col], basis[i])
-            < (tableau[best][ncols] * row[col], basis[best])
+            or (row[-1] * tableau[best][col], basis[i])
+            < (tableau[best][-1] * row[col], basis[best])
         ):
             best = i
     if best is None:
@@ -65,47 +76,31 @@ def simplex_max(a: Sequence[Vec], b: Vec, c: Vec) -> tuple[Vec, Fraction]:
     Returns (optimal x, optimal value).  Raises Infeasible or Unbounded.
     """
     m, n = len(a), len(c)
-    rows = [list(row) for row in a]
-    rhs = list(b)
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-
-    # Phase 1: artificial variables, maximize -(sum of artificials).
-    width = n + m
-    tableau = [rows[i] + [ONE if j == i else ZERO for j in range(m)] + [rhs[i]] for i in range(m)]
+    rows = [(row, bi) if bi >= 0 else ([-v for v in row], -bi) for row, bi in zip(a, b)]
+    tableau = [
+        [*row, *(ONE if j == i else ZERO for j in range(m)), bi] for i, (row, bi) in enumerate(rows)
+    ]
     basis = [n + i for i in range(m)]
-    phase1_obj = [sum(tableau[i][j] for i in range(m)) for j in range(width + 1)]
-    for j in range(n, width):
-        phase1_obj[j] = ZERO  # reduced cost of a basic artificial is zero
-    tableau.append(phase1_obj)
-    _run_simplex(tableau, basis, width)
-    if tableau[-1][width] != 0:
+    # Phase 1 maximizes -(sum of artificials): its reduced costs are the
+    # column sums of the rows, less 1 on each (basic) artificial.  Above it
+    # rides c, which is its own reduced-cost row while only artificials, of
+    # cost 0, are basic; every pivot keeps it so.
+    phase1 = [sum(col) for col in zip(*tableau, [ZERO] * n + [-ONE] * m + [ZERO])]
+    tableau += [[*c, *[ZERO] * (m + 1)], phase1]
+    _run_simplex(tableau, basis, n + m)
+    if tableau.pop()[-1] != 0:
         raise Infeasible("phase 1 optimum is nonzero")
-    # Drive artificials out of the basis where possible.
+    # Drive artificials out of the basis where possible.  A row whose
+    # artificial stays basic is zero on every real column, so phase 2, where
+    # only real columns enter, never pivots on it.
     for i in range(m):
         if basis[i] >= n:
             col = next((j for j in range(n) if tableau[i][j] != 0), None)
             if col is not None:
                 _pivot(tableau, basis, i, col)
-    # Drop rows whose basic variable is still artificial (redundant constraints).
-    keep = [i for i in range(m) if basis[i] < n]
-    tableau = [[tableau[i][j] for j in range(n)] + [tableau[i][width]] for i in keep]
-    basis = [basis[i] for i in keep]
-
-    # Phase 2.
-    objective = list(c) + [ZERO]
-    for i, bi in enumerate(basis):
-        if objective[bi] != 0:
-            f = objective[bi]
-            objective = [v - f * w for v, w in zip(objective, tableau[i])]
-    tableau.append(objective)
     _run_simplex(tableau, basis, n)
-    x = [ZERO] * n
-    for i, bi in enumerate(basis):
-        x[bi] = tableau[i][n]
-    return tuple(x), -tableau[-1][n]
+    values = dict(zip(basis, (row[-1] for row in tableau)))
+    return tuple(values.get(j, ZERO) for j in range(n)), -tableau[-1][-1]
 
 
 def feasible_nonneg(a: Sequence[Vec], b: Vec) -> Vec | None:

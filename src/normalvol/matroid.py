@@ -40,6 +40,10 @@ GROUND_SET_CAP = 20
 CheckFan = Callable[[int, int], None]
 
 
+def any_fan(rays: int, d: int) -> None:
+    """The ``check_fan`` that accepts every fan: no caps."""
+
+
 class Matroid:
     """A loopless matroid presented by its flats."""
 
@@ -111,7 +115,7 @@ class Matroid:
 
 
 def from_flats(
-    ground: Sequence[str], flats: Sequence[Sequence[str]], check_fan: CheckFan | None = None
+    ground: Sequence[str], flats: Sequence[Sequence[str]], check_fan: CheckFan = any_fan
 ) -> Matroid:
     labels = [str(e) for e in ground]
     index = {e: i for i, e in enumerate(labels)}
@@ -123,8 +127,8 @@ def from_flats(
                 raise UnknownElement(f"{e!r} is not a ground set element")
             m |= 1 << index[str(e)]
         masks.add(m)
-    if check_fan:  # the rank, and so the dimension, is known only after the axiom check
-        check_fan(len(masks - {0, (1 << len(labels)) - 1}), 0)
+    # the rank, and so the dimension, is known only after the axiom check
+    check_fan(len(masks - {0, (1 << len(labels)) - 1}), 0)
     return Matroid(labels, masks)
 
 
@@ -132,7 +136,7 @@ def _flats_from_closure(
     ground: Sequence[str],
     closure: Callable[[int], int],
     rank: int,
-    check_fan: CheckFan | None = None,
+    check_fan: CheckFan = any_fan,
 ) -> set[int]:
     """Closure search: the flats are the closed sets of the closure, of a matroid of
     this rank.
@@ -142,8 +146,7 @@ def _flats_from_closure(
     """
     n, d = len(ground), rank - 1
     full = (1 << n) - 1
-    if check_fan:
-        check_fan(0, d)
+    check_fan(0, d)
     flats = {closure(0)}
     frontier = deque(flats)  # breadth first, so a cap on the flats stops it early
     while frontier:
@@ -158,8 +161,7 @@ def _flats_from_closure(
             if g not in flats:
                 flats.add(g)
                 frontier.append(g)
-                if check_fan:
-                    check_fan(len(flats) - 2, d)
+                check_fan(len(flats) - 2, d)
     flats.add(full)
     return flats
 
@@ -181,7 +183,7 @@ def uniform(r: int, ground: int | Sequence[str]) -> Matroid:
 def graphic(
     edges: Sequence[Sequence[str]],
     labels: Sequence[str] | None = None,
-    check_fan: CheckFan | None = None,
+    check_fan: CheckFan = any_fan,
 ) -> Matroid:
     """The cycle matroid of a multigraph given as a list of edges (u, v)."""
     if labels is None:
@@ -222,7 +224,7 @@ def graphic(
 def linear(
     columns: Sequence[Sequence],
     labels: Sequence[str] | None = None,
-    check_fan: CheckFan | None = None,
+    check_fan: CheckFan = any_fan,
 ) -> Matroid:
     """The matroid of a list of rational column vectors."""
     vecs = qmat(columns)
@@ -250,7 +252,7 @@ def linear(
 
 
 def matroid_from_json(
-    raw: Mapping, cap: int = GROUND_SET_CAP, check_fan: CheckFan | None = None
+    raw: Mapping, cap: int = GROUND_SET_CAP, check_fan: CheckFan = any_fan
 ) -> Matroid:
     """A matroid from its file: a ``kind`` with the keys it needs, and a ``ground_set``.
 
@@ -273,7 +275,7 @@ def matroid_from_json(
     kind = field("kind")
     if kind == "uniform":
         r, n = field("rank", parse_int), len(ground)
-        if check_fan and 0 < r <= n:
+        if 0 < r <= n:
             check_fan(sum(comb(n, k) for k in range(1, r)), r - 1)
         return uniform(r, ground)
     if kind == "flats":
@@ -286,8 +288,7 @@ def matroid_from_json(
         m = linear(matrix, ground, check_fan)
     else:
         raise UnknownElement(f"unknown matroid kind {kind!r}")
-    if check_fan:
-        check_fan(len(m.proper_flats()), m.rank - 1)
+    check_fan(len(m.proper_flats()), m.rank - 1)
     return m
 
 

@@ -301,11 +301,11 @@ class Context:
         return entry
 
     def star_context(self, tau: Cone) -> "Context":
+        if not tau:  # the zero cone's star is the fan; kept in _stars it would be a cycle
+            return self
         ctx = self._stars.get(tau)
         if ctx is None:
-            star_fan = star(self.fan, tau, self.gram)
-            ctx = self if star_fan is self.fan else Context(star_fan, self.gram)
-            self._stars[tau] = ctx
+            ctx = self._stars[tau] = Context(star(self.fan, tau, self.gram), self.gram)
         return ctx
 
 

@@ -182,6 +182,12 @@ def dense_rational_matrix(n):
     return mat_mul(low, up)
 
 
+def dense_gram(n):
+    """M^T M for a dense invertible rational M: positive definite, no zero entry."""
+    m = dense_rational_matrix(n)
+    return mat_mul(transpose(m), m)
+
+
 def mapped(fan, a, weights=None):
     """The fan with each ray u replaced by A u: same ids and cones.
 

@@ -23,6 +23,7 @@ from conftest import (
     VAMOS_FLATS,
     VAMOS_GROUND,
     bergman,
+    dense_gram,
     make_pm1_fan,
     mapped,
     mat_mul,
@@ -273,6 +274,30 @@ def test_af_check_undefined_exits_3(quadrant_files, capsys, monkeypatch):
     )
     assert code == 3
     assert json.loads(out)["verdict"] == "undefined"
+
+
+# SHA-256 of `reduce-check`'s stdout on U(4,5)'s Bergman fan (e0 = a) under the dense Gram
+# of `conftest.dense_gram(4)`, whose cubical cone is empty; recorded before the validation
+# LP ran both phases on one tableau.
+REDUCE_UNDEFINED_DIGEST = "a6cf712c9fe2ab8a4e166519c2830c0945637b690d3b4e57069e482640b670be"
+
+
+def test_an_empty_cubical_cone_exits_3_from_every_command_that_needs_one(tmp_path, capsys):
+    # a real input, no patched search: conditions (i) and (ii) pass, the cubical LP is empty
+    gram = [[format_rat(x) for x in row] for row in dense_gram(4)]
+    (tmp_path / "fan.json").write_text(json.dumps(fan_to_json(bergman("U45").fan)))
+    (tmp_path / "gram.json").write_text(json.dumps({"gram": gram}))
+    files = ["--fan", str(tmp_path / "fan.json"), "--gram", str(tmp_path / "gram.json")]
+    code, out, err = run(capsys, ["reduce-check", *files])
+    assert (code, err) == (3, "")
+    report = json.loads(out)
+    assert report["verdict"] == "undefined" and not report["cubical_nonempty"]
+    assert report["condition_i"]["pass"] and report["condition_ii"]["pass"]
+    assert hashlib.sha256(out.encode()).hexdigest() == REDUCE_UNDEFINED_DIGEST
+    code, out, err = run(capsys, ["cubical-find", *files])
+    assert (code, err) == (3, "") and not json.loads(out)["cubical_nonempty"]
+    code, out, err = run(capsys, ["af-check", *files, "--samples", "2"])
+    assert (code, err) == (3, "") and json.loads(out)["verdict"] == "undefined"
 
 
 def test_af_check_refuses_dimension_one_before_sampling(tmp_path, capsys, monkeypatch):
@@ -906,6 +931,11 @@ DEGENERATE_FANS = {
         {**NO_RAY_FAN, "ambient_dim": "-1", "rays": [{"id": "a", "u": ["1"]}]},
         "ambient_dim",
     ),
+    # a count that parses, refused by the fan's own bound
+    "ambient_dim 0": (
+        {**NO_RAY_FAN, "ambient_dim": 0, "rays": [{"id": "a", "u": ["1"]}]},
+        "ambient_dim",
+    ),
     "a cone repeating a ray": (
         {
             "ambient_dim": 1,
@@ -938,6 +968,35 @@ def test_a_degenerate_fan_file_is_an_input_error(command, fan, tmp_path, capsys)
         assert not report["valid"] and words in report["error"]
     else:
         assert out == "" and words in json.loads(err)["error"]
+
+
+def test_a_count_may_be_a_string_of_digits(tmp_path, capsys):
+    # a matroid's rank and a fan's ambient_dim read "3" as 3, as the file format promises
+    outputs = []
+    for rank, ambient_dim in ((3, 2), ("3", "2")):
+        matroid_path, fan_path = tmp_path / "m.json", tmp_path / "fan.json"
+        ground = ["a", "b", "c", "d"]
+        matroid_path.write_text(json.dumps({"kind": "uniform", "ground_set": ground, "rank": rank}))
+        fan_path.write_text(json.dumps({**QUADRANT_JSON, "ambient_dim": ambient_dim}))
+        hrw = run(capsys, ["hrw", "--matroid", str(matroid_path)])
+        validate = run(capsys, ["fan-validate", "--fan", str(fan_path)])
+        assert hrw[0] == validate[0] == 0
+        outputs.append((hrw, validate))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[1][0][1])["mubar"] == [1, 3, 3]
+
+
+@pytest.mark.parametrize("fan", ["d = 4", "ambient dimension 4"])
+def test_export_mesh_refuses_a_fan_past_dimension_3(fan, tmp_path, capsys):
+    if fan == "d = 4":
+        argv = fan_files(tmp_path, pm1_power(4))
+    else:  # two 2-cones in R^4
+        argv = two_cones_files(tmp_path, 2, [("1",) * 4])
+    out_path = tmp_path / "mesh.obj"
+    code, out, err = run(capsys, ["export-mesh", *argv, "--out", str(out_path)])
+    assert code == 2 and out == ""
+    assert "mesh export needs fan and ambient dimension <= 3" in json.loads(err)["error"]
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize(

@@ -44,7 +44,7 @@ from normalvol.normalcx import (
 from conftest import (
     bergman,
     cone_of,
-    dense_rational_matrix,
+    dense_gram,
     hessian,
     make_pm1_fan,
     make_quadrant_fan,
@@ -52,7 +52,6 @@ from conftest import (
     product_fan,
     reference_dependent_cones,
     reference_geometric_volume,
-    transpose,
 )
 
 FANS = {
@@ -319,6 +318,20 @@ def test_a_filled_context_is_freed_without_the_cycle_collector():
         af.af_check(ctx, zs)
         mvol_polarization_oracle(ctx, zs)
         assert ctx._tables and len(ctx._forward) > 1
+        ref = weakref.ref(ctx)
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_context_that_took_the_zero_cones_star_is_freed_without_the_cycle_collector():
+    # the star of the zero cone is the context itself, and it is not stored in its own stars
+    gc.disable()
+    try:
+        ctx = Context(make_quadrant_fan(), identity(2))
+        assert ctx.star_context(ZERO_CONE) is ctx
+        assert ctx.star_context(("r1",)) is ctx.star_context(("r1",)) is not ctx
         ref = weakref.ref(ctx)
         del ctx
         assert ref() is None
@@ -702,19 +715,13 @@ def test_star_connectivity_is_read_off_the_link(ctx):
         assert star_connected_minus_origin(ctx.fan, tau) == expected
 
 
-def _dense_gram(n):
-    """M^T M for a dense invertible rational M: positive definite, no zero entry."""
-    m = dense_rational_matrix(n)
-    return mat_mul(transpose(m), m)
-
-
 # (fan, Gram, verdict); the U(4,5) fan's cubical cone is empty under the dense Gram
 REDUCE_CASES = {name: (FANS[name], identity(3), af.PASS) for name in ("quadrant x pm1", "pm1^3")}
 for _fx in map(bergman, ("U34", "K4", "U35", "U45")):
     REDUCE_CASES[f"{_fx.name} e0"] = (_fx.fan, _fx.gram, af.PASS)
     REDUCE_CASES[f"{_fx.name} dense"] = (
         _fx.fan,
-        _dense_gram(_fx.fan.ambient_dim),
+        dense_gram(_fx.fan.ambient_dim),
         af.UNDEFINED if _fx.name == "U45" else af.PASS,
     )
 

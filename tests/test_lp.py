@@ -63,6 +63,34 @@ def test_simplex_max_drives_an_artificial_out_of_the_basis_after_phase_1(monkeyp
     assert pivots == [(0, 0), (1, 1)]
 
 
+def test_simplex_max_with_no_constraints():
+    # phase 1 has no rows to sum, and phase 2 no row to bound an improving column
+    assert simplex_max([], [], qvec([0, 0])) == ((0, 0), 0)
+    with pytest.raises(Unbounded):
+        simplex_max([], [], qvec([1, 0]))
+
+
+# (A, b, c, optimum) where the one tableau's phase 2 has to do its own work
+PHASE_2_CASES = {
+    # x + y = 2 twice over (the second doubled) and y + w = 3; maximize x.  The doubled row
+    # keeps its artificial basic after phase 1, and phase 2 reaches x = 2 with it in place
+    "a redundant row": ([[1, 1, 0], [2, 2, 0], [0, 1, 1]], [2, 4, 3], [1, 0, 0], ((2, 0, 3), 2)),
+    # maximize -x - y over x + y = 1: the artificial's reduced cost is positive when phase 1
+    # ends, and letting it enter would relax the row to x + y <= 1 and read value 0
+    "no artificial enters": ([[1, 1]], [1], [-1, -1], ((1, 0), -1)),
+    # s1 + x = 1 and s2 + x = 3, slacks first, maximize x: phase 1 ends on the slack basis,
+    # and the ratio test (1 against 3) reads the last entry of each row, not the artificial
+    # column that sits where a tableau without artificials keeps the right-hand side
+    "ratios on the right-hand side": ([[1, 0, 1], [0, 1, 1]], [1, 3], [0, 0, 1], ((0, 2, 1), 1)),
+}
+
+
+@pytest.mark.parametrize("case", list(PHASE_2_CASES))
+def test_simplex_max_phase_2_on_the_one_tableau(case):
+    a, b, c, optimum = PHASE_2_CASES[case]
+    assert simplex_max(qmat(a), qvec(b), qvec(c)) == optimum
+
+
 def test_max_min_slack_symmetric():
     # maximize t subject to z1 >= t, 2 z2 >= 2 t and z1 + z2 = 1
     z, slack = max_min_slack([(1, 0), (0, 2)], [1, 2])

@@ -346,6 +346,9 @@ def test_mvol_arity(quadrant_ctx):
     z = zmap(r1=1, r2=2, r3=3, r4=4)
     with pytest.raises(ArityMismatch):
         mvol_recursive(quadrant_ctx, [z])
+    for count in (1, 3):  # d - 1 and d + 1 arguments, d = 2
+        with pytest.raises(ArityMismatch, match=f"need exactly 2 arguments, got {count}"):
+            mvol_polarization_oracle(quadrant_ctx, [z] * count)
 
 
 def test_mvol_axis_supported(quadrant_ctx):
