@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 from typing import Callable
 
 from . import af, chow, normalcx
@@ -329,23 +330,17 @@ def cmd_export_mesh(args, caps: Caps) -> int:
 
 
 def _obj_faces(rids: tuple[str, ...], local: dict) -> list[str]:
-    """Faces of one combinatorial-cube polytope, triangulated fan-wise."""
-
-    def quad(cycle) -> list[str]:
-        ids = [local[tuple(sorted(f))] for f in cycle]
-        return [f"f {ids[0]} {ids[i]} {ids[i + 1]}" for i in range(1, 3)]
-
+    """Faces of one combinatorial-cube polytope, triangulated fan-wise: for each pair
+    u < v of its rays, in reverse order, and each base, () or the ray left over, the
+    square base, base + u, base + uv, base + v as two triangles from the base corner."""
     if len(rids) == 1:
         return [f"l {local[()]} {local[rids]}"]
-    if len(rids) == 2:
-        a, b = rids
-        return quad([(), (a,), (a, b), (b,)])
-    a, b, c = rids
     out: list[str] = []
-    for axis, (u, v) in ((a, (b, c)), (b, (a, c)), (c, (a, b))):
-        for present in (False, True):
-            base: tuple = (axis,) if present else ()
-            out.extend(quad([base, base + (u,), base + (u, v), base + (v,)]))
+    for u, v in reversed(list(combinations(rids, 2))):
+        rest = tuple(rid for rid in rids if rid not in (u, v))
+        for base in dict.fromkeys([(), rest]):
+            ids = [local[tuple(sorted(base + f))] for f in ((), (u,), (u, v), (v,))]
+            out += [f"f {ids[0]} {ids[i]} {ids[i + 1]}" for i in (1, 2)]
     return out
 
 

@@ -45,8 +45,6 @@ from collections.abc import Callable, KeysView
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import lcm
-from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from . import lp
@@ -62,7 +60,7 @@ from .errors import (
 )
 from .linalg import (
     Mat, Vec, ZERO, ONE, dot, inverse, mat_vec, qvec, rank, reduce_row, scaled_rows,
-    scaled_to_int, solve, vec_scale, vec_sub,
+    scaled_to_int, vec_scale, vec_sub,
 )
 from .serialize import format_rat, parse_int, parse_list, parse_rat, read_field
 
@@ -299,30 +297,23 @@ class MarkedFan:
     def _check_linear(self) -> None:
         """Refuse a symmetry that no linear map induces.
 
-        A basis B of the rays' span is picked greedily in ``ray_ids`` order, by
-        ``reduce_row``, and ``solve`` gives integers (v_b, p_b) with
-        <v_b, u~_c> = p_b [b == c] on B.  With P the lcm of the p_b, every ray is
-        P u~ = sum_b c_b u~_b, c_b = (P / p_b) <v_b, u~>, and a map is induced by a
-        linear map of the span exactly when it takes each ray to the same
-        combination of the images of B: P u~_g(r) = sum_b c_b u~_g(b).
+        A map g of the rays is induced by a linear map of their span exactly when
+        every linear relation among the rays holds among their images.  For each
+        generator the integer rows (u~_r | u~_g(r)) go, in ``ray_ids`` order, through
+        one fraction-free echelon (``reduce_row``) that pivots on the first n columns
+        only.  A row whose first half reduces to zero is a relation among the rays,
+        and its second half is the same relation applied to the images, so it must
+        be zero too; the residuals of these rows span all the relations.
         """
-        n, rays, echelon, basis = self.ambient_dim, self.int_rays, [], []
-        for rid in self.ray_ids():
-            row = reduce_row(rays[rid], echelon)
-            c = next((i for i in range(n) if row[i]), None)
-            if c is not None:
-                echelon.append((c, row))
-                basis.append(rid)
-        duals = [solve([rays[b] for b in basis], [int(b == c) for c in basis]) for b in basis]
-        big = lcm(*(p for _, p in duals))
-        coefficients = {
-            rid: [big // p * sum(map(mul, v, u)) for v, p in duals] for rid, u in rays.items()
-        }
+        n, rays = self.ambient_dim, self.int_rays
         for perm in self.symmetries:
-            columns = list(zip(*(rays[perm[b]] for b in basis)))
-            for rid, cs in coefficients.items():
-                image = [sum(map(mul, cs, col)) for col in columns]
-                if image != [big * x for x in rays[perm[rid]]]:
+            echelon: list[tuple[int, Sequence[int]]] = []
+            for rid in self.ray_ids():
+                row = reduce_row([*rays[rid], *rays[perm[rid]]], echelon)
+                c = next((i for i in range(n) if row[i]), None)
+                if c is not None:
+                    echelon.append((c, row))
+                elif any(row):
                     raise NotInvariant(
                         f"a symmetry maps the ray {rid!r} to {perm[rid]!r}, but the "
                         "linear map it induces on a basis of the rays does not"

@@ -347,15 +347,23 @@ def char_poly(m: Matroid) -> CharPoly:
 
 
 def flat_ray_id(m: Matroid, flat: int) -> str:
-    """The ray id of a flat, its labels joined by commas: the one place the format is set."""
+    """The ray id of a flat, its labels joined by commas: the one place the format is set.
+
+    Distinct flats get distinct ids because no label holds a comma
+    (``require_bergman_input``), so splitting an id on "," gives back its labels.
+    """
     return ",".join(m.labels(flat))
 
 
 def require_bergman_input(m: Matroid, e0: str) -> None:
-    """Raise RankTooSmall or UnknownElement unless ``bergman_fan(m, e0)`` is defined."""
+    """Raise RankTooSmall, UnknownElement or InputError (a ground label that holds a
+    comma, which would make two flats one ray id) unless ``bergman_fan(m, e0)`` is
+    defined."""
     if m.rank < 2:
         raise RankTooSmall(f"Bergman fan needs rank >= 2, got {m.rank}")
     m.element_bit(e0)
+    if comma := [e for e in m.ground if "," in e]:
+        raise InputError(f"the ground set label {comma[0]!r} holds a comma, which ray ids reserve")
 
 
 def bergman_fan(

@@ -320,8 +320,7 @@ def reference_check_symmetry(ctx, perm):
     """A generator's check as a pass of its own, before any orbit search: it must be a
     bijection of the rays, map every maximal cone to one of equal weight, be induced by
     a linear map and keep the pairing of every ray and 2-cone.  Raises NotInvariant;
-    reads only ``ctx.ray_pair`` and, for linearity, ``_reference_solve``: each row m_i
-    of a matrix M with M u = u_perm(u) on every ray solves a system over all the rays."""
+    reads only ``ctx.ray_pair`` and, for linearity, ``reference_is_linear``."""
     fan = ctx.fan
     if perm.keys() != fan.rays.keys() or set(perm.values()) != fan.rays.keys():
         raise NotInvariant("a symmetry must be a bijection of the fan's rays")
@@ -329,16 +328,24 @@ def reference_check_symmetry(ctx, perm):
         image = tuple(sorted(perm[rid] for rid in sigma))
         if fan.int_weights.get(image) != w:
             raise NotInvariant(f"a symmetry maps the maximal cone {list(sigma)} to {list(image)}")
-    rids = fan.ray_ids()
-    rays = [fan.rays[rid] for rid in rids]
-    for i in range(fan.ambient_dim):
-        targets = [fan.rays[perm[rid]][i] for rid in rids]
-        if _reference_solve(rays, targets, range(fan.ambient_dim)) is None:
-            raise NotInvariant("no linear map induces a symmetry")
+    if not reference_is_linear(fan, perm):
+        raise NotInvariant("no linear map induces a symmetry")
     for a in fan.rays:
         for b in (a, *fan.link((a,))):
             if a <= b and ctx.ray_pair(perm[a], perm[b]) != ctx.ray_pair(a, b):
                 raise NotInvariant(f"a symmetry changes the pairing of {a!r} and {b!r}")
+
+
+def reference_is_linear(fan, perm):
+    """Whether a matrix M has M u = u_perm(u) on every ray u: each of its rows m_i solves
+    a system over all the rays (``_reference_solve``), one coordinate at a time."""
+    rids = fan.ray_ids()
+    rays = [fan.rays[rid] for rid in rids]
+    return all(
+        _reference_solve(rays, [fan.rays[perm[rid]][i] for rid in rids], range(fan.ambient_dim))
+        is not None
+        for i in range(fan.ambient_dim)
+    )
 
 
 def reference_orbits(fan, perms):

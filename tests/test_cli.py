@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from normalvol import af, cli, lp, matroid, normalcx
+from normalvol.errors import InputError
 from normalvol.fan import fan_to_json
 from normalvol.linalg import inverse, qmat
 from normalvol.serialize import format_rat
@@ -738,6 +739,31 @@ def test_hrw_refuses_bad_input_before_char_poly(
     assert json.loads(err) == {"error": message}
 
 
+K4_EDGES = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+COMMA_MATROIDS = {  # a ground label "a,b" next to the labels a and b, and the e0 of the run
+    "U(3,3)": ({"kind": "uniform", "ground_set": ["a", "b", "a,b"], "rank": 3}, "a"),
+    "K4": ({"kind": "graphic", "edges": K4_EDGES, "ground_set": [*"acde", "a,b", "b"]}, "c"),
+}
+
+
+@pytest.mark.parametrize("name", list(COMMA_MATROIDS))
+def test_a_ground_label_with_a_comma_is_refused(name, tmp_path, capsys, monkeypatch):
+    # the flat {a, b} and the flat {a,b} would share the ray id "a,b"
+    def refuse(m):
+        raise AssertionError("char_poly ran before the input was checked")
+
+    raw, e0 = COMMA_MATROIDS[name]
+    message = "the ground set label 'a,b' holds a comma, which ray ids reserve"
+    with pytest.raises(InputError) as raised:
+        matroid.bergman_fan(matroid.matroid_from_json(raw), e0)
+    assert str(raised.value) == message
+    monkeypatch.setattr(af, "char_poly", refuse)
+    (tmp_path / "m.json").write_text(json.dumps(raw))
+    code, out, err = run(capsys, ["hrw", "--matroid", str(tmp_path / "m.json"), "--e0", e0])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert json.loads(err) == {"error": message}
+
+
 def test_export_mesh(quadrant_files, tmp_path, capsys):
     out_path = tmp_path / "mesh.obj"
     code, out, _ = run(
@@ -811,6 +837,26 @@ def test_export_mesh_draws_a_segment_or_a_cube_per_cone(
     assert sum(line.startswith("v ") for line in lines) == cones * vertices
     assert sum(line.startswith(f"{kind} ") for line in lines) == cones * per_cone
     assert sum(line.startswith("g cone_") for line in lines) == cones
+
+
+MESH_DIGESTS = {  # SHA-256 of the OBJ file export-mesh writes
+    "quadrant": "655f97dffbac9e54ef305306359b7061c071c12664faa76d9965985c6005cf0d",
+    1: "60d3e00dcb5927603c8fac738a727cc7b2d908f5d921412f0568cbb395399e70",
+    2: "44f6fcca07e2ef8f4d1eb2befb90c9ffa0f8a08f7e35ffb5233e5385bc11d810",
+    3: "096b69e97e4eb89fda5d2e54ea0af282f33c49d8b5aaa9d20fab114f09f16cce",
+}
+
+
+@pytest.mark.parametrize("fan", list(MESH_DIGESTS))
+def test_export_mesh_writes_the_recorded_obj_file(fan, quadrant_files, tmp_path, capsys):
+    if fan == "quadrant":
+        argv = [f"--{key}={quadrant_files[key]}" for key in ("fan", "gram", "z")]
+    else:
+        argv = fan_files(tmp_path, pm1_power(fan))
+    out_path = tmp_path / "mesh.obj"
+    code, _, _ = run(capsys, ["export-mesh", *argv, "--out", str(out_path)])
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == MESH_DIGESTS[fan]
 
 
 def test_caps_env(quadrant_files, capsys, monkeypatch):

@@ -6,13 +6,15 @@ group's."""
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
+from math import atan2, gcd
 
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import normalvol as nv
-from normalvol import chow, normalcx
+from normalvol import chow, linalg, normalcx
+from normalvol import fan as fan_module
 from normalvol.chow import covector, deg_products
 from normalvol.errors import NormalVolError, NotInvariant
 from normalvol.linalg import identity, qmat
@@ -34,6 +36,7 @@ from conftest import (
     make_quadrant_fan,
     product_fan,
     reference_check_symmetry,
+    reference_is_linear,
     reference_orbits,
     sparse_paving_flats,
     sparse_paving_matroids,
@@ -156,6 +159,71 @@ def test_a_symmetry_must_be_induced_by_a_linear_map():
     # takes r1, r2 to r2, r3 takes r4 = -r1 to -r2 = (-1, -1), which is not r5
     with pytest.raises(NotInvariant, match="ray 'r4' to 'r5', but the linear map"):
         nv.MarkedFan(2, rays, cones, symmetries=[cycle])
+
+
+# orders 3, 4 and 6 in GL2(Z): each is conjugate to a rotation by 2 pi / order
+_FINITE_ORDER = [(((0, -1), (1, -1)), 3), (((0, -1), (1, 0)), 4), (((1, -1), (1, 0)), 6)]
+
+
+def _direction(u):
+    return u[0] // gcd(*u), u[1] // gcd(*u)
+
+
+@st.composite
+def complete_plane_fans(draw):
+    """3 to 8 integer rays of the plane in angular order, every gap below pi: drawn at
+    random, or the orbit of one vector under P M P^-1, M of order 3, 4 or 6 and P the
+    unimodular [[1 + jk, k], [j, 1]], its rows maybe swapped, on which the rotation by
+    one step is induced by a linear map."""
+    coord = st.integers(-3, 3)
+    vector = st.tuples(coord, coord).filter(any)
+    if draw(st.booleans()):
+        (m, order), j, k = draw(st.sampled_from(_FINITE_ORDER)), draw(coord), draw(coord)
+        rows = [(1 + j * k, k), (j, 1)]
+        (a, b), (c, d) = rows[::-1] if draw(st.booleans()) else rows
+        rays, u = [], draw(vector)
+        for _ in range(order):
+            rays.append((a * u[0] + b * u[1], c * u[0] + d * u[1]))
+            u = (m[0][0] * u[0] + m[0][1] * u[1], m[1][0] * u[0] + m[1][1] * u[1])
+    else:
+        rays = draw(st.lists(vector, min_size=3, max_size=8, unique_by=_direction))
+    rays.sort(key=lambda u: atan2(u[1], u[0]))
+    assume(all(u[0] * v[1] - u[1] * v[0] > 0 for u, v in zip(rays, rays[1:] + rays[:1])))
+    return rays
+
+
+@settings(max_examples=150, deadline=None)
+@example([(1, 0), (0, 1), (-1, 0), (0, -1)])  # the square: a quarter turn
+@example([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)])  # the hexagon
+@example([(1, 0), (1, 1), (0, 1), (-1, 0), (0, -1)])  # the 5-cycle above: refused
+@given(complete_plane_fans())
+def test_a_step_round_a_complete_plane_fan_is_refused_exactly_when_no_linear_map_induces_it(rays):
+    # the step maps each 2-cone to the next, of weight 1, so only linearity can refuse it
+    ids = [f"r{i}" for i in range(len(rays))]
+    cones = [((a, b), 1) for a, b in zip(ids, ids[1:] + ids[:1])]
+    step = dict(zip(ids, ids[1:] + ids[:1]))
+    fan = nv.MarkedFan(2, dict(zip(ids, rays)), cones)
+    if reference_is_linear(fan, step):
+        event("accepted")
+        assert nv.MarkedFan(2, fan.rays, cones, symmetries=[step]).symmetries == (step,)
+    else:
+        event("refused")
+        with pytest.raises(NotInvariant, match="but the linear map"):
+            nv.MarkedFan(2, fan.rays, cones, symmetries=[step])
+
+
+def test_a_grouped_fan_is_built_without_solve(monkeypatch):
+    """A generator's linear-map check is one echelon of its rays and their images, so
+    building the grouped Bergman fans of U(4,5) and Vamos calls no ``solve``."""
+
+    def refused(*args):
+        raise AssertionError("solve called")
+
+    monkeypatch.setattr(fan_module, "solve", refused, raising=False)
+    monkeypatch.setattr(linalg, "solve", refused)
+    for m in (nv.uniform(4, 5), nv.from_flats(VAMOS_GROUND, VAMOS_FLATS)):
+        fan = nv.bergman_fan(m, "a", bergman_symmetries(m, "a"))
+        assert fan.symmetries and len(fan.orbits()[0]) < len(fan.cones)
 
 
 def test_a_symmetry_must_keep_the_pairing_of_each_two_cone():
